@@ -230,10 +230,3 @@ def hw_envelope(r: float, n: float, q_L: float, q_U: float):
         s, c = secant()
         lower = [LinearCut(s, -1.0, -c)]
     return lower, upper
-
-
-def cuts_to_csv(cuts, fileobj, label=""):
-    """Debug dump of cuts for plotting."""
-    fileobj.write("label,coeff_q,coeff_aux,rhs\n")
-    for c in cuts:
-        fileobj.write(f"{label},{c.coeff_q:.12g},{c.coeff_aux:.12g},{c.rhs:.12g}\n")

@@ -80,13 +80,12 @@ def phi_prime(q, params: HeadLossParams) -> np.ndarray:
 
 @dataclass
 class HydraulicState:
-    """Per-timestep flows, heads, controls and head losses; shape (n_t, .)."""
+    """Per-timestep flows, heads and controls; shape (n_t, .)."""
 
     q: np.ndarray
     h: np.ndarray
     eta: np.ndarray
     alpha: np.ndarray
-    theta: np.ndarray
 
     def velocities(self, net: NetworkModel) -> np.ndarray:
         return self.q / net.areas
@@ -211,5 +210,4 @@ def simulate(
             net, params, net.demands[t], net.source_heads[t],
             eta[t], alpha[t], closed_links=closed_links, **kwargs,
         )
-    theta = np.vstack([phi(q[t], params) for t in range(net.n_t)])
-    return HydraulicState(q, h, eta.copy(), alpha.copy(), theta)
+    return HydraulicState(q, h, eta.copy(), alpha.copy())

@@ -6,7 +6,7 @@ in behind ``solve_lp``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -126,49 +126,3 @@ def write_lp_text(lp: LinearProgram, fileobj):
         hi = f"{lp.ub[j]:.17g}" if np.isfinite(lp.ub[j]) else "+inf"
         fileobj.write(f" {lo} <= {names[j]} <= {hi}\n")
     fileobj.write("End\n")
-
-
-class LpBuilder:
-    """Incremental sparse LP assembly."""
-
-    def __init__(self, n_cols: int, names=None):
-        self.n_cols = n_cols
-        self.names = names
-        self.c = np.zeros(n_cols)
-        self.lb = np.full(n_cols, -np.inf)
-        self.ub = np.full(n_cols, np.inf)
-        self._rows_i: list[int] = []
-        self._rows_j: list[int] = []
-        self._rows_v: list[float] = []
-        self._senses: list[str] = []
-        self._b: list[float] = []
-
-    @property
-    def n_rows(self) -> int:
-        return len(self._b)
-
-    def add_row(self, cols, vals, sense: str, rhs: float):
-        i = len(self._b)
-        for j, v in zip(cols, vals):
-            if v != 0.0:
-                self._rows_i.append(i)
-                self._rows_j.append(int(j))
-                self._rows_v.append(float(v))
-        self._senses.append(sense)
-        self._b.append(float(rhs))
-        return i
-
-    def set_bounds(self, idx, lo, hi):
-        self.lb[idx] = lo
-        self.ub[idx] = hi
-
-    def build(self) -> LinearProgram:
-        A = sp.csr_matrix(
-            (self._rows_v, (self._rows_i, self._rows_j)),
-            shape=(len(self._b), self.n_cols),
-        )
-        lp = LinearProgram(self.c.copy(), A, np.array(self._senses),
-                           np.array(self._b), self.lb.copy(), self.ub.copy(),
-                           self.names)
-        lp.validate()
-        return lp

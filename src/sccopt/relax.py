@@ -5,14 +5,15 @@ placements that seed the sampler.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import envelopes
 from .errors import InconsistentBounds
 from .hydraulics import HeadLossParams, phi
-from .lp import EQ, LEQ, LpBuilder, LinearProgram, LpSolution, OPTIMAL
+from .lp import EQ, LEQ, LinearProgram, LpSolution, OPTIMAL
 from .netmodel import NetworkModel
 from .scc import SccParams
 
@@ -186,16 +187,25 @@ def build_lp(
     bounds: BoundSet,
     design: DesignConfig,
 ) -> tuple[LinearProgram, VariableMap]:
-    """Assemble the continuous relaxation as a single LP."""
-    vmap = VariableMap(net.n_p, net.n_n, net.n_t)
-    bld = LpBuilder(vmap.total)
-    areas = net.areas
-    A12 = net.A12.tocoo()
-    z_idx, y_idx = vmap.z, vmap.y
+    """Assemble the continuous relaxation as a single LP.
 
-    dbv_cand = set(design.resolved_dbv_candidates(net))
-    afv_cand = set(design.resolved_afv_candidates(net))
-    fixed = design.fixed_links()
+    Rows per timestep: mass balance, energy balance, each link's table, then
+    one AFV row per node; the two valve-count rows come last.
+    """
+    vmap = VariableMap(net.n_p, net.n_n, net.n_t)
+    n = vmap.total
+    areas = net.areas
+    I_p, I_n = sp.identity(net.n_p), sp.identity(net.n_n)
+    z_idx, y_idx = vmap.z, vmap.y
+    fixed = list(design.fixed_links())
+    # a column's bounds are [0, 0] unless set below
+    c, lb, ub = np.zeros(n), np.zeros(n), np.zeros(n)
+    blocks, rhs, senses = [], [], []
+
+    def add(block, cols, b, sense):
+        blocks.append(_at_columns(block, cols, n))
+        rhs.append(b)
+        senses.append(np.full(len(b), sense))
 
     for t in range(net.n_t):
         q_idx, h_idx = vmap.q(t), vmap.h(t)
@@ -204,98 +214,83 @@ def build_lp(
         sp_idx, sm_idx = vmap.sigma_pos(t), vmap.sigma_neg(t)
         vp_idx, vm_idx = vmap.v_pos(t), vmap.v_neg(t)
 
-        # mass: A12^T q - alpha = d
-        cols_by_node = [[] for _ in range(net.n_n)]
-        vals_by_node = [[] for _ in range(net.n_n)]
-        for j, i, v in zip(A12.row, A12.col, A12.data):
-            cols_by_node[i].append(q_idx[j])
-            vals_by_node[i].append(v)
-        for i in range(net.n_n):
-            bld.add_row(cols_by_node[i] + [a_idx[i]], vals_by_node[i] + [-1.0],
-                        EQ, net.demands[t, i])
+        # mass: A12^T q - alpha = d;  energy: A12 h + theta + eta = -A10 h0
+        add(sp.hstack([net.A12.T, -I_n]), np.r_[q_idx, a_idx], net.demands[t], EQ)
+        add(sp.hstack([net.A12, I_p, I_p]), np.r_[h_idx, th_idx, eta_idx],
+            -(net.A10 @ net.source_heads[t]), EQ)
 
-        # energy: A12 h + theta + eta = -A10 h0
-        rhs_e = -(net.A10 @ net.source_heads[t])
-        rows_by_link = [[] for _ in range(net.n_p)]
-        valr_by_link = [[] for _ in range(net.n_p)]
-        for j, i, v in zip(A12.row, A12.col, A12.data):
-            rows_by_link[j].append(h_idx[i])
-            valr_by_link[j].append(v)
-        for j in range(net.n_p):
-            bld.add_row(rows_by_link[j] + [th_idx[j], eta_idx[j]],
-                        valr_by_link[j] + [1.0, 1.0], EQ, rhs_e[j])
+        tables = [_link_table(params, scc_params, bounds, t, j, areas[j])
+                  for j in range(net.n_p)]
+        link = np.repeat(np.arange(net.n_p), [len(tb) for tb in tables])
+        cols = np.column_stack([q_idx, sp_idx, sm_idx, th_idx, eta_idx,
+                                vp_idx, vm_idx, z_idx])
+        table = np.vstack(tables)
+        add(table[:, :8], cols[link], table[:, 8], LEQ)
 
-        for j in range(net.n_p):
-            q_lo, q_hi = bounds.q_lo[t, j], bounds.q_hi[t, j]
-            th_lo, th_hi = bounds.theta_lo[t, j], bounds.theta_hi[t, j]
-            e_lo, e_hi = bounds.eta_lo[t, j], bounds.eta_hi[t, j]
-            u_min = float(scc_params.u_min[j])
+        # flushing only where an AFV is placed
+        add(sp.hstack([I_n, -bounds.alpha_hi * I_n]), np.r_[a_idx, y_idx],
+            np.zeros(net.n_n), LEQ)
 
-            # envelope cuts for the sigmoid terms, built in velocity space
-            u_lo, u_hi = q_lo / areas[j], q_hi / areas[j]
-            cuts_p, cuts_m = envelopes.sigmoid_envelope(scc_params.rho, u_min, u_lo, u_hi)
-            for c in cuts_p:
-                cc = c.scaled_q(1.0 / areas[j])
-                bld.add_row([q_idx[j], sp_idx[j]], [cc.coeff_q, cc.coeff_aux], LEQ, cc.rhs)
-            for c in cuts_m:
-                cc = c.scaled_q(1.0 / areas[j])
-                bld.add_row([q_idx[j], sm_idx[j]], [cc.coeff_q, cc.coeff_aux], LEQ, cc.rhs)
-
-            # polyhedral sandwich of the head-loss curve
-            lower, upper = envelopes.hw_envelope(params.r[j], params.n_exp[j], q_lo, q_hi)
-            for c in lower + upper:
-                bld.add_row([q_idx[j], th_idx[j]], [c.coeff_q, c.coeff_aux], LEQ, c.rhs)
-
-            # big-M valve activation rows
-            bld.add_row([eta_idx[j], vp_idx[j]], [1.0, -e_hi], LEQ, 0.0)
-            bld.add_row([eta_idx[j], vm_idx[j]], [-1.0, e_lo], LEQ, 0.0)
-            bld.add_row([q_idx[j], vp_idx[j]], [-1.0, -q_lo], LEQ, -q_lo)
-            bld.add_row([q_idx[j], vm_idx[j]], [1.0, q_hi], LEQ, q_hi)
-            bld.add_row([th_idx[j], vp_idx[j]], [-1.0, -th_lo], LEQ, -th_lo)
-            bld.add_row([th_idx[j], vm_idx[j]], [1.0, th_hi], LEQ, th_hi)
-
-            # one control direction per timestep
-            bld.add_row([vp_idx[j], vm_idx[j], z_idx[j]], [1.0, 1.0, -1.0], LEQ, 0.0)
-
-            bld.set_bounds(q_idx[j], q_lo, q_hi)
-            bld.set_bounds(eta_idx[j], e_lo, e_hi)
-            bld.set_bounds(th_idx[j], th_lo, th_hi)
-            bld.set_bounds(sp_idx[j], 0.0, 1.0)
-            bld.set_bounds(sm_idx[j], 0.0, 1.0)
-            bld.set_bounds(vp_idx[j], 0.0, 1.0)
-            bld.set_bounds(vm_idx[j], 0.0, 1.0)
-
-        for i in range(net.n_n):
-            # flushing only where an AFV is placed
-            bld.add_row([a_idx[i], y_idx[i]], [1.0, -bounds.alpha_hi], LEQ, 0.0)
-            bld.set_bounds(h_idx[i], bounds.h_lo[t, i], bounds.h_hi[t, i])
-            bld.set_bounds(a_idx[i], 0.0, bounds.alpha_hi)
-
+        lb[q_idx], ub[q_idx] = bounds.q_lo[t], bounds.q_hi[t]
+        lb[h_idx], ub[h_idx] = bounds.h_lo[t], bounds.h_hi[t]
+        lb[eta_idx], ub[eta_idx] = bounds.eta_lo[t], bounds.eta_hi[t]
+        lb[th_idx], ub[th_idx] = bounds.theta_lo[t], bounds.theta_hi[t]
+        ub[a_idx] = bounds.alpha_hi
+        ub[np.r_[sp_idx, sm_idx, vp_idx, vm_idx]] = 1.0
         # existing PRVs are unidirectional; their direction is pinned
-        for j in design.prv_links:
-            bld.set_bounds(vp_idx[j], 1.0, 1.0)
-            bld.set_bounds(vm_idx[j], 0.0, 0.0)
-
+        lb[vp_idx[list(design.prv_links)]] = 1.0
+        ub[vm_idx[list(design.prv_links)]] = 0.0
         # objective: maximize the mean weighted sigma mass
-        for j in range(net.n_p):
-            bld.c[sp_idx[j]] = -scc_params.weights[j] / net.n_t
-            bld.c[sm_idx[j]] = -scc_params.weights[j] / net.n_t
+        c[sp_idx] = c[sm_idx] = -scc_params.weights / net.n_t
 
     # placement variables and count constraints
-    for j in range(net.n_p):
-        if j in fixed:
-            bld.set_bounds(z_idx[j], 1.0, 1.0)
-        elif j in dbv_cand:
-            bld.set_bounds(z_idx[j], 0.0, 1.0)
-        else:
-            bld.set_bounds(z_idx[j], 0.0, 0.0)
-    for i in range(net.n_n):
-        bld.set_bounds(y_idx[i], 0.0, 1.0 if i in afv_cand else 0.0)
+    ub[z_idx[list(design.resolved_dbv_candidates(net))]] = 1.0
+    lb[z_idx[fixed]] = ub[z_idx[fixed]] = 1.0
+    ub[y_idx[list(design.resolved_afv_candidates(net))]] = 1.0
+    add(np.ones((1, net.n_p)), z_idx, [design.n_v + len(fixed)], EQ)
+    add(np.ones((1, net.n_n)), y_idx, [design.n_f], EQ)
 
-    bld.add_row(z_idx, np.ones(net.n_p), EQ, design.n_v + len(fixed))
-    bld.add_row(y_idx, np.ones(net.n_n), EQ, design.n_f)
+    A = sp.vstack(blocks, format="csr")
+    A.eliminate_zeros()  # no block may store a zero coefficient
+    lp = LinearProgram(c, A, np.concatenate(senses), np.concatenate(rhs, dtype=float), lb, ub)
+    lp.validate()
+    return lp, vmap
 
-    return bld.build(), vmap
+
+def _at_columns(block, cols, n_cols):
+    """``block`` as rows of an n_cols-wide matrix: entry (r, k) goes to column
+    cols[k], or to cols[r, k] when cols holds one column map per row."""
+    b = sp.coo_matrix(block)
+    cols = np.broadcast_to(cols, b.shape)[b.row, b.col]
+    return sp.csr_matrix((b.data, (b.row, cols)), shape=(b.shape[0], n_cols))
+
+
+def _link_table(params, scc_params, bounds, t, j, area):
+    """Rows ``[coefficients | rhs]`` of link j at timestep t, a ``<=`` row
+    each over the link's columns (q, sigma+, sigma-, theta, eta, v+, v-, z):
+    sigmoid envelope cuts, head-loss sandwich cuts, big-M valve activation and
+    one control direction."""
+    q_lo, q_hi = bounds.q_lo[t, j], bounds.q_hi[t, j]
+    th_lo, th_hi = bounds.theta_lo[t, j], bounds.theta_hi[t, j]
+    e_lo, e_hi = bounds.eta_lo[t, j], bounds.eta_hi[t, j]
+    # the sigmoid envelopes are built in velocity space
+    cuts_p, cuts_m = envelopes.sigmoid_envelope(
+        scc_params.rho, float(scc_params.u_min[j]), q_lo / area, q_hi / area)
+    lower, upper = envelopes.hw_envelope(params.r[j], params.n_exp[j], q_lo, q_hi)
+    cuts = ([(c.scaled_q(1.0 / area), 1) for c in cuts_p]
+            + [(c.scaled_q(1.0 / area), 2) for c in cuts_m]
+            + [(c, 3) for c in lower + upper])
+    table = np.zeros((len(cuts), 9))
+    for r, (c, aux) in enumerate(cuts):
+        table[r, [0, aux, 8]] = c.coeff_q, c.coeff_aux, c.rhs
+    return np.vstack([table,
+                      [[0, 0, 0, 0, 1, -e_hi, 0, 0, 0],
+                       [0, 0, 0, 0, -1, 0, e_lo, 0, 0],
+                       [-1, 0, 0, 0, 0, -q_lo, 0, 0, -q_lo],
+                       [1, 0, 0, 0, 0, 0, q_hi, 0, q_hi],
+                       [0, 0, 0, -1, 0, -th_lo, 0, 0, -th_lo],
+                       [0, 0, 0, 1, 0, 0, th_hi, 0, th_hi],
+                       [0, 0, 0, 0, 0, 1, 1, -1, 0]]])
 
 
 def extract_fractional(sol: LpSolution, vmap: VariableMap, design: DesignConfig):

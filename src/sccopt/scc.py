@@ -55,7 +55,8 @@ def scc_indicator(state, net: NetworkModel, params: SccParams) -> float:
     """Exact SCC: length-weighted fraction of links with |u| > u_min, averaged over t."""
     u = state.velocities(net)
     hits = (np.abs(u) > params.u_min).astype(float)
-    return float(np.mean(hits @ params.weights))
+    # the dot product can round an all-fast state one ulp above 1
+    return float(np.clip(np.mean(hits @ params.weights), 0.0, 1.0))
 
 
 def scc_smooth_flows(q: np.ndarray, net: NetworkModel, params: SccParams) -> float:
@@ -76,10 +77,6 @@ def scc_smooth_grad_flows(q: np.ndarray, net: NetworkModel, params: SccParams) -
     dp, dm = sigmoid_pair_prime(u, params)
     n_t = q.shape[0]
     return params.weights * (dp + dm) / (net.areas * n_t)
-
-
-def scc_smooth_grad(state, net: NetworkModel, params: SccParams) -> np.ndarray:
-    return scc_smooth_grad_flows(state.q, net, params)
 
 
 def azp_weights(net: NetworkModel) -> np.ndarray:

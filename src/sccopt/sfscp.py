@@ -9,7 +9,7 @@ against the nonconvexity of the objective.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 
 from .errors import AllStartsInfeasible, NonConvergence, SingularSystem
 from .hydraulics import HeadLossParams, HydraulicState, phi, phi_prime, solve_steady
-from .lp import EQ, LEQ, LpBuilder, OPTIMAL, solve_lp
+from .lp import EQ, OPTIMAL, LinearProgram, solve_lp
 from .netmodel import NetworkModel
 from .relax import BoundSet, DesignConfig
 from .sampler import CandidateDesign
@@ -93,6 +93,13 @@ def _pressure_violation(h: np.ndarray, h_lo: np.ndarray) -> float:
     return float(np.max(np.maximum(h_lo - h, 0.0), initial=0.0))
 
 
+def _kkt_blocks(net, g):
+    """Block rows [[diag(g), A12], [A12^T, 0]] of the Jacobian of the
+    hydraulic equations at head-loss slopes g (the global-gradient matrix of
+    Todini and Pilati, 1988); the first block row is the energy equations."""
+    return [[sp.diags(g, format="coo"), net.A12], [net.A12.T, None]]
+
+
 def _adjoint_gradient(net, params, q, h, grad_q, grad_h, ctrl, afv):
     """Gradients of a function of (q, h) w.r.t. eta (ctrl links) and alpha
     (afv nodes) through the hydraulic equations.
@@ -101,7 +108,7 @@ def _adjoint_gradient(net, params, q, h, grad_q, grad_h, ctrl, afv):
     with the value gradient as right-hand side yields both sensitivities.
     """
     g = np.maximum(phi_prime(q, params), 1e-8)
-    J = sp.bmat([[sp.diags(g), net.A12], [net.A12.T, None]], format="csc")
+    J = sp.bmat(_kkt_blocks(net, g), format="csc")
     lam = spla.spsolve(J, np.concatenate([grad_q, grad_h]))
     d_eta = -lam[: net.n_p][list(ctrl)]
     d_alpha = lam[net.n_p:][list(afv)]
@@ -188,86 +195,59 @@ def restore_feasibility(
 def _step_lp(net, params, scc_params, bounds, t, design, directions,
              q_k, h_k, eta_k, alpha_k, trust_fraction):
     """Linearized step LP around the current iterate; returns the LP point
-    (q, h, eta, alpha) or None when the LP is infeasible."""
+    (q, h, eta, alpha) or None when the LP is infeasible.
+
+    Columns are (q, h, eta on control links, alpha on flushing nodes); the
+    equality rows are the energy and mass equations linearized at q_k.
+    """
     ctrl = list(design.controllable_links)
     afv = list(design.afv_nodes)
-    n_q, n_h = net.n_p, net.n_n
-    n_c, n_a = len(ctrl), len(afv)
-    ctrl_pos = {j: k for k, j in enumerate(ctrl)}
-    bld = LpBuilder(n_q + n_h + n_c + n_a)
-    q_cols = np.arange(n_q)
-    h_cols = n_q + np.arange(n_h)
-    e_cols = n_q + n_h + np.arange(n_c)
-    a_cols = n_q + n_h + n_c + np.arange(n_a)
-
+    n_q, n_c, n_a = net.n_p, len(ctrl), len(afv)
+    # not the adjoint's 1e-8 floor: that would change the LP on zero-loss valves
     dphi = np.maximum(phi_prime(q_k, params), 1e-12)
-    theta_k = phi(q_k, params)
-    rhs_fixed = -(net.A10 @ net.source_heads[t])
-    A12 = net.A12.tocoo()
-    link_rows = [[] for _ in range(n_q)]
-    link_vals = [[] for _ in range(n_q)]
-    node_rows = [[] for _ in range(n_h)]
-    node_vals = [[] for _ in range(n_h)]
-    for j, i, v in zip(A12.row, A12.col, A12.data):
-        link_rows[j].append(h_cols[i])
-        link_vals[j].append(v)
-        node_rows[i].append(q_cols[j])
-        node_vals[i].append(v)
+    # unit columns: E puts each eta on its link's energy row, F each alpha
+    # on its node's mass row
+    E = sp.coo_matrix((np.ones(n_c), (ctrl, np.arange(n_c))), shape=(n_q, n_c))
+    F = sp.coo_matrix((np.ones(n_a), (afv, np.arange(n_a))), shape=(net.n_n, n_a))
+    energy, mass = _kkt_blocks(net, dphi)
+    A = sp.bmat([energy + [E, None], mass + [None, -F]], format="csr")
+    rhs_e = -(net.A10 @ net.source_heads[t]) - phi(q_k, params) + dphi * q_k
+    b = np.concatenate([rhs_e, net.demands[t]])
 
-    for j in range(n_q):
-        cols = link_rows[j] + [q_cols[j]]
-        vals = link_vals[j] + [float(dphi[j])]
-        rhs = rhs_fixed[j] - theta_k[j] + dphi[j] * q_k[j]
-        if j in ctrl_pos:
-            cols.append(e_cols[ctrl_pos[j]])
-            vals.append(1.0)
-        bld.add_row(cols, vals, EQ, rhs)
-    afv_pos = {i: k for k, i in enumerate(afv)}
-    for i in range(n_h):
-        cols = list(node_rows[i])
-        vals = list(node_vals[i])
-        if i in afv_pos:
-            cols.append(a_cols[afv_pos[i]])
-            vals.append(-1.0)
-        bld.add_row(cols, vals, EQ, net.demands[t, i])
+    def box(lo, hi, center):
+        # the bound box cut to trust_fraction of its width around center
+        span = trust_fraction * (hi - lo)
+        return np.maximum(lo, center - span), np.minimum(hi, center + span)
 
-    for j in range(n_q):
-        span = trust_fraction * (bounds.q_hi[t, j] - bounds.q_lo[t, j])
-        lo = max(bounds.q_lo[t, j], q_k[j] - span)
-        hi = min(bounds.q_hi[t, j], q_k[j] + span)
-        if j in ctrl_pos and j in directions:
+    q_lo, q_hi = box(bounds.q_lo[t], bounds.q_hi[t], q_k)
+    for j in ctrl:
+        if j in directions:
+            # the valve's flow direction is pinned by its sign
             if directions[j] > 0:
-                lo = max(lo, 0.0)
+                q_lo[j] = max(q_lo[j], 0.0)
             else:
-                hi = min(hi, 0.0)
-        bld.set_bounds(q_cols[j], min(lo, hi), max(lo, hi))
-    for i in range(n_h):
-        span = trust_fraction * (bounds.h_hi[t, i] - bounds.h_lo[t, i])
-        lo = max(bounds.h_lo[t, i], h_k[i] - span)
-        hi = min(bounds.h_hi[t, i], h_k[i] + span)
-        bld.set_bounds(h_cols[i], min(lo, hi), max(lo, hi))
-    for k, j in enumerate(ctrl):
-        e_lo, e_hi = _direction_bounds(bounds, t, j, directions.get(j, 1))
-        span = trust_fraction * (e_hi - e_lo) if e_hi > e_lo else 0.0
-        center = float(np.clip(eta_k[j], e_lo, e_hi))
-        bld.set_bounds(e_cols[k], max(e_lo, center - span), min(e_hi, center + span))
-    for k, i in enumerate(afv):
-        span = trust_fraction * bounds.alpha_hi
-        center = float(np.clip(alpha_k[i], 0.0, bounds.alpha_hi))
-        bld.set_bounds(a_cols[k], max(0.0, center - span),
-                       min(bounds.alpha_hi, center + span))
+                q_hi[j] = min(q_hi[j], 0.0)
+    e_lo, e_hi = np.array([_direction_bounds(bounds, t, j, directions.get(j, 1))
+                           for j in ctrl]).reshape(n_c, 2).T
+    a_hi = np.full(n_a, bounds.alpha_hi)
+    lo, hi = map(np.concatenate, zip(
+        (q_lo, q_hi), box(bounds.h_lo[t], bounds.h_hi[t], h_k),
+        box(e_lo, e_hi, np.clip(eta_k[ctrl], e_lo, e_hi)),
+        box(np.zeros_like(a_hi), a_hi, np.clip(alpha_k[afv], 0.0, a_hi))))
 
-    grad = scc_smooth_grad_flows(q_k[None, :], net, scc_params)[0]
-    bld.c[q_cols] = -grad
-
-    sol = solve_lp(bld.build())
+    c = np.zeros(A.shape[1])
+    c[:n_q] = -scc_smooth_grad_flows(q_k[None, :], net, scc_params)[0]
+    # a pinned direction or an iterate outside its bounds can invert a box
+    sol = solve_lp(LinearProgram(c, A, np.full(len(b), EQ), b,
+                                 np.minimum(lo, hi), np.maximum(lo, hi)))
     if sol.status != OPTIMAL:
         return None
+    q, h, e, a = np.split(sol.x, np.cumsum([n_q, net.n_n, n_c]))
     eta = np.zeros(net.n_p)
-    eta[ctrl] = sol.x[e_cols]
+    eta[ctrl] = e
     alpha = np.zeros(net.n_n)
-    alpha[afv] = sol.x[a_cols]
-    return sol.x[q_cols], sol.x[h_cols], eta, alpha
+    alpha[afv] = a
+    return q, h, eta, alpha
 
 
 def sfscp_timestep(
@@ -448,8 +428,7 @@ def multi_start(
             dirs.append(signs)
         if not feasible:
             continue
-        theta = np.vstack([phi(q[t], params) for t in range(net.n_t)])
-        state = HydraulicState(q, h, eta, alpha, theta)
+        state = HydraulicState(q, h, eta, alpha)
         objective = scc_smooth_flows(q, net, scc_params)
         if best is None or objective > best.objective:
             best = ControlSolution(eta, alpha, objective, state,

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from oracle_simplex import simplex_solve
 from sccopt.errors import InconsistentBounds
 from sccopt.lp import (EQ, LEQ, INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                       LpBuilder, solve_lp, write_lp_text)
+                       solve_lp, write_lp_text)
 
 
 def make_lp(c, A, senses, b, lb, ub):
@@ -116,30 +116,6 @@ class TestAgainstOracle:
         # complementary slackness on constraint rows
         slack = b - A @ sol.x
         assert np.all(np.abs(sol.duals * slack) <= 1e-6)
-
-
-class TestBuilder:
-    def test_rows_and_bounds(self):
-        bld = LpBuilder(2)
-        bld.add_row([0, 1], [1.0, 1.0], LEQ, 1.0)
-        bld.set_bounds(0, 0.0, 1.0)
-        bld.set_bounds(1, 0.0, 1.0)
-        bld.c[0] = -1.0
-        lp = bld.build()
-        assert lp.n_rows == 1 and lp.n_cols == 2
-        assert solve_lp(lp).objective == pytest.approx(-1.0)
-
-    def test_zero_coefficients_dropped(self):
-        bld = LpBuilder(3)
-        bld.add_row([0, 1, 2], [1.0, 0.0, 2.0], LEQ, 1.0)
-        lp = bld.build()
-        assert lp.A.nnz == 2
-
-    def test_builder_validates(self):
-        bld = LpBuilder(1)
-        bld.set_bounds(0, 2.0, 1.0)
-        with pytest.raises(InconsistentBounds):
-            bld.build()
 
 
 class TestTextDump:

@@ -142,3 +142,17 @@ class TestRelaxation:
         lp, _ = build_lp(loop4, params, scc_params, bounds, design)
         sol = solve_lp(lp)
         assert lp_bound(sol) <= 2.0 + 1e-9
+
+    @pytest.mark.parametrize("alpha_max, nnz", [(0.025, 193), (0.0, 189)])
+    def test_assembly_stores_no_zeros(self, loop4, alpha_max, nnz):
+        # the source link's eta_lo is 0, so its big-M row has a zero
+        # coefficient that must not be stored; alpha_max 0 zeroes the y
+        # coefficient of every flushing row
+        params, scc_params, bounds, design = setup(loop4, n_v=1, n_f=1,
+                                                   alpha_max=alpha_max)
+        assert bounds.eta_lo[0, 0] == 0.0
+        lp, _ = build_lp(loop4, params, scc_params, bounds, design)
+        assert np.all(lp.A.data != 0)
+        # 4 mass + 5 energy rows, 5 link tables of 15 rows, 4 flushing rows
+        # and the two valve-count rows
+        assert (lp.n_rows, lp.n_cols, lp.A.nnz) == (90, 52, nnz)

@@ -15,7 +15,7 @@ PSI_AT_ZERO = 4.5397868702434395e-05
 def _state_from_flows(net, q):
     q = np.atleast_2d(q)
     zeros_h = np.zeros((q.shape[0], net.n_n))
-    return HydraulicState(q, zeros_h, np.zeros_like(q), zeros_h, np.zeros_like(q))
+    return HydraulicState(q, zeros_h, np.zeros_like(q), zeros_h)
 
 
 class TestParams:
@@ -70,6 +70,14 @@ class TestObjective:
         u = st_.velocities(line3)[0]
         assert np.sum(np.abs(u) > 0.2) == 2
         assert scc_indicator(st_, line3, p) == pytest.approx(2 / 3)
+
+    def test_indicator_all_fast_is_exactly_one(self, grid25):
+        # the length weights sum to exactly 1 here, but their dot product
+        # with an all-ones hit vector rounds one ulp above it
+        p = SccParams.from_network(grid25)
+        st_ = _state_from_flows(grid25, 2.0 * p.u_min * grid25.areas)
+        assert p.weights.sum() == 1.0
+        assert scc_indicator(st_, grid25, p) == 1.0
 
     def test_smooth_close_to_indicator_for_steep_rho(self, line3):
         st_ = simulate(line3, headloss_params(line3))

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from sccopt.errors import AllStartsInfeasible
-from sccopt.hydraulics import headloss_params, phi, simulate
+from sccopt.hydraulics import headloss_params, phi, phi_prime, simulate, solve_steady
 from sccopt.netgen import line_network, loop_network
 from sccopt.netmodel import DemandNode, Link, NetworkModel, PIPE, SourceNode, VALVE
 from sccopt.relax import DesignConfig, default_bounds
 from sccopt.sampler import CandidateDesign
 from sccopt.scc import SccParams, scc_smooth, scc_smooth_flows
-from sccopt.sfscp import (MultiStartConfig, ValveDesign, enumerate_dbv_directions,
-                          multi_start, reduced_gradient, restore_feasibility,
-                          sfscp_timestep)
+from sccopt.sfscp import (MultiStartConfig, ValveDesign, _step_lp,
+                          enumerate_dbv_directions, multi_start, reduced_gradient,
+                          restore_feasibility, sfscp_timestep)
 
 
 def single_pipe_net(demand=0.005, diameter=0.3):
@@ -116,6 +116,34 @@ class TestIterationBehaviour:
                           extra_seeds=[np.zeros((net.n_t, net.n_p))])
         state = simulate(net, params)
         assert sol.objective >= scc_smooth(state, net, scc_params) - 1e-9
+
+
+class TestStepLp:
+    def test_point_solves_the_linearized_equations_in_the_trust_box(self):
+        # the PRV link is a zero-loss valve, so its phi' is 0 at any flow
+        net = prv_loop_net()
+        params, scc_params, bounds = setup(net)
+        design = ValveDesign(prv_links=(2,), afv_nodes=(1,))
+        eta_k = np.zeros(net.n_p)
+        eta_k[2] = 2.0
+        alpha_k = np.zeros(net.n_n)
+        alpha_k[1] = 0.01
+        d, h0 = net.demands[0], net.source_heads[0]
+        q_k, h_k = solve_steady(net, params, d, h0, eta_k, alpha_k)
+        tf = 0.05
+        q, h, eta, alpha = _step_lp(net, params, scc_params, bounds, 0, design,
+                                    {}, q_k, h_k, eta_k, alpha_k, tf)
+        assert np.max(np.abs(net.A12.T @ q - alpha - d)) <= 1e-12
+        energy = (net.A12 @ h + net.A10 @ h0 + phi(q_k, params)
+                  + phi_prime(q_k, params) * (q - q_k) + eta)
+        assert np.max(np.abs(energy)) <= 1e-7
+        tol = 1e-9
+        assert np.all(np.abs(q - q_k) <= tf * (bounds.q_hi[0] - bounds.q_lo[0]) + tol)
+        assert np.all(np.abs(h - h_k) <= tf * (bounds.h_hi[0] - bounds.h_lo[0]) + tol)
+        assert abs(eta[2] - eta_k[2]) <= tf * bounds.eta_hi[0, 2] + tol
+        assert abs(alpha[1] - alpha_k[1]) <= tf * bounds.alpha_hi + tol
+        assert np.all(eta[[0, 1, 3, 4]] == 0.0) and eta[2] >= 0.0
+        assert np.all(alpha[[0, 2, 3]] == 0.0) and alpha[1] >= 0.0
 
 
 class TestGridSearchOracle:
