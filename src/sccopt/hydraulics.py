@@ -16,10 +16,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NonConvergence, SingularSystem
-from .netmodel import NetworkModel, PIPE, VALVE
+from .netmodel import NetworkModel, PIPE
 
 GRAVITY = 9.81
 HW_EXPONENT = 1.852
+# Newton convergence: mass residual in m^3/s, energy residual in m
+TOL_MASS = 1e-8
+TOL_ENERGY = 1e-6
 
 
 @dataclass(frozen=True)
@@ -98,66 +101,57 @@ def solve_steady(
     h0: np.ndarray,
     eta: np.ndarray | None = None,
     alpha: np.ndarray | None = None,
-    closed_links=(),
     max_newton: int = 200,
-    tol_mass: float = 1e-8,
-    tol_energy: float = 1e-6,
     residual_log: list | None = None,
     q0: np.ndarray | None = None,
     h0_guess: np.ndarray | None = None,
 ):
     """Solve one timestep; returns (q, h) or raises NonConvergence/SingularSystem.
 
-    ``q0``/``h0_guess`` warm-start the Newton iteration (e.g. from a nearby
-    solve); by default a uniform 0.03 m/s flow and flat heads are used.
+    Converged means a mass residual within TOL_MASS (m^3/s) and an energy
+    residual within TOL_ENERGY (m).  ``q0``/``h0_guess`` warm-start the
+    Newton iteration (e.g. from a nearby solve); by default a uniform
+    0.03 m/s flow and flat heads are used.
     """
     eta = np.zeros(net.n_p) if eta is None else np.asarray(eta, dtype=float)
     alpha = np.zeros(net.n_n) if alpha is None else np.asarray(alpha, dtype=float)
-
-    active = np.ones(net.n_p, dtype=bool)
-    for j in closed_links:
-        active[j] = False
-    A12 = net.A12[active]
-    A10 = net.A10[active]
-    r_eta = eta[active]
+    A12, A12T = net.A12, net.A12T
 
     if q0 is not None:
-        qa = np.asarray(q0, dtype=float)[active]
+        q = np.array(q0, dtype=float)  # a copy: q0 is never returned
     else:
-        qa = 0.03 * net.areas[active]  # 0.03 m/s in file direction
+        q = 0.03 * net.areas  # 0.03 m/s in file direction
     if h0_guess is not None:
-        h = np.asarray(h0_guess, dtype=float).copy()
+        h = np.array(h0_guess, dtype=float)
     else:
         h = np.full(net.n_n, float(np.max(h0)))
-    rhs_fixed = A10 @ h0 + r_eta
+    rhs_fixed = net.A10 @ h0 + eta
 
-    def residuals(qa, h):
-        fe = A12 @ h + rhs_fixed + phi(qa, _mask(params, active))
-        fm = A12.T @ qa - d - alpha
+    def residuals(q, h):
+        fe = A12 @ h + rhs_fixed + phi(q, params)
+        fm = A12T @ q - d - alpha
         return fe, fm
 
     def score(fe, fm):
-        return max(np.max(np.abs(fm)) / tol_mass,
-                   np.max(np.abs(fe)) / tol_energy)
+        return max(np.max(np.abs(fm)) / TOL_MASS,
+                   np.max(np.abs(fe)) / TOL_ENERGY)
 
-    fe, fm = residuals(qa, h)
+    fe, fm = residuals(q, h)
     s = score(fe, fm)
     for it in range(max_newton):
         if residual_log is not None:
             residual_log.append((it, float(np.max(np.abs(fm))), float(np.max(np.abs(fe)))))
         if s <= 1.0:
-            q = np.zeros(net.n_p)
-            q[active] = qa
             return q, h
-        g = np.maximum(phi_prime(qa, _mask(params, active)), 1e-8)
+        g = np.maximum(phi_prime(q, params), 1e-8)
         w = 1.0 / g
         W = sp.diags(w)
-        S = (A12.T @ W @ A12).tocsc()
+        S = (A12T @ W @ A12).tocsc()
         try:
             lu = spla.splu(S)
         except RuntimeError as exc:
             raise SingularSystem(str(exc)) from exc
-        dh = lu.solve(fm - A12.T @ (w * fe))
+        dh = lu.solve(fm - A12T @ (w * fe))
         if not np.all(np.isfinite(dh)):
             raise SingularSystem("reduced system produced non-finite step")
         dq = -w * (fe + A12 @ dh)
@@ -165,31 +159,23 @@ def solve_steady(
         # iteration recovers from transient energy-residual spikes, whereas
         # monotone backtracking can stall on vanishing steps; damp only when
         # the step overflows into non-finite values
-        qa_new = qa + dq
+        q_new = q + dq
         h_new = h + dh
-        fe_new, fm_new = residuals(qa_new, h_new)
+        fe_new, fm_new = residuals(q_new, h_new)
         s_new = score(fe_new, fm_new)
         step = 0.5
         for _ in range(30):
             if np.isfinite(s_new):
                 break
-            qa_new = qa + step * dq
+            q_new = q + step * dq
             h_new = h + step * dh
-            fe_new, fm_new = residuals(qa_new, h_new)
+            fe_new, fm_new = residuals(q_new, h_new)
             s_new = score(fe_new, fm_new)
             step *= 0.5
-        qa, h, fe, fm, s = qa_new, h_new, fe_new, fm_new, s_new
+        q, h, fe, fm, s = q_new, h_new, fe_new, fm_new, s_new
     if s <= 1.0:
-        q = np.zeros(net.n_p)
-        q[active] = qa
         return q, h
     raise NonConvergence(f"residual score {s:.3g} after {max_newton} iterations")
-
-
-def _mask(params: HeadLossParams, active: np.ndarray) -> HeadLossParams:
-    if active.all():
-        return params
-    return HeadLossParams(params.r[active], params.n_exp[active], params.q_eps)
 
 
 def simulate(
@@ -197,7 +183,6 @@ def simulate(
     params: HeadLossParams,
     eta: np.ndarray | None = None,
     alpha: np.ndarray | None = None,
-    closed_links=(),
     **kwargs,
 ) -> HydraulicState:
     """Solve all timesteps (independently) and return the full state."""
@@ -208,6 +193,6 @@ def simulate(
     for t in range(net.n_t):
         q[t], h[t] = solve_steady(
             net, params, net.demands[t], net.source_heads[t],
-            eta[t], alpha[t], closed_links=closed_links, **kwargs,
+            eta[t], alpha[t], **kwargs,
         )
     return HydraulicState(q, h, eta.copy(), alpha.copy())

@@ -21,8 +21,10 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
+NUMERICAL = "numerical"
 
-_STATUS = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
+# scipy.optimize.linprog status codes
+_STATUS = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED, 4: NUMERICAL}
 
 
 @dataclass
@@ -35,7 +37,6 @@ class LinearProgram:
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    names: list[str] | None = None
 
     @property
     def n_rows(self) -> int:
@@ -56,9 +57,8 @@ class LinearProgram:
         bad = self.lb > self.ub
         if np.any(bad):
             idx = int(np.argmax(bad))
-            name = self.names[idx] if self.names else str(idx)
             raise InconsistentBounds(
-                f"variable {name}: lower bound {self.lb[idx]} > upper bound {self.ub[idx]}")
+                f"variable {idx}: lower bound {self.lb[idx]} > upper bound {self.ub[idx]}")
 
     def with_objective(self, c: np.ndarray) -> "LinearProgram":
         """Same constraints, new objective (OBBT re-solves use this)."""
@@ -73,7 +73,7 @@ class LpSolution:
     duals: np.ndarray | None = None
 
 
-def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve with HiGHS; duals are returned in the original row order."""
     lp.validate()
     is_eq = lp.senses == EQ
@@ -82,11 +82,8 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
     A_ub = lp.A[~is_eq] if (~is_eq).any() else None
     b_ub = lp.b[~is_eq] if (~is_eq).any() else None
     bounds = np.column_stack([lp.lb, lp.ub])
-    options = {}
-    if max_iter is not None:
-        options["maxiter"] = max_iter
     res = linprog(lp.c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs", options=options)
+                  bounds=bounds, method="highs")
     status = _STATUS.get(res.status, INFEASIBLE)
     if status != OPTIMAL:
         return LpSolution(status)
@@ -100,7 +97,7 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
 
 def write_lp_text(lp: LinearProgram, fileobj):
     """Dump in CPLEX LP text format for cross-checking with external solvers."""
-    names = lp.names or [f"x{i}" for i in range(lp.n_cols)]
+    names = [f"x{i}" for i in range(lp.n_cols)]
 
     def expr(row_idx):
         row = lp.A.getrow(row_idx)

@@ -10,7 +10,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,6 +102,12 @@ class NetworkModel:
         self.source_heads.setflags(write=False)
         self._node_index = {n.id: i for i, n in enumerate(self.nodes)}
         self._source_index = {s.id: i for i, s in enumerate(self.sources)}
+        # network-only arrays, built once; read-only like demands
+        self.areas = np.array([lk.area for lk in self.links])
+        self.lengths = np.array([lk.length for lk in self.links])
+        self.elevations = np.array([n.elevation for n in self.nodes])
+        for a in (self.areas, self.lengths, self.elevations):
+            a.setflags(write=False)
         self._build_incidence()
 
     # -- sizes ---------------------------------------------------------------
@@ -120,19 +126,6 @@ class NetworkModel:
     @property
     def n_t(self) -> int:
         return self.demands.shape[0]
-
-    # -- derived arrays ------------------------------------------------------
-    @property
-    def elevations(self) -> np.ndarray:
-        return np.array([n.elevation for n in self.nodes])
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.array([lk.length for lk in self.links])
-
-    @property
-    def areas(self) -> np.ndarray:
-        return np.array([lk.area for lk in self.links])
 
     def node_index(self, node_id: str) -> int:
         return self._node_index[node_id]
@@ -156,6 +149,8 @@ class NetworkModel:
                     raise ValueError(f"link {lk.id}: unknown node {node_id!r}")
         self.A12 = sp.csr_matrix((v12, (r12, c12)), shape=(self.n_p, self.n_n))
         self.A10 = sp.csr_matrix((v10, (r10, c10)), shape=(self.n_p, self.n_0))
+        # the CSC view .T returns, kept so hot loops do not transpose again
+        self.A12T = self.A12.T
 
     def validate(self):
         if self.n_t < 1:

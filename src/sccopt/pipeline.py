@@ -5,17 +5,17 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import obbt as obbt_mod
 from .errors import AllStartsInfeasible
-from .hydraulics import headloss_params, phi, simulate, HydraulicState
-from .lp import solve_lp, OPTIMAL, INFEASIBLE
+from .hydraulics import headloss_params, simulate, HydraulicState
+from .lp import solve_lp, OPTIMAL
 from .netmodel import NetworkModel
-from .relax import BoundSet, DesignConfig, build_lp, default_bounds, extract_fractional, lp_bound
+from .relax import DesignConfig, build_lp, default_bounds, extract_fractional, lp_bound
 from .sampler import (CandidateDesign, blend_uniform, sample_designs,
                       write_candidates_csv)
 from .scc import SccParams, azp, scc_indicator, scc_smooth, velocity_cdf, write_velocity_cdf_csv

@@ -215,7 +215,7 @@ def build_lp(
         vp_idx, vm_idx = vmap.v_pos(t), vmap.v_neg(t)
 
         # mass: A12^T q - alpha = d;  energy: A12 h + theta + eta = -A10 h0
-        add(sp.hstack([net.A12.T, -I_n]), np.r_[q_idx, a_idx], net.demands[t], EQ)
+        add(sp.hstack([net.A12T, -I_n]), np.r_[q_idx, a_idx], net.demands[t], EQ)
         add(sp.hstack([net.A12, I_p, I_p]), np.r_[h_idx, th_idx, eta_idx],
             -(net.A10 @ net.source_heads[t]), EQ)
 
@@ -305,7 +305,12 @@ def extract_fractional(sol: LpSolution, vmap: VariableMap, design: DesignConfig)
 
 
 def lp_bound(sol: LpSolution) -> float:
-    """Upper bound on the achievable smoothed SCC (fraction in [0, 1])."""
+    """Upper bound on the achievable smoothed SCC: the unclipped relaxation
+    optimum.
+
+    It can exceed 1 (1.767 on the 25-node grid) because sigma+ and sigma-
+    are enveloped separately; no sigma+ + sigma- <= 1 cut is added yet.
+    """
     if sol.status != OPTIMAL:
         raise ValueError(f"LP solution status is {sol.status}")
     return -sol.objective

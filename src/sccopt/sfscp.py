@@ -26,6 +26,13 @@ from .scc import SccParams, scc_smooth_flows, scc_smooth_grad_flows
 
 _PRESSURE_TOL = 1e-6
 _IMPROVE_TOL = 1e-12
+# the step LP's trust box is this fraction of each variable's bound width
+_TRUST_FRACTION = 0.25
+# line-search step halvings before a step is rejected
+_MAX_HALVINGS = 12
+# restoration penalty weight: starts at _MU0, grows tenfold up to _MU_CAP
+_MU0 = 1e2
+_MU_CAP = 1e8
 
 
 @dataclass(frozen=True)
@@ -67,8 +74,6 @@ class MultiStartConfig:
     eps_tol: float = 1e-4
     k_max: int = 50
     seed: int | None = None
-    trust_fraction: float = 0.25
-    max_halvings: int = 12
 
 
 def _direction_bounds(bounds: BoundSet, t: int, j: int, sign: int):
@@ -97,7 +102,7 @@ def _kkt_blocks(net, g):
     """Block rows [[diag(g), A12], [A12^T, 0]] of the Jacobian of the
     hydraulic equations at head-loss slopes g (the global-gradient matrix of
     Todini and Pilati, 1988); the first block row is the energy equations."""
-    return [[sp.diags(g, format="coo"), net.A12], [net.A12.T, None]]
+    return [[sp.diags(g, format="coo"), net.A12], [net.A12T, None]]
 
 
 def _adjoint_gradient(net, params, q, h, grad_q, grad_h, ctrl, afv):
@@ -126,8 +131,6 @@ def restore_feasibility(
     alpha0: np.ndarray,
     bounds: BoundSet,
     t: int,
-    mu0: float = 1e2,
-    mu_max: float = 1e8,
 ):
     """Push the controls toward the pressure-feasible set.
 
@@ -171,7 +174,7 @@ def restore_feasibility(
         np.clip(alpha0[afv], 0.0, bounds.alpha_hi),
     ]) if box else np.zeros(0)
 
-    mu = mu0
+    mu = _MU0
     while True:
         if box:
             res = minimize(penalty, x, args=(mu,), jac=True,
@@ -183,17 +186,15 @@ def restore_feasibility(
         if sol is None:
             return None
         q, h = sol
-        if _pressure_violation(h, h_lo) <= _PRESSURE_TOL or not box:
-            if _pressure_violation(h, h_lo) <= _PRESSURE_TOL:
-                return eta, alpha, q, h
-            return None
-        if mu >= mu_max:
+        if _pressure_violation(h, h_lo) <= _PRESSURE_TOL:
+            return eta, alpha, q, h
+        if not box or mu >= _MU_CAP:
             return None
         mu *= 10.0
 
 
 def _step_lp(net, params, scc_params, bounds, t, design, directions,
-             q_k, h_k, eta_k, alpha_k, trust_fraction):
+             q_k, h_k, eta_k, alpha_k):
     """Linearized step LP around the current iterate; returns the LP point
     (q, h, eta, alpha) or None when the LP is infeasible.
 
@@ -215,8 +216,8 @@ def _step_lp(net, params, scc_params, bounds, t, design, directions,
     b = np.concatenate([rhs_e, net.demands[t]])
 
     def box(lo, hi, center):
-        # the bound box cut to trust_fraction of its width around center
-        span = trust_fraction * (hi - lo)
+        # the bound box cut to _TRUST_FRACTION of its width around center
+        span = _TRUST_FRACTION * (hi - lo)
         return np.maximum(lo, center - span), np.minimum(hi, center + span)
 
     q_lo, q_hi = box(bounds.q_lo[t], bounds.q_hi[t], q_k)
@@ -295,13 +296,13 @@ def sfscp_timestep(
     iters = 0
     for iters in range(1, config.k_max + 1):
         step = _step_lp(net, params, scc_params, bounds, t, design, directions,
-                        q, h, eta, alpha, config.trust_fraction)
+                        q, h, eta, alpha)
         if step is None:
             break
         _, _, eta_lp, alpha_lp = step
         beta = 1.0
         accepted = False
-        for _ in range(config.max_halvings):
+        for _ in range(_MAX_HALVINGS):
             eta_try = eta + beta * (eta_lp - eta)
             alpha_try = alpha + beta * (alpha_lp - alpha)
             sol = _solve_or_none(net, params, d, h0, eta_try, alpha_try)

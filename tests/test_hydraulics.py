@@ -109,13 +109,17 @@ class TestNewtonSolver:
         q, _ = solve_steady(line3, params, line3.demands[0], line3.source_heads[0], alpha=alpha)
         assert q == pytest.approx([0.035, 0.025, 0.015], abs=1e-9)
 
-    def test_closed_link_reroutes(self, loop4):
+    def test_warm_start_leaves_q0_alone(self, loop4):
         params = headloss_params(loop4)
-        q, h = solve_steady(loop4, params, loop4.demands[0], loop4.source_heads[0],
-                            closed_links=[2])
-        assert q[2] == 0.0
-        mass = loop4.A12.T @ q - loop4.demands[0]
-        assert np.max(np.abs(mass)) <= 1e-8
+        d, h0 = loop4.demands[0], loop4.source_heads[0]
+        q_ref, h_ref = solve_steady(loop4, params, d, h0)
+        # a converged start returns at once, still as a new array
+        for q0 in (q_ref.copy(), 0.5 * q_ref):
+            kept = q0.copy()
+            q, _ = solve_steady(loop4, params, d, h0, q0=q0, h0_guess=h_ref)
+            assert q is not q0 and not np.shares_memory(q, q0)
+            assert np.array_equal(q0, kept)
+            assert q == pytest.approx(q_ref, abs=1e-9)
 
     def test_nonconvergence_raises(self, loop4):
         params = headloss_params(loop4)

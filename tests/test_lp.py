@@ -1,4 +1,5 @@
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import scipy.sparse as sp
 
 from oracle_simplex import simplex_solve
 from sccopt.errors import InconsistentBounds
-from sccopt.lp import (EQ, LEQ, INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                       solve_lp, write_lp_text)
+from sccopt.lp import (EQ, LEQ, INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED,
+                       LinearProgram, solve_lp, write_lp_text)
 
 
 def make_lp(c, A, senses, b, lb, ub):
@@ -37,6 +38,12 @@ class TestSolveBasics:
     def test_unbounded_detected(self):
         lp = make_lp([-1], [[0]], [LEQ], [1], [0], [np.inf])
         assert solve_lp(lp).status == UNBOUNDED
+
+    def test_numerical_trouble_is_not_infeasible(self, monkeypatch):
+        # HiGHS reports status 4 when it stops on numerical difficulties
+        monkeypatch.setattr("sccopt.lp.linprog", lambda *a, **k: SimpleNamespace(status=4))
+        lp = make_lp([1], [[1]], [LEQ], [1], [0], [1])
+        assert solve_lp(lp).status == NUMERICAL
 
     def test_crossed_bounds_rejected(self):
         lp = make_lp([1], [[1]], [LEQ], [1], [2], [1])

@@ -113,6 +113,22 @@ class TestIncidence:
         assert net.A12.shape == (net.n_p, net.n_n)
 
 
+class TestCompiledArrays:
+    def test_link_and_node_arrays(self, grid25):
+        assert np.array_equal(grid25.areas, [lk.area for lk in grid25.links])
+        assert np.array_equal(grid25.lengths, [lk.length for lk in grid25.links])
+        assert np.array_equal(grid25.elevations, [n.elevation for n in grid25.nodes])
+
+    def test_arrays_are_read_only(self, grid25):
+        for arr in (grid25.areas, grid25.lengths, grid25.elevations):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_stored_transpose(self, grid25):
+        assert grid25.A12T.shape == (grid25.n_n, grid25.n_p)
+        assert (grid25.A12T != grid25.A12.T).nnz == 0
+
+
 class TestForestCore:
     def test_tree_is_all_forest(self, line3):
         dec = forest_core(line3)

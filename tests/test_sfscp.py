@@ -10,9 +10,9 @@ from sccopt.netmodel import DemandNode, Link, NetworkModel, PIPE, SourceNode, VA
 from sccopt.relax import DesignConfig, default_bounds
 from sccopt.sampler import CandidateDesign
 from sccopt.scc import SccParams, scc_smooth, scc_smooth_flows
-from sccopt.sfscp import (MultiStartConfig, ValveDesign, _step_lp,
-                          enumerate_dbv_directions, multi_start, reduced_gradient,
-                          restore_feasibility, sfscp_timestep)
+from sccopt.sfscp import (_TRUST_FRACTION, MultiStartConfig, ValveDesign,
+                          _step_lp, enumerate_dbv_directions, multi_start,
+                          reduced_gradient, restore_feasibility, sfscp_timestep)
 
 
 def single_pipe_net(demand=0.005, diameter=0.3):
@@ -130,9 +130,9 @@ class TestStepLp:
         alpha_k[1] = 0.01
         d, h0 = net.demands[0], net.source_heads[0]
         q_k, h_k = solve_steady(net, params, d, h0, eta_k, alpha_k)
-        tf = 0.05
+        tf = _TRUST_FRACTION
         q, h, eta, alpha = _step_lp(net, params, scc_params, bounds, 0, design,
-                                    {}, q_k, h_k, eta_k, alpha_k, tf)
+                                    {}, q_k, h_k, eta_k, alpha_k)
         assert np.max(np.abs(net.A12.T @ q - alpha - d)) <= 1e-12
         energy = (net.A12 @ h + net.A10 @ h0 + phi(q_k, params)
                   + phi_prime(q_k, params) * (q - q_k) + eta)
