@@ -5,14 +5,18 @@ Solves, for one timestep with fixed controls (eta, alpha),
     A12 h + A10 h0 + phi(q) + eta = 0
     A12^T q - d - alpha = 0
 
-via damped Newton with a Schur-complement reduction on h.
+via damped Newton with a Schur-complement reduction on h (the global
+gradient algorithm of Todini & Pilati, 1988).  The reduced matrix
+S = A12^T diag(1/phi') A12 has a pattern that depends only on the network:
+its CSC pattern and the scatter map of link weights into it are compiled
+once per ``NetworkModel``, and each Newton iteration fills S with one
+``np.bincount`` (``NetworkModel.schur``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NonConvergence, SingularSystem
@@ -111,7 +115,10 @@ def solve_steady(
     Converged means a mass residual within TOL_MASS (m^3/s) and an energy
     residual within TOL_ENERGY (m).  ``q0``/``h0_guess`` warm-start the
     Newton iteration (e.g. from a nearby solve); by default a uniform
-    0.03 m/s flow and flat heads are used.
+    0.03 m/s flow and flat heads are used.  Each iteration fills the Schur
+    matrix from the network's compiled pattern (``net.schur``), with the
+    same bits as the sparse product A12^T diag(w) A12, and factors it with
+    SuperLU.
     """
     eta = np.zeros(net.n_p) if eta is None else np.asarray(eta, dtype=float)
     alpha = np.zeros(net.n_n) if alpha is None else np.asarray(alpha, dtype=float)
@@ -145,10 +152,8 @@ def solve_steady(
             return q, h
         g = np.maximum(phi_prime(q, params), 1e-8)
         w = 1.0 / g
-        W = sp.diags(w)
-        S = (A12T @ W @ A12).tocsc()
         try:
-            lu = spla.splu(S)
+            lu = spla.splu(net.schur(w))
         except RuntimeError as exc:
             raise SingularSystem(str(exc)) from exc
         dh = lu.solve(fm - A12T @ (w * fe))

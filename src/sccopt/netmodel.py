@@ -151,6 +151,43 @@ class NetworkModel:
         self.A10 = sp.csr_matrix((v10, (r10, c10)), shape=(self.n_p, self.n_0))
         # the CSC view .T returns, kept so hot loops do not transpose again
         self.A12T = self.A12.T
+        self._build_schur_pattern()
+
+    def _build_schur_pattern(self):
+        # S = A12^T diag(w) A12, the Newton step's reduced matrix, has a
+        # pattern that depends only on the network.  Each pair (a, b) of A12
+        # entries on one link adds sign_a * sign_b * w[link] to
+        # S[node_a, node_b].  The pairs are listed in ascending link order,
+        # the order in which SciPy's sparse product sums them, so the sums
+        # round the same way.
+        A12 = self.A12
+        per_link = np.diff(A12.indptr)
+        entry_link = np.repeat(np.arange(self.n_p), per_link)
+        n_pairs = per_link[entry_link]  # entry e pairs with each entry on its link
+        a = np.repeat(np.arange(A12.nnz), n_pairs)
+        first = np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
+        b = A12.indptr[entry_link[a]] + np.arange(a.size) - first
+        # CSC order: by column node_b, then row node_a
+        keys, pos = np.unique(A12.indices[b] * self.n_n + A12.indices[a],
+                              return_inverse=True)
+        self.schur_indices = (keys % self.n_n).astype(np.int32)
+        self.schur_indptr = np.searchsorted(
+            keys, np.arange(self.n_n + 1) * self.n_n).astype(np.int32)
+        self.schur_pos = pos
+        self.schur_link = entry_link[a]
+        self.schur_sign = A12.data[a] * A12.data[b]
+        for arr in (self.schur_indices, self.schur_indptr, self.schur_pos,
+                    self.schur_link, self.schur_sign):
+            arr.setflags(write=False)
+
+    def schur(self, w: np.ndarray) -> sp.csc_matrix:
+        """A12^T diag(w) A12 as CSC with sorted indices, one bincount over the
+        compiled pattern.  For positive w it is bit-identical to the SciPy
+        sparse product; that product drops entries that sum to 0, this keeps
+        them."""
+        data = np.bincount(self.schur_pos, weights=self.schur_sign * w[self.schur_link])
+        return sp.csc_matrix((data, self.schur_indices, self.schur_indptr),
+                             shape=(self.n_n, self.n_n))
 
     def validate(self):
         if self.n_t < 1:

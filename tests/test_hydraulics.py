@@ -1,14 +1,16 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from sccopt.errors import NonConvergence
 from sccopt.hydraulics import (GRAVITY, HeadLossParams, headloss_params, phi,
                                phi_prime, simulate, solve_steady)
 from sccopt.netgen import line_network, loop_network, random_network
-from sccopt.netmodel import Link, VALVE
+from sccopt.netmodel import Link, NetworkModel, VALVE
 
 # Hand-computed resistance for L=1000 m, C=130, D=0.3 m:
 #   r = 10.67 * 1000 / (130^1.852 * 0.3^4.871)
@@ -33,7 +35,6 @@ class TestHeadLoss:
         net = line_network(2)
         links = list(net.links)
         links[1] = Link("v", "n1", "n2", VALVE, 0.0, 0.2, 0.0, valve_loss=2.0)
-        from sccopt.netmodel import NetworkModel
         net2 = NetworkModel(links, net.nodes, net.sources, net.demands, net.source_heads)
         params = headloss_params(net2)
         assert params.r[1] == pytest.approx(8.0 * 2.0 / (GRAVITY * np.pi**2 * 0.2**4))
@@ -153,3 +154,34 @@ class TestNewtonSolver:
         energy = net.A12 @ h + net.A10 @ net.source_heads[0] + phi(q, params)
         assert np.max(np.abs(mass)) <= 1e-8
         assert np.max(np.abs(energy)) <= 1e-6
+
+
+class TestSchurAssembly:
+    @pytest.fixture(params=["loop4", "grid25", "random", "parallel"])
+    def net(self, request):
+        if request.param == "random":
+            return random_network(n_nodes=60, extra_edges=20, seed=1)
+        if request.param == "parallel":
+            # link 7 joins two demand nodes; a parallel copy sums into its entries
+            g = request.getfixturevalue("grid25")
+            links = g.links + [replace(g.links[7], id="parallel")]
+            return NetworkModel(links, g.nodes, g.sources, g.demands, g.source_heads)
+        return request.getfixturevalue(request.param)
+
+    def test_matches_sparse_product_bit_for_bit(self, net):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            w = 10.0 ** rng.uniform(-10.0, 10.0, net.n_p)
+            ref = (net.A12T @ sp.diags(w) @ net.A12).tocsc()
+            ref.sort_indices()
+            S = net.schur(w)
+            assert S.shape == ref.shape
+            assert np.array_equal(S.indptr, ref.indptr)
+            assert np.array_equal(S.indices, ref.indices)
+            assert np.array_equal(S.data, ref.data)
+
+    def test_compiled_arrays_are_read_only(self, net):
+        for arr in (net.schur_indices, net.schur_indptr, net.schur_pos,
+                    net.schur_link, net.schur_sign):
+            with pytest.raises(ValueError):
+                arr[0] = 0
