@@ -152,6 +152,7 @@ class NetworkModel:
         # the CSC view .T returns, kept so hot loops do not transpose again
         self.A12T = self.A12.T
         self._build_schur_pattern()
+        self._build_kkt_pattern()
 
     def _build_schur_pattern(self):
         # S = A12^T diag(w) A12, the Newton step's reduced matrix, has a
@@ -188,6 +189,26 @@ class NetworkModel:
         data = np.bincount(self.schur_pos, weights=self.schur_sign * w[self.schur_link])
         return sp.csc_matrix((data, self.schur_indices, self.schur_indptr),
                              shape=(self.n_n, self.n_n))
+
+    def _build_kkt_pattern(self):
+        # K(g) = [[diag g, A12], [A12^T, 0]], the Jacobian of the hydraulic
+        # equations (Todini and Pilati, 1988), has a pattern and off-diagonal
+        # values that depend only on the network.  Rows are sorted and row
+        # j < n_p, so g[j] is the first entry of q column j.
+        K = sp.bmat([[sp.identity(self.n_p), self.A12], [self.A12T, None]],
+                    format="csc")
+        self.kkt_indptr, self.kkt_indices, self.kkt_template = K.indptr, K.indices, K.data
+        for arr in (self.kkt_indptr, self.kkt_indices, self.kkt_template):
+            arr.setflags(write=False)
+
+    def kkt(self, g: np.ndarray) -> sp.csc_matrix:
+        """[[diag(g), A12], [A12^T, 0]] as CSC with sorted indices: the compiled
+        pattern with g written into the first entry of each q column.  For g
+        with no zeros it is bit-identical to ``sp.bmat`` of those blocks."""
+        data = self.kkt_template.copy()
+        data[self.kkt_indptr[:self.n_p]] = g
+        n = self.n_p + self.n_n
+        return sp.csc_matrix((data, self.kkt_indices, self.kkt_indptr), shape=(n, n))
 
     def validate(self):
         if self.n_t < 1:

@@ -98,13 +98,6 @@ def _pressure_violation(h: np.ndarray, h_lo: np.ndarray) -> float:
     return float(np.max(np.maximum(h_lo - h, 0.0), initial=0.0))
 
 
-def _kkt_blocks(net, g):
-    """Block rows [[diag(g), A12], [A12^T, 0]] of the Jacobian of the
-    hydraulic equations at head-loss slopes g (the global-gradient matrix of
-    Todini and Pilati, 1988); the first block row is the energy equations."""
-    return [[sp.diags(g, format="coo"), net.A12], [net.A12T, None]]
-
-
 def _adjoint_gradient(net, params, q, h, grad_q, grad_h, ctrl, afv):
     """Gradients of a function of (q, h) w.r.t. eta (ctrl links) and alpha
     (afv nodes) through the hydraulic equations.
@@ -113,8 +106,7 @@ def _adjoint_gradient(net, params, q, h, grad_q, grad_h, ctrl, afv):
     with the value gradient as right-hand side yields both sensitivities.
     """
     g = np.maximum(phi_prime(q, params), 1e-8)
-    J = sp.bmat(_kkt_blocks(net, g), format="csc")
-    lam = spla.spsolve(J, np.concatenate([grad_q, grad_h]))
+    lam = spla.spsolve(net.kkt(g), np.concatenate([grad_q, grad_h]))
     d_eta = -lam[: net.n_p][list(ctrl)]
     d_alpha = lam[net.n_p:][list(afv)]
     return d_eta, d_alpha
@@ -193,6 +185,19 @@ def restore_feasibility(
         mu *= 10.0
 
 
+def _step_matrix(net, g, ctrl, afv):
+    """The step LP's equality rows [[diag(g), A12, E, 0], [A12^T, 0, 0, -F]]
+    as CSC: the network's compiled Jacobian, then one unit column per eta
+    (+1 on its link's energy row) and per alpha (-1 on its node's mass row)."""
+    K = net.kkt(g)
+    n_extra = len(ctrl) + len(afv)
+    rows = np.array(list(ctrl) + [net.n_p + i for i in afv], dtype=int)
+    data = np.concatenate([K.data, np.ones(len(ctrl)), -np.ones(len(afv))])
+    indptr = np.concatenate([K.indptr, K.nnz + np.arange(1, n_extra + 1)])
+    return sp.csc_matrix((data, np.concatenate([K.indices, rows]), indptr),
+                         shape=(K.shape[0], K.shape[1] + n_extra))
+
+
 def _step_lp(net, params, scc_params, bounds, t, design, directions,
              q_k, h_k, eta_k, alpha_k):
     """Linearized step LP around the current iterate; returns the LP point
@@ -206,12 +211,7 @@ def _step_lp(net, params, scc_params, bounds, t, design, directions,
     n_q, n_c, n_a = net.n_p, len(ctrl), len(afv)
     # not the adjoint's 1e-8 floor: that would change the LP on zero-loss valves
     dphi = np.maximum(phi_prime(q_k, params), 1e-12)
-    # unit columns: E puts each eta on its link's energy row, F each alpha
-    # on its node's mass row
-    E = sp.coo_matrix((np.ones(n_c), (ctrl, np.arange(n_c))), shape=(n_q, n_c))
-    F = sp.coo_matrix((np.ones(n_a), (afv, np.arange(n_a))), shape=(net.n_n, n_a))
-    energy, mass = _kkt_blocks(net, dphi)
-    A = sp.bmat([energy + [E, None], mass + [None, -F]], format="csr")
+    A = _step_matrix(net, dphi, ctrl, afv)
     rhs_e = -(net.A10 @ net.source_heads[t]) - phi(q_k, params) + dphi * q_k
     b = np.concatenate([rhs_e, net.demands[t]])
 

@@ -11,6 +11,7 @@ from sccopt.hydraulics import (GRAVITY, HeadLossParams, headloss_params, phi,
                                phi_prime, simulate, solve_steady)
 from sccopt.netgen import line_network, loop_network, random_network
 from sccopt.netmodel import Link, NetworkModel, VALVE
+from sccopt.sfscp import _step_matrix
 
 # Hand-computed resistance for L=1000 m, C=130, D=0.3 m:
 #   r = 10.67 * 1000 / (130^1.852 * 0.3^4.871)
@@ -156,18 +157,20 @@ class TestNewtonSolver:
         assert np.max(np.abs(energy)) <= 1e-6
 
 
-class TestSchurAssembly:
-    @pytest.fixture(params=["loop4", "grid25", "random", "parallel"])
-    def net(self, request):
-        if request.param == "random":
-            return random_network(n_nodes=60, extra_edges=20, seed=1)
-        if request.param == "parallel":
-            # link 7 joins two demand nodes; a parallel copy sums into its entries
-            g = request.getfixturevalue("grid25")
-            links = g.links + [replace(g.links[7], id="parallel")]
-            return NetworkModel(links, g.nodes, g.sources, g.demands, g.source_heads)
-        return request.getfixturevalue(request.param)
+@pytest.fixture(params=["loop4", "grid25", "random", "parallel"])
+def net(request):
+    """The networks the compiled Schur and KKT patterns are checked on."""
+    if request.param == "random":
+        return random_network(n_nodes=60, extra_edges=20, seed=1)
+    if request.param == "parallel":
+        # link 7 joins two demand nodes; a parallel copy sums into its entries
+        g = request.getfixturevalue("grid25")
+        links = g.links + [replace(g.links[7], id="parallel")]
+        return NetworkModel(links, g.nodes, g.sources, g.demands, g.source_heads)
+    return request.getfixturevalue(request.param)
 
+
+class TestSchurAssembly:
     def test_matches_sparse_product_bit_for_bit(self, net):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -183,5 +186,33 @@ class TestSchurAssembly:
     def test_compiled_arrays_are_read_only(self, net):
         for arr in (net.schur_indices, net.schur_indptr, net.schur_pos,
                     net.schur_link, net.schur_sign):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+class TestKktAssembly:
+    def test_matches_bmat_bit_for_bit(self, net):
+        rng = np.random.default_rng(0)
+        for k in range(20):
+            g = 10.0 ** rng.uniform(-12.0, 10.0, net.n_p)
+            ctrl = sorted(rng.choice(net.n_p, size=k % 4, replace=False))
+            afv = list(rng.choice(net.n_n, size=k % 3, replace=False))
+            E = sp.coo_matrix((np.ones(len(ctrl)), (ctrl, np.arange(len(ctrl)))),
+                              shape=(net.n_p, len(ctrl)))
+            F = sp.coo_matrix((np.ones(len(afv)), (afv, np.arange(len(afv)))),
+                              shape=(net.n_n, len(afv)))
+            blocks = [[sp.diags(g, format="coo"), net.A12], [net.A12T, None]]
+            cases = [(net.kkt(g), sp.bmat(blocks)),
+                     (_step_matrix(net, g, ctrl, afv),
+                      sp.bmat([blocks[0] + [E, None], blocks[1] + [None, -F]]))]
+            for K, ref in cases:
+                ref = ref.tocsc()
+                assert K.shape == ref.shape
+                assert np.array_equal(K.indptr, ref.indptr)
+                assert np.array_equal(K.indices, ref.indices)
+                assert np.array_equal(K.data, ref.data)
+
+    def test_compiled_arrays_are_read_only(self, net):
+        for arr in (net.kkt_indptr, net.kkt_indices, net.kkt_template):
             with pytest.raises(ValueError):
                 arr[0] = 0

@@ -1,14 +1,21 @@
 import io
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import event, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize._highspy._core import HighsModelStatus
 
+from linprog_reference import linprog_solve_lp
 from oracle_simplex import simplex_solve
 from sccopt.errors import InconsistentBounds
+from sccopt.hydraulics import headloss_params, solve_steady
 from sccopt.lp import (EQ, LEQ, INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED,
                        LinearProgram, solve_lp, write_lp_text)
+from sccopt.relax import DesignConfig, build_lp, default_bounds
+from sccopt.scc import SccParams
+from sccopt.sfscp import ValveDesign, _step_lp
 
 
 def make_lp(c, A, senses, b, lb, ub):
@@ -40,10 +47,12 @@ class TestSolveBasics:
         assert solve_lp(lp).status == UNBOUNDED
 
     def test_numerical_trouble_is_not_infeasible(self, monkeypatch):
-        # HiGHS reports status 4 when it stops on numerical difficulties
-        monkeypatch.setattr("sccopt.lp.linprog", lambda *a, **k: SimpleNamespace(status=4))
+        # model statuses HiGHS stops with on numerical difficulties
         lp = make_lp([1], [[1]], [LEQ], [1], [0], [1])
-        assert solve_lp(lp).status == NUMERICAL
+        for status in (HighsModelStatus.kSolveError, HighsModelStatus.kPostsolveError,
+                       HighsModelStatus.kUnboundedOrInfeasible):
+            monkeypatch.setattr("sccopt.lp._run_highs", lambda *a, s=status: (s, None))
+            assert solve_lp(lp).status == NUMERICAL
 
     def test_crossed_bounds_rejected(self):
         lp = make_lp([1], [[1]], [LEQ], [1], [2], [1])
@@ -52,6 +61,21 @@ class TestSolveBasics:
 
     def test_nan_rejected(self):
         lp = make_lp([np.nan], [[1]], [LEQ], [1], [0], [1])
+        with pytest.raises(ValueError):
+            solve_lp(lp)
+
+    @pytest.mark.parametrize("field, value", [
+        ("c", [np.inf]), ("b", [-np.inf]), ("lb", [np.nan]), ("ub", [np.nan])])
+    def test_non_finite_data_rejected(self, field, value):
+        # linprog rejected these too; infinite bounds stay allowed
+        kw = dict(c=[1], A=[[1]], senses=[LEQ], b=[1], lb=[0], ub=[1])
+        kw[field] = value
+        with pytest.raises(ValueError):
+            solve_lp(make_lp(**kw))
+
+    def test_no_columns_rejected(self):
+        lp = LinearProgram(np.zeros(0), sp.csr_matrix((1, 0)), np.array([LEQ]),
+                           np.ones(1), np.zeros(0), np.zeros(0))
         with pytest.raises(ValueError):
             solve_lp(lp)
 
@@ -73,6 +97,121 @@ class TestSolveBasics:
         lp2 = lp.with_objective([-1, -1])
         assert solve_lp(lp).objective == pytest.approx(0.0)
         assert solve_lp(lp2).objective == pytest.approx(-2.0)
+
+
+class TestPostSolveCheck:
+    """An "optimal" point from HiGHS passes linprog's feasibility check (bounds,
+    LEQ slacks and EQ residuals within sqrt(1e-9) * 10) or reads NUMERICAL."""
+
+    # rows: x0 - x1 = 0 (EQ), x0 + x1 <= 1 (LEQ); HiGHS takes the LEQ row first
+    LP = make_lp([1, 1], [[1, -1], [1, 1]], [EQ, LEQ], [0, 1], [0, 0], [1, 1])
+
+    @pytest.mark.parametrize("x, activity, objective, status", [
+        ([0.5, 0.5], [1.0, 0.0], 1.0, OPTIMAL),
+        ([-1e-4, 0.5], [1.0, 1e-4], 1.0, OPTIMAL),       # all within the tolerance
+        ([-1e-3, 0.5], [0.5, 0.0], 1.0, NUMERICAL),      # lower bound
+        ([0.5, 1.001], [1.0, 0.0], 1.0, NUMERICAL),      # upper bound
+        ([0.5, 0.5], [1.001, 0.0], 1.0, NUMERICAL),      # LEQ row
+        ([0.5, 0.5], [1.0, -1e-3], 1.0, NUMERICAL),      # EQ row
+        ([np.nan, 0.5], [1.0, 0.0], 1.0, NUMERICAL),
+        ([0.5, 0.5], [1.0, np.nan], 1.0, NUMERICAL),
+        ([0.5, 0.5], [1.0, 0.0], np.nan, NUMERICAL),
+    ])
+    def test_violating_point_is_numerical(self, monkeypatch, x, activity, objective, status):
+        result = (np.array(x), objective, np.array(activity), np.array([0.0, 2.0]))
+        monkeypatch.setattr("sccopt.lp._run_highs",
+                            lambda *a: (HighsModelStatus.kOptimal, result))
+        sol = solve_lp(self.LP)
+        assert sol.status == status
+        if status == OPTIMAL:
+            # duals come back in the LP's own row order
+            assert np.array_equal(sol.duals, [2.0, 0.0])
+
+
+def assert_matches_linprog(lp):
+    ours, ref = solve_lp(lp), linprog_solve_lp(lp)
+    assert ours.status == ref.status
+    if ref.status == OPTIMAL:
+        assert np.array_equal(ours.x, ref.x)
+        assert ours.objective == ref.objective
+        assert np.array_equal(ours.duals, ref.duals)
+    else:
+        assert ours.x is None and ours.duals is None
+    return ours.status
+
+
+@st.composite
+def mixed_lps(draw):
+    n, m = draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    coef = st.one_of(st.just(0.0), st.floats(-5, 5, allow_subnormal=False))
+    A = draw(arrays(float, (m, n), elements=coef))
+    senses = np.array(draw(st.lists(st.sampled_from([EQ, LEQ]), min_size=m, max_size=m)),
+                      dtype=object)
+    lb = draw(arrays(float, n, elements=st.one_of(st.just(-np.inf), st.floats(-5, 0))))
+    ub = draw(arrays(float, n, elements=st.one_of(st.just(np.inf), st.floats(0, 5))))
+    fmt = draw(st.sampled_from([sp.csr_matrix, sp.csc_matrix]))
+    return LinearProgram(draw(arrays(float, n, elements=st.floats(-3, 3))), fmt(A),
+                         senses, draw(arrays(float, m, elements=st.floats(-5, 5))), lb, ub)
+
+
+def step_and_relaxation_lps(net, monkeypatch):
+    """The relaxation LP and one SCP step LP (with eta, alpha and a DBV
+    direction pinned to the flow's) on ``net``, as the pipeline builds them."""
+    params = headloss_params(net)
+    scc_params = SccParams.from_network(net)
+    bounds = default_bounds(net, params)
+    relax, _ = build_lp(net, params, scc_params, bounds, DesignConfig.from_network(net, 1, 1))
+    design = ValveDesign(prv_links=(0,), dbv_links=(2,), afv_nodes=(3, 1))
+    eta, alpha = np.zeros(net.n_p), np.zeros(net.n_n)
+    q, h = solve_steady(net, params, net.demands[0], net.source_heads[0], eta, alpha)
+    captured = []
+    monkeypatch.setattr("sccopt.sfscp.solve_lp", lambda lp: captured.append(lp) or solve_lp(lp))
+    _step_lp(net, params, scc_params, bounds, 0, design, {2: 1 if q[2] >= 0 else -1},
+             q, h, eta, alpha)
+    return relax, captured[0]
+
+
+class TestMatchesLinprog:
+    """solve_lp returns exactly what linprog(method="highs") returns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_lps())
+    def test_random_mixed_lps(self, lp):
+        event(assert_matches_linprog(lp))
+
+    @pytest.mark.parametrize("c, A, senses, b, lb, ub, status", [
+        ([1], [[1]], [EQ], [5], [0], [1], INFEASIBLE),
+        ([0, 0], [[1, 1], [1, 1]], [LEQ, EQ], [1, 2], [0, -np.inf], [np.inf, np.inf],
+         INFEASIBLE),
+        ([-1], [[0]], [LEQ], [1], [0], [np.inf], UNBOUNDED),
+        ([-1, 1], [[1, -1]], [EQ], [0], [-np.inf, -np.inf], [np.inf, np.inf], OPTIMAL),
+        ([-1, 0], [[1, -1], [0, 1]], [EQ, LEQ], [0, 3], [-np.inf, -np.inf],
+         [np.inf, np.inf], OPTIMAL),
+        ([-1, -1], [[1, -1]], [LEQ], [0], [0, 0], [np.inf, np.inf], UNBOUNDED),
+    ])
+    def test_infeasible_unbounded_and_free(self, c, A, senses, b, lb, ub, status):
+        assert assert_matches_linprog(make_lp(c, A, senses, b, lb, ub)) == status
+
+    def test_duplicate_and_unsorted_entries(self):
+        # row 0 stores x1 before x0 and x0 twice; HiGHS gets them summed
+        A = sp.csr_matrix((np.array([1.0, 0.5, 0.5, 1.0]), np.array([1, 0, 0, 1]),
+                           np.array([0, 3, 4])), shape=(2, 2))
+        for senses in ([LEQ, EQ], [EQ, EQ]):
+            lp = LinearProgram(np.array([-1.0, -1.0]), A, np.array(senses),
+                               np.array([2.0, 0.5]), np.zeros(2), np.full(2, 5.0))
+            assert assert_matches_linprog(lp) == OPTIMAL
+            assert solve_lp(lp).x == pytest.approx([1.5, 0.5])
+
+    @pytest.mark.parametrize("name", ["loop4", "grid25"])
+    def test_step_and_relaxation_lps(self, name, request, monkeypatch):
+        relax, step = step_and_relaxation_lps(request.getfixturevalue(name), monkeypatch)
+        assert isinstance(step.A, sp.csc_matrix) and (step.senses == EQ).all()
+        assert assert_matches_linprog(step) == OPTIMAL
+        assert assert_matches_linprog(relax) == OPTIMAL
+        # OBBT re-solves the relaxation's rows with other objectives
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            assert_matches_linprog(relax.with_objective(rng.normal(size=relax.n_cols)))
 
 
 class TestAgainstOracle:
@@ -134,3 +273,15 @@ class TestTextDump:
         assert text.startswith("Minimize")
         assert "Subject To" in text and "Bounds" in text and text.rstrip().endswith("End")
         assert text.count("r0:") == 1 and " = " in text.split("r1:")[1].splitlines()[0]
+
+    def test_csr_and_csc_write_the_same_text(self):
+        A = [[0, 1.5, -2], [3, 0, 0], [1, 1, 1]]
+        texts = []
+        for fmt in (sp.csr_matrix, sp.csc_matrix):
+            lp = make_lp([1, 0, -1], A, [LEQ, EQ, LEQ], [1, 2, 3], [0, -np.inf, 0],
+                         [1, 2, np.inf])
+            lp.A = fmt(lp.A)
+            buf = io.StringIO()
+            write_lp_text(lp, buf)
+            texts.append(buf.getvalue())
+        assert texts[0] == texts[1]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from linprog_reference import linprog_solve_lp
 from sccopt.hydraulics import headloss_params
 from sccopt.netgen import loop_network
 from sccopt.pipeline import (CmsSolution, RunConfig, performance_profile,
@@ -37,6 +38,15 @@ class TestControlOnly:
 
 
 class TestRunCms:
+    def test_matches_a_linprog_run(self, loopnet, cms_solution, monkeypatch):
+        # every LP solved by linprog(method="highs") instead gives the same design
+        for module in ("sfscp", "obbt", "pipeline"):
+            monkeypatch.setattr(f"sccopt.{module}.solve_lp", linprog_solve_lp)
+        ref = run_cms(loopnet, RunConfig(n_v=1, n_f=1, n_samples=5, n_starts=2, seed=11))
+        assert ref.scc_smooth == cms_solution.scc_smooth
+        assert np.array_equal(ref.control.eta, cms_solution.control.eta)
+        assert np.array_equal(ref.control.state.q, cms_solution.control.state.q)
+
     def test_improves_over_uncontrolled(self, loopnet, cms_solution):
         state = uncontrolled_state(loopnet)
         sp = SccParams.from_network(loopnet)
