@@ -92,15 +92,18 @@ class LpSolution:
     duals: np.ndarray | None = None
 
 
+# linprog's HiGHS options; passOptions copies them, so one set serves every solve
+_OPTIONS = _highs.HighsOptions()
+_OPTIONS.presolve = "on"
+_OPTIONS.output_flag = False
+_OPTIONS.log_to_console = False
+_OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+
+
 def _run_highs(c, A, lhs, rhs, lb, ub):
     """One fresh HiGHS solve of min c @ x s.t. lhs <= A x <= rhs, lb <= x <= ub
     (A in CSC) with linprog's options; returns the model status and, when
     optimal, (x, objective, row activities, row duals)."""
-    options = _highs.HighsOptions()
-    options.presolve = "on"
-    options.output_flag = False
-    options.log_to_console = False
-    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     model = _highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = len(c)
     model.num_row_ = model.a_matrix_.num_row_ = len(rhs)
@@ -111,7 +114,7 @@ def _run_highs(c, A, lhs, rhs, lb, ub):
     model.col_cost_, model.col_lower_, model.col_upper_ = c, lb, ub
     model.row_lower_, model.row_upper_ = lhs, rhs
     highs = _highs._Highs()
-    if highs.passOptions(options) == _highs.HighsStatus.kError:
+    if highs.passOptions(_OPTIONS) == _highs.HighsStatus.kError:
         return highs.getModelStatus(), None
     if highs.passModel(model) == _highs.HighsStatus.kError:
         return _MS.kModelError, None

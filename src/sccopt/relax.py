@@ -85,8 +85,8 @@ class BoundSet:
 
     def refresh_theta(self, params: HeadLossParams):
         """theta bounds follow the flow bounds through the monotone loss law."""
-        self.theta_lo = np.vstack([phi(row, params) for row in self.q_lo])
-        self.theta_hi = np.vstack([phi(row, params) for row in self.q_hi])
+        self.theta_lo = phi(self.q_lo, params)
+        self.theta_hi = phi(self.q_hi, params)
 
     def copy(self) -> "BoundSet":
         return BoundSet(self.q_lo.copy(), self.q_hi.copy(), self.h_lo.copy(),
@@ -190,7 +190,8 @@ def build_lp(
     """Assemble the continuous relaxation as a single LP.
 
     Rows per timestep: mass balance, energy balance, each link's table, then
-    one AFV row per node; the two valve-count rows come last.
+    one AFV row per node; the two valve-count rows come last.  The envelope
+    cuts of a timestep's link tables are built for all links at once.
     """
     vmap = VariableMap(net.n_p, net.n_n, net.n_t)
     n = vmap.total
@@ -219,13 +220,11 @@ def build_lp(
         add(sp.hstack([net.A12, I_p, I_p]), np.r_[h_idx, th_idx, eta_idx],
             -(net.A10 @ net.source_heads[t]), EQ)
 
-        tables = [_link_table(params, scc_params, bounds, t, j, areas[j])
-                  for j in range(net.n_p)]
-        link = np.repeat(np.arange(net.n_p), [len(tb) for tb in tables])
+        table, keep = _link_tables(params, scc_params, bounds, t, areas)
         cols = np.column_stack([q_idx, sp_idx, sm_idx, th_idx, eta_idx,
                                 vp_idx, vm_idx, z_idx])
-        table = np.vstack(tables)
-        add(table[:, :8], cols[link], table[:, 8], LEQ)
+        rows = table[keep]
+        add(rows[:, :8], cols[np.nonzero(keep)[0]], rows[:, 8], LEQ)
 
         # flushing only where an AFV is placed
         add(sp.hstack([I_n, -bounds.alpha_hi * I_n]), np.r_[a_idx, y_idx],
@@ -265,32 +264,40 @@ def _at_columns(block, cols, n_cols):
     return sp.csr_matrix((b.data, (b.row, cols)), shape=(b.shape[0], n_cols))
 
 
-def _link_table(params, scc_params, bounds, t, j, area):
-    """Rows ``[coefficients | rhs]`` of link j at timestep t, a ``<=`` row
-    each over the link's columns (q, sigma+, sigma-, theta, eta, v+, v-, z):
-    sigmoid envelope cuts, head-loss sandwich cuts, big-M valve activation and
-    one control direction."""
-    q_lo, q_hi = bounds.q_lo[t, j], bounds.q_hi[t, j]
-    th_lo, th_hi = bounds.theta_lo[t, j], bounds.theta_hi[t, j]
-    e_lo, e_hi = bounds.eta_lo[t, j], bounds.eta_hi[t, j]
+def _link_tables(params, scc_params, bounds, t, areas):
+    """Rows ``[coefficients | rhs]`` of every link at timestep t, a ``<=`` row
+    each over the link's columns (q, sigma+, sigma-, theta, eta, v+, v-, z),
+    as an (n_p, 15, 9) slot table and the (n_p, 15) mask of the slots in use.
+
+    Per link: two slots each for the psi+, psi-, lower and upper head-loss
+    envelope cuts, then big-M valve activation and one control direction.
+    """
+    q_lo, q_hi = bounds.q_lo[t], bounds.q_hi[t]
+    th_lo, th_hi = bounds.theta_lo[t], bounds.theta_hi[t]
+    e_lo, e_hi = bounds.eta_lo[t], bounds.eta_hi[t]
     # the sigmoid envelopes are built in velocity space
-    cuts_p, cuts_m = envelopes.sigmoid_envelope(
-        scc_params.rho, float(scc_params.u_min[j]), q_lo / area, q_hi / area)
-    lower, upper = envelopes.hw_envelope(params.r[j], params.n_exp[j], q_lo, q_hi)
-    cuts = ([(c.scaled_q(1.0 / area), 1) for c in cuts_p]
-            + [(c.scaled_q(1.0 / area), 2) for c in cuts_m]
-            + [(c, 3) for c in lower + upper])
-    table = np.zeros((len(cuts), 9))
-    for r, (c, aux) in enumerate(cuts):
-        table[r, [0, aux, 8]] = c.coeff_q, c.coeff_aux, c.rhs
-    return np.vstack([table,
-                      [[0, 0, 0, 0, 1, -e_hi, 0, 0, 0],
-                       [0, 0, 0, 0, -1, 0, e_lo, 0, 0],
-                       [-1, 0, 0, 0, 0, -q_lo, 0, 0, -q_lo],
-                       [1, 0, 0, 0, 0, 0, q_hi, 0, q_hi],
-                       [0, 0, 0, -1, 0, -th_lo, 0, 0, -th_lo],
-                       [0, 0, 0, 1, 0, 0, th_hi, 0, th_hi],
-                       [0, 0, 0, 0, 0, 1, 1, -1, 0]]])
+    cuts = envelopes.sigmoid_envelope(scc_params.rho, scc_params.u_min,
+                                      q_lo / areas, q_hi / areas)
+    cuts += envelopes.hw_envelope(params.r, params.n_exp, q_lo, q_hi)
+    to_flow = (1.0 / areas)[:, None]
+    o, z = np.ones(len(areas)), np.zeros(len(areas))
+    table = np.zeros((len(areas), 15, 9))
+    keep = np.ones((len(areas), 15), dtype=bool)
+    for k, ((coeff, rhs, kept), col, aux, scale) in enumerate(zip(
+            cuts, (1, 2, 3, 3), (1.0, 1.0, -1.0, 1.0), (to_flow, to_flow, 1.0, 1.0))):
+        slots = slice(2 * k, 2 * k + 2)
+        table[:, slots, 0] = coeff * scale
+        table[:, slots, col] = aux
+        table[:, slots, 8] = rhs
+        keep[:, slots] = kept
+    table[:, 8:] = np.array([[z, z, z, z, o, -e_hi, z, z, z],
+                             [z, z, z, z, -o, z, e_lo, z, z],
+                             [-o, z, z, z, z, -q_lo, z, z, -q_lo],
+                             [o, z, z, z, z, z, q_hi, z, q_hi],
+                             [z, z, z, -o, z, -th_lo, z, z, -th_lo],
+                             [z, z, z, o, z, z, th_hi, z, th_hi],
+                             [z, z, z, z, z, o, o, -o, z]]).transpose(2, 0, 1)
+    return table, keep
 
 
 def extract_fractional(sol: LpSolution, vmap: VariableMap, design: DesignConfig):

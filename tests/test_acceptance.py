@@ -10,8 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sccopt.envelopes import (hw, hw_prime, hw_envelope, sigmoid,
-                              sigmoid_prime, sigmoid_envelope)
+from sccopt.envelopes import hw, hw_envelope, sigmoid, sigmoid_envelope
 from sccopt.hydraulics import headloss_params, phi, phi_prime, simulate, solve_steady
 from sccopt.netgen import grid_network, line_network, loop_network, random_network
 from sccopt.netmodel import count_variables, forest_core
@@ -122,12 +121,12 @@ def test_envelope_cases_contain_function():
     r, n = 456.6, 1.852
     worst = 0.0
     for (u_L, u_U) in SIGMOID_CASES:
-        pos, _neg = sigmoid_envelope(rho, umin, u_L, u_U)
+        (coeff, rhs, keep), _neg = sigmoid_envelope(rho, umin, u_L, u_U)
         xs = np.linspace(u_L, u_U, 1000)
         vals = sigmoid(xs, rho, umin)
-        for c in pos:
-            # cut coeff_q*u + coeff_aux*psi <= rhs must over-estimate psi
-            est = (c.rhs - c.coeff_q * xs) / c.coeff_aux
+        for c, b in zip(coeff[0][keep[0]], rhs[0][keep[0]]):
+            # cut c*u + psi <= b must over-estimate psi
+            est = b - c * xs
             gap = np.max(vals - est)
             assert gap <= 1e-9
             worst = max(worst, gap)
@@ -137,18 +136,14 @@ def test_envelope_cases_contain_function():
         lower, upper = hw_envelope(r, n, q_L, q_U)
         xs = np.linspace(q_L, q_U, 1000)
         vals = hw(xs, r, n)
-        for c in upper:
-            est = (c.rhs - c.coeff_q * xs) / c.coeff_aux
-            gap = np.max(vals - est)
-            assert gap <= 1e-9
-            worst = max(worst, gap)
-            assert np.min(est - vals) <= 1e-9
-        for c in lower:
-            est = (c.coeff_q * xs - c.rhs) / -c.coeff_aux
-            gap = np.max(est - vals)
-            assert gap <= 1e-9
-            worst = max(worst, gap)
-            assert np.min(vals - est) <= 1e-9
+        for (coeff, rhs, keep), side in ((upper, 1.0), (lower, -1.0)):
+            for c, b in zip(coeff[0][keep[0]], rhs[0][keep[0]]):
+                # upper: c*q + theta <= b; lower: c*q - theta <= b
+                est = side * (b - c * xs)
+                gap = np.max(side * (vals - est))
+                assert gap <= 1e-9
+                worst = max(worst, gap)
+                assert np.min(side * (est - vals)) <= 1e-9
     dt = time.perf_counter() - t0
     assert dt < 10.0
     print(f"\n[acceptance 3] PASS envelopes: 9 cases, worst containment "

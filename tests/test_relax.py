@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from sccopt import envelopes
 from sccopt.errors import InconsistentBounds
 from sccopt.hydraulics import headloss_params, simulate
 from sccopt.lp import OPTIMAL, solve_lp
 from sccopt.netgen import line_network, loop_network, random_network
-from sccopt.relax import (BoundSet, DesignConfig, build_lp, default_bounds,
+from sccopt.relax import (DesignConfig, _link_tables, build_lp, default_bounds,
                           extract_fractional, lp_bound)
 from sccopt.scc import SccParams, scc_smooth
 
@@ -156,3 +157,20 @@ class TestRelaxation:
         # 4 mass + 5 energy rows, 5 link tables of 15 rows, 4 flushing rows
         # and the two valve-count rows
         assert (lp.n_rows, lp.n_cols, lp.A.nnz) == (90, 52, nnz)
+
+    def test_sigmoid_rows_are_velocity_cuts_in_flow_space(self, loop4):
+        # a psi row evaluated at q = area * u equals its velocity-space cut
+        # at u; the sigma coefficient and the rhs are unchanged
+        params, scc_params, bounds, _ = setup(loop4)
+        table, keep = _link_tables(params, scc_params, bounds, 0, loop4.areas)
+        families = envelopes.sigmoid_envelope(
+            scc_params.rho, scc_params.u_min, bounds.q_lo[0] / loop4.areas,
+            bounds.q_hi[0] / loop4.areas)
+        u = 0.5
+        for k, (coeff, rhs, kept) in enumerate(families):
+            rows = table[:, 2 * k:2 * k + 2]
+            assert np.array_equal(keep[:, 2 * k:2 * k + 2], kept)
+            np.testing.assert_allclose(rows[..., 0] * (loop4.areas[:, None] * u),
+                                       coeff * u, rtol=1e-12)
+            assert np.all(rows[..., 1 + k] == 1.0)
+            assert np.array_equal(rows[..., 8], rhs)
