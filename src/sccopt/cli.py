@@ -19,9 +19,9 @@ from .errors import SccoptError, ParseError
 from .hydraulics import headloss_params, simulate
 from .netmodel import NetworkModel, parse_inp, problem_stats
 from .obbt import tighten
-from .pipeline import (RunConfig, run_cms, run_control_only, save_results,
+from .pipeline import (RunConfig, _prepare, run_cms, run_control_only, save_results,
                        performance_profile, write_profile_csv)
-from .relax import DesignConfig, default_bounds
+from .relax import DesignConfig
 from .scc import SccParams, azp, scc_indicator, scc_smooth, velocity_cdf, write_velocity_cdf_csv
 
 EXIT_OK = 0
@@ -135,10 +135,7 @@ def cmd_design(args) -> int:
 def cmd_obbt(args) -> int:
     net = load_network(args.network)
     config = _config_from_args(args)
-    params = headloss_params(net)
-    scc_params = SccParams.from_network(net, u_min=config.u_min, rho=config.rho)
-    bounds = default_bounds(net, params, u_max=config.u_max,
-                            p_min=config.p_min, alpha_max=config.alpha_max)
+    params, scc_params, bounds = _prepare(net, config)
     dcfg = DesignConfig.from_network(net, n_v=config.n_v, n_f=config.n_f)
     tight, report = tighten(net, params, scc_params, bounds, dcfg,
                             eps_tol=config.obbt_eps_tol, k_max=config.obbt_k_max)

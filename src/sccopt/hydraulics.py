@@ -188,7 +188,6 @@ def simulate(
     params: HeadLossParams,
     eta: np.ndarray | None = None,
     alpha: np.ndarray | None = None,
-    **kwargs,
 ) -> HydraulicState:
     """Solve all timesteps (independently) and return the full state."""
     eta = np.zeros((net.n_t, net.n_p)) if eta is None else np.atleast_2d(eta)
@@ -197,7 +196,5 @@ def simulate(
     h = np.zeros((net.n_t, net.n_n))
     for t in range(net.n_t):
         q[t], h[t] = solve_steady(
-            net, params, net.demands[t], net.source_heads[t],
-            eta[t], alpha[t], **kwargs,
-        )
+            net, params, net.demands[t], net.source_heads[t], eta[t], alpha[t])
     return HydraulicState(q, h, eta.copy(), alpha.copy())

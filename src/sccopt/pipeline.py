@@ -86,7 +86,7 @@ def _prepare(net: NetworkModel, config: RunConfig):
     return params, scc_params, bounds
 
 
-def _finish(net, params, scc_params, design, control, start, **extra) -> CmsSolution:
+def _finish(net, scc_params, design, control, start, **extra) -> CmsSolution:
     return CmsSolution(
         design=design,
         control=control,
@@ -117,7 +117,7 @@ def run_control_only(net: NetworkModel, config: RunConfig) -> CmsSolution:
     control = multi_start(net, params, scc_params, bounds, design,
                           config.multistart(),
                           extra_seeds=[np.zeros((net.n_t, net.n_p))])
-    return _finish(net, params, scc_params, design, control, start)
+    return _finish(net, scc_params, design, control, start)
 
 
 def run_cms(net: NetworkModel, config: RunConfig,
@@ -180,7 +180,7 @@ def run_cms(net: NetworkModel, config: RunConfig,
     if best is None:
         raise AllStartsInfeasible("no sampled placement admits a feasible control")
 
-    return _finish(net, params, scc_params, best[1], best[2], start,
+    return _finish(net, scc_params, best[1], best[2], start,
                    lp_upper_bound=upper, obbt_report=report,
                    candidates=candidates, candidate_scores=scores)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.optimize import minimize
+from scipy.optimize import Bounds, minimize
 
 from .errors import AllStartsInfeasible, NonConvergence, SingularSystem
 from .hydraulics import HeadLossParams, HydraulicState, phi, phi_prime, solve_steady
@@ -76,15 +76,36 @@ class MultiStartConfig:
     seed: int | None = None
 
 
-def _direction_bounds(bounds: BoundSet, t: int, j: int, sign: int):
-    """Admissible eta interval for a valve acting in the given direction."""
-    if sign > 0:
-        return 0.0, max(0.0, bounds.eta_hi[t, j])
-    return min(0.0, bounds.eta_lo[t, j]), 0.0
+def _control_box(bounds: BoundSet, t: int, design: ValveDesign,
+                 directions: dict[int, int]):
+    """Bounds (lo, hi) of the stacked controls x = (eta on the control links,
+    alpha on the flushing nodes).  Each eta keeps its valve's direction sign
+    (+1 unless given); the np.where forms keep Python's min(0.0, lo) and
+    max(0.0, hi) exactly, signed zeros included."""
+    ctrl = list(design.controllable_links)
+    pos = np.array([directions.get(j, 1) > 0 for j in ctrl], dtype=bool)
+    e_lo, e_hi = bounds.eta_lo[t, ctrl], bounds.eta_hi[t, ctrl]
+    n_a = len(design.afv_nodes)
+    lo = np.where(pos, 0.0, np.where(e_lo < 0.0, e_lo, 0.0))
+    hi = np.where(pos, np.where(e_hi > 0.0, e_hi, 0.0), 0.0)
+    return (np.concatenate([lo, np.zeros(n_a)]),
+            np.concatenate([hi, np.full(n_a, bounds.alpha_hi)]))
 
 
-def _timestep_objective(q: np.ndarray, net, scc_params) -> float:
-    return scc_smooth_flows(q[None, :], net, scc_params)
+def _stack(design: ValveDesign, eta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """The stacked controls x of full (eta, alpha) arrays."""
+    return np.concatenate([eta[list(design.controllable_links)],
+                           alpha[list(design.afv_nodes)]])
+
+
+def _unstack(net: NetworkModel, design: ValveDesign, x: np.ndarray):
+    """Full (eta, alpha) arrays of the stacked controls x; zero elsewhere."""
+    ctrl = list(design.controllable_links)
+    eta = np.zeros(net.n_p)
+    eta[ctrl] = x[: len(ctrl)]
+    alpha = np.zeros(net.n_n)
+    alpha[list(design.afv_nodes)] = x[len(ctrl):]
+    return eta, alpha
 
 
 def _solve_or_none(net, params, d, h0, eta, alpha):
@@ -98,18 +119,16 @@ def _pressure_violation(h: np.ndarray, h_lo: np.ndarray) -> float:
     return float(np.max(np.maximum(h_lo - h, 0.0), initial=0.0))
 
 
-def _adjoint_gradient(net, params, q, h, grad_q, grad_h, ctrl, afv):
-    """Gradients of a function of (q, h) w.r.t. eta (ctrl links) and alpha
-    (afv nodes) through the hydraulic equations.
+def _adjoint_gradient(net, params, design, q, grad_q, grad_h):
+    """Gradient of a function of (q, h) w.r.t. the stacked controls through
+    the hydraulic equations.
 
     The Jacobian [[diag(phi'), A12], [A12^T, 0]] is symmetric, so one solve
     with the value gradient as right-hand side yields both sensitivities.
     """
     g = np.maximum(phi_prime(q, params), 1e-8)
     lam = spla.spsolve(net.kkt(g), np.concatenate([grad_q, grad_h]))
-    d_eta = -lam[: net.n_p][list(ctrl)]
-    d_alpha = lam[net.n_p:][list(afv)]
-    return d_eta, d_alpha
+    return _stack(design, -lam[: net.n_p], lam[net.n_p:])
 
 
 def restore_feasibility(
@@ -131,56 +150,33 @@ def restore_feasibility(
     violation is within tolerance or the weight cap is reached.  Returns
     (eta, alpha, q, h) or None when restoration fails.
     """
-    ctrl = list(design.controllable_links)
-    afv = list(design.afv_nodes)
     h_lo = bounds.h_lo[t]
-
-    box = []
-    for j in ctrl:
-        box.append(_direction_bounds(bounds, t, j, directions.get(j, 1)))
-    for _ in afv:
-        box.append((0.0, bounds.alpha_hi))
-
-    def unpack(x):
-        eta = np.zeros(net.n_p)
-        eta[ctrl] = x[: len(ctrl)]
-        alpha = np.zeros(net.n_n)
-        alpha[afv] = x[len(ctrl):]
-        return eta, alpha
+    lo, hi = _control_box(bounds, t, design, directions)
 
     def penalty(x, mu):
-        eta, alpha = unpack(x)
-        sol = _solve_or_none(net, params, d, h0, eta, alpha)
+        sol = _solve_or_none(net, params, d, h0, *_unstack(net, design, x))
         if sol is None:
             return 1e20, np.zeros_like(x)
         q, h = sol
         gap = np.maximum(h_lo - h, 0.0)
         val = mu * float(gap @ gap)
-        grad_h = -2.0 * mu * gap
-        d_eta, d_alpha = _adjoint_gradient(
-            net, params, q, h, np.zeros(net.n_p), grad_h, ctrl, afv)
-        return val, np.concatenate([d_eta, d_alpha])
+        return val, _adjoint_gradient(net, params, design, q,
+                                      np.zeros(net.n_p), -2.0 * mu * gap)
 
-    x = np.concatenate([
-        np.clip(eta0[ctrl], [b[0] for b in box[: len(ctrl)]], [b[1] for b in box[: len(ctrl)]]),
-        np.clip(alpha0[afv], 0.0, bounds.alpha_hi),
-    ]) if box else np.zeros(0)
-
+    x = np.clip(_stack(design, eta0, alpha0), lo, hi)
     mu = _MU0
     while True:
-        if box:
-            res = minimize(penalty, x, args=(mu,), jac=True,
-                           method="L-BFGS-B", bounds=box,
-                           options={"maxiter": 200})
-            x = res.x
-        eta, alpha = unpack(x)
+        if x.size:
+            x = minimize(penalty, x, args=(mu,), jac=True, method="L-BFGS-B",
+                         bounds=Bounds(lo, hi), options={"maxiter": 200}).x
+        eta, alpha = _unstack(net, design, x)
         sol = _solve_or_none(net, params, d, h0, eta, alpha)
         if sol is None:
             return None
         q, h = sol
         if _pressure_violation(h, h_lo) <= _PRESSURE_TOL:
             return eta, alpha, q, h
-        if not box or mu >= _MU_CAP:
+        if not x.size or mu >= _MU_CAP:
             return None
         mu *= 10.0
 
@@ -206,12 +202,10 @@ def _step_lp(net, params, scc_params, bounds, t, design, directions,
     Columns are (q, h, eta on control links, alpha on flushing nodes); the
     equality rows are the energy and mass equations linearized at q_k.
     """
-    ctrl = list(design.controllable_links)
-    afv = list(design.afv_nodes)
-    n_q, n_c, n_a = net.n_p, len(ctrl), len(afv)
+    n_q = net.n_p
     # not the adjoint's 1e-8 floor: that would change the LP on zero-loss valves
     dphi = np.maximum(phi_prime(q_k, params), 1e-12)
-    A = _step_matrix(net, dphi, ctrl, afv)
+    A = _step_matrix(net, dphi, design.controllable_links, design.afv_nodes)
     rhs_e = -(net.A10 @ net.source_heads[t]) - phi(q_k, params) + dphi * q_k
     b = np.concatenate([rhs_e, net.demands[t]])
 
@@ -221,20 +215,17 @@ def _step_lp(net, params, scc_params, bounds, t, design, directions,
         return np.maximum(lo, center - span), np.minimum(hi, center + span)
 
     q_lo, q_hi = box(bounds.q_lo[t], bounds.q_hi[t], q_k)
-    for j in ctrl:
+    for j in design.controllable_links:
         if j in directions:
             # the valve's flow direction is pinned by its sign
             if directions[j] > 0:
                 q_lo[j] = max(q_lo[j], 0.0)
             else:
                 q_hi[j] = min(q_hi[j], 0.0)
-    e_lo, e_hi = np.array([_direction_bounds(bounds, t, j, directions.get(j, 1))
-                           for j in ctrl]).reshape(n_c, 2).T
-    a_hi = np.full(n_a, bounds.alpha_hi)
+    x_lo, x_hi = _control_box(bounds, t, design, directions)
     lo, hi = map(np.concatenate, zip(
         (q_lo, q_hi), box(bounds.h_lo[t], bounds.h_hi[t], h_k),
-        box(e_lo, e_hi, np.clip(eta_k[ctrl], e_lo, e_hi)),
-        box(np.zeros_like(a_hi), a_hi, np.clip(alpha_k[afv], 0.0, a_hi))))
+        box(x_lo, x_hi, np.clip(_stack(design, eta_k, alpha_k), x_lo, x_hi))))
 
     c = np.zeros(A.shape[1])
     c[:n_q] = -scc_smooth_grad_flows(q_k[None, :], net, scc_params)[0]
@@ -243,12 +234,8 @@ def _step_lp(net, params, scc_params, bounds, t, design, directions,
                                  np.minimum(lo, hi), np.maximum(lo, hi)))
     if sol.status != OPTIMAL:
         return None
-    q, h, e, a = np.split(sol.x, np.cumsum([n_q, net.n_n, n_c]))
-    eta = np.zeros(net.n_p)
-    eta[ctrl] = e
-    alpha = np.zeros(net.n_n)
-    alpha[afv] = a
-    return q, h, eta, alpha
+    q, h, x = np.split(sol.x, [n_q, n_q + net.n_n])
+    return q, h, *_unstack(net, design, x)
 
 
 def sfscp_timestep(
@@ -267,18 +254,13 @@ def sfscp_timestep(
     """One timestep, one direction assignment, one start.
 
     Returns (eta, alpha, q, h, objective, iterations) or None when the start
-    cannot be made feasible.  When given, ``trace`` receives one
-    (iteration, objective, beta) row per accepted iterate.
+    cannot be made feasible; iterations counts the accepted iterates.  When
+    given, ``trace`` receives one (iteration, objective, beta) row per
+    accepted iterate, after a row 0 for the start.
     """
     d, h0 = net.demands[t], net.source_heads[t]
-    ctrl = list(design.controllable_links)
-    eta = np.zeros(net.n_p)
-    for j in ctrl:
-        lo, hi = _direction_bounds(bounds, t, j, directions.get(j, 1))
-        eta[j] = np.clip(eta0[j], lo, hi)
-    alpha = np.zeros(net.n_n)
-    afv = list(design.afv_nodes)
-    alpha[afv] = np.clip(alpha0[afv], 0.0, bounds.alpha_hi)
+    lo, hi = _control_box(bounds, t, design, directions)
+    eta, alpha = _unstack(net, design, np.clip(_stack(design, eta0, alpha0), lo, hi))
 
     sol = _solve_or_none(net, params, d, h0, eta, alpha)
     if sol is None or _pressure_violation(sol[1], bounds.h_lo[t]) > _PRESSURE_TOL:
@@ -290,11 +272,11 @@ def sfscp_timestep(
     else:
         q, h = sol
 
-    f = _timestep_objective(q, net, scc_params)
+    f = scc_smooth_flows(q[None, :], net, scc_params)
     if trace is not None:
         trace.append((0, f, 0.0))
     iters = 0
-    for iters in range(1, config.k_max + 1):
+    for _ in range(config.k_max):
         step = _step_lp(net, params, scc_params, bounds, t, design, directions,
                         q, h, eta, alpha)
         if step is None:
@@ -308,7 +290,7 @@ def sfscp_timestep(
             sol = _solve_or_none(net, params, d, h0, eta_try, alpha_try)
             if sol is not None:
                 q_try, h_try = sol
-                f_try = _timestep_objective(q_try, net, scc_params)
+                f_try = scc_smooth_flows(q_try[None, :], net, scc_params)
                 if (f_try > f + _IMPROVE_TOL
                         and _pressure_violation(h_try, bounds.h_lo[t]) <= _PRESSURE_TOL):
                     accepted = True
@@ -318,6 +300,7 @@ def sfscp_timestep(
             break
         gain = f_try - f
         eta, alpha, q, h, f = eta_try, alpha_try, q_try, h_try, f_try
+        iters += 1
         if trace is not None:
             trace.append((iters, f, beta))
         if gain <= config.eps_tol:
@@ -362,11 +345,13 @@ def multi_start(
 ) -> ControlSolution:
     """Run the per-timestep solver from several starts; keep the best.
 
-    The start list is: the relaxation eta seed (when given), any caller
-    seeds, then uniform random draws to fill up to n_starts.  Raises
-    AllStartsInfeasible when no start yields a feasible horizon.
+    The start list is: the relaxation eta seed (when given), the caller's
+    eta seeds in ``extra_seeds`` (each starts with no flushing), the
+    deterministic flushing and throttle starts, then uniform random draws to
+    fill up to n_starts.  Raises AllStartsInfeasible when no start yields a
+    feasible horizon.
     """
-    afv = list(design.afv_nodes)
+    ctrl, afv = list(design.controllable_links), list(design.afv_nodes)
     alpha_full = np.zeros((net.n_t, net.n_n))
     alpha_full[:, afv] = bounds.alpha_hi
     seeds: list[tuple[np.ndarray, np.ndarray]] = []
@@ -375,31 +360,24 @@ def multi_start(
         # rewards high velocity, so the bound is the natural first guess
         seeds.append((np.atleast_2d(np.asarray(eta_seed, dtype=float)), alpha_full))
     for s in extra_seeds:
-        if isinstance(s, tuple):
-            e0, a0 = s
-        else:
-            e0, a0 = s, np.zeros((net.n_t, net.n_n))
-        seeds.append((np.atleast_2d(np.asarray(e0, dtype=float)),
-                      np.atleast_2d(np.asarray(a0, dtype=float))))
+        seeds.append((np.atleast_2d(np.asarray(s, dtype=float)),
+                      np.zeros((net.n_t, net.n_n))))
     if afv:
         seeds.append((np.zeros((net.n_t, net.n_p)), alpha_full))
     # aggressive-throttle starts: the objective landscape has a second basin
     # near the upper eta bound that small trust-region steps from zero cannot
     # reach, so seed it deterministically at the bound and at half the bound
-    if design.controllable_links:
+    if ctrl:
         for frac in (1.0, 0.5):
             e = np.zeros((net.n_t, net.n_p))
-            for j in design.controllable_links:
-                e[:, j] = frac * bounds.eta_hi[:, j]
+            e[:, ctrl] = frac * bounds.eta_hi[:, ctrl]
             seeds.append((e, alpha_full))
-    n_random = max(config.n_starts - len(seeds), 0)
-    if not seeds:
-        n_random = max(n_random, 1)
+    n_random = max(config.n_starts - len(seeds), 0 if seeds else 1)
     child_seqs = np.random.SeedSequence(config.seed).spawn(max(n_random, 1))
     for k in range(n_random):
         rng = np.random.default_rng(child_seqs[k])
         draw = np.zeros((net.n_t, net.n_p))
-        for j in design.controllable_links:
+        for j in ctrl:
             lo = np.minimum(bounds.eta_lo[:, j], 0.0)
             hi = np.maximum(bounds.eta_hi[:, j], 0.0)
             draw[:, j] = rng.uniform(lo, hi)
@@ -451,7 +429,6 @@ def reduced_gradient(
     """Gradient of the smoothed SCC w.r.t. (eta on control links, alpha on
     flushing nodes) at a solved state; a stationarity diagnostic."""
     grad_q = scc_smooth_grad_flows(state.q[t][None, :], net, scc_params)[0]
-    return _adjoint_gradient(net, params, state.q[t], state.h[t],
-                             grad_q, np.zeros(net.n_n),
-                             list(design.controllable_links),
-                             list(design.afv_nodes))
+    g = _adjoint_gradient(net, params, design, state.q[t], grad_q, np.zeros(net.n_n))
+    n_c = len(design.controllable_links)
+    return g[:n_c], g[n_c:]

@@ -3,7 +3,6 @@
 Each test covers one headline requirement of the solver stack and prints a
 single PASS line with the measured quantities once its assertions hold.
 """
-import math
 import time
 from pathlib import Path
 

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from sccopt.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main

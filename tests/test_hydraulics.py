@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sccopt.errors import NonConvergence
 from sccopt.hydraulics import (GRAVITY, HeadLossParams, headloss_params, phi,
                                phi_prime, simulate, solve_steady)
-from sccopt.netgen import line_network, loop_network, random_network
+from sccopt.netgen import line_network, random_network
 from sccopt.netmodel import Link, NetworkModel, VALVE
 from sccopt.sfscp import _step_matrix
 

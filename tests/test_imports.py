@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package or test module imports is used in that module."""
 import ast
 from pathlib import Path
 
@@ -8,6 +8,7 @@ import sccopt
 
 MODULES = sorted(p for p in Path(sccopt.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,6 +31,6 @@ def test_detects_an_unused_import():
     assert unused_imports(source) == ["os (line 1)", "pi (line 3)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []

@@ -8,7 +8,7 @@ from sccopt.errors import ParseError
 from sccopt.netmodel import (Link, DemandNode, SourceNode, NetworkModel,
                              ParserWarning, count_variables, forest_core,
                              parse_inp, PIPE, VALVE)
-from sccopt.netgen import grid_network, line_network, loop_network, random_network
+from sccopt.netgen import random_network
 
 
 class TestParser:

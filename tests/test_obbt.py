@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sccopt.hydraulics import headloss_params, simulate
-from sccopt.netgen import line_network, loop_network
 from sccopt.netmodel import forest_core
 from sccopt.obbt import tighten, tighten_forest
 from sccopt.relax import DesignConfig, default_bounds

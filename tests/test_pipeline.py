@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from linprog_reference import linprog_solve_lp
-from sccopt.hydraulics import headloss_params
 from sccopt.netgen import loop_network
-from sccopt.pipeline import (CmsSolution, RunConfig, performance_profile,
-                             run_cms, run_control_only, save_results,
-                             uncontrolled_state, write_profile_csv)
-from sccopt.scc import SccParams, scc_indicator, scc_smooth
+from sccopt.pipeline import (RunConfig, performance_profile, run_cms,
+                             run_control_only, save_results, uncontrolled_state,
+                             write_profile_csv)
+from sccopt.scc import SccParams, scc_smooth
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ from sccopt import envelopes
 from sccopt.errors import InconsistentBounds
 from sccopt.hydraulics import headloss_params, simulate
 from sccopt.lp import OPTIMAL, solve_lp
-from sccopt.netgen import line_network, loop_network, random_network
+from sccopt.netgen import random_network
 from sccopt.relax import (DesignConfig, _link_tables, build_lp, default_bounds,
                           extract_fractional, lp_bound)
 from sccopt.scc import SccParams, scc_smooth

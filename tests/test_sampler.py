@@ -1,5 +1,4 @@
 import io
-import math
 
 import numpy as np
 import pytest

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sccopt.hydraulics import HydraulicState, headloss_params, simulate
-from sccopt.netgen import line_network, loop_network
+from sccopt.netgen import line_network
 from sccopt.scc import (SccParams, azp, azp_weights, scc_indicator,
                         scc_smooth, scc_smooth_flows, scc_smooth_grad_flows,
                         sigmoid_pair, velocity_cdf, write_velocity_cdf_csv)

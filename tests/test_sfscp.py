@@ -1,17 +1,20 @@
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sccopt.errors import AllStartsInfeasible
 from sccopt.hydraulics import headloss_params, phi, phi_prime, simulate, solve_steady
 from sccopt.netgen import line_network, loop_network
-from sccopt.netmodel import DemandNode, Link, NetworkModel, PIPE, SourceNode, VALVE
+from sccopt.netmodel import Link, NetworkModel, VALVE
 from sccopt.relax import DesignConfig, default_bounds
 from sccopt.sampler import CandidateDesign
 from sccopt.scc import SccParams, scc_smooth, scc_smooth_flows
 from sccopt.sfscp import (_TRUST_FRACTION, MultiStartConfig, ValveDesign,
-                          _step_lp, enumerate_dbv_directions, multi_start,
+                          _control_box, _stack, _step_lp, _unstack,
+                          enumerate_dbv_directions, multi_start,
                           reduced_gradient, restore_feasibility, sfscp_timestep)
 
 
@@ -83,6 +86,21 @@ class TestIterationBehaviour:
         assert all(b >= a - 1e-12 for a, b in zip(fs, fs[1:]))
         assert res[4] == pytest.approx(fs[-1])
 
+    @pytest.mark.parametrize("make_net, design", [
+        (single_pipe_net, ValveDesign(afv_nodes=(0,))),
+        (prv_loop_net, ValveDesign(prv_links=(2,))),
+    ], ids=["single_pipe_afv", "prv_loop"])
+    def test_iterations_count_accepted_iterates(self, make_net, design):
+        # the trace holds the start point plus one row per accepted iterate;
+        # a rejected last step or an infeasible step LP is not an iteration
+        net = make_net()
+        params, scc_params, bounds = setup(net)
+        trace = []
+        res = sfscp_timestep(net, params, scc_params, bounds, design, {}, 0,
+                             np.zeros(net.n_p), np.zeros(net.n_n),
+                             MultiStartConfig(), trace=trace)
+        assert res[5] == len(trace) - 1
+
     def test_final_iterate_resimulates_feasibly(self):
         net = prv_loop_net()
         params, scc_params, bounds = setup(net)
@@ -144,6 +162,85 @@ class TestStepLp:
         assert abs(alpha[1] - alpha_k[1]) <= tf * bounds.alpha_hi + tol
         assert np.all(eta[[0, 1, 3, 4]] == 0.0) and eta[2] >= 0.0
         assert np.all(alpha[[0, 2, 3]] == 0.0) and alpha[1] >= 0.0
+
+
+def box_oracle(bounds, t, design, directions):
+    """The control box link by link, with Python's scalar min and max."""
+    lo, hi = [], []
+    for j in design.controllable_links:
+        if directions.get(j, 1) > 0:
+            lo.append(0.0)
+            hi.append(max(0.0, bounds.eta_hi[t, j]))
+        else:
+            lo.append(min(0.0, bounds.eta_lo[t, j]))
+            hi.append(0.0)
+    for _ in design.afv_nodes:
+        lo.append(0.0)
+        hi.append(bounds.alpha_hi)
+    return np.array(lo, dtype=float), np.array(hi, dtype=float)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# a 5-link, 4-node network with two timesteps of bounds
+N_P, N_N, N_T = 5, 4, 2
+signed = st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0)
+
+
+@st.composite
+def control_cases(draw):
+    ctrl = draw(st.sets(st.integers(0, N_P - 1)))
+    dbv = draw(st.sets(st.sampled_from(sorted(ctrl)))) if ctrl else set()
+    design = ValveDesign(prv_links=tuple(sorted(ctrl - dbv)),
+                         dbv_links=tuple(sorted(dbv)),
+                         afv_nodes=tuple(sorted(draw(st.sets(st.integers(0, N_N - 1))))))
+    # a DBV without an entry takes the default direction
+    directions = {j: draw(st.sampled_from([1, -1])) for j in dbv if draw(st.booleans())}
+    grid = st.lists(signed, min_size=N_T * N_P, max_size=N_T * N_P)
+    bounds = SimpleNamespace(eta_lo=np.reshape(draw(grid), (N_T, N_P)),
+                             eta_hi=np.reshape(draw(grid), (N_T, N_P)),
+                             alpha_hi=draw(st.floats(0.0, 1.0)))
+    return bounds, draw(st.integers(0, N_T - 1)), design, directions
+
+
+def fixed_case(design, directions=None):
+    eta = np.array([[-1.0, 2.0, -0.0, 0.0, 3.0], [0.0, -2.0, 1.0, -0.0, -3.0]])
+    bounds = SimpleNamespace(eta_lo=eta, eta_hi=-eta, alpha_hi=0.025)
+    return bounds, 1, design, directions or {}
+
+
+class TestControlBox:
+    @given(case=control_cases())
+    @example(case=fixed_case(ValveDesign()))
+    @example(case=fixed_case(ValveDesign(afv_nodes=(0, 3))))
+    @example(case=fixed_case(ValveDesign(prv_links=(1,), dbv_links=(0, 2, 3, 4)),
+                             {0: -1, 2: -1, 3: -1}))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_link_rule_bit_for_bit(self, case):
+        bounds, t, design, directions = case
+        lo, hi = _control_box(bounds, t, design, directions)
+        lo_ref, hi_ref = box_oracle(bounds, t, design, directions)
+        # same bits means the same values and the same signed zeros
+        assert same_bits(lo, lo_ref) and same_bits(hi, hi_ref)
+
+    @given(case=control_cases(),
+           eta=st.lists(signed, min_size=N_P, max_size=N_P),
+           alpha=st.lists(signed, min_size=N_N, max_size=N_N))
+    @example(case=fixed_case(ValveDesign()), eta=[-0.0] * N_P, alpha=[-0.0] * N_N)
+    @settings(max_examples=200, deadline=None)
+    def test_unstack_inverts_stack_on_the_controls(self, case, eta, alpha):
+        _, _, design, _ = case
+        eta, alpha = np.array(eta), np.array(alpha)
+        net = SimpleNamespace(n_p=N_P, n_n=N_N)
+        x = _stack(design, eta, alpha)
+        eta2, alpha2 = _unstack(net, design, x)
+        for full, back, idx in ((eta, eta2, list(design.controllable_links)),
+                                (alpha, alpha2, list(design.afv_nodes))):
+            assert same_bits(back[idx], full[idx])
+            rest = np.delete(back, idx)
+            assert np.all(rest == 0.0) and not np.any(np.signbit(rest))
 
 
 class TestGridSearchOracle:
