@@ -23,7 +23,6 @@ from sccopt.pipeline import (RunConfig, performance_profile, run_cms,
 CONFIGS = {
     "obbt_ms4": dict(use_obbt=True, n_starts=4),
     "no_obbt_ms4": dict(use_obbt=False, n_starts=4),
-    "obbt_ms1": dict(use_obbt=True, n_starts=1),
 }
 
 

@@ -178,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI file with a [run] section")
         p.add_argument("--seed", type=int)
         p.add_argument("--no-obbt", action="store_true", dest="no_obbt")
-        p.add_argument("--n-starts", type=int, dest="n_starts")
+        p.add_argument("--n-starts", type=int, dest="n_starts",
+                       help="at least this many control starts")
         if design:
             p.add_argument("--nv", type=int, dest="n_v", help="boundary valves to add")
             p.add_argument("--nf", type=int, dest="n_f", help="flushing valves to add")

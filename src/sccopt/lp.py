@@ -158,33 +158,3 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     duals[order] = row_dual
     return LpSolution(OPTIMAL, x, float(objective), duals)
 
-
-def write_lp_text(lp: LinearProgram, fileobj):
-    """Dump in CPLEX LP text format for cross-checking with external solvers."""
-    names = [f"x{i}" for i in range(lp.n_cols)]
-    A = lp.A.tocsr().sorted_indices()
-
-    def expr(row_idx):
-        row = slice(A.indptr[row_idx], A.indptr[row_idx + 1])
-        terms = [f"{'+' if v >= 0 else '-'} {abs(v):.17g} {names[j]}"
-                 for j, v in zip(A.indices[row], A.data[row])]
-        return " ".join(terms) if terms else "0 " + names[0]
-
-    fileobj.write("Minimize\n obj:")
-    wrote = False
-    for j, v in enumerate(lp.c):
-        if v != 0.0:
-            fileobj.write(f" {'+' if v >= 0 else '-'} {abs(v):.17g} {names[j]}")
-            wrote = True
-    if not wrote:
-        fileobj.write(" 0 " + names[0])
-    fileobj.write("\nSubject To\n")
-    for i in range(lp.n_rows):
-        op = "=" if lp.senses[i] == EQ else "<="
-        fileobj.write(f" r{i}: {expr(i)} {op} {lp.b[i]:.17g}\n")
-    fileobj.write("Bounds\n")
-    for j in range(lp.n_cols):
-        lo = f"{lp.lb[j]:.17g}" if np.isfinite(lp.lb[j]) else "-inf"
-        hi = f"{lp.ub[j]:.17g}" if np.isfinite(lp.ub[j]) else "+inf"
-        fileobj.write(f" {lo} <= {names[j]} <= {hi}\n")
-    fileobj.write("End\n")

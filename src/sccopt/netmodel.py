@@ -14,6 +14,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ParseError
 
@@ -61,6 +62,9 @@ class Link:
     def validate(self):
         if self.from_node == self.to_node:
             raise ValueError(f"link {self.id}: joins a node to itself")
+        if not all(map(math.isfinite, (self.length, self.diameter,
+                                       self.hw_coefficient, self.valve_loss))):
+            raise ValueError(f"link {self.id}: L, D, C and K must be finite")
         if self.kind == PIPE:
             if self.length <= 0 or self.diameter <= 0 or self.hw_coefficient <= 0:
                 raise ValueError(f"pipe {self.id}: L, D and C must be positive")
@@ -101,7 +105,6 @@ class NetworkModel:
         self.demands.setflags(write=False)
         self.source_heads.setflags(write=False)
         self._node_index = {n.id: i for i, n in enumerate(self.nodes)}
-        self._source_index = {s.id: i for i, s in enumerate(self.sources)}
         # network-only arrays, built once; read-only like demands
         self.areas = np.array([lk.area for lk in self.links])
         self.lengths = np.array([lk.length for lk in self.links])
@@ -131,24 +134,26 @@ class NetworkModel:
         return self._node_index[node_id]
 
     def _build_incidence(self):
-        # A12[j, i] = +1 if link j enters demand node i, -1 if it leaves it;
-        # A10 likewise for source nodes.  Energy rows then read h_to - h_from.
-        r12, c12, v12 = [], [], []
-        r10, c10, v10 = [], [], []
+        # Each link's (to, from) ends as indices into the demand nodes followed
+        # by the sources.  A12[j, i] = +1 if link j enters demand node i, -1 if
+        # it leaves it; A10 likewise for source nodes.  Energy rows then read
+        # h_to - h_from.
+        index = {s.id: self.n_n + k for k, s in enumerate(self.sources)}
+        index.update(self._node_index)
+        ends = np.empty((self.n_p, 2), dtype=np.intp)
         for j, lk in enumerate(self.links):
-            for node_id, sign in ((lk.to_node, 1.0), (lk.from_node, -1.0)):
-                if node_id in self._node_index:
-                    r12.append(j)
-                    c12.append(self._node_index[node_id])
-                    v12.append(sign)
-                elif node_id in self._source_index:
-                    r10.append(j)
-                    c10.append(self._source_index[node_id])
-                    v10.append(sign)
-                else:
+            for k, node_id in enumerate((lk.to_node, lk.from_node)):
+                if node_id not in index:
                     raise ValueError(f"link {lk.id}: unknown node {node_id!r}")
-        self.A12 = sp.csr_matrix((v12, (r12, c12)), shape=(self.n_p, self.n_n))
-        self.A10 = sp.csr_matrix((v10, (r10, c10)), shape=(self.n_p, self.n_0))
+                ends[j, k] = index[node_id]
+        ends.setflags(write=False)
+        self.link_to, self.link_from = ends.T
+        row, col = np.repeat(np.arange(self.n_p), 2), ends.ravel()
+        sign = np.tile([1.0, -1.0], self.n_p)
+        dem = col < self.n_n
+        self.A12 = sp.csr_matrix((sign[dem], (row[dem], col[dem])), shape=(self.n_p, self.n_n))
+        self.A10 = sp.csr_matrix((sign[~dem], (row[~dem], col[~dem] - self.n_n)),
+                                 shape=(self.n_p, self.n_0))
         # the CSC view .T returns, kept so hot loops do not transpose again
         self.A12T = self.A12.T
         self._build_schur_pattern()
@@ -219,6 +224,8 @@ class NetworkModel:
             raise ValueError("source_heads shape mismatch")
         if not np.all(np.isfinite(self.demands)) or np.any(self.demands < 0):
             raise ValueError("demands must be finite and non-negative")
+        if not (np.all(np.isfinite(self.elevations)) and np.all(np.isfinite(self.source_heads))):
+            raise ValueError("elevations and source heads must be finite")
         for lk in self.links:
             lk.validate()
         if not self.is_connected():
@@ -228,19 +235,10 @@ class NetworkModel:
         """True when every demand node is reachable from some source."""
         if self.n_0 == 0:
             return False
-        adj: dict[str, list[str]] = {}
-        for lk in self.links:
-            adj.setdefault(lk.from_node, []).append(lk.to_node)
-            adj.setdefault(lk.to_node, []).append(lk.from_node)
-        seen = set()
-        stack = [s.id for s in self.sources]
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(adj.get(u, ()))
-        return all(n.id in seen for n in self.nodes)
+        n = self.n_n + self.n_0
+        graph = sp.coo_matrix((np.ones(self.n_p), (self.link_from, self.link_to)), shape=(n, n))
+        _, label = connected_components(graph, directed=False)
+        return bool(np.all(np.isin(label[:self.n_n], label[self.n_n:])))
 
     # -- serialization -------------------------------------------------------
     def to_json(self) -> str:

@@ -94,7 +94,6 @@ def tighten(
                     else:
                         bounds.q_hi[t, j] = max(min(bounds.q_hi[t, j], val + _BOUND_PAD),
                                                 bounds.q_lo[t, j])
-        bounds.refresh_theta(params)
         report.iterations += 1
         new_diam = _flow_diameter(bounds, core)
         report.diam_history.append(new_diam)
@@ -107,7 +106,6 @@ def tighten(
 
 def tighten_forest(
     net: NetworkModel,
-    params: HeadLossParams,
     bounds: BoundSet,
     design: DesignConfig,
 ) -> BoundSet:
@@ -119,22 +117,17 @@ def tighten_forest(
     """
     decomp = forest_core(net)
     bounds = bounds.copy()
-    n_f = design.n_f
     for j in decomp.forest_links:
-        sign = decomp.forest_sign[j]
         down = list(decomp.forest_downstream[j])
-        slots = min(len(down), n_f)
-        for t in range(net.n_t):
-            demand = float(np.sum(net.demands[t, down]))
-            lo_mag, hi_mag = demand, demand + slots * bounds.alpha_hi
-            if sign > 0:
-                new_lo, new_hi = lo_mag, hi_mag
-            else:
-                new_lo, new_hi = -hi_mag, -lo_mag
-            bounds.q_lo[t, j] = max(bounds.q_lo[t, j], new_lo - _BOUND_PAD)
-            bounds.q_hi[t, j] = min(bounds.q_hi[t, j], new_hi + _BOUND_PAD)
-            if bounds.q_lo[t, j] > bounds.q_hi[t, j]:
-                raise InconsistentBounds(
-                    f"forest bounds crossed on link {net.links[j].id}, timestep {t}")
-    bounds.refresh_theta(params)
+        slots = min(len(down), design.n_f)
+        # one np.sum per timestep, so each total rounds as a 1-D sum does
+        demand = np.array([np.sum(d[down]) for d in net.demands])
+        most = demand + slots * bounds.alpha_hi
+        new_lo, new_hi = (demand, most) if decomp.forest_sign[j] > 0 else (-most, -demand)
+        bounds.q_lo[:, j] = np.maximum(bounds.q_lo[:, j], new_lo - _BOUND_PAD)
+        bounds.q_hi[:, j] = np.minimum(bounds.q_hi[:, j], new_hi + _BOUND_PAD)
+        crossed = np.flatnonzero(bounds.q_lo[:, j] > bounds.q_hi[:, j])
+        if crossed.size:
+            raise InconsistentBounds(
+                f"forest bounds crossed on link {net.links[j].id}, timestep {crossed[0]}")
     return bounds

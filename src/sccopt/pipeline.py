@@ -24,7 +24,9 @@ from .sfscp import ControlSolution, MultiStartConfig, ValveDesign, multi_start
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All knobs for a design/control run."""
+    """All knobs for a design/control run.  ``n_starts`` is a floor, not a
+    cap: the deterministic control starts always run (five with n_v, n_f >= 1
+    in ``run_cms``), so a smaller value changes nothing."""
 
     n_v: int = 0
     n_f: int = 0
@@ -134,7 +136,7 @@ def run_cms(net: NetworkModel, config: RunConfig,
     params, scc_params, bounds = _prepare(net, config)
     dcfg = DesignConfig.from_network(net, n_v=config.n_v, n_f=config.n_f)
 
-    bounds = obbt_mod.tighten_forest(net, params, bounds, dcfg)
+    bounds = obbt_mod.tighten_forest(net, bounds, dcfg)
     report = None
     if config.use_obbt:
         bounds, rep = obbt_mod.tighten(net, params, scc_params, bounds, dcfg,

@@ -71,7 +71,11 @@ class VariableMap:
 
 @dataclass
 class BoundSet:
-    """Variable bounds for the relaxation; arrays are (n_t, n_p) / (n_t, n_n)."""
+    """Variable bounds for the relaxation; arrays are (n_t, n_p) / (n_t, n_n).
+
+    The theta box is not stored: it follows the flow box through the
+    monotone loss law, so editing q_lo or q_hi in place also moves it.
+    """
 
     q_lo: np.ndarray
     q_hi: np.ndarray
@@ -79,19 +83,21 @@ class BoundSet:
     h_hi: np.ndarray
     eta_lo: np.ndarray
     eta_hi: np.ndarray
-    theta_lo: np.ndarray
-    theta_hi: np.ndarray
     alpha_hi: float
+    params: HeadLossParams
 
-    def refresh_theta(self, params: HeadLossParams):
-        """theta bounds follow the flow bounds through the monotone loss law."""
-        self.theta_lo = phi(self.q_lo, params)
-        self.theta_hi = phi(self.q_hi, params)
+    @property
+    def theta_lo(self) -> np.ndarray:
+        return phi(self.q_lo, self.params)
+
+    @property
+    def theta_hi(self) -> np.ndarray:
+        return phi(self.q_hi, self.params)
 
     def copy(self) -> "BoundSet":
         return BoundSet(self.q_lo.copy(), self.q_hi.copy(), self.h_lo.copy(),
                         self.h_hi.copy(), self.eta_lo.copy(), self.eta_hi.copy(),
-                        self.theta_lo.copy(), self.theta_hi.copy(), self.alpha_hi)
+                        self.alpha_hi, self.params)
 
 
 def default_bounds(
@@ -102,7 +108,8 @@ def default_bounds(
     alpha_max: float = 0.025,
 ) -> BoundSet:
     """Initial bounds: flows capped by u_max, heads by the regulatory minimum
-    and the largest known source head."""
+    and the largest known source head.  Each eta is bounded by the head
+    ranges at its link's two ends; a source's range is its fixed head."""
     u_cap = np.broadcast_to(np.asarray(u_max, dtype=float), (net.n_p,))
     q_hi1 = net.areas * u_cap
     q_lo = np.tile(-q_hi1, (net.n_t, 1))
@@ -110,32 +117,16 @@ def default_bounds(
 
     h_cap = float(np.max(net.source_heads))
     has_demand = np.any(net.demands > 0, axis=0)
-    h_lo1 = net.elevations + np.where(has_demand, p_min, 0.0)
-    h_lo = np.tile(h_lo1, (net.n_t, 1))
+    h_lo = np.tile(net.elevations + np.where(has_demand, p_min, 0.0), (net.n_t, 1))
     h_hi = np.full((net.n_t, net.n_n), h_cap)
     if np.any(h_lo > h_hi):
         raise InconsistentBounds("minimum head exceeds largest source head")
 
-    eta_lo = np.zeros((net.n_t, net.n_p))
-    eta_hi = np.zeros((net.n_t, net.n_p))
-    for t in range(net.n_t):
-        for j, lk in enumerate(net.links):
-            lo_f, hi_f = _node_head_range(net, lk.from_node, t, h_lo1, h_cap)
-            lo_t, hi_t = _node_head_range(net, lk.to_node, t, h_lo1, h_cap)
-            eta_lo[t, j] = lo_f - hi_t
-            eta_hi[t, j] = hi_f - lo_t
-
-    bounds = BoundSet(q_lo, q_hi, h_lo, h_hi, eta_lo, eta_hi,
-                      np.zeros_like(q_lo), np.zeros_like(q_hi), float(alpha_max))
-    bounds.refresh_theta(params)
-    return bounds
-
-
-def _node_head_range(net, node_id, t, h_lo1, h_cap):
-    if node_id in net._node_index:
-        return h_lo1[net.node_index(node_id)], h_cap
-    h0 = net.source_heads[t, net._source_index[node_id]]
-    return h0, h0
+    end_lo = np.hstack([h_lo, net.source_heads])
+    end_hi = np.hstack([h_hi, net.source_heads])
+    eta_lo = end_lo[:, net.link_from] - end_hi[:, net.link_to]
+    eta_hi = end_hi[:, net.link_from] - end_lo[:, net.link_to]
+    return BoundSet(q_lo, q_hi, h_lo, h_hi, eta_lo, eta_hi, float(alpha_max), params)
 
 
 @dataclass(frozen=True)

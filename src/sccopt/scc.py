@@ -81,11 +81,11 @@ def scc_smooth_grad_flows(q: np.ndarray, net: NetworkModel, params: SccParams) -
 
 def azp_weights(net: NetworkModel) -> np.ndarray:
     """Node weights: half the incident link length per node, normalized to sum 1."""
-    w = np.zeros(net.n_n)
-    for lk in net.links:
-        for nid in (lk.from_node, lk.to_node):
-            if nid in net._node_index:
-                w[net.node_index(nid)] += 0.5 * lk.length
+    # half of each link's length at its from end, then at its to end, in link
+    # order: the order a per-link loop adds them, so the sums round the same
+    ends = np.column_stack([net.link_from, net.link_to]).ravel()
+    w = np.bincount(ends, weights=np.repeat(0.5 * net.lengths, 2),
+                    minlength=net.n_n + net.n_0)[:net.n_n]
     total = w.sum()
     if total <= 0:
         return np.full(net.n_n, 1.0 / net.n_n)

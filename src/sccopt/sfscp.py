@@ -70,6 +70,9 @@ class ControlSolution:
 
 @dataclass(frozen=True)
 class MultiStartConfig:
+    """``n_starts`` is a floor, not a cap: every deterministic start runs,
+    and uniform random draws only fill the list up to at least n_starts."""
+
     n_starts: int = 5
     eps_tol: float = 1e-4
     k_max: int = 50

@@ -37,6 +37,18 @@ class TestStats:
         path.write_text("[PIPES]\n p1 a b not-a-number 300 130\n")
         assert main(["stats", str(path)]) == EXIT_INPUT
 
+    def test_non_finite_inp(self, tmp_path, sample_inp_text):
+        path = tmp_path / "inf.inp"
+        path.write_text(sample_inp_text.replace(" p1   r1    j1  1000", " p1   r1    j1  inf"))
+        assert main(["stats", str(path)]) == EXIT_INPUT
+
+    def test_non_finite_json(self, json_net_file, tmp_path):
+        payload = json.loads(open(json_net_file).read())
+        payload["source_heads"][0][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(payload))
+        assert main(["stats", str(path)]) == EXIT_INPUT
+
 
 class TestSimulate:
     def test_reports_metrics_and_writes_state(self, json_net_file, tmp_path, capsys):

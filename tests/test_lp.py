@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,7 +10,7 @@ from oracle_simplex import simplex_solve
 from sccopt.errors import InconsistentBounds
 from sccopt.hydraulics import headloss_params, solve_steady
 from sccopt.lp import (EQ, LEQ, INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED,
-                       LinearProgram, solve_lp, write_lp_text)
+                       LinearProgram, solve_lp)
 from sccopt.relax import DesignConfig, build_lp, default_bounds
 from sccopt.scc import SccParams
 from sccopt.sfscp import ValveDesign, _step_lp
@@ -263,25 +261,3 @@ class TestAgainstOracle:
         slack = b - A @ sol.x
         assert np.all(np.abs(sol.duals * slack) <= 1e-6)
 
-
-class TestTextDump:
-    def test_lp_format_structure(self):
-        lp = make_lp([1, -2], [[1, 1], [1, -1]], [LEQ, EQ], [4, 0], [0, 0], [3, 3])
-        buf = io.StringIO()
-        write_lp_text(lp, buf)
-        text = buf.getvalue()
-        assert text.startswith("Minimize")
-        assert "Subject To" in text and "Bounds" in text and text.rstrip().endswith("End")
-        assert text.count("r0:") == 1 and " = " in text.split("r1:")[1].splitlines()[0]
-
-    def test_csr_and_csc_write_the_same_text(self):
-        A = [[0, 1.5, -2], [3, 0, 0], [1, 1, 1]]
-        texts = []
-        for fmt in (sp.csr_matrix, sp.csc_matrix):
-            lp = make_lp([1, 0, -1], A, [LEQ, EQ, LEQ], [1, 2, 3], [0, -np.inf, 0],
-                         [1, 2, np.inf])
-            lp.A = fmt(lp.A)
-            buf = io.StringIO()
-            write_lp_text(lp, buf)
-            texts.append(buf.getvalue())
-        assert texts[0] == texts[1]

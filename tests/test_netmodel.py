@@ -1,14 +1,141 @@
+import dataclasses
+import json
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from sccopt.errors import ParseError
+from sccopt.hydraulics import headloss_params
 from sccopt.netmodel import (Link, DemandNode, SourceNode, NetworkModel,
                              ParserWarning, count_variables, forest_core,
                              parse_inp, PIPE, VALVE)
 from sccopt.netgen import random_network
+from sccopt.relax import default_bounds
+from sccopt.scc import azp_weights
+
+
+@st.composite
+def networks(draw, min_sources=0):
+    """Small networks, possibly disconnected, with any number of sources
+    and links between any two distinct nodes, sources included."""
+    n_n = draw(st.integers(0, 6))
+    n_0 = draw(st.integers(min_sources, 3))
+    n_t = draw(st.integers(1, 3))
+    ids = [f"n{i}" for i in range(n_n)] + [f"s{k}" for k in range(n_0)]
+    links = []
+    if len(ids) >= 2:
+        for j in range(draw(st.integers(0, 10))):
+            a, b = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2,
+                                 unique=True))
+            length = draw(st.floats(1.0, 2000.0))
+            if draw(st.booleans()):
+                links.append(Link(f"p{j}", a, b, PIPE, length, 0.2, 120.0))
+            else:
+                links.append(Link(f"v{j}", a, b, VALVE, 0.0, 0.2, 0.0, 0.5))
+    nodes = [DemandNode(i, draw(st.floats(0.0, 20.0))) for i in ids[:n_n]]
+    demands = np.array(draw(st.lists(st.sampled_from([0.0, 0.002, 0.013]),
+                                     min_size=n_t * n_n, max_size=n_t * n_n)))
+    heads = np.array(draw(st.lists(st.floats(40.0, 80.0),
+                                   min_size=n_t * n_0, max_size=n_t * n_0)))
+    return NetworkModel(links, nodes, [SourceNode(i) for i in ids[n_n:]],
+                        demands.reshape(n_t, n_n), heads.reshape(n_t, n_0))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+# Per-link oracles: the loops over net.links that the compiled ends replaced.
+
+def incidence_oracle(net):
+    node = {n.id: i for i, n in enumerate(net.nodes)}
+    source = {s.id: i for i, s in enumerate(net.sources)}
+    r12, c12, v12, r10, c10, v10 = [], [], [], [], [], []
+    for j, lk in enumerate(net.links):
+        for node_id, sign in ((lk.to_node, 1.0), (lk.from_node, -1.0)):
+            if node_id in node:
+                r12.append(j)
+                c12.append(node[node_id])
+                v12.append(sign)
+            else:
+                r10.append(j)
+                c10.append(source[node_id])
+                v10.append(sign)
+    return (sp.csr_matrix((v12, (r12, c12)), shape=(net.n_p, net.n_n)),
+            sp.csr_matrix((v10, (r10, c10)), shape=(net.n_p, net.n_0)))
+
+
+def eta_box_oracle(net, p_min):
+    h_cap = float(np.max(net.source_heads))
+    h_lo1 = net.elevations + np.where(np.any(net.demands > 0, axis=0), p_min, 0.0)
+    node = {n.id: i for i, n in enumerate(net.nodes)}
+    source = {s.id: i for i, s in enumerate(net.sources)}
+
+    def head_range(node_id, t):
+        if node_id in node:
+            return h_lo1[node[node_id]], h_cap
+        h0 = net.source_heads[t, source[node_id]]
+        return h0, h0
+
+    eta_lo = np.zeros((net.n_t, net.n_p))
+    eta_hi = np.zeros((net.n_t, net.n_p))
+    for t in range(net.n_t):
+        for j, lk in enumerate(net.links):
+            lo_f, hi_f = head_range(lk.from_node, t)
+            lo_t, hi_t = head_range(lk.to_node, t)
+            eta_lo[t, j] = lo_f - hi_t
+            eta_hi[t, j] = hi_f - lo_t
+    return eta_lo, eta_hi
+
+
+def azp_weights_oracle(net):
+    node = {n.id: i for i, n in enumerate(net.nodes)}
+    w = np.zeros(net.n_n)
+    for lk in net.links:
+        for nid in (lk.from_node, lk.to_node):
+            if nid in node:
+                w[node[nid]] += 0.5 * lk.length
+    total = w.sum()
+    if total <= 0:
+        return np.full(net.n_n, 1.0 / net.n_n)
+    return w / total
+
+
+def connected_oracle(net):
+    if net.n_0 == 0:
+        return False
+    adj = {}
+    for lk in net.links:
+        adj.setdefault(lk.from_node, []).append(lk.to_node)
+        adj.setdefault(lk.to_node, []).append(lk.from_node)
+    seen = set()
+    stack = [s.id for s in net.sources]
+    while stack:
+        u = stack.pop()
+        if u not in seen:
+            seen.add(u)
+            stack.extend(adj.get(u, ()))
+    return all(n.id in seen for n in net.nodes)
+
+
+def two_source_net(valve_between_sources=True, cut=False):
+    """s0 feeds a-b and s1 feeds c-d; a valve runs from s1 to s0.  With cut,
+    c-d is an island that no source reaches."""
+    nodes = [DemandNode(i, 5.0) for i in "abcd"]
+    links = [Link("p1", "s0", "a", PIPE, 300, 0.2, 120),
+             Link("p2", "a", "b", PIPE, 200, 0.2, 120),
+             Link("p3", "d", "c", PIPE, 100, 0.2, 120)]
+    if not cut:
+        links.append(Link("p4", "c", "s1", PIPE, 400, 0.2, 120))
+    if valve_between_sources:
+        links.append(Link("v1", "s1", "s0", VALVE, 0.0, 0.2, 0.0, 0.5))
+    return NetworkModel(links, nodes, [SourceNode("s0"), SourceNode("s1")],
+                        np.full((2, 4), 0.003), np.array([[60.0, 55.0], [62.0, 50.0]]))
 
 
 class TestParser:
@@ -129,6 +256,72 @@ class TestCompiledArrays:
         assert (grid25.A12T != grid25.A12.T).nnz == 0
 
 
+class TestCompiledEnds:
+    """The compiled (to, from) ends and everything derived from them equal
+    the per-link loops they replaced, bit for bit."""
+
+    @given(net=networks())
+    @settings(max_examples=200, deadline=None)
+    def test_incidence_matches_per_link_oracle(self, net):
+        A12, A10 = incidence_oracle(net)
+        for got, want in ((net.A12, A12), (net.A10, A10)):
+            for field in ("indptr", "indices", "data"):
+                assert_same_bits(getattr(got, field), getattr(want, field))
+
+    @given(net=networks(min_sources=1), p_min=st.sampled_from([0.0, 15.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_eta_box_matches_per_link_oracle(self, net, p_min):
+        bounds = default_bounds(net, headloss_params(net), p_min=p_min)
+        eta_lo, eta_hi = eta_box_oracle(net, p_min)
+        assert_same_bits(bounds.eta_lo, eta_lo)
+        assert_same_bits(bounds.eta_hi, eta_hi)
+
+    @given(net=networks())
+    @settings(max_examples=200, deadline=None)
+    def test_azp_weights_match_per_link_oracle(self, net):
+        if net.n_n:
+            assert_same_bits(azp_weights(net), azp_weights_oracle(net))
+
+    @given(net=networks())
+    @settings(max_examples=300, deadline=None)
+    def test_is_connected_matches_bfs_oracle(self, net):
+        assert net.is_connected() is connected_oracle(net)
+
+    @pytest.mark.parametrize("valve, cut, connected", [
+        (True, False, True), (False, False, True), (True, True, False)])
+    def test_two_sources(self, valve, cut, connected):
+        net = two_source_net(valve, cut)
+        assert net.is_connected() is connected_oracle(net) is connected
+        bounds = default_bounds(net, headloss_params(net))
+        eta_lo, eta_hi = eta_box_oracle(net, 15.0)
+        assert_same_bits(bounds.eta_lo, eta_lo)
+        assert_same_bits(bounds.eta_hi, eta_hi)
+        if valve:
+            # the valve's box is the fixed drop h_s1 - h_s0 at each timestep
+            assert bounds.eta_lo[:, -1].tolist() == [-5.0, -12.0]
+            assert bounds.eta_hi[:, -1].tolist() == [-5.0, -12.0]
+
+    def test_no_sources_is_disconnected(self):
+        net = NetworkModel([Link("p1", "a", "b", PIPE, 100, 0.2, 120)],
+                           [DemandNode("a", 0.0), DemandNode("b", 0.0)], [],
+                           np.zeros((1, 2)), np.zeros((1, 0)))
+        assert not net.is_connected() and not connected_oracle(net)
+
+    def test_ends_index_nodes_then_sources(self, line3):
+        # p1 runs src -> n1; the source follows the three demand nodes
+        assert line3.link_to.tolist() == [0, 1, 2]
+        assert line3.link_from.tolist() == [3, 0, 1]
+        for arr in (line3.link_to, line3.link_from):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_unknown_node_rejected(self):
+        with pytest.raises(ValueError, match="unknown node 'x'"):
+            NetworkModel([Link("p1", "src", "x", PIPE, 100, 0.2, 120)],
+                         [DemandNode("a", 0.0)], [SourceNode("src")],
+                         np.zeros((1, 1)), np.full((1, 1), 50.0))
+
+
 class TestForestCore:
     def test_tree_is_all_forest(self, line3):
         dec = forest_core(line3)
@@ -192,4 +385,34 @@ class TestValidation:
         net = NetworkModel(links, nodes, [SourceNode("src")],
                            np.array([[0.01, 0.01]]), np.array([[50.0]]))
         with pytest.raises(ValueError):
+            net.validate()
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("kind, field", [
+        (PIPE, "length"), (PIPE, "diameter"), (PIPE, "hw_coefficient"),
+        (VALVE, "diameter"), (VALVE, "valve_loss")])
+    def test_non_finite_link_rejected(self, kind, field, value):
+        link = (Link("p1", "a", "b", PIPE, 100.0, 0.2, 120.0) if kind == PIPE
+                else Link("v1", "a", "b", VALVE, 0.0, 0.2, 0.0, 0.5))
+        link.validate()
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(link, **{field: value}).validate()
+
+    @pytest.mark.parametrize("old, new", [
+        pytest.param(" p1   r1    j1  1000", " p1   r1    j1  inf", id="pipe_length_inf"),
+        pytest.param(" r1   80.0", " r1   nan", id="reservoir_head_nan")])
+    def test_non_finite_inp_rejected(self, sample_inp_text, old, new):
+        assert old in sample_inp_text
+        with pytest.raises(ParseError, match="finite"):
+            parse_inp(sample_inp_text.replace(old, new))
+
+    @pytest.mark.parametrize("field", ["source_head", "elevation"])
+    def test_non_finite_json_rejected(self, line3, field):
+        payload = json.loads(line3.to_json())
+        if field == "source_head":
+            payload["source_heads"][0][0] = float("nan")
+        else:
+            payload["nodes"][0]["elevation"] = float("inf")
+        net = NetworkModel.from_json(json.dumps(payload))
+        with pytest.raises(ValueError, match="finite"):
             net.validate()

@@ -69,16 +69,16 @@ class TestCoreTightening:
 
 class TestForestTightening:
     def test_chain_flows_pinned_to_demand_aggregation(self, line3):
-        params, _, bounds, design = setup(line3, n_f=0)
-        tightened = tighten_forest(line3, params, bounds, design)
+        _, _, bounds, design = setup(line3, n_f=0)
+        tightened = tighten_forest(line3, bounds, design)
         # without flushing the branch flows are exactly demand-determined
         expected = np.array([0.03, 0.02, 0.01])
         assert tightened.q_lo[0] == pytest.approx(expected, abs=1e-8)
         assert tightened.q_hi[0] == pytest.approx(expected, abs=1e-8)
 
     def test_flushing_allowance_expands_upper(self, line3):
-        params, _, bounds, design = setup(line3, n_f=1)
-        tightened = tighten_forest(line3, params, bounds, design)
+        _, _, bounds, design = setup(line3, n_f=1)
+        tightened = tighten_forest(line3, bounds, design)
         # one AFV could sit anywhere downstream: +alpha_U on each branch
         assert tightened.q_hi[0] == pytest.approx(
             np.array([0.03, 0.02, 0.01]) + bounds.alpha_hi, abs=1e-8)
@@ -91,13 +91,13 @@ class TestForestTightening:
                  Link("p2", "b", "a", PIPE, 500, 0.3, 130)]
         net = NetworkModel(links, nodes, [SourceNode("src")],
                            np.array([[0.01, 0.004]]), np.array([[60.0]]))
-        params, _, bounds, design = setup(net, n_f=0)
-        tightened = tighten_forest(net, params, bounds, design)
+        _, _, bounds, design = setup(net, n_f=0)
+        tightened = tighten_forest(net, bounds, design)
         assert tightened.q_hi[0, 1] == pytest.approx(-0.004, abs=1e-8)
 
     def test_simulated_flows_stay_inside(self, line3):
         params, _, bounds, design = setup(line3, n_f=1)
-        tightened = tighten_forest(line3, params, bounds, design)
+        tightened = tighten_forest(line3, bounds, design)
         state = simulate(line3, params)
         assert np.all(state.q >= tightened.q_lo - 1e-8)
         assert np.all(state.q <= tightened.q_hi + 1e-8)

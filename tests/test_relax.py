@@ -3,7 +3,7 @@ import pytest
 
 from sccopt import envelopes
 from sccopt.errors import InconsistentBounds
-from sccopt.hydraulics import headloss_params, simulate
+from sccopt.hydraulics import headloss_params, phi, simulate
 from sccopt.lp import OPTIMAL, solve_lp
 from sccopt.netgen import random_network
 from sccopt.relax import (DesignConfig, _link_tables, build_lp, default_bounds,
@@ -45,6 +45,14 @@ class TestBounds:
         bounds = default_bounds(line3, params)
         from sccopt.hydraulics import phi
         assert bounds.theta_hi[0] == pytest.approx(phi(bounds.q_hi[0], params))
+
+    def test_theta_box_follows_in_place_flow_edits(self, line3):
+        params = headloss_params(line3)
+        bounds = default_bounds(line3, params)
+        before = bounds.theta_hi.copy()
+        bounds.q_hi[0, 1] *= 0.5
+        assert bounds.theta_hi[0, 1] < before[0, 1]
+        assert np.array_equal(bounds.theta_hi, phi(bounds.q_hi, params))
 
     def test_eta_bounds_bracket_zero(self, line3):
         params = headloss_params(line3)
