@@ -18,7 +18,7 @@ from . import __version__
 from .errors import SccoptError, ParseError
 from .hydraulics import headloss_params, simulate
 from .netmodel import NetworkModel, parse_inp, problem_stats
-from .obbt import tighten
+from .obbt import tighten, tighten_forest
 from .pipeline import (RunConfig, _prepare, run_cms, run_control_only, save_results,
                        performance_profile, write_profile_csv)
 from .relax import DesignConfig
@@ -43,7 +43,11 @@ def _config_from_args(args) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
         ini = configparser.ConfigParser()
-        ini.read(args.config)
+        try:
+            with open(args.config) as f:
+                ini.read_file(f)
+        except configparser.Error as exc:
+            raise ParseError(f"{args.config}: {exc}") from exc
         if ini.has_section("run"):
             int_keys = {"n_v", "n_f", "n_samples", "n_starts", "seed",
                         "obbt_k_max", "sfscp_k_max"}
@@ -137,8 +141,10 @@ def cmd_obbt(args) -> int:
     config = _config_from_args(args)
     params, scc_params, bounds = _prepare(net, config)
     dcfg = DesignConfig.from_network(net, n_v=config.n_v, n_f=config.n_f)
-    tight, report = tighten(net, params, scc_params, bounds, dcfg,
-                            eps_tol=config.obbt_eps_tol, k_max=config.obbt_k_max)
+    # the forest links first, as run_cms does, so both tighten the same box
+    bounds = tighten_forest(net, bounds, dcfg)
+    _, report = tighten(net, params, scc_params, bounds, dcfg,
+                        eps_tol=config.obbt_eps_tol, k_max=config.obbt_k_max)
     print(f"iterations  {report.iterations}")
     print(f"lp_solves   {report.lp_solves}")
     print(f"diam        {' '.join(f'{d:.6g}' for d in report.diam_history)}")

@@ -254,13 +254,18 @@ class NetworkModel:
     @classmethod
     def from_json(cls, text: str) -> "NetworkModel":
         payload = json.loads(text)
-        return cls(
-            links=[Link(**d) for d in payload["links"]],
-            nodes=[DemandNode(**d) for d in payload["nodes"]],
-            sources=[SourceNode(**d) for d in payload["sources"]],
-            demands=np.array(payload["demands"]),
-            source_heads=np.array(payload["source_heads"]),
-        )
+        try:
+            return cls(
+                links=[Link(**d) for d in payload["links"]],
+                nodes=[DemandNode(**d) for d in payload["nodes"]],
+                sources=[SourceNode(**d) for d in payload["sources"]],
+                demands=np.array(payload["demands"]),
+                source_heads=np.array(payload["source_heads"]),
+            )
+        except KeyError as exc:
+            raise ParseError(f"network JSON lacks the key {exc}") from exc
+        except TypeError as exc:
+            raise ParseError(f"malformed network JSON: {exc}") from exc
 
     def __eq__(self, other):
         if not isinstance(other, NetworkModel):
@@ -435,14 +440,8 @@ def parse_inp(text, timestep_indices=None) -> NetworkModel:
                           is_existing_prv=(vtype == "PRV"),
                           is_existing_dbv=(vtype == "DBV")))
 
-    known = set(junctions) | set(reservoirs)
-    for lk in links:
-        for nid in (lk.from_node, lk.to_node):
-            if nid not in known:
-                raise ParseError(f"link {lk.id} references unknown node {nid!r}")
-
-    net = NetworkModel(links, nodes, source_list, demands, heads)
     try:
+        net = NetworkModel(links, nodes, source_list, demands, heads)
         net.validate()
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

@@ -5,11 +5,17 @@ alternates linearize / LP-step / line-search on the smoothed SCC objective,
 with a trust box around the iterate.  Valve directions for bidirectional
 boundary valves are enumerated per timestep; multiple starting points guard
 against the nonconvexity of the objective.
+
+``multi_start`` compiles each (timestep, direction assignment) pair once into
+a read-only ``Subproblem``.  Restoration, the step LP and the line search
+work on its stacked controls x = (eta on the controllable links, alpha at the
+flushing nodes) inside its control box.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,6 +41,13 @@ _MU0 = 1e2
 _MU_CAP = 1e8
 
 
+def _index(items) -> np.ndarray:
+    """A read-only index array of ``items``."""
+    a = np.array(items, dtype=np.intp)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class ValveDesign:
     """Resolved placement: which links carry control valves, which nodes flush.
@@ -52,9 +65,15 @@ class ValveDesign:
         dbv = tuple(sorted(set(design.existing_dbv_links) | set(candidate.dbv_links)))
         return cls(tuple(design.prv_links), dbv, tuple(candidate.afv_nodes))
 
-    @property
-    def controllable_links(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.prv_links) | set(self.dbv_links)))
+    @cached_property
+    def controllable_links(self) -> np.ndarray:
+        """The PRV and DBV links, sorted, as a read-only index array."""
+        return _index(sorted(set(self.prv_links) | set(self.dbv_links)))
+
+    @cached_property
+    def flushing_nodes(self) -> np.ndarray:
+        """``afv_nodes`` as a read-only index array."""
+        return _index(self.afv_nodes)
 
 
 @dataclass
@@ -79,260 +98,228 @@ class MultiStartConfig:
     seed: int | None = None
 
 
-def _control_box(bounds: BoundSet, t: int, design: ValveDesign,
-                 directions: dict[int, int]):
-    """Bounds (lo, hi) of the stacked controls x = (eta on the control links,
-    alpha on the flushing nodes).  Each eta keeps its valve's direction sign
-    (+1 unless given); the np.where forms keep Python's min(0.0, lo) and
-    max(0.0, hi) exactly, signed zeros included."""
-    ctrl = list(design.controllable_links)
-    pos = np.array([directions.get(j, 1) > 0 for j in ctrl], dtype=bool)
-    e_lo, e_hi = bounds.eta_lo[t, ctrl], bounds.eta_hi[t, ctrl]
-    n_a = len(design.afv_nodes)
-    lo = np.where(pos, 0.0, np.where(e_lo < 0.0, e_lo, 0.0))
-    hi = np.where(pos, np.where(e_hi > 0.0, e_hi, 0.0), 0.0)
-    return (np.concatenate([lo, np.zeros(n_a)]),
-            np.concatenate([hi, np.full(n_a, bounds.alpha_hi)]))
+class Subproblem:
+    """One timestep's control problem for one valve design and one DBV
+    direction assignment, compiled once; every array is read-only.
+
+    The controls are stacked as x = (eta on ``ctrl``, alpha at ``afv``) in
+    the box [lo, hi]: each eta keeps its valve's direction sign (+1 unless
+    given) and alpha lies in [0, alpha_hi].  A DBV with a given sign also
+    pins its link's flow to that sign in the step LP (``pin_pos``,
+    ``pin_neg``).  The step LP's matrix is the network's compiled Jacobian
+    pattern followed by one unit column per entry of x (``step_*``).
+    """
+
+    def __init__(self, net: NetworkModel, params: HeadLossParams, scc_params: SccParams,
+                 bounds: BoundSet, design: ValveDesign, t: int, directions: dict[int, int]):
+        self.net, self.params, self.scc_params = net, params, scc_params
+        self.ctrl, self.afv = ctrl, afv = design.controllable_links, design.flushing_nodes
+        # each DBV's sign in dbv_links order
+        self.signs = tuple(directions.get(j, 1) for j in design.dbv_links)
+        self.d, self.h0 = np.array(net.demands[t]), np.array(net.source_heads[t])
+        self.q_lo, self.q_hi = np.array(bounds.q_lo[t]), np.array(bounds.q_hi[t])
+        self.h_lo, self.h_hi = np.array(bounds.h_lo[t]), np.array(bounds.h_hi[t])
+        pos = np.array([directions.get(j, 1) > 0 for j in ctrl], dtype=bool)
+        given = np.array([j in directions for j in ctrl], dtype=bool)
+        self.pin_pos, self.pin_neg = np.zeros((2, net.n_p), dtype=bool)
+        self.pin_pos[ctrl[given & pos]] = True
+        self.pin_neg[ctrl[given & ~pos]] = True
+        # the np.where forms keep Python's min(0.0, lo) and max(0.0, hi)
+        # exactly, signed zeros included
+        e_lo, e_hi = bounds.eta_lo[t, ctrl], bounds.eta_hi[t, ctrl]
+        self.lo = np.concatenate([np.where(pos, 0.0, np.where(e_lo < 0.0, e_lo, 0.0)),
+                                  np.zeros(len(afv))])
+        self.hi = np.concatenate([np.where(pos, np.where(e_hi > 0.0, e_hi, 0.0), 0.0),
+                                  np.full(len(afv), bounds.alpha_hi)])
+        self.energy_rhs = -(net.A10 @ self.h0)
+        self.step_data = np.concatenate([net.kkt_template, np.ones(len(ctrl)),
+                                         -np.ones(len(afv))])
+        self.step_indices = np.concatenate([net.kkt_indices, ctrl, net.n_p + afv])
+        self.step_indptr = np.concatenate(
+            [net.kkt_indptr, net.kkt_indptr[-1] + np.arange(1, len(self.lo) + 1)])
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+
+    def unstack(self, x: np.ndarray):
+        """Full (eta, alpha) arrays of the stacked controls x; zero elsewhere."""
+        eta = np.zeros(self.net.n_p)
+        eta[self.ctrl] = x[: len(self.ctrl)]
+        alpha = np.zeros(self.net.n_n)
+        alpha[self.afv] = x[len(self.ctrl):]
+        return eta, alpha
+
+    def solve(self, x: np.ndarray):
+        """Steady state (q, h) at the controls x, or None when Newton fails."""
+        try:
+            return solve_steady(self.net, self.params, self.d, self.h0, *self.unstack(x))
+        except (NonConvergence, SingularSystem):
+            return None
+
+    def gradient(self, q: np.ndarray, grad_q: np.ndarray, grad_h: np.ndarray) -> np.ndarray:
+        """Gradient w.r.t. x of a function of (q, h) with gradients (grad_q,
+        grad_h), through the hydraulic equations at the flows q.
+
+        The Jacobian [[diag(phi'), A12], [A12^T, 0]] is symmetric, so one
+        solve with the value gradient as right-hand side yields both
+        sensitivities.
+        """
+        g = np.maximum(phi_prime(q, self.params), 1e-8)
+        lam = spla.spsolve(self.net.kkt(g), np.concatenate([grad_q, grad_h]))
+        return np.concatenate([-lam[self.ctrl], lam[self.net.n_p + self.afv]])
+
+    def step_matrix(self, g: np.ndarray) -> sp.csc_matrix:
+        """The step LP's equality rows [[diag(g), A12, E, 0], [A12^T, 0, 0, -F]]
+        as CSC: E has +1 on each eta's link row, F +1 on each alpha's node row."""
+        data = self.step_data.copy()
+        data[self.net.kkt_indptr[:self.net.n_p]] = g
+        n = self.net.n_p + self.net.n_n
+        return sp.csc_matrix((data, self.step_indices, self.step_indptr),
+                             shape=(n, n + len(self.lo)))
+
+    def flow_box(self, q_k: np.ndarray):
+        """The step LP's flow bounds: the trust box around q_k, with each
+        pinned flow kept on its valve's side of zero as Python's max(lo, 0.0)
+        and min(hi, 0.0) would."""
+        q_lo, q_hi = _trust_box(self.q_lo, self.q_hi, q_k)
+        return (np.where(self.pin_pos & (q_lo < 0.0), 0.0, q_lo),
+                np.where(self.pin_neg & (q_hi > 0.0), 0.0, q_hi))
 
 
-def _stack(design: ValveDesign, eta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """The stacked controls x of full (eta, alpha) arrays."""
-    return np.concatenate([eta[list(design.controllable_links)],
-                           alpha[list(design.afv_nodes)]])
-
-
-def _unstack(net: NetworkModel, design: ValveDesign, x: np.ndarray):
-    """Full (eta, alpha) arrays of the stacked controls x; zero elsewhere."""
-    ctrl = list(design.controllable_links)
-    eta = np.zeros(net.n_p)
-    eta[ctrl] = x[: len(ctrl)]
-    alpha = np.zeros(net.n_n)
-    alpha[list(design.afv_nodes)] = x[len(ctrl):]
-    return eta, alpha
-
-
-def _solve_or_none(net, params, d, h0, eta, alpha):
-    try:
-        return solve_steady(net, params, d, h0, eta, alpha)
-    except (NonConvergence, SingularSystem):
-        return None
+def _trust_box(lo, hi, center):
+    """The bound box [lo, hi] cut to _TRUST_FRACTION of its width around center."""
+    span = _TRUST_FRACTION * (hi - lo)
+    return np.maximum(lo, center - span), np.minimum(hi, center + span)
 
 
 def _pressure_violation(h: np.ndarray, h_lo: np.ndarray) -> float:
     return float(np.max(np.maximum(h_lo - h, 0.0), initial=0.0))
 
 
-def _adjoint_gradient(net, params, design, q, grad_q, grad_h):
-    """Gradient of a function of (q, h) w.r.t. the stacked controls through
-    the hydraulic equations.
-
-    The Jacobian [[diag(phi'), A12], [A12^T, 0]] is symmetric, so one solve
-    with the value gradient as right-hand side yields both sensitivities.
-    """
-    g = np.maximum(phi_prime(q, params), 1e-8)
-    lam = spla.spsolve(net.kkt(g), np.concatenate([grad_q, grad_h]))
-    return _stack(design, -lam[: net.n_p], lam[net.n_p:])
-
-
-def restore_feasibility(
-    net: NetworkModel,
-    params: HeadLossParams,
-    d: np.ndarray,
-    h0: np.ndarray,
-    design: ValveDesign,
-    directions: dict[int, int],
-    eta0: np.ndarray,
-    alpha0: np.ndarray,
-    bounds: BoundSet,
-    t: int,
-):
+def restore_feasibility(sub: Subproblem, x0: np.ndarray):
     """Push the controls toward the pressure-feasible set.
 
     Minimizes the squared hinge of the minimum-head violation over the
-    admissible control box, escalating the penalty weight tenfold until the
-    violation is within tolerance or the weight cap is reached.  Returns
-    (eta, alpha, q, h) or None when restoration fails.
+    control box, escalating the penalty weight tenfold until the violation
+    is within tolerance or the weight cap is reached.  Returns (x, q, h) or
+    None when restoration fails.
     """
-    h_lo = bounds.h_lo[t]
-    lo, hi = _control_box(bounds, t, design, directions)
-
     def penalty(x, mu):
-        sol = _solve_or_none(net, params, d, h0, *_unstack(net, design, x))
+        sol = sub.solve(x)
         if sol is None:
             return 1e20, np.zeros_like(x)
         q, h = sol
-        gap = np.maximum(h_lo - h, 0.0)
+        gap = np.maximum(sub.h_lo - h, 0.0)
         val = mu * float(gap @ gap)
-        return val, _adjoint_gradient(net, params, design, q,
-                                      np.zeros(net.n_p), -2.0 * mu * gap)
+        return val, sub.gradient(q, np.zeros(sub.net.n_p), -2.0 * mu * gap)
 
-    x = np.clip(_stack(design, eta0, alpha0), lo, hi)
+    x = np.clip(x0, sub.lo, sub.hi)
     mu = _MU0
     while True:
         if x.size:
             x = minimize(penalty, x, args=(mu,), jac=True, method="L-BFGS-B",
-                         bounds=Bounds(lo, hi), options={"maxiter": 200}).x
-        eta, alpha = _unstack(net, design, x)
-        sol = _solve_or_none(net, params, d, h0, eta, alpha)
+                         bounds=Bounds(sub.lo, sub.hi), options={"maxiter": 200}).x
+        sol = sub.solve(x)
         if sol is None:
             return None
         q, h = sol
-        if _pressure_violation(h, h_lo) <= _PRESSURE_TOL:
-            return eta, alpha, q, h
+        if _pressure_violation(h, sub.h_lo) <= _PRESSURE_TOL:
+            return x, q, h
         if not x.size or mu >= _MU_CAP:
             return None
         mu *= 10.0
 
 
-def _step_matrix(net, g, ctrl, afv):
-    """The step LP's equality rows [[diag(g), A12, E, 0], [A12^T, 0, 0, -F]]
-    as CSC: the network's compiled Jacobian, then one unit column per eta
-    (+1 on its link's energy row) and per alpha (-1 on its node's mass row)."""
-    K = net.kkt(g)
-    n_extra = len(ctrl) + len(afv)
-    rows = np.array(list(ctrl) + [net.n_p + i for i in afv], dtype=int)
-    data = np.concatenate([K.data, np.ones(len(ctrl)), -np.ones(len(afv))])
-    indptr = np.concatenate([K.indptr, K.nnz + np.arange(1, n_extra + 1)])
-    return sp.csc_matrix((data, np.concatenate([K.indices, rows]), indptr),
-                         shape=(K.shape[0], K.shape[1] + n_extra))
+def _step_lp(sub: Subproblem, q_k: np.ndarray, h_k: np.ndarray, x_k: np.ndarray):
+    """Linearized step LP around the iterate (q_k, h_k, x_k); returns the LP
+    point (q, h, x) or None when the LP is not solved to optimality.
 
-
-def _step_lp(net, params, scc_params, bounds, t, design, directions,
-             q_k, h_k, eta_k, alpha_k):
-    """Linearized step LP around the current iterate; returns the LP point
-    (q, h, eta, alpha) or None when the LP is infeasible.
-
-    Columns are (q, h, eta on control links, alpha on flushing nodes); the
-    equality rows are the energy and mass equations linearized at q_k.
+    Columns are (q, h, x); the equality rows are the energy and mass
+    equations linearized at q_k.
     """
-    n_q = net.n_p
+    n_q = sub.net.n_p
     # not the adjoint's 1e-8 floor: that would change the LP on zero-loss valves
-    dphi = np.maximum(phi_prime(q_k, params), 1e-12)
-    A = _step_matrix(net, dphi, design.controllable_links, design.afv_nodes)
-    rhs_e = -(net.A10 @ net.source_heads[t]) - phi(q_k, params) + dphi * q_k
-    b = np.concatenate([rhs_e, net.demands[t]])
-
-    def box(lo, hi, center):
-        # the bound box cut to _TRUST_FRACTION of its width around center
-        span = _TRUST_FRACTION * (hi - lo)
-        return np.maximum(lo, center - span), np.minimum(hi, center + span)
-
-    q_lo, q_hi = box(bounds.q_lo[t], bounds.q_hi[t], q_k)
-    for j in design.controllable_links:
-        if j in directions:
-            # the valve's flow direction is pinned by its sign
-            if directions[j] > 0:
-                q_lo[j] = max(q_lo[j], 0.0)
-            else:
-                q_hi[j] = min(q_hi[j], 0.0)
-    x_lo, x_hi = _control_box(bounds, t, design, directions)
+    dphi = np.maximum(phi_prime(q_k, sub.params), 1e-12)
+    A = sub.step_matrix(dphi)
+    b = np.concatenate([sub.energy_rhs - phi(q_k, sub.params) + dphi * q_k, sub.d])
     lo, hi = map(np.concatenate, zip(
-        (q_lo, q_hi), box(bounds.h_lo[t], bounds.h_hi[t], h_k),
-        box(x_lo, x_hi, np.clip(_stack(design, eta_k, alpha_k), x_lo, x_hi))))
+        sub.flow_box(q_k), _trust_box(sub.h_lo, sub.h_hi, h_k),
+        _trust_box(sub.lo, sub.hi, np.clip(x_k, sub.lo, sub.hi))))
 
     c = np.zeros(A.shape[1])
-    c[:n_q] = -scc_smooth_grad_flows(q_k[None, :], net, scc_params)[0]
+    c[:n_q] = -scc_smooth_grad_flows(q_k[None, :], sub.net, sub.scc_params)[0]
     # a pinned direction or an iterate outside its bounds can invert a box
     sol = solve_lp(LinearProgram(c, A, np.full(len(b), EQ), b,
                                  np.minimum(lo, hi), np.maximum(lo, hi)))
     if sol.status != OPTIMAL:
         return None
-    q, h, x = np.split(sol.x, [n_q, n_q + net.n_n])
-    return q, h, *_unstack(net, design, x)
+    return np.split(sol.x, [n_q, n_q + sub.net.n_n])
 
 
-def sfscp_timestep(
-    net: NetworkModel,
-    params: HeadLossParams,
-    scc_params: SccParams,
-    bounds: BoundSet,
-    design: ValveDesign,
-    directions: dict[int, int],
-    t: int,
-    eta0: np.ndarray,
-    alpha0: np.ndarray,
-    config: MultiStartConfig,
-    trace: list | None = None,
-):
-    """One timestep, one direction assignment, one start.
+def sfscp_timestep(sub: Subproblem, x0: np.ndarray, config: MultiStartConfig,
+                   trace: list | None = None):
+    """One timestep, one direction assignment, one start x0.
 
     Returns (eta, alpha, q, h, objective, iterations) or None when the start
     cannot be made feasible; iterations counts the accepted iterates.  When
     given, ``trace`` receives one (iteration, objective, beta) row per
     accepted iterate, after a row 0 for the start.
     """
-    d, h0 = net.demands[t], net.source_heads[t]
-    lo, hi = _control_box(bounds, t, design, directions)
-    eta, alpha = _unstack(net, design, np.clip(_stack(design, eta0, alpha0), lo, hi))
-
-    sol = _solve_or_none(net, params, d, h0, eta, alpha)
-    if sol is None or _pressure_violation(sol[1], bounds.h_lo[t]) > _PRESSURE_TOL:
-        restored = restore_feasibility(net, params, d, h0, design, directions,
-                                       eta, alpha, bounds, t)
+    x = np.clip(x0, sub.lo, sub.hi)
+    sol = sub.solve(x)
+    if sol is None or _pressure_violation(sol[1], sub.h_lo) > _PRESSURE_TOL:
+        restored = restore_feasibility(sub, x)
         if restored is None:
             return None
-        eta, alpha, q, h = restored
+        x, q, h = restored
     else:
         q, h = sol
 
-    f = scc_smooth_flows(q[None, :], net, scc_params)
+    f = scc_smooth_flows(q[None, :], sub.net, sub.scc_params)
     if trace is not None:
         trace.append((0, f, 0.0))
     iters = 0
     for _ in range(config.k_max):
-        step = _step_lp(net, params, scc_params, bounds, t, design, directions,
-                        q, h, eta, alpha)
+        step = _step_lp(sub, q, h, x)
         if step is None:
             break
-        _, _, eta_lp, alpha_lp = step
+        x_lp = step[2]
         beta = 1.0
         accepted = False
         for _ in range(_MAX_HALVINGS):
-            eta_try = eta + beta * (eta_lp - eta)
-            alpha_try = alpha + beta * (alpha_lp - alpha)
-            sol = _solve_or_none(net, params, d, h0, eta_try, alpha_try)
+            x_try = x + beta * (x_lp - x)
+            sol = sub.solve(x_try)
             if sol is not None:
                 q_try, h_try = sol
-                f_try = scc_smooth_flows(q_try[None, :], net, scc_params)
+                f_try = scc_smooth_flows(q_try[None, :], sub.net, sub.scc_params)
                 if (f_try > f + _IMPROVE_TOL
-                        and _pressure_violation(h_try, bounds.h_lo[t]) <= _PRESSURE_TOL):
+                        and _pressure_violation(h_try, sub.h_lo) <= _PRESSURE_TOL):
                     accepted = True
                     break
             beta *= 0.5
         if not accepted:
             break
         gain = f_try - f
-        eta, alpha, q, h, f = eta_try, alpha_try, q_try, h_try, f_try
+        x, q, h, f = x_try, q_try, h_try, f_try
         iters += 1
         if trace is not None:
             trace.append((iters, f, beta))
         if gain <= config.eps_tol:
             break
-    return eta, alpha, q, h, f, iters
+    return *sub.unstack(x), q, h, f, iters
 
 
-def enumerate_dbv_directions(
-    net: NetworkModel,
-    params: HeadLossParams,
-    scc_params: SccParams,
-    bounds: BoundSet,
-    design: ValveDesign,
-    t: int,
-    eta0: np.ndarray,
-    alpha0: np.ndarray,
-    config: MultiStartConfig,
-):
-    """Best result over the 2^n_dbv direction assignments for one timestep."""
+def enumerate_dbv_directions(subs: list[Subproblem], x0: np.ndarray,
+                             config: MultiStartConfig):
+    """Best (result, signs) over one timestep's subproblems, one per DBV
+    direction assignment, from the start x0; None when none is feasible."""
     best = None
-    dbv = list(design.dbv_links)
-    for signs in itertools.product((1, -1), repeat=len(dbv)):
-        directions = dict(zip(dbv, signs))
-        res = sfscp_timestep(net, params, scc_params, bounds, design,
-                             directions, t, eta0, alpha0, config)
+    for sub in subs:
+        res = sfscp_timestep(sub, x0, config)
         if res is None:
             continue
         if best is None or res[4] > best[0][4]:
-            best = (res, signs)
+            best = (res, sub.signs)
     return best
 
 
@@ -351,87 +338,66 @@ def multi_start(
     The start list is: the relaxation eta seed (when given), the caller's
     eta seeds in ``extra_seeds`` (each starts with no flushing), the
     deterministic flushing and throttle starts, then uniform random draws to
-    fill up to n_starts.  Raises AllStartsInfeasible when no start yields a
-    feasible horizon.
+    fill up to n_starts.  Each start is an (n_t, n_x) array of stacked
+    controls.  Raises AllStartsInfeasible when no start yields a feasible
+    horizon.
     """
-    ctrl, afv = list(design.controllable_links), list(design.afv_nodes)
-    alpha_full = np.zeros((net.n_t, net.n_n))
-    alpha_full[:, afv] = bounds.alpha_hi
-    seeds: list[tuple[np.ndarray, np.ndarray]] = []
+    ctrl, afv = design.controllable_links, design.flushing_nodes
+    dbv = design.dbv_links
+    subs = [[Subproblem(net, params, scc_params, bounds, design, t, dict(zip(dbv, signs)))
+             for signs in itertools.product((1, -1), repeat=len(dbv))]
+            for t in range(net.n_t)]
+
+    def start(eta, alpha):
+        return np.concatenate([eta, alpha], axis=1)
+
+    no_eta = np.zeros((net.n_t, len(ctrl)))
+    no_alpha = np.zeros((net.n_t, len(afv)))
+    alpha_cap = np.full((net.n_t, len(afv)), bounds.alpha_hi)
+    starts: list[np.ndarray] = []
     if eta_seed is not None:
         # the relaxation seed starts with flushing at the cap: the objective
         # rewards high velocity, so the bound is the natural first guess
-        seeds.append((np.atleast_2d(np.asarray(eta_seed, dtype=float)), alpha_full))
+        starts.append(start(np.atleast_2d(np.asarray(eta_seed, dtype=float))[:, ctrl],
+                            alpha_cap))
     for s in extra_seeds:
-        seeds.append((np.atleast_2d(np.asarray(s, dtype=float)),
-                      np.zeros((net.n_t, net.n_n))))
-    if afv:
-        seeds.append((np.zeros((net.n_t, net.n_p)), alpha_full))
+        starts.append(start(np.atleast_2d(np.asarray(s, dtype=float))[:, ctrl], no_alpha))
+    if len(afv):
+        starts.append(start(no_eta, alpha_cap))
     # aggressive-throttle starts: the objective landscape has a second basin
     # near the upper eta bound that small trust-region steps from zero cannot
     # reach, so seed it deterministically at the bound and at half the bound
-    if ctrl:
+    if len(ctrl):
         for frac in (1.0, 0.5):
-            e = np.zeros((net.n_t, net.n_p))
-            e[:, ctrl] = frac * bounds.eta_hi[:, ctrl]
-            seeds.append((e, alpha_full))
-    n_random = max(config.n_starts - len(seeds), 0 if seeds else 1)
+            starts.append(start(frac * bounds.eta_hi[:, ctrl], alpha_cap))
+    n_random = max(config.n_starts - len(starts), 0 if starts else 1)
     child_seqs = np.random.SeedSequence(config.seed).spawn(max(n_random, 1))
+    e_lo = np.minimum(bounds.eta_lo[:, ctrl], 0.0)
+    e_hi = np.maximum(bounds.eta_hi[:, ctrl], 0.0)
     for k in range(n_random):
         rng = np.random.default_rng(child_seqs[k])
-        draw = np.zeros((net.n_t, net.n_p))
-        for j in ctrl:
-            lo = np.minimum(bounds.eta_lo[:, j], 0.0)
-            hi = np.maximum(bounds.eta_hi[:, j], 0.0)
-            draw[:, j] = rng.uniform(lo, hi)
-        a_draw = np.zeros((net.n_t, net.n_n))
-        if afv:
-            a_draw[:, afv] = rng.uniform(0.0, bounds.alpha_hi, size=(net.n_t, len(afv)))
-        seeds.append((draw, a_draw))
+        draw = np.zeros((net.n_t, len(ctrl)))
+        for i in range(len(ctrl)):
+            draw[:, i] = rng.uniform(e_lo[:, i], e_hi[:, i])
+        starts.append(start(draw, rng.uniform(0.0, bounds.alpha_hi,
+                                              size=(net.n_t, len(afv)))))
 
     best: ControlSolution | None = None
-    for s_idx, (eta0, alpha0) in enumerate(seeds):
-        eta = np.zeros((net.n_t, net.n_p))
-        alpha = np.zeros((net.n_t, net.n_n))
-        q = np.zeros((net.n_t, net.n_p))
-        h = np.zeros((net.n_t, net.n_n))
-        total_iters = 0
-        dirs: list[tuple] = []
-        feasible = True
+    for s_idx, x0 in enumerate(starts):
+        results = []
         for t in range(net.n_t):
-            res = enumerate_dbv_directions(
-                net, params, scc_params, bounds, design, t,
-                eta0[t], alpha0[t], config)
+            res = enumerate_dbv_directions(subs[t], x0[t], config)
             if res is None:
-                feasible = False
                 break
-            (eta[t], alpha[t], q[t], h[t], _, it), signs = res
-            total_iters += it
-            dirs.append(signs)
-        if not feasible:
-            continue
-        state = HydraulicState(q, h, eta, alpha)
-        objective = scc_smooth_flows(q, net, scc_params)
-        if best is None or objective > best.objective:
-            best = ControlSolution(eta, alpha, objective, state,
-                                   total_iters, s_idx, tuple(dirs))
+            results.append(res)
+        else:
+            eta, alpha, q, h, _, iters = map(np.array, zip(*(r for r, _ in results)))
+            state = HydraulicState(q, h, eta, alpha)
+            objective = scc_smooth_flows(q, net, scc_params)
+            if best is None or objective > best.objective:
+                best = ControlSolution(eta, alpha, objective, state, int(iters.sum()),
+                                       s_idx, tuple(signs for _, signs in results))
     if best is None:
         raise AllStartsInfeasible(
-            f"no feasible control found across {len(seeds)} starts")
+            f"no feasible control found across {len(starts)} starts")
     return best
-
-
-def reduced_gradient(
-    net: NetworkModel,
-    params: HeadLossParams,
-    scc_params: SccParams,
-    state: HydraulicState,
-    design: ValveDesign,
-    t: int,
-):
-    """Gradient of the smoothed SCC w.r.t. (eta on control links, alpha on
-    flushing nodes) at a solved state; a stationarity diagnostic."""
-    grad_q = scc_smooth_grad_flows(state.q[t][None, :], net, scc_params)[0]
-    g = _adjoint_gradient(net, params, design, state.q[t], grad_q, np.zeros(net.n_n))
-    n_c = len(design.controllable_links)
-    return g[:n_c], g[n_c:]

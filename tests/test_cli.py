@@ -2,8 +2,11 @@ import json
 
 import pytest
 
-from sccopt.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
-from sccopt.netgen import loop_network
+from sccopt.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, load_network, main
+from sccopt.netgen import loop_network, random_network
+from sccopt.obbt import tighten
+from sccopt.pipeline import RunConfig, _prepare, run_cms
+from sccopt.relax import DesignConfig
 
 
 @pytest.fixture
@@ -48,6 +51,28 @@ class TestStats:
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(payload))
         assert main(["stats", str(path)]) == EXIT_INPUT
+
+    def test_json_missing_key(self, json_net_file, tmp_path, capsys):
+        payload = json.loads(open(json_net_file).read())
+        del payload["sources"]
+        path = tmp_path / "nosrc.json"
+        path.write_text(json.dumps(payload))
+        assert main(["stats", str(path)]) == EXIT_INPUT
+        assert "'sources'" in capsys.readouterr().err
+
+    def test_json_unknown_link_field(self, json_net_file, tmp_path, capsys):
+        payload = json.loads(open(json_net_file).read())
+        payload["links"][1]["colour"] = "blue"
+        path = tmp_path / "colour.json"
+        path.write_text(json.dumps(payload))
+        assert main(["stats", str(path)]) == EXIT_INPUT
+        assert "colour" in capsys.readouterr().err
+
+    def test_inp_link_to_undeclared_node(self, tmp_path, sample_inp_text, capsys):
+        path = tmp_path / "ghost.inp"
+        path.write_text(sample_inp_text.replace(" p2   j1    j2", " p2   j1    ghost"))
+        assert main(["stats", str(path)]) == EXIT_INPUT
+        assert "unknown node 'ghost'" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -95,12 +120,39 @@ class TestControlAndDesign:
         cfg.write_text("[run]\nbogus = 1\n")
         assert main(["control", json_net_file, "--config", str(cfg)]) == EXIT_INPUT
 
+    def test_missing_config_file_rejected(self, json_net_file, tmp_path, capsys):
+        cfg = str(tmp_path / "nope.ini")
+        assert main(["obbt", json_net_file, "--config", cfg]) == EXIT_INPUT
+        assert "nope.ini" in capsys.readouterr().err
+
+    def test_config_without_section_header_rejected(self, json_net_file, tmp_path, capsys):
+        cfg = tmp_path / "flat.ini"
+        cfg.write_text("n_starts = 2\n")
+        assert main(["control", json_net_file, "--config", str(cfg)]) == EXIT_INPUT
+        assert "flat.ini" in capsys.readouterr().err
+
 
 class TestObbtVerb:
     def test_reports_solve_counts(self, json_net_file, capsys):
         assert main(["obbt", json_net_file, "--nv", "1"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "lp_solves" in out
+
+    def test_report_matches_run_cms(self, tmp_path):
+        # the CLI tightens the forest links first, as run_cms does
+        path = tmp_path / "net.json"
+        path.write_text(random_network(8, 3, seed=1).to_json())
+        assert main(["obbt", str(path), "--nv", "1", "--nf", "1",
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        cli = json.loads((tmp_path / "out" / "obbt_report.json").read_text())
+        net = load_network(str(path))
+        config = RunConfig(n_v=1, n_f=1, n_samples=2, n_starts=1, seed=0)
+        pipe = run_cms(net, config).obbt_report
+        keys = ("iterations", "lp_solves", "diam_history")
+        assert [cli[k] for k in keys] == [pipe[k] for k in keys]
+        # without the forest step the box differs, so the match is not vacuous
+        _, bare = tighten(net, *_prepare(net, config), DesignConfig.from_network(net, 1, 1))
+        assert bare.diam_history != cli["diam_history"]
 
 
 class TestProfileVerb:

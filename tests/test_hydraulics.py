@@ -11,7 +11,9 @@ from sccopt.hydraulics import (GRAVITY, HeadLossParams, headloss_params, phi,
                                phi_prime, simulate, solve_steady)
 from sccopt.netgen import line_network, random_network
 from sccopt.netmodel import Link, NetworkModel, VALVE
-from sccopt.sfscp import _step_matrix
+from sccopt.relax import default_bounds
+from sccopt.scc import SccParams
+from sccopt.sfscp import Subproblem, ValveDesign
 
 # Hand-computed resistance for L=1000 m, C=130, D=0.3 m:
 #   r = 10.67 * 1000 / (130^1.852 * 0.3^4.871)
@@ -193,6 +195,8 @@ class TestSchurAssembly:
 class TestKktAssembly:
     def test_matches_bmat_bit_for_bit(self, net):
         rng = np.random.default_rng(0)
+        params = headloss_params(net)
+        scc_params, bounds = SccParams.from_network(net), default_bounds(net, params)
         for k in range(20):
             g = 10.0 ** rng.uniform(-12.0, 10.0, net.n_p)
             ctrl = sorted(rng.choice(net.n_p, size=k % 4, replace=False))
@@ -203,7 +207,8 @@ class TestKktAssembly:
                               shape=(net.n_n, len(afv)))
             blocks = [[sp.diags(g, format="coo"), net.A12], [net.A12T, None]]
             cases = [(net.kkt(g), sp.bmat(blocks)),
-                     (_step_matrix(net, g, ctrl, afv),
+                     (Subproblem(net, params, scc_params, bounds,
+                                 ValveDesign(tuple(ctrl), (), tuple(afv)), 0, {}).step_matrix(g),
                       sp.bmat([blocks[0] + [E, None], blocks[1] + [None, -F]]))]
             for K, ref in cases:
                 ref = ref.tocsc()

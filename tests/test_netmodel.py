@@ -186,6 +186,23 @@ class TestParser:
             parse_inp(text)
         assert "nope" in str(exc.value)
 
+    def test_link_to_undeclared_node_rejected(self, sample_inp_text):
+        text = sample_inp_text.replace(" v1   j1    j2", " v1   ghost j2")
+        with pytest.raises(ParseError, match="link v1: unknown node 'ghost'"):
+            parse_inp(text)
+
+    def test_json_missing_key_rejected(self):
+        payload = json.loads(random_network(5, 1, seed=0).to_json())
+        del payload["demands"]
+        with pytest.raises(ParseError, match="'demands'"):
+            NetworkModel.from_json(json.dumps(payload))
+
+    def test_json_unknown_field_rejected(self):
+        payload = json.loads(random_network(5, 1, seed=0).to_json())
+        payload["nodes"][0]["colour"] = "blue"
+        with pytest.raises(ParseError, match="colour"):
+            NetworkModel.from_json(json.dumps(payload))
+
     def test_missing_sections_rejected(self):
         with pytest.raises(ParseError):
             parse_inp("[JUNCTIONS]\n j1 5 1\n[END]\n")

@@ -11,11 +11,10 @@ from sccopt.netgen import line_network, loop_network
 from sccopt.netmodel import Link, NetworkModel, VALVE
 from sccopt.relax import DesignConfig, default_bounds
 from sccopt.sampler import CandidateDesign
-from sccopt.scc import SccParams, scc_smooth, scc_smooth_flows
-from sccopt.sfscp import (_TRUST_FRACTION, MultiStartConfig, ValveDesign,
-                          _control_box, _stack, _step_lp, _unstack,
-                          enumerate_dbv_directions, multi_start,
-                          reduced_gradient, restore_feasibility, sfscp_timestep)
+from sccopt.scc import SccParams, scc_smooth, scc_smooth_flows, scc_smooth_grad_flows
+from sccopt.sfscp import (_TRUST_FRACTION, MultiStartConfig, Subproblem, ValveDesign,
+                          _step_lp, enumerate_dbv_directions, multi_start,
+                          restore_feasibility, sfscp_timestep)
 
 
 def single_pipe_net(demand=0.005, diameter=0.3):
@@ -43,6 +42,12 @@ def setup(net, **kw):
     scc_params = SccParams.from_network(net)
     bounds = default_bounds(net, params, **kw)
     return params, scc_params, bounds
+
+
+def timestep_zero_start(net, design, directions, **kw):
+    """sfscp_timestep on timestep 0 from all controls at zero."""
+    sub = Subproblem(net, *setup(net), design, 0, directions)
+    return sfscp_timestep(sub, np.zeros(len(sub.lo)), MultiStartConfig(), **kw)
 
 
 class TestSinglePipeAfv:
@@ -73,13 +78,9 @@ class TestSinglePipeAfv:
 
 class TestIterationBehaviour:
     def test_objective_sequence_monotone(self):
-        net = prv_loop_net()
-        params, scc_params, bounds = setup(net)
-        design = ValveDesign(prv_links=(2,))
         trace = []
-        res = sfscp_timestep(net, params, scc_params, bounds, design, {}, 0,
-                             np.zeros(net.n_p), np.zeros(net.n_n),
-                             MultiStartConfig(), trace=trace)
+        res = timestep_zero_start(prv_loop_net(), ValveDesign(prv_links=(2,)), {},
+                                  trace=trace)
         assert res is not None
         fs = [row[1] for row in trace]
         assert len(fs) >= 1
@@ -93,12 +94,8 @@ class TestIterationBehaviour:
     def test_iterations_count_accepted_iterates(self, make_net, design):
         # the trace holds the start point plus one row per accepted iterate;
         # a rejected last step or an infeasible step LP is not an iteration
-        net = make_net()
-        params, scc_params, bounds = setup(net)
         trace = []
-        res = sfscp_timestep(net, params, scc_params, bounds, design, {}, 0,
-                             np.zeros(net.n_p), np.zeros(net.n_n),
-                             MultiStartConfig(), trace=trace)
+        res = timestep_zero_start(make_net(), design, {}, trace=trace)
         assert res[5] == len(trace) - 1
 
     def test_final_iterate_resimulates_feasibly(self):
@@ -149,8 +146,9 @@ class TestStepLp:
         d, h0 = net.demands[0], net.source_heads[0]
         q_k, h_k = solve_steady(net, params, d, h0, eta_k, alpha_k)
         tf = _TRUST_FRACTION
-        q, h, eta, alpha = _step_lp(net, params, scc_params, bounds, 0, design,
-                                    {}, q_k, h_k, eta_k, alpha_k)
+        sub = Subproblem(net, params, scc_params, bounds, design, 0, {})
+        q, h, x = _step_lp(sub, q_k, h_k, np.array([2.0, 0.01]))
+        eta, alpha = sub.unstack(x)
         assert np.max(np.abs(net.A12.T @ q - alpha - d)) <= 1e-12
         energy = (net.A12 @ h + net.A10 @ h0 + phi(q_k, params)
                   + phi_prime(q_k, params) * (q - q_k) + eta)
@@ -180,13 +178,30 @@ def box_oracle(bounds, t, design, directions):
     return np.array(lo, dtype=float), np.array(hi, dtype=float)
 
 
+def flow_box_oracle(bounds, t, design, directions, q_k):
+    """The step LP's flow box link by link: the trust box, then each pinned
+    flow bound with Python's scalar max and min."""
+    span = _TRUST_FRACTION * (bounds.q_hi[t] - bounds.q_lo[t])
+    lo = np.maximum(bounds.q_lo[t], q_k - span)
+    hi = np.minimum(bounds.q_hi[t], q_k + span)
+    for j in design.controllable_links:
+        if j in directions:
+            if directions[j] > 0:
+                lo[j] = max(lo[j], 0.0)
+            else:
+                hi[j] = min(hi[j], 0.0)
+    return lo, hi
+
+
 def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # a 5-link, 4-node network with two timesteps of bounds
 N_P, N_N, N_T = 5, 4, 2
+BOX_NET = loop_network(4, n_t=N_T)
 signed = st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0)
+signed_vectors = st.lists(signed, min_size=N_P, max_size=N_P).map(np.array)
 
 
 @st.composite
@@ -199,16 +214,26 @@ def control_cases(draw):
     # a DBV without an entry takes the default direction
     directions = {j: draw(st.sampled_from([1, -1])) for j in dbv if draw(st.booleans())}
     grid = st.lists(signed, min_size=N_T * N_P, max_size=N_T * N_P)
+    # the flow box may be inverted: the rule is the same either way
+    q_lo, q_hi = np.reshape([draw(grid), draw(grid)], (2, N_T, N_P))
     bounds = SimpleNamespace(eta_lo=np.reshape(draw(grid), (N_T, N_P)),
                              eta_hi=np.reshape(draw(grid), (N_T, N_P)),
-                             alpha_hi=draw(st.floats(0.0, 1.0)))
+                             alpha_hi=draw(st.floats(0.0, 1.0)), q_lo=q_lo, q_hi=q_hi,
+                             h_lo=np.zeros((N_T, N_N)), h_hi=np.ones((N_T, N_N)))
     return bounds, draw(st.integers(0, N_T - 1)), design, directions
 
 
 def fixed_case(design, directions=None):
     eta = np.array([[-1.0, 2.0, -0.0, 0.0, 3.0], [0.0, -2.0, 1.0, -0.0, -3.0]])
-    bounds = SimpleNamespace(eta_lo=eta, eta_hi=-eta, alpha_hi=0.025)
+    bounds = SimpleNamespace(eta_lo=eta, eta_hi=-eta, alpha_hi=0.025,
+                             q_lo=np.minimum(eta, -eta), q_hi=np.maximum(eta, -eta),
+                             h_lo=np.zeros((N_T, N_N)), h_hi=np.ones((N_T, N_N)))
     return bounds, 1, design, directions or {}
+
+
+def box_subproblem(case):
+    bounds, t, design, directions = case
+    return Subproblem(BOX_NET, None, None, bounds, design, t, directions)
 
 
 class TestControlBox:
@@ -219,10 +244,19 @@ class TestControlBox:
                              {0: -1, 2: -1, 3: -1}))
     @settings(max_examples=300, deadline=None)
     def test_matches_the_per_link_rule_bit_for_bit(self, case):
-        bounds, t, design, directions = case
-        lo, hi = _control_box(bounds, t, design, directions)
-        lo_ref, hi_ref = box_oracle(bounds, t, design, directions)
+        sub = box_subproblem(case)
+        lo_ref, hi_ref = box_oracle(*case)
         # same bits means the same values and the same signed zeros
+        assert same_bits(sub.lo, lo_ref) and same_bits(sub.hi, hi_ref)
+
+    @given(case=control_cases(), q_k=signed_vectors)
+    @example(case=fixed_case(ValveDesign(prv_links=(1,), dbv_links=(0, 2, 3, 4)),
+                             {0: -1, 2: -1, 3: 1, 4: 1}),
+             q_k=np.array([-0.0, 0.0, 0.0, -0.0, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_pinned_flow_box_matches_the_per_link_rule_bit_for_bit(self, case, q_k):
+        lo, hi = box_subproblem(case).flow_box(q_k)
+        lo_ref, hi_ref = flow_box_oracle(*case, q_k)
         assert same_bits(lo, lo_ref) and same_bits(hi, hi_ref)
 
     @given(case=control_cases(),
@@ -232,15 +266,59 @@ class TestControlBox:
     @settings(max_examples=200, deadline=None)
     def test_unstack_inverts_stack_on_the_controls(self, case, eta, alpha):
         _, _, design, _ = case
+        sub = box_subproblem(case)
         eta, alpha = np.array(eta), np.array(alpha)
-        net = SimpleNamespace(n_p=N_P, n_n=N_N)
-        x = _stack(design, eta, alpha)
-        eta2, alpha2 = _unstack(net, design, x)
+        # multi_start stacks its starts this way
+        x = np.concatenate([eta[design.controllable_links], alpha[design.flushing_nodes]])
+        eta2, alpha2 = sub.unstack(x)
         for full, back, idx in ((eta, eta2, list(design.controllable_links)),
                                 (alpha, alpha2, list(design.afv_nodes))):
             assert same_bits(back[idx], full[idx])
             rest = np.delete(back, idx)
             assert np.all(rest == 0.0) and not np.any(np.signbit(rest))
+
+
+class TestSubproblem:
+    def test_arrays_are_read_only(self):
+        net = prv_loop_net()
+        params, scc_params, bounds = setup(net)
+        design = ValveDesign(prv_links=(2,), dbv_links=(4,), afv_nodes=(1,))
+        sub = Subproblem(net, params, scc_params, bounds, design, 0, {4: -1})
+        arrays = {k: a for k, a in vars(sub).items() if isinstance(a, np.ndarray)}
+        assert set(arrays) == {
+            "ctrl", "afv", "d", "h0", "q_lo", "q_hi", "h_lo", "h_hi", "lo", "hi",
+            "pin_pos", "pin_neg", "energy_rhs", "step_data", "step_indices",
+            "step_indptr"}
+        arrays.update(controllable_links=design.controllable_links,
+                      flushing_nodes=design.flushing_nodes)
+        for name, a in arrays.items():
+            assert a.size, name
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+        # a copy, not a view: a later edit of the bounds leaves it as built
+        h_lo = sub.h_lo.copy()
+        bounds.h_lo[0] += 1.0
+        assert np.array_equal(sub.h_lo, h_lo)
+        assert sub.signs == (-1,)
+        assert list(np.flatnonzero(sub.pin_neg)) == [4] and not sub.pin_pos.any()
+
+    def test_multi_start_compiles_each_subproblem_once(self, monkeypatch):
+        net = loop_network(4, demand=0.012, diameter=0.2, source_head=60.0, n_t=2)
+        params, scc_params, bounds = setup(net)
+        built = []
+
+        class Counted(Subproblem):
+            def __init__(self, *args):
+                built.append(args[-2:])
+                super().__init__(*args)
+
+        monkeypatch.setattr("sccopt.sfscp.Subproblem", Counted)
+        sol = multi_start(net, params, scc_params, bounds,
+                          ValveDesign(dbv_links=(1,), afv_nodes=(2,)),
+                          MultiStartConfig(n_starts=6, seed=0))
+        # one per (timestep, direction), however many starts run
+        assert built == [(0, {1: 1}), (0, {1: -1}), (1, {1: 1}), (1, {1: -1})]
+        assert len(sol.directions) == net.n_t
 
 
 class TestGridSearchOracle:
@@ -274,14 +352,14 @@ class TestDirectionEnumeration:
         design = ValveDesign.from_candidate(
             dcfg, CandidateDesign(dbv_links=(4,), afv_nodes=()))
         cfg = MultiStartConfig(n_starts=1, seed=0)
-        res = enumerate_dbv_directions(net, params, scc_params, bounds, design,
-                                       0, np.zeros(net.n_p), np.zeros(net.n_n), cfg)
+        subs = [Subproblem(net, params, scc_params, bounds, design, 0, {4: s})
+                for s in (1, -1)]
+        x0 = np.zeros(len(subs[0].lo))
+        res = enumerate_dbv_directions(subs, x0, cfg)
         assert res is not None
         (eta, alpha, q, h, f_best, _), signs = res
         assert len(signs) == 1 and signs[0] in (1, -1)
-        pos_only = sfscp_timestep(net, params, scc_params, bounds, design,
-                                  {4: 1}, 0, np.zeros(net.n_p),
-                                  np.zeros(net.n_n), cfg)
+        pos_only = sfscp_timestep(subs[0], x0, cfg)
         assert f_best >= pos_only[4] - 1e-9
 
 
@@ -291,13 +369,10 @@ class TestRestoration:
         net = prv_loop_net()
         params, scc_params, bounds = setup(net)
         design = ValveDesign(prv_links=(2,))
-        eta0 = np.zeros(net.n_p)
-        eta0[2] = bounds.eta_hi[0, 2]
-        out = restore_feasibility(net, params, net.demands[0],
-                                  net.source_heads[0], design, {}, eta0,
-                                  np.zeros(net.n_n), bounds, 0)
+        sub = Subproblem(net, params, scc_params, bounds, design, 0, {})
+        out = restore_feasibility(sub, np.array([bounds.eta_hi[0, 2]]))
         assert out is not None
-        _, _, _, h = out
+        _, _, h = out
         assert np.all(h >= bounds.h_lo[0] - 1e-6)
 
     def test_all_starts_infeasible_raises(self):
@@ -321,7 +396,10 @@ class TestReducedGradient:
         alpha = np.zeros((net.n_t, net.n_n))
         alpha[0, 1] = 0.01
         state = simulate(net, params, eta=eta, alpha=alpha)
-        d_eta, d_alpha = reduced_gradient(net, params, scc_params, state, design, 0)
+        sub = Subproblem(net, params, scc_params, bounds, design, 0, {})
+        q = state.q[0]
+        d_eta, d_alpha = sub.gradient(q, scc_smooth_grad_flows(q[None, :], net, scc_params)[0],
+                                      np.zeros(net.n_n))
         eps = 1e-6
 
         def f_of(ev, av):
@@ -332,8 +410,8 @@ class TestReducedGradient:
 
         fd_eta = (f_of(2.0 + eps, 0.01) - f_of(2.0 - eps, 0.01)) / (2 * eps)
         fd_alpha = (f_of(2.0, 0.01 + eps) - f_of(2.0, 0.01 - eps)) / (2 * eps)
-        assert d_eta[0] == pytest.approx(fd_eta, rel=1e-3, abs=1e-8)
-        assert d_alpha[0] == pytest.approx(fd_alpha, rel=1e-3, abs=1e-8)
+        assert d_eta == pytest.approx(fd_eta, rel=1e-3, abs=1e-8)
+        assert d_alpha == pytest.approx(fd_alpha, rel=1e-3, abs=1e-8)
 
 
 class TestDeterminism:
