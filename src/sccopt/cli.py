@@ -158,7 +158,9 @@ def cmd_obbt(args) -> int:
 def cmd_profile(args) -> int:
     with open(args.scores) as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{args.scores}: empty score table")
         rows = [[float(v) if v not in ("", "nan") else np.nan for v in row[1:]]
                 for row in reader]
     scores = np.array(rows)
@@ -178,18 +180,20 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, design=False):
+    def add_common(p):
         p.add_argument("network", help="network file (.inp or .json)")
         p.add_argument("--out", help="output directory")
         p.add_argument("--config", help="INI file with a [run] section")
+
+    def add_placement(p):
+        p.add_argument("--nv", type=int, dest="n_v", help="boundary valves to add")
+        p.add_argument("--nf", type=int, dest="n_f", help="flushing valves to add")
+
+    def add_control(p):
         p.add_argument("--seed", type=int)
         p.add_argument("--no-obbt", action="store_true", dest="no_obbt")
         p.add_argument("--n-starts", type=int, dest="n_starts",
                        help="at least this many control starts")
-        if design:
-            p.add_argument("--nv", type=int, dest="n_v", help="boundary valves to add")
-            p.add_argument("--nf", type=int, dest="n_f", help="flushing valves to add")
-            p.add_argument("--samples", type=int, dest="n_samples")
 
     p = sub.add_parser("stats", help="problem-size statistics")
     p.add_argument("network")
@@ -202,16 +206,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("control", help="optimize existing valve settings")
     add_common(p)
+    add_control(p)
     p.set_defaults(func=cmd_control)
 
     p = sub.add_parser("design", help="optimize valve placement and settings")
-    add_common(p, design=True)
+    add_common(p)
+    add_placement(p)
+    add_control(p)
+    p.add_argument("--samples", type=int, dest="n_samples")
     p.add_argument("--warm-start", action="store_true",
                    help="seed with the settings-only solution")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("obbt", help="bound tightening only")
-    add_common(p, design=True)
+    add_common(p)
+    add_placement(p)
     p.set_defaults(func=cmd_obbt)
 
     p = sub.add_parser("profile", help="performance profile from a score table")
@@ -227,7 +236,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SccoptError as exc:

@@ -19,7 +19,8 @@ from .relax import DesignConfig, build_lp, default_bounds, extract_fractional, l
 from .sampler import (CandidateDesign, blend_uniform, sample_designs,
                       write_candidates_csv)
 from .scc import SccParams, azp, scc_indicator, scc_smooth, velocity_cdf, write_velocity_cdf_csv
-from .sfscp import ControlSolution, MultiStartConfig, ValveDesign, multi_start
+from .sfscp import (ControlSolution, MultiStartConfig, RunMemo, ValveDesign,
+                    multi_start)
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,8 @@ def run_control_only(net: NetworkModel, config: RunConfig) -> CmsSolution:
     """Optimize settings of the existing valves only (no new hardware).
 
     The all-open control is always among the starts, so the result never
-    scores below the uncontrolled network.
+    scores below the uncontrolled network.  Its one ``multi_start`` call
+    makes its own memo.
     """
     start = time.perf_counter()
     params, scc_params, bounds = _prepare(net, config)
@@ -130,7 +132,8 @@ def run_cms(net: NetworkModel, config: RunConfig,
     placements, samples candidate placements, optimizes controls for each
     candidate, and returns the best.  The all-open control and (when given)
     the settings-only solution are injected as extra starts, so the result
-    never scores below either.
+    never scores below either.  One memo serves every candidate's control
+    solve, since the bounds are final once OBBT has run.
     """
     start = time.perf_counter()
     params, scc_params, bounds = _prepare(net, config)
@@ -165,6 +168,7 @@ def run_cms(net: NetworkModel, config: RunConfig,
     if warm_control is not None:
         extra.append(warm_control.control.eta)
 
+    memo = RunMemo()
     best: tuple[float, ValveDesign, ControlSolution] | None = None
     scores: list[float | None] = []
     for cand in candidates:
@@ -172,7 +176,7 @@ def run_cms(net: NetworkModel, config: RunConfig,
         try:
             control = multi_start(net, params, scc_params, bounds, design,
                                   config.multistart(), eta_seed=eta_seed,
-                                  extra_seeds=extra)
+                                  extra_seeds=extra, memo=memo)
         except AllStartsInfeasible:
             scores.append(None)
             continue

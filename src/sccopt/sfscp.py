@@ -10,11 +10,18 @@ against the nonconvexity of the objective.
 a read-only ``Subproblem``.  Restoration, the step LP and the line search
 work on its stacked controls x = (eta on the controllable links, alpha at the
 flushing nodes) inside its control box.
+
+Starts, candidates and valve directions reach the same points again and
+again, so the hydraulic solves and step LPs of one run go through a
+``RunMemo``, keyed on the exact bytes of their inputs: each distinct call is
+made once per run, failures included, and a repeat returns the stored
+read-only arrays.  A state's key holds no design, so hits cross candidates.
+``run_cms`` shares one memo across its candidates; nothing outlives the run.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -46,6 +53,13 @@ def _index(items) -> np.ndarray:
     a = np.array(items, dtype=np.intp)
     a.flags.writeable = False
     return a
+
+
+def _read_only(arrays) -> tuple:
+    """``arrays`` as a tuple, each made read-only in place."""
+    for a in arrays:
+        a.flags.writeable = False
+    return tuple(arrays)
 
 
 @dataclass(frozen=True)
@@ -98,6 +112,21 @@ class MultiStartConfig:
     seed: int | None = None
 
 
+@dataclass
+class RunMemo:
+    """The hydraulic states and step-LP points of one run.
+
+    ``states`` maps (t, eta bytes + alpha bytes), on the full arrays, to the
+    read-only (q, h), or to None when Newton failed.  ``steps`` maps (t,
+    design, signs, q_k bytes + h_k bytes + x_k bytes) to the read-only LP
+    point (q, h, x), or to None when the LP was not optimal.  Valid only
+    while the network, head-loss and SCC parameters and bounds stay fixed.
+    """
+
+    states: dict = field(default_factory=dict)
+    steps: dict = field(default_factory=dict)
+
+
 class Subproblem:
     """One timestep's control problem for one valve design and one DBV
     direction assignment, compiled once; every array is read-only.
@@ -107,12 +136,15 @@ class Subproblem:
     given) and alpha lies in [0, alpha_hi].  A DBV with a given sign also
     pins its link's flow to that sign in the step LP (``pin_pos``,
     ``pin_neg``).  The step LP's matrix is the network's compiled Jacobian
-    pattern followed by one unit column per entry of x (``step_*``).
+    pattern followed by one unit column per entry of x (``step_*``).  Its
+    solves and step LPs are looked up in, and stored to, ``memo``.
     """
 
     def __init__(self, net: NetworkModel, params: HeadLossParams, scc_params: SccParams,
-                 bounds: BoundSet, design: ValveDesign, t: int, directions: dict[int, int]):
+                 bounds: BoundSet, design: ValveDesign, t: int, directions: dict[int, int],
+                 memo: RunMemo):
         self.net, self.params, self.scc_params = net, params, scc_params
+        self.design, self.t, self.memo = design, t, memo
         self.ctrl, self.afv = ctrl, afv = design.controllable_links, design.flushing_nodes
         # each DBV's sign in dbv_links order
         self.signs = tuple(directions.get(j, 1) for j in design.dbv_links)
@@ -150,11 +182,18 @@ class Subproblem:
         return eta, alpha
 
     def solve(self, x: np.ndarray):
-        """Steady state (q, h) at the controls x, or None when Newton fails."""
-        try:
-            return solve_steady(self.net, self.params, self.d, self.h0, *self.unstack(x))
-        except (NonConvergence, SingularSystem):
-            return None
+        """Steady state (q, h) at the controls x, read-only, or None when
+        Newton fails; solved once per distinct (t, eta, alpha) in the memo."""
+        eta, alpha = self.unstack(x)
+        states = self.memo.states
+        key = (self.t, eta.tobytes() + alpha.tobytes())
+        if key not in states:
+            try:
+                states[key] = _read_only(solve_steady(self.net, self.params, self.d,
+                                                      self.h0, eta, alpha))
+            except (NonConvergence, SingularSystem):
+                states[key] = None
+        return states[key]
 
     def gradient(self, q: np.ndarray, grad_q: np.ndarray, grad_h: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. x of a function of (q, h) with gradients (grad_q,
@@ -232,11 +271,17 @@ def restore_feasibility(sub: Subproblem, x0: np.ndarray):
 
 def _step_lp(sub: Subproblem, q_k: np.ndarray, h_k: np.ndarray, x_k: np.ndarray):
     """Linearized step LP around the iterate (q_k, h_k, x_k); returns the LP
-    point (q, h, x) or None when the LP is not solved to optimality.
+    point (q, h, x), read-only, or None when the LP is not solved to
+    optimality.  Each distinct (t, design, directions, iterate) is solved
+    once per memo.
 
     Columns are (q, h, x); the equality rows are the energy and mass
     equations linearized at q_k.
     """
+    steps = sub.memo.steps
+    key = (sub.t, sub.design, sub.signs, q_k.tobytes() + h_k.tobytes() + x_k.tobytes())
+    if key in steps:
+        return steps[key]
     n_q = sub.net.n_p
     # not the adjoint's 1e-8 floor: that would change the LP on zero-loss valves
     dphi = np.maximum(phi_prime(q_k, sub.params), 1e-12)
@@ -251,9 +296,9 @@ def _step_lp(sub: Subproblem, q_k: np.ndarray, h_k: np.ndarray, x_k: np.ndarray)
     # a pinned direction or an iterate outside its bounds can invert a box
     sol = solve_lp(LinearProgram(c, A, np.full(len(b), EQ), b,
                                  np.minimum(lo, hi), np.maximum(lo, hi)))
-    if sol.status != OPTIMAL:
-        return None
-    return np.split(sol.x, [n_q, n_q + sub.net.n_n])
+    steps[key] = (_read_only(np.split(sol.x, [n_q, n_q + sub.net.n_n]))
+                  if sol.status == OPTIMAL else None)
+    return steps[key]
 
 
 def sfscp_timestep(sub: Subproblem, x0: np.ndarray, config: MultiStartConfig,
@@ -332,6 +377,7 @@ def multi_start(
     config: MultiStartConfig,
     eta_seed: np.ndarray | None = None,
     extra_seeds=(),
+    memo: RunMemo | None = None,
 ) -> ControlSolution:
     """Run the per-timestep solver from several starts; keep the best.
 
@@ -339,12 +385,16 @@ def multi_start(
     eta seeds in ``extra_seeds`` (each starts with no flushing), the
     deterministic flushing and throttle starts, then uniform random draws to
     fill up to n_starts.  Each start is an (n_t, n_x) array of stacked
-    controls.  Raises AllStartsInfeasible when no start yields a feasible
-    horizon.
+    controls.  The subproblems share ``memo``, a fresh one when none is
+    given; a memo passed in must come from calls with the same network,
+    parameters and bounds.  Raises AllStartsInfeasible when no start yields a
+    feasible horizon.
     """
     ctrl, afv = design.controllable_links, design.flushing_nodes
     dbv = design.dbv_links
-    subs = [[Subproblem(net, params, scc_params, bounds, design, t, dict(zip(dbv, signs)))
+    memo = RunMemo() if memo is None else memo
+    subs = [[Subproblem(net, params, scc_params, bounds, design, t, dict(zip(dbv, signs)),
+                        memo)
              for signs in itertools.product((1, -1), repeat=len(dbv))]
             for t in range(net.n_t)]
 

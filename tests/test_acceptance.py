@@ -20,8 +20,8 @@ from sccopt.relax import DesignConfig, build_lp, default_bounds, lp_bound
 from sccopt.lp import OPTIMAL, solve_lp
 from sccopt.sampler import CandidateDesign, sample_designs
 from sccopt.scc import SccParams, scc_smooth, scc_smooth_flows, scc_smooth_grad_flows
-from sccopt.sfscp import (MultiStartConfig, Subproblem, ValveDesign, multi_start,
-                          sfscp_timestep)
+from sccopt.sfscp import (MultiStartConfig, RunMemo, Subproblem, ValveDesign,
+                          multi_start, sfscp_timestep)
 
 DATA_DIR = Path(__file__).parent.parent / "data"
 
@@ -245,7 +245,7 @@ def test_control_solver_monotone_and_single_pipe_target():
     design = ValveDesign.from_candidate(
         dcfg, CandidateDesign(dbv_links=(1,), afv_nodes=()))
     trace = []
-    res = sfscp_timestep(Subproblem(net, params, sp, bounds, design, 0, {1: 1}),
+    res = sfscp_timestep(Subproblem(net, params, sp, bounds, design, 0, {1: 1}, RunMemo()),
                          np.zeros(1), MultiStartConfig(), trace=trace)
     assert res is not None
     fs = [row[1] for row in trace]

@@ -35,6 +35,10 @@ class TestStats:
     def test_missing_file(self, capsys):
         assert main(["stats", "/no/such/file.inp"]) == EXIT_INPUT
 
+    def test_directory_rejected(self, tmp_path, capsys):
+        assert main(["stats", str(tmp_path)]) == EXIT_INPUT
+        assert str(tmp_path) in capsys.readouterr().err
+
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.inp"
         path.write_text("[PIPES]\n p1 a b not-a-number 300 130\n")
@@ -138,6 +142,15 @@ class TestObbtVerb:
         out = capsys.readouterr().out
         assert "lp_solves" in out
 
+    def test_rejects_control_flags(self, json_net_file, capsys):
+        # OBBT has no starts, samples or randomness, and always runs here
+        for flag in (["--no-obbt"], ["--n-starts", "2"], ["--samples", "3"],
+                     ["--seed", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["obbt", json_net_file, *flag])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_report_matches_run_cms(self, tmp_path):
         # the CLI tightens the forest links first, as run_cms does
         path = tmp_path / "net.json"
@@ -164,3 +177,9 @@ class TestProfileVerb:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "tau,a,b"
         assert len(lines) == 102
+
+    def test_empty_score_table_rejected(self, tmp_path, capsys):
+        scores = tmp_path / "empty.csv"
+        scores.write_text("")
+        assert main(["profile", str(scores), "--out", str(tmp_path / "p.csv")]) == EXIT_INPUT
+        assert "empty.csv" in capsys.readouterr().err

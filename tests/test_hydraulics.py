@@ -13,7 +13,7 @@ from sccopt.netgen import line_network, random_network
 from sccopt.netmodel import Link, NetworkModel, VALVE
 from sccopt.relax import default_bounds
 from sccopt.scc import SccParams
-from sccopt.sfscp import Subproblem, ValveDesign
+from sccopt.sfscp import RunMemo, Subproblem, ValveDesign
 
 # Hand-computed resistance for L=1000 m, C=130, D=0.3 m:
 #   r = 10.67 * 1000 / (130^1.852 * 0.3^4.871)
@@ -208,7 +208,8 @@ class TestKktAssembly:
             blocks = [[sp.diags(g, format="coo"), net.A12], [net.A12T, None]]
             cases = [(net.kkt(g), sp.bmat(blocks)),
                      (Subproblem(net, params, scc_params, bounds,
-                                 ValveDesign(tuple(ctrl), (), tuple(afv)), 0, {}).step_matrix(g),
+                                 ValveDesign(tuple(ctrl), (), tuple(afv)), 0, {},
+                                 RunMemo()).step_matrix(g),
                       sp.bmat([blocks[0] + [E, None], blocks[1] + [None, -F]]))]
             for K, ref in cases:
                 ref = ref.tocsc()

@@ -13,7 +13,7 @@ from sccopt.lp import (EQ, LEQ, INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED,
                        LinearProgram, solve_lp)
 from sccopt.relax import DesignConfig, build_lp, default_bounds
 from sccopt.scc import SccParams
-from sccopt.sfscp import Subproblem, ValveDesign, _step_lp
+from sccopt.sfscp import RunMemo, Subproblem, ValveDesign, _step_lp
 
 
 def make_lp(c, A, senses, b, lb, ub):
@@ -164,7 +164,8 @@ def step_and_relaxation_lps(net, monkeypatch):
     q, h = solve_steady(net, params, net.demands[0], net.source_heads[0], eta, alpha)
     captured = []
     monkeypatch.setattr("sccopt.sfscp.solve_lp", lambda lp: captured.append(lp) or solve_lp(lp))
-    sub = Subproblem(net, params, scc_params, bounds, design, 0, {2: 1 if q[2] >= 0 else -1})
+    sub = Subproblem(net, params, scc_params, bounds, design, 0,
+                     {2: 1 if q[2] >= 0 else -1}, RunMemo())
     _step_lp(sub, q, h, np.zeros(len(sub.lo)))
     return relax, captured[0]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from linprog_reference import linprog_solve_lp
+from sccopt import sfscp
 from sccopt.netgen import loop_network
 from sccopt.pipeline import (RunConfig, performance_profile, run_cms,
                              run_control_only, save_results, uncontrolled_state,
@@ -83,6 +84,21 @@ class TestRunCms:
         assert a.scc_smooth == b.scc_smooth
         assert a.design == b.design
         assert np.array_equal(a.control.eta, b.control.eta)
+
+    def test_memo_lives_for_one_call(self, monkeypatch):
+        # a cache that outlived the call would let the second call skip solves
+        solve, calls = sfscp.solve_steady, []
+        monkeypatch.setattr(sfscp, "solve_steady",
+                            lambda *a, **k: calls.append(1) or solve(*a, **k))
+        cfg = RunConfig(n_v=1, n_f=1, n_samples=3, n_starts=2, seed=0)
+        counts, sols = [], []
+        for _ in range(2):
+            calls.clear()
+            sols.append(run_cms(loop_network(4), cfg))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+        assert sols[0].scc_smooth == sols[1].scc_smooth
+        assert np.array_equal(sols[0].control.eta, sols[1].control.eta)
 
     def test_obbt_report_attached(self, cms_solution):
         assert cms_solution.obbt_report is not None

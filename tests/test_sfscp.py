@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sccopt.errors import AllStartsInfeasible
+from sccopt import sfscp
+from sccopt.errors import AllStartsInfeasible, NonConvergence
 from sccopt.hydraulics import headloss_params, phi, phi_prime, simulate, solve_steady
 from sccopt.netgen import line_network, loop_network
 from sccopt.netmodel import Link, NetworkModel, VALVE
 from sccopt.relax import DesignConfig, default_bounds
 from sccopt.sampler import CandidateDesign
 from sccopt.scc import SccParams, scc_smooth, scc_smooth_flows, scc_smooth_grad_flows
-from sccopt.sfscp import (_TRUST_FRACTION, MultiStartConfig, Subproblem, ValveDesign,
-                          _step_lp, enumerate_dbv_directions, multi_start,
+from sccopt.sfscp import (_TRUST_FRACTION, MultiStartConfig, RunMemo, Subproblem,
+                          ValveDesign, _step_lp, enumerate_dbv_directions, multi_start,
                           restore_feasibility, sfscp_timestep)
 
 
@@ -46,7 +47,7 @@ def setup(net, **kw):
 
 def timestep_zero_start(net, design, directions, **kw):
     """sfscp_timestep on timestep 0 from all controls at zero."""
-    sub = Subproblem(net, *setup(net), design, 0, directions)
+    sub = Subproblem(net, *setup(net), design, 0, directions, RunMemo())
     return sfscp_timestep(sub, np.zeros(len(sub.lo)), MultiStartConfig(), **kw)
 
 
@@ -146,7 +147,7 @@ class TestStepLp:
         d, h0 = net.demands[0], net.source_heads[0]
         q_k, h_k = solve_steady(net, params, d, h0, eta_k, alpha_k)
         tf = _TRUST_FRACTION
-        sub = Subproblem(net, params, scc_params, bounds, design, 0, {})
+        sub = Subproblem(net, params, scc_params, bounds, design, 0, {}, RunMemo())
         q, h, x = _step_lp(sub, q_k, h_k, np.array([2.0, 0.01]))
         eta, alpha = sub.unstack(x)
         assert np.max(np.abs(net.A12.T @ q - alpha - d)) <= 1e-12
@@ -233,7 +234,7 @@ def fixed_case(design, directions=None):
 
 def box_subproblem(case):
     bounds, t, design, directions = case
-    return Subproblem(BOX_NET, None, None, bounds, design, t, directions)
+    return Subproblem(BOX_NET, None, None, bounds, design, t, directions, RunMemo())
 
 
 class TestControlBox:
@@ -283,7 +284,7 @@ class TestSubproblem:
         net = prv_loop_net()
         params, scc_params, bounds = setup(net)
         design = ValveDesign(prv_links=(2,), dbv_links=(4,), afv_nodes=(1,))
-        sub = Subproblem(net, params, scc_params, bounds, design, 0, {4: -1})
+        sub = Subproblem(net, params, scc_params, bounds, design, 0, {4: -1}, RunMemo())
         arrays = {k: a for k, a in vars(sub).items() if isinstance(a, np.ndarray)}
         assert set(arrays) == {
             "ctrl", "afv", "d", "h0", "q_lo", "q_hi", "h_lo", "h_hi", "lo", "hi",
@@ -309,16 +310,102 @@ class TestSubproblem:
 
         class Counted(Subproblem):
             def __init__(self, *args):
-                built.append(args[-2:])
+                built.append(args[5:])
                 super().__init__(*args)
 
         monkeypatch.setattr("sccopt.sfscp.Subproblem", Counted)
         sol = multi_start(net, params, scc_params, bounds,
                           ValveDesign(dbv_links=(1,), afv_nodes=(2,)),
                           MultiStartConfig(n_starts=6, seed=0))
-        # one per (timestep, direction), however many starts run
-        assert built == [(0, {1: 1}), (0, {1: -1}), (1, {1: 1}), (1, {1: -1})]
+        # one per (timestep, direction), however many starts run, all on
+        # one memo
+        assert [b[:2] for b in built] == [(0, {1: 1}), (0, {1: -1}),
+                                          (1, {1: 1}), (1, {1: -1})]
+        assert all(b[2] is built[0][2] for b in built)
         assert len(sol.directions) == net.n_t
+
+
+def counting(monkeypatch, name, fn=None):
+    """Replace ``sccopt.sfscp.<name>`` by a wrapper of ``fn`` (the original
+    by default) that counts its calls; returns the list of calls."""
+    fn = fn or getattr(sfscp, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(sfscp, name, counted)
+    return calls
+
+
+class TestRunMemo:
+    def subproblem(self, design=ValveDesign(prv_links=(2,), afv_nodes=(1,)), t=0,
+                   directions=None, memo=None, net=None):
+        net = net or prv_loop_net()
+        return Subproblem(net, *setup(net), design, t, directions or {}, memo or RunMemo())
+
+    def test_repeated_solve_is_one_newton_solve_with_the_same_bits(self, monkeypatch):
+        calls = counting(monkeypatch, "solve_steady")
+        sub = self.subproblem()
+        x = np.array([2.0, 0.01])
+        q, h = sub.solve(x)
+        q2, h2 = sub.solve(x.copy())
+        assert len(calls) == 1
+        assert same_bits(q, q2) and same_bits(h, h2)
+        q_ref, h_ref = solve_steady(sub.net, sub.params, sub.d, sub.h0, *sub.unstack(x))
+        assert same_bits(q, q_ref) and same_bits(h, h_ref)
+
+    def test_stored_arrays_are_read_only(self):
+        sub = self.subproblem()
+        x = np.array([2.0, 0.01])
+        q, h = sub.solve(x)
+        for a in (q, h, *_step_lp(sub, q, h, x)):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert same_bits(sub.solve(x)[0], q)
+
+    def test_failed_solve_is_tried_once(self, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise NonConvergence("test")
+
+        calls = counting(monkeypatch, "solve_steady", diverge)
+        sub = self.subproblem()
+        x = np.array([2.0, 0.01])
+        assert sub.solve(x) is None and sub.solve(x) is None
+        assert len(calls) == 1
+
+    def test_states_are_shared_across_designs(self, monkeypatch):
+        # eta = 0 with the AFV at its cap is the same solve for every DBV
+        calls = counting(monkeypatch, "solve_steady")
+        net, memo = loop_network(4), RunMemo()
+        subs = [self.subproblem(ValveDesign(dbv_links=(j,), afv_nodes=(2,)),
+                                directions={j: -1}, memo=memo, net=net) for j in (1, 3)]
+        x = np.array([0.0, subs[0].hi[-1]])
+        assert subs[0].solve(x) is subs[1].solve(x)
+        assert len(calls) == 1
+
+    def test_timesteps_never_share_an_entry(self, monkeypatch):
+        # both timesteps have the same demands, so only t tells them apart
+        calls = counting(monkeypatch, "solve_steady")
+        net, memo = loop_network(4, n_t=2), RunMemo()
+        state = simulate(net, headloss_params(net))
+        x = np.array([0.01])
+        for t in (0, 1):
+            sub = self.subproblem(ValveDesign(afv_nodes=(2,)), t, memo=memo, net=net)
+            sub.solve(x)
+            _step_lp(sub, state.q[t], state.h[t], x)
+        assert len(calls) == 2 and len(memo.states) == 2 and len(memo.steps) == 2
+
+    def test_repeated_step_lp_is_one_lp(self, monkeypatch):
+        calls = counting(monkeypatch, "solve_lp")
+        sub = self.subproblem()
+        x = np.array([2.0, 0.01])
+        q, h = sub.solve(x)
+        first = _step_lp(sub, q, h, x)
+        again = _step_lp(sub, q.copy(), h.copy(), x.copy())
+        assert len(calls) == 1
+        assert all(same_bits(a, b) for a, b in zip(first, again))
 
 
 class TestGridSearchOracle:
@@ -352,7 +439,8 @@ class TestDirectionEnumeration:
         design = ValveDesign.from_candidate(
             dcfg, CandidateDesign(dbv_links=(4,), afv_nodes=()))
         cfg = MultiStartConfig(n_starts=1, seed=0)
-        subs = [Subproblem(net, params, scc_params, bounds, design, 0, {4: s})
+        memo = RunMemo()
+        subs = [Subproblem(net, params, scc_params, bounds, design, 0, {4: s}, memo)
                 for s in (1, -1)]
         x0 = np.zeros(len(subs[0].lo))
         res = enumerate_dbv_directions(subs, x0, cfg)
@@ -369,7 +457,7 @@ class TestRestoration:
         net = prv_loop_net()
         params, scc_params, bounds = setup(net)
         design = ValveDesign(prv_links=(2,))
-        sub = Subproblem(net, params, scc_params, bounds, design, 0, {})
+        sub = Subproblem(net, params, scc_params, bounds, design, 0, {}, RunMemo())
         out = restore_feasibility(sub, np.array([bounds.eta_hi[0, 2]]))
         assert out is not None
         _, _, h = out
@@ -396,7 +484,7 @@ class TestReducedGradient:
         alpha = np.zeros((net.n_t, net.n_n))
         alpha[0, 1] = 0.01
         state = simulate(net, params, eta=eta, alpha=alpha)
-        sub = Subproblem(net, params, scc_params, bounds, design, 0, {})
+        sub = Subproblem(net, params, scc_params, bounds, design, 0, {}, RunMemo())
         q = state.q[0]
         d_eta, d_alpha = sub.gradient(q, scc_smooth_grad_flows(q[None, :], net, scc_params)[0],
                                       np.zeros(net.n_n))
