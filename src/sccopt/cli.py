@@ -191,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_control(p):
         p.add_argument("--seed", type=int)
-        p.add_argument("--no-obbt", action="store_true", dest="no_obbt")
         p.add_argument("--n-starts", type=int, dest="n_starts",
                        help="at least this many control starts")
 
@@ -214,6 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_placement(p)
     add_control(p)
     p.add_argument("--samples", type=int, dest="n_samples")
+    p.add_argument("--no-obbt", action="store_true", dest="no_obbt")
     p.add_argument("--warm-start", action="store_true",
                    help="seed with the settings-only solution")
     p.set_defaults(func=cmd_design)

@@ -19,14 +19,22 @@ from .netmodel import NetworkModel, forest_core
 from .relax import BoundSet, DesignConfig, build_lp
 from .scc import SccParams
 
-# slack added to each tightened bound so later LPs stay strictly feasible
+# slack added to each forest bound so later LPs stay strictly feasible; the
+# bounds are exact demand sums, so a rounding-size pad suffices
 _BOUND_PAD = 1e-9
+# slack added to each OBBT bound.  An LP value is only as exact as HiGHS's
+# 1e-7 primal feasibility tolerance: on the first-pass LPs of
+# random_network(60, 20, seed=1), hot re-solves differ from cold solves by up
+# to 2.7e-7, and cold solves with and without presolve by 2e-7, so the pad
+# must exceed both to keep every bound valid
+_OBBT_PAD = 1e-6
 
 
 @dataclass
 class ObbtReport:
     iterations: int = 0
     lp_solves: int = 0
+    cold_retries: int = 0
     wall_time: float = 0.0
     diam_history: list[float] = field(default_factory=list)
 
@@ -34,6 +42,7 @@ class ObbtReport:
         return {
             "iterations": self.iterations,
             "lp_solves": self.lp_solves,
+            "cold_retries": self.cold_retries,
             "wall_time": self.wall_time,
             "diam_history": list(self.diam_history),
         }
@@ -59,7 +68,9 @@ def tighten(
 
     Terminates when a pass shrinks the total flow-box diameter by less than
     a factor eps_tol, or after k_max passes.  Tree networks have no core
-    links and return unchanged with zero LP solves.
+    links and return unchanged with zero LP solves.  The LPs of a pass share
+    their rows and bounds, so they are re-solved in one hot-started HiGHS
+    session; a target whose hot solve fails is solved cold.
     """
     report = ObbtReport()
     start = time.perf_counter()
@@ -74,6 +85,7 @@ def tighten(
     report.diam_history.append(diam)
     for _ in range(k_max):
         lp, vmap = build_lp(net, params, scc_params, bounds, design)
+        lp = lp.hot_started()
         c = np.zeros(vmap.total)
         for t in range(net.n_t):
             q_idx = vmap.q(t)
@@ -89,11 +101,12 @@ def tighten(
                             f"returned {sol.status}")
                     val = sol.objective if sign > 0 else -sol.objective
                     if sign > 0:
-                        bounds.q_lo[t, j] = min(max(bounds.q_lo[t, j], val - _BOUND_PAD),
+                        bounds.q_lo[t, j] = min(max(bounds.q_lo[t, j], val - _OBBT_PAD),
                                                 bounds.q_hi[t, j])
                     else:
-                        bounds.q_hi[t, j] = max(min(bounds.q_hi[t, j], val + _BOUND_PAD),
+                        bounds.q_hi[t, j] = max(min(bounds.q_hi[t, j], val + _OBBT_PAD),
                                                 bounds.q_lo[t, j])
+        report.cold_retries += lp.session.cold_retries
         report.iterations += 1
         new_diam = _flow_diameter(bounds, core)
         report.diam_history.append(new_diam)

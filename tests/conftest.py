@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from sccopt.netgen import grid_network, line_network, loop_network
+from sccopt.netgen import grid_network, line_network, loop_network, random_network
 from sccopt.hydraulics import headloss_params
 from sccopt.scc import SccParams
 
@@ -27,6 +27,12 @@ def grid25():
     # 5x5 grid with seeded heterogeneous demands; the end-to-end fixture
     return grid_network(5, 5, demand=0.003, length=500.0, diameter=0.2,
                         hw=130.0, source_head=70.0, seed=7)
+
+
+@pytest.fixture
+def rand60():
+    # 60-node random network whose design run is dominated by OBBT
+    return random_network(60, 20, seed=1)
 
 
 @pytest.fixture

@@ -96,6 +96,13 @@ class TestControlAndDesign:
                      "--n-starts", "2"]) == EXIT_OK
         assert "scc_smooth" in capsys.readouterr().out
 
+    def test_control_rejects_no_obbt(self, json_net_file, capsys):
+        # settings-only control never runs OBBT, so the flag would do nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["control", json_net_file, "--no-obbt"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_design_verb_writes_solution(self, json_net_file, tmp_path, capsys):
         out_dir = tmp_path / "run"
         rc = main(["design", json_net_file, "--nv", "1", "--nf", "1",

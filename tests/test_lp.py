@@ -10,7 +10,7 @@ from oracle_simplex import simplex_solve
 from sccopt.errors import InconsistentBounds
 from sccopt.hydraulics import headloss_params, solve_steady
 from sccopt.lp import (EQ, LEQ, INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED,
-                       LinearProgram, solve_lp)
+                       HotSession, LinearProgram, solve_lp)
 from sccopt.relax import DesignConfig, build_lp, default_bounds
 from sccopt.scc import SccParams
 from sccopt.sfscp import RunMemo, Subproblem, ValveDesign, _step_lp
@@ -211,6 +211,56 @@ class TestMatchesLinprog:
         rng = np.random.default_rng(0)
         for _ in range(3):
             assert_matches_linprog(relax.with_objective(rng.normal(size=relax.n_cols)))
+
+
+def assert_passes_check(lp, x, tol=np.sqrt(1e-9) * 10):
+    """linprog's post-solve check of x, recomputed from the LP's own rows."""
+    residual = lp.b - lp.A @ x
+    is_eq = lp.senses == EQ
+    assert np.all(x >= lp.lb - tol) and np.all(x <= lp.ub + tol)
+    assert np.all(residual[~is_eq] >= -tol) and np.all(np.abs(residual[is_eq]) <= tol)
+
+
+class TestHotSession:
+    """An LP from hot_started() re-solves its with_objective copies in one
+    HiGHS instance, agreeing with cold solves to HiGHS's tolerance."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_lps(), st.data())
+    def test_random_objectives_match_cold(self, lp, data):
+        hot = lp.hot_started()
+        for _ in range(3):
+            c = data.draw(arrays(float, lp.n_cols, elements=st.floats(-3, 3)))
+            ours, cold = solve_lp(hot.with_objective(c)), solve_lp(lp.with_objective(c))
+            assert ours.status == cold.status
+            if cold.status == OPTIMAL:
+                assert abs(ours.objective - cold.objective) <= 1e-7 * (1 + abs(cold.objective))
+                assert_passes_check(lp, ours.x)
+        event(f"cold retries: {hot.session.cold_retries}")
+
+    def test_copies_share_one_session(self):
+        lp = make_lp([1, 0], [[1, 1]], [LEQ], [2], [0, 0], [5, 5]).hot_started()
+        copy = lp.with_objective([-1, -1])
+        assert copy.session is lp.session
+        assert solve_lp(lp).objective == pytest.approx(0.0)
+        assert solve_lp(copy).objective == pytest.approx(-2.0)
+        assert lp.session.cold_retries == 0
+
+    def test_failed_hot_solve_is_retried_cold(self, monkeypatch):
+        lp = make_lp([-1, -1], [[1, 1]], [LEQ], [1], [0, 0], [1, 1]).hot_started()
+        assert solve_lp(lp).status == OPTIMAL
+        monkeypatch.setattr(HotSession, "run",
+                            lambda self, c: (HighsModelStatus.kSolveError, None))
+        sol = solve_lp(lp.with_objective([1, -1]))
+        assert sol.status == OPTIMAL and sol.objective == pytest.approx(-1.0)
+        assert lp.session.cold_retries == 1
+        # the next solve starts a new instance
+        assert lp.session.highs is None
+
+    def test_cold_solve_ignores_other_sessions(self):
+        lp = make_lp([1, 1], [[1, -1], [1, 1]], [EQ, LEQ], [0, 1], [0, 0], [1, 1])
+        solve_lp(lp.hot_started())
+        assert_matches_linprog(lp)
 
 
 class TestAgainstOracle:

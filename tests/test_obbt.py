@@ -3,10 +3,15 @@ import time
 import numpy as np
 import pytest
 
+from scipy.optimize._highspy._core import HighsModelStatus
+
+import sccopt.lp as lp_mod
 from sccopt.hydraulics import headloss_params, simulate
+from sccopt.lp import _HOT_OPTIONS, OPTIMAL, HotSession, solve_lp
 from sccopt.netmodel import forest_core
-from sccopt.obbt import tighten, tighten_forest
-from sccopt.relax import DesignConfig, default_bounds
+from sccopt.obbt import _OBBT_PAD, tighten, tighten_forest
+from sccopt.pipeline import RunConfig, _prepare
+from sccopt.relax import DesignConfig, build_lp, default_bounds
 from sccopt.scc import SccParams
 
 
@@ -64,7 +69,63 @@ class TestCoreTightening:
         params, scc_params, bounds, design = setup(loop4)
         _, report = tighten(loop4, params, scc_params, bounds, design)
         d = report.to_dict()
-        assert set(d) == {"iterations", "lp_solves", "wall_time", "diam_history"}
+        assert set(d) == {"iterations", "lp_solves", "cold_retries", "wall_time",
+                          "diam_history"}
+
+
+def pipeline_setup(net):
+    """Parameters and forest-tightened bounds as run_cms gives OBBT them."""
+    params, scc_params, bounds = _prepare(net, RunConfig(n_v=1, n_f=1))
+    design = DesignConfig.from_network(net, n_v=1, n_f=1)
+    return params, scc_params, tighten_forest(net, bounds, design), design
+
+
+class TestHotStart:
+    @pytest.mark.parametrize("name", ["grid25", "rand60"])
+    def test_hot_values_within_pad_of_cold(self, name, request):
+        # so the hot-tightened box contains every cold bound LP's value
+        net = request.getfixturevalue(name)
+        params, scc_params, bounds, design = pipeline_setup(net)
+        lp, vmap = build_lp(net, params, scc_params, bounds, design)
+        hot = lp.hot_started()
+        c = np.zeros(vmap.total)
+        for t in range(net.n_t):
+            for j in sorted(forest_core(net).core_links):
+                for sign in (1.0, -1.0):
+                    c[:] = 0.0
+                    c[vmap.q(t)[j]] = sign
+                    ours, cold = solve_lp(hot.with_objective(c)), solve_lp(lp.with_objective(c))
+                    assert ours.status == cold.status == OPTIMAL
+                    assert abs(ours.objective - cold.objective) <= _OBBT_PAD
+        assert hot.session.cold_retries == 0
+
+    def test_one_hot_failure_is_retried_cold(self, loop4, monkeypatch):
+        args = pipeline_setup(loop4)
+        run = HotSession.run
+        # every hot solve failing gives a fully cold pass
+        monkeypatch.setattr(HotSession, "run",
+                            lambda self, c: (HighsModelStatus.kSolveError, None))
+        cold, cold_report = tighten(loop4, *args)
+        assert cold_report.cold_retries == cold_report.lp_solves
+        calls, built, new_highs = [], [], lp_mod._new_highs
+
+        def fail_third(self, c):
+            calls.append(c)
+            return (HighsModelStatus.kSolveError, None) if len(calls) == 3 else run(self, c)
+
+        def spy(options, c, rows):
+            built.append(options is _HOT_OPTIONS)
+            return new_highs(options, c, rows)
+
+        monkeypatch.setattr(HotSession, "run", fail_third)
+        monkeypatch.setattr(lp_mod, "_new_highs", spy)
+        hot, report = tighten(loop4, *args)
+        assert report.cold_retries == 1
+        assert report.lp_solves == cold_report.lp_solves
+        # one hot instance per pass, one more after the failure, one cold solve
+        assert built.count(True) == report.iterations + 1 and built.count(False) == 1
+        assert np.allclose(hot.q_lo, cold.q_lo, rtol=0.0, atol=_OBBT_PAD)
+        assert np.allclose(hot.q_hi, cold.q_hi, rtol=0.0, atol=_OBBT_PAD)
 
 
 class TestForestTightening:
