@@ -12,7 +12,7 @@ from .scc import SccParams, azp, scc_indicator, scc_smooth, velocity_cdf
 from .relax import BoundSet, DesignConfig, build_lp, default_bounds, lp_bound
 from .obbt import ObbtReport, tighten, tighten_forest
 from .sampler import CandidateDesign, sample_designs
-from .sfscp import ControlSolution, MultiStartConfig, ValveDesign, multi_start
+from .sfscp import ControlSolution, ValveDesign, multi_start
 from .pipeline import (CmsSolution, RunConfig, performance_profile, run_cms,
                        run_control_only, save_results, uncontrolled_state)
 

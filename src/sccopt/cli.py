@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,8 @@ from . import __version__
 from .errors import SccoptError, ParseError
 from .hydraulics import headloss_params, simulate
 from .netmodel import NetworkModel, parse_inp, problem_stats
-from .obbt import tighten, tighten_forest
-from .pipeline import (RunConfig, _prepare, run_cms, run_control_only, save_results,
-                       performance_profile, write_profile_csv)
-from .relax import DesignConfig
+from .pipeline import (RunConfig, run_cms, run_control_only, save_results,
+                       performance_profile, tightened_bounds, write_profile_csv)
 from .scc import SccParams, azp, scc_indicator, scc_smooth, velocity_cdf, write_velocity_cdf_csv
 
 EXIT_OK = 0
@@ -49,19 +48,15 @@ def _config_from_args(args) -> RunConfig:
         except configparser.Error as exc:
             raise ParseError(f"{args.config}: {exc}") from exc
         if ini.has_section("run"):
-            int_keys = {"n_v", "n_f", "n_samples", "n_starts", "seed",
-                        "obbt_k_max", "sfscp_k_max"}
-            bool_keys = {"use_obbt"}
-            known = {f.name for f in dataclasses.fields(RunConfig)}
+            getters = {bool: ini.getboolean, int: ini.getint, float: ini.getfloat}
+            hints = typing.get_type_hints(RunConfig)
             for key, _ in ini.items("run"):
-                if key not in known:
+                if key not in hints:
                     raise ParseError(f"unknown config key {key!r}")
-                if key in bool_keys:
-                    values[key] = ini.getboolean("run", key)
-                elif key in int_keys:
-                    values[key] = ini.getint("run", key)
-                else:
-                    values[key] = ini.getfloat("run", key)
+                # an optional field (seed: int | None) reads as its other type
+                kind = next(t for t in (hints[key], *typing.get_args(hints[key]))
+                            if t in getters)
+                values[key] = getters[kind]("run", key)
     for key in ("n_v", "n_f", "n_samples", "n_starts", "seed"):
         v = getattr(args, key, None)
         if v is not None:
@@ -138,13 +133,9 @@ def cmd_design(args) -> int:
 
 def cmd_obbt(args) -> int:
     net = load_network(args.network)
-    config = _config_from_args(args)
-    params, scc_params, bounds = _prepare(net, config)
-    dcfg = DesignConfig.from_network(net, n_v=config.n_v, n_f=config.n_f)
-    # the forest links first, as run_cms does, so both tighten the same box
-    bounds = tighten_forest(net, bounds, dcfg)
-    _, report = tighten(net, params, scc_params, bounds, dcfg,
-                        eps_tol=config.obbt_eps_tol, k_max=config.obbt_k_max)
+    # run_cms's bound tightening, with OBBT on whatever the config says
+    config = dataclasses.replace(_config_from_args(args), use_obbt=True)
+    *_, report = tightened_bounds(net, config)
     print(f"iterations  {report.iterations}")
     print(f"lp_solves   {report.lp_solves}")
     print(f"diam        {' '.join(f'{d:.6g}' for d in report.diam_history)}")

@@ -51,7 +51,7 @@ class HeadLossParams:
         return self.r * self.q_eps ** (self.n_exp - 3.0) * (self.n_exp - 1.0) / 2.0
 
 
-def headloss_params(net: NetworkModel, q_eps: float = 1e-6) -> HeadLossParams:
+def headloss_params(net: NetworkModel) -> HeadLossParams:
     r = np.empty(net.n_p)
     n = np.empty(net.n_p)
     for j, lk in enumerate(net.links):
@@ -61,7 +61,7 @@ def headloss_params(net: NetworkModel, q_eps: float = 1e-6) -> HeadLossParams:
         else:
             r[j] = 8.0 * lk.valve_loss / (GRAVITY * np.pi**2 * lk.diameter**4)
             n[j] = 2.0
-    return HeadLossParams(r, n, q_eps)
+    return HeadLossParams(r, n)
 
 
 def phi(q, params: HeadLossParams) -> np.ndarray:

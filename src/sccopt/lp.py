@@ -46,11 +46,12 @@ _STATUS = {_MS.kOptimal: OPTIMAL, _MS.kTimeLimit: ITERATION_LIMIT,
 _FEAS_TOL = np.sqrt(1e-9) * 10
 
 
-@dataclass
+@dataclass(eq=False)
 class LinearProgram:
     """min c @ x  s.t.  A x (<=|=) b,  lb <= x <= ub.
 
-    A may be any SciPy sparse matrix or array (CSR, CSC, ...).
+    A may be any SciPy sparse matrix or array (CSR, CSC, ...).  Two LPs
+    compare equal only when they are the same object.
     """
 
     c: np.ndarray
@@ -59,7 +60,7 @@ class LinearProgram:
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    session: "HotSession | None" = field(default=None, compare=False, repr=False)
+    session: "HotSession | None" = field(default=None, repr=False)
 
     @property
     def n_rows(self) -> int:

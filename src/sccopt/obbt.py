@@ -28,6 +28,9 @@ _BOUND_PAD = 1e-9
 # to 2.7e-7, and cold solves with and without presolve by 2e-7, so the pad
 # must exceed both to keep every bound valid
 _OBBT_PAD = 1e-6
+# stopping rule of tighten
+_EPS_TOL = 0.90
+_K_MAX = 3
 
 
 @dataclass
@@ -61,13 +64,11 @@ def tighten(
     scc_params: SccParams,
     bounds: BoundSet,
     design: DesignConfig,
-    eps_tol: float = 0.90,
-    k_max: int = 3,
 ) -> tuple[BoundSet, ObbtReport]:
     """Shrink core-link flow bounds; returns (tightened bounds, report).
 
     Terminates when a pass shrinks the total flow-box diameter by less than
-    a factor eps_tol, or after k_max passes.  Tree networks have no core
+    a factor _EPS_TOL, or after _K_MAX passes.  Tree networks have no core
     links and return unchanged with zero LP solves.  The LPs of a pass share
     their rows and bounds, so they are re-solved in one hot-started HiGHS
     session; a target whose hot solve fails is solved cold.
@@ -83,7 +84,7 @@ def tighten(
 
     diam = _flow_diameter(bounds, core)
     report.diam_history.append(diam)
-    for _ in range(k_max):
+    for _ in range(_K_MAX):
         lp, vmap = build_lp(net, params, scc_params, bounds, design)
         lp = lp.hot_started()
         c = np.zeros(vmap.total)
@@ -110,7 +111,7 @@ def tighten(
         report.iterations += 1
         new_diam = _flow_diameter(bounds, core)
         report.diam_history.append(new_diam)
-        if diam <= 0.0 or new_diam / diam >= eps_tol:
+        if diam <= 0.0 or new_diam / diam >= _EPS_TOL:
             break
         diam = new_diam
     report.wall_time = time.perf_counter() - start

@@ -19,36 +19,32 @@ from .relax import DesignConfig, build_lp, default_bounds, extract_fractional, l
 from .sampler import (CandidateDesign, blend_uniform, sample_designs,
                       write_candidates_csv)
 from .scc import SccParams, azp, scc_indicator, scc_smooth, velocity_cdf, write_velocity_cdf_csv
-from .sfscp import (ControlSolution, MultiStartConfig, RunMemo, ValveDesign,
-                    multi_start)
+from .sfscp import ControlSolution, RunMemo, ValveDesign, multi_start
+
+# the weight of the uniform distribution in each placement's sampling
+# distribution; the relaxation's fractional values get the rest
+_EXPLORE = 0.5
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All knobs for a design/control run.  ``n_starts`` is a floor, not a
-    cap: the deterministic control starts always run (five with n_v, n_f >= 1
-    in ``run_cms``), so a smaller value changes nothing."""
+    """The settings of a design/control run: valve counts, sampling, starts,
+    seed, OBBT on or off, and the SCC and bound parameters.  The OBBT and SCP
+    stopping rules are constants of their modules.  ``n_starts`` is a floor,
+    not a cap: the deterministic control starts always run (five with n_v,
+    n_f >= 1 in ``run_cms``), so a smaller value changes nothing."""
 
     n_v: int = 0
     n_f: int = 0
     n_samples: int = 50
     n_starts: int = 5
-    explore: float = 0.5
     seed: int | None = None
     use_obbt: bool = True
-    obbt_eps_tol: float = 0.90
-    obbt_k_max: int = 3
-    sfscp_eps_tol: float = 1e-4
-    sfscp_k_max: int = 50
     u_min: float = 0.2
     rho: float = 50.0
     u_max: float = 3.0
     p_min: float = 15.0
     alpha_max: float = 0.025
-
-    def multistart(self) -> MultiStartConfig:
-        return MultiStartConfig(n_starts=self.n_starts, eps_tol=self.sfscp_eps_tol,
-                                k_max=self.sfscp_k_max, seed=self.seed)
 
 
 @dataclass
@@ -89,6 +85,20 @@ def _prepare(net: NetworkModel, config: RunConfig):
     return params, scc_params, bounds
 
 
+def tightened_bounds(net: NetworkModel, config: RunConfig):
+    """The model of a design run: (head-loss parameters, SCC parameters,
+    design config, bounds, OBBT report).  The bounds are the default box with
+    the forest links tightened exactly and, when ``config.use_obbt``, the
+    core links by OBBT; the report is None when OBBT is off."""
+    params, scc_params, bounds = _prepare(net, config)
+    dcfg = DesignConfig.from_network(net, n_v=config.n_v, n_f=config.n_f)
+    bounds = obbt_mod.tighten_forest(net, bounds, dcfg)
+    report = None
+    if config.use_obbt:
+        bounds, report = obbt_mod.tighten(net, params, scc_params, bounds, dcfg)
+    return params, scc_params, dcfg, bounds, report
+
+
 def _finish(net, scc_params, design, control, start, **extra) -> CmsSolution:
     return CmsSolution(
         design=design,
@@ -119,7 +129,7 @@ def run_control_only(net: NetworkModel, config: RunConfig) -> CmsSolution:
     dcfg = DesignConfig.from_network(net)
     design = ValveDesign.from_candidate(dcfg, CandidateDesign((), ()))
     control = multi_start(net, params, scc_params, bounds, design,
-                          config.multistart(),
+                          config.n_starts, config.seed,
                           extra_seeds=[np.zeros((net.n_t, net.n_p))])
     return _finish(net, scc_params, design, control, start)
 
@@ -136,17 +146,7 @@ def run_cms(net: NetworkModel, config: RunConfig,
     solve, since the bounds are final once OBBT has run.
     """
     start = time.perf_counter()
-    params, scc_params, bounds = _prepare(net, config)
-    dcfg = DesignConfig.from_network(net, n_v=config.n_v, n_f=config.n_f)
-
-    bounds = obbt_mod.tighten_forest(net, bounds, dcfg)
-    report = None
-    if config.use_obbt:
-        bounds, rep = obbt_mod.tighten(net, params, scc_params, bounds, dcfg,
-                                       eps_tol=config.obbt_eps_tol,
-                                       k_max=config.obbt_k_max)
-        report = rep.to_dict()
-
+    params, scc_params, dcfg, bounds, report = tightened_bounds(net, config)
     lp, vmap = build_lp(net, params, scc_params, bounds, dcfg)
     sol = solve_lp(lp)
     if sol.status != OPTIMAL:
@@ -158,9 +158,9 @@ def run_cms(net: NetworkModel, config: RunConfig,
         candidates = [CandidateDesign((), ())]
     else:
         z_mix = blend_uniform(z_frac, dcfg.resolved_dbv_candidates(net),
-                              config.explore)
+                              _EXPLORE)
         y_mix = blend_uniform(y_frac, dcfg.resolved_afv_candidates(net),
-                              config.explore)
+                              _EXPLORE)
         candidates = sample_designs(y_mix, z_mix, config.n_v, config.n_f,
                                     config.n_samples, seed=config.seed)
 
@@ -175,7 +175,7 @@ def run_cms(net: NetworkModel, config: RunConfig,
         design = ValveDesign.from_candidate(dcfg, cand)
         try:
             control = multi_start(net, params, scc_params, bounds, design,
-                                  config.multistart(), eta_seed=eta_seed,
+                                  config.n_starts, config.seed, eta_seed=eta_seed,
                                   extra_seeds=extra, memo=memo)
         except AllStartsInfeasible:
             scores.append(None)
@@ -187,7 +187,8 @@ def run_cms(net: NetworkModel, config: RunConfig,
         raise AllStartsInfeasible("no sampled placement admits a feasible control")
 
     return _finish(net, scc_params, best[1], best[2], start,
-                   lp_upper_bound=upper, obbt_report=report,
+                   lp_upper_bound=upper,
+                   obbt_report=None if report is None else report.to_dict(),
                    candidates=candidates, candidate_scores=scores)
 
 

@@ -147,13 +147,10 @@ class DesignConfig:
             raise ValueError("a link cannot be both PRV and DBV")
 
     @classmethod
-    def from_network(cls, net: NetworkModel, n_v: int = 0, n_f: int = 0,
-                     dbv_candidates=None, afv_candidates=None) -> "DesignConfig":
+    def from_network(cls, net: NetworkModel, n_v: int = 0, n_f: int = 0) -> "DesignConfig":
         prv = tuple(j for j, lk in enumerate(net.links) if lk.is_existing_prv)
         dbv = tuple(j for j, lk in enumerate(net.links) if lk.is_existing_dbv)
-        return cls(n_v, n_f, prv, dbv,
-                   None if dbv_candidates is None else tuple(dbv_candidates),
-                   None if afv_candidates is None else tuple(afv_candidates))
+        return cls(n_v, n_f, prv, dbv)
 
     def fixed_links(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.prv_links) | set(self.existing_dbv_links)))

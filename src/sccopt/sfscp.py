@@ -46,6 +46,10 @@ _MAX_HALVINGS = 12
 # restoration penalty weight: starts at _MU0, grows tenfold up to _MU_CAP
 _MU0 = 1e2
 _MU_CAP = 1e8
+# the SCP stops once an accepted iterate gains at most _EPS_TOL, or after
+# _K_MAX iterates
+_EPS_TOL = 1e-4
+_K_MAX = 50
 
 
 def _index(items) -> np.ndarray:
@@ -99,17 +103,6 @@ class ControlSolution:
     iterations: int = 0
     start_index: int = 0
     directions: tuple = ()
-
-
-@dataclass(frozen=True)
-class MultiStartConfig:
-    """``n_starts`` is a floor, not a cap: every deterministic start runs,
-    and uniform random draws only fill the list up to at least n_starts."""
-
-    n_starts: int = 5
-    eps_tol: float = 1e-4
-    k_max: int = 50
-    seed: int | None = None
 
 
 @dataclass
@@ -301,8 +294,7 @@ def _step_lp(sub: Subproblem, q_k: np.ndarray, h_k: np.ndarray, x_k: np.ndarray)
     return steps[key]
 
 
-def sfscp_timestep(sub: Subproblem, x0: np.ndarray, config: MultiStartConfig,
-                   trace: list | None = None):
+def sfscp_timestep(sub: Subproblem, x0: np.ndarray, trace: list | None = None):
     """One timestep, one direction assignment, one start x0.
 
     Returns (eta, alpha, q, h, objective, iterations) or None when the start
@@ -324,7 +316,7 @@ def sfscp_timestep(sub: Subproblem, x0: np.ndarray, config: MultiStartConfig,
     if trace is not None:
         trace.append((0, f, 0.0))
     iters = 0
-    for _ in range(config.k_max):
+    for _ in range(_K_MAX):
         step = _step_lp(sub, q, h, x)
         if step is None:
             break
@@ -349,18 +341,17 @@ def sfscp_timestep(sub: Subproblem, x0: np.ndarray, config: MultiStartConfig,
         iters += 1
         if trace is not None:
             trace.append((iters, f, beta))
-        if gain <= config.eps_tol:
+        if gain <= _EPS_TOL:
             break
     return *sub.unstack(x), q, h, f, iters
 
 
-def enumerate_dbv_directions(subs: list[Subproblem], x0: np.ndarray,
-                             config: MultiStartConfig):
+def enumerate_dbv_directions(subs: list[Subproblem], x0: np.ndarray):
     """Best (result, signs) over one timestep's subproblems, one per DBV
     direction assignment, from the start x0; None when none is feasible."""
     best = None
     for sub in subs:
-        res = sfscp_timestep(sub, x0, config)
+        res = sfscp_timestep(sub, x0)
         if res is None:
             continue
         if best is None or res[4] > best[0][4]:
@@ -374,7 +365,8 @@ def multi_start(
     scc_params: SccParams,
     bounds: BoundSet,
     design: ValveDesign,
-    config: MultiStartConfig,
+    n_starts: int,
+    seed: int | None,
     eta_seed: np.ndarray | None = None,
     extra_seeds=(),
     memo: RunMemo | None = None,
@@ -384,7 +376,8 @@ def multi_start(
     The start list is: the relaxation eta seed (when given), the caller's
     eta seeds in ``extra_seeds`` (each starts with no flushing), the
     deterministic flushing and throttle starts, then uniform random draws to
-    fill up to n_starts.  Each start is an (n_t, n_x) array of stacked
+    fill up to n_starts (a floor, not a cap: every deterministic start runs),
+    drawn from ``seed``.  Each start is an (n_t, n_x) array of stacked
     controls.  The subproblems share ``memo``, a fresh one when none is
     given; a memo passed in must come from calls with the same network,
     parameters and bounds.  Raises AllStartsInfeasible when no start yields a
@@ -420,8 +413,8 @@ def multi_start(
     if len(ctrl):
         for frac in (1.0, 0.5):
             starts.append(start(frac * bounds.eta_hi[:, ctrl], alpha_cap))
-    n_random = max(config.n_starts - len(starts), 0 if starts else 1)
-    child_seqs = np.random.SeedSequence(config.seed).spawn(max(n_random, 1))
+    n_random = max(n_starts - len(starts), 0 if starts else 1)
+    child_seqs = np.random.SeedSequence(seed).spawn(max(n_random, 1))
     e_lo = np.minimum(bounds.eta_lo[:, ctrl], 0.0)
     e_hi = np.maximum(bounds.eta_hi[:, ctrl], 0.0)
     for k in range(n_random):
@@ -436,7 +429,7 @@ def multi_start(
     for s_idx, x0 in enumerate(starts):
         results = []
         for t in range(net.n_t):
-            res = enumerate_dbv_directions(subs[t], x0[t], config)
+            res = enumerate_dbv_directions(subs[t], x0[t])
             if res is None:
                 break
             results.append(res)

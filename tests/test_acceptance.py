@@ -20,8 +20,8 @@ from sccopt.relax import DesignConfig, build_lp, default_bounds, lp_bound
 from sccopt.lp import OPTIMAL, solve_lp
 from sccopt.sampler import CandidateDesign, sample_designs
 from sccopt.scc import SccParams, scc_smooth, scc_smooth_flows, scc_smooth_grad_flows
-from sccopt.sfscp import (MultiStartConfig, RunMemo, Subproblem, ValveDesign,
-                          multi_start, sfscp_timestep)
+from sccopt.sfscp import (RunMemo, Subproblem, ValveDesign, multi_start,
+                          sfscp_timestep)
 
 DATA_DIR = Path(__file__).parent.parent / "data"
 
@@ -246,7 +246,7 @@ def test_control_solver_monotone_and_single_pipe_target():
         dcfg, CandidateDesign(dbv_links=(1,), afv_nodes=()))
     trace = []
     res = sfscp_timestep(Subproblem(net, params, sp, bounds, design, 0, {1: 1}, RunMemo()),
-                         np.zeros(1), MultiStartConfig(), trace=trace)
+                         np.zeros(1), trace=trace)
     assert res is not None
     fs = [row[1] for row in trace]
     assert all(b >= a - 1e-12 for a, b in zip(fs, fs[1:]))
@@ -262,7 +262,7 @@ def test_control_solver_monotone_and_single_pipe_target():
     assert (0.005 + 0.025) / pipe.areas[0] == pytest.approx(0.424, abs=1e-3)
     t0 = time.perf_counter()
     sol = multi_start(pipe, p2, sp2, b2, ValveDesign(afv_nodes=(0,)),
-                      MultiStartConfig(n_starts=2, seed=0))
+                      n_starts=2, seed=0)
     dt = time.perf_counter() - t0
     assert dt < 1.0
     assert sol.objective >= 0.99

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
-from sccopt.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, load_network, main
+from sccopt.cli import (EXIT_INPUT, EXIT_OK, EXIT_SOLVER, _config_from_args, build_parser,
+                        load_network, main)
 from sccopt.netgen import loop_network, random_network
 from sccopt.obbt import tighten
 from sccopt.pipeline import RunConfig, _prepare, run_cms
@@ -131,6 +133,26 @@ class TestControlAndDesign:
         cfg.write_text("[run]\nbogus = 1\n")
         assert main(["control", json_net_file, "--config", str(cfg)]) == EXIT_INPUT
 
+    def test_removed_config_key_rejected(self, json_net_file, tmp_path, capsys):
+        # the OBBT and SCP stopping rules are constants, not settings
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nobbt_k_max = 5\n")
+        assert main(["obbt", json_net_file, "--config", str(cfg)]) == EXIT_INPUT
+        assert "obbt_k_max" in capsys.readouterr().err
+
+    def test_config_values_take_their_annotated_types(self, json_net_file, tmp_path):
+        values = {"n_v": "1", "n_f": "2", "n_samples": "3", "n_starts": "4", "seed": "5",
+                  "use_obbt": "no", "u_min": "0.25", "rho": "40", "u_max": "2.5",
+                  "p_min": "12", "alpha_max": "0.02"}
+        assert set(values) == {f.name for f in dataclasses.fields(RunConfig)}
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        config = _config_from_args(
+            build_parser().parse_args(["design", json_net_file, "--config", str(cfg)]))
+        assert dataclasses.astuple(config) == (1, 2, 3, 4, 5, False, 0.25, 40.0, 2.5,
+                                               12.0, 0.02)
+        assert [type(v) for v in dataclasses.astuple(config)] == [int] * 5 + [bool] + [float] * 5
+
     def test_missing_config_file_rejected(self, json_net_file, tmp_path, capsys):
         cfg = str(tmp_path / "nope.ini")
         assert main(["obbt", json_net_file, "--config", cfg]) == EXIT_INPUT
@@ -159,10 +181,13 @@ class TestObbtVerb:
             assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_report_matches_run_cms(self, tmp_path):
-        # the CLI tightens the forest links first, as run_cms does
+        # the CLI tightens the forest links first, as run_cms does, and runs
+        # OBBT even when its config turns OBBT off
         path = tmp_path / "net.json"
         path.write_text(random_network(8, 3, seed=1).to_json())
-        assert main(["obbt", str(path), "--nv", "1", "--nf", "1",
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nuse_obbt = false\n")
+        assert main(["obbt", str(path), "--nv", "1", "--nf", "1", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == EXIT_OK
         cli = json.loads((tmp_path / "out" / "obbt_report.json").read_text())
         net = load_network(str(path))

@@ -96,6 +96,13 @@ class TestSolveBasics:
         assert solve_lp(lp).objective == pytest.approx(0.0)
         assert solve_lp(lp2).objective == pytest.approx(-2.0)
 
+    def test_lps_compare_by_identity(self):
+        # array fields have no single truth value, so an LP equals only itself
+        lp = make_lp([1, 0], [[1, 1]], [LEQ], [2], [0, 0], [5, 5])
+        assert lp == lp
+        assert (lp == lp.with_objective(lp.c)) is False
+        assert (lp == lp.with_objective([0, 1])) is False
+
 
 class TestPostSolveCheck:
     """An "optimal" point from HiGHS passes linprog's feasibility check (bounds,

@@ -13,9 +13,9 @@ from sccopt.netmodel import Link, NetworkModel, VALVE
 from sccopt.relax import DesignConfig, default_bounds
 from sccopt.sampler import CandidateDesign
 from sccopt.scc import SccParams, scc_smooth, scc_smooth_flows, scc_smooth_grad_flows
-from sccopt.sfscp import (_TRUST_FRACTION, MultiStartConfig, RunMemo, Subproblem,
-                          ValveDesign, _step_lp, enumerate_dbv_directions, multi_start,
-                          restore_feasibility, sfscp_timestep)
+from sccopt.sfscp import (_TRUST_FRACTION, RunMemo, Subproblem, ValveDesign, _step_lp,
+                          enumerate_dbv_directions, multi_start, restore_feasibility,
+                          sfscp_timestep)
 
 
 def single_pipe_net(demand=0.005, diameter=0.3):
@@ -48,7 +48,7 @@ def setup(net, **kw):
 def timestep_zero_start(net, design, directions, **kw):
     """sfscp_timestep on timestep 0 from all controls at zero."""
     sub = Subproblem(net, *setup(net), design, 0, directions, RunMemo())
-    return sfscp_timestep(sub, np.zeros(len(sub.lo)), MultiStartConfig(), **kw)
+    return sfscp_timestep(sub, np.zeros(len(sub.lo)), **kw)
 
 
 class TestSinglePipeAfv:
@@ -64,7 +64,7 @@ class TestSinglePipeAfv:
         design = ValveDesign(afv_nodes=(0,))
         t0 = time.perf_counter()
         sol = multi_start(net, params, scc_params, bounds, design,
-                          MultiStartConfig(n_starts=2, seed=0))
+                          n_starts=2, seed=0)
         assert time.perf_counter() - t0 < 1.0
         assert sol.objective >= 0.99
         assert sol.alpha[0, 0] == pytest.approx(0.025, abs=1e-4)
@@ -104,7 +104,7 @@ class TestIterationBehaviour:
         params, scc_params, bounds = setup(net)
         design = ValveDesign(prv_links=(2,))
         sol = multi_start(net, params, scc_params, bounds, design,
-                          MultiStartConfig(n_starts=3, seed=1))
+                          n_starts=3, seed=1)
         for t in range(net.n_t):
             q, h = sol.state.q[t], sol.state.h[t]
             mass = net.A12.T @ q - net.demands[t] - sol.alpha[t]
@@ -119,7 +119,7 @@ class TestIterationBehaviour:
         params, scc_params, bounds = setup(net)
         design = ValveDesign(prv_links=(2,))
         sol = multi_start(net, params, scc_params, bounds, design,
-                          MultiStartConfig(n_starts=3, seed=1))
+                          n_starts=3, seed=1)
         assert np.all(sol.eta[:, 2] >= -1e-12)
         assert np.all(sol.eta[:, [0, 1, 3, 4]] == 0.0)
 
@@ -128,7 +128,7 @@ class TestIterationBehaviour:
         params, scc_params, bounds = setup(net)
         design = ValveDesign(prv_links=(2,))
         sol = multi_start(net, params, scc_params, bounds, design,
-                          MultiStartConfig(n_starts=3, seed=1),
+                          n_starts=3, seed=1,
                           extra_seeds=[np.zeros((net.n_t, net.n_p))])
         state = simulate(net, params)
         assert sol.objective >= scc_smooth(state, net, scc_params) - 1e-9
@@ -316,7 +316,7 @@ class TestSubproblem:
         monkeypatch.setattr("sccopt.sfscp.Subproblem", Counted)
         sol = multi_start(net, params, scc_params, bounds,
                           ValveDesign(dbv_links=(1,), afv_nodes=(2,)),
-                          MultiStartConfig(n_starts=6, seed=0))
+                          n_starts=6, seed=0)
         # one per (timestep, direction), however many starts run, all on
         # one memo
         assert [b[:2] for b in built] == [(0, {1: 1}), (0, {1: -1}),
@@ -426,7 +426,7 @@ class TestGridSearchOracle:
                 continue
             best = max(best, scc_smooth(state, net, scc_params))
         sol = multi_start(net, params, scc_params, bounds, design,
-                          MultiStartConfig(n_starts=5, seed=0),
+                          n_starts=5, seed=0,
                           extra_seeds=[np.zeros((net.n_t, net.n_p))])
         assert sol.objective >= best - 0.01 * max(abs(best), 1e-9)
 
@@ -438,16 +438,15 @@ class TestDirectionEnumeration:
         dcfg = DesignConfig.from_network(net)
         design = ValveDesign.from_candidate(
             dcfg, CandidateDesign(dbv_links=(4,), afv_nodes=()))
-        cfg = MultiStartConfig(n_starts=1, seed=0)
         memo = RunMemo()
         subs = [Subproblem(net, params, scc_params, bounds, design, 0, {4: s}, memo)
                 for s in (1, -1)]
         x0 = np.zeros(len(subs[0].lo))
-        res = enumerate_dbv_directions(subs, x0, cfg)
+        res = enumerate_dbv_directions(subs, x0)
         assert res is not None
         (eta, alpha, q, h, f_best, _), signs = res
         assert len(signs) == 1 and signs[0] in (1, -1)
-        pos_only = sfscp_timestep(subs[0], x0, cfg)
+        pos_only = sfscp_timestep(subs[0], x0)
         assert f_best >= pos_only[4] - 1e-9
 
 
@@ -471,7 +470,7 @@ class TestRestoration:
         design = ValveDesign(afv_nodes=(0,))
         with pytest.raises(AllStartsInfeasible):
             multi_start(net, params, scc_params, bounds, design,
-                        MultiStartConfig(n_starts=2, seed=0))
+                        n_starts=2, seed=0)
 
 
 class TestReducedGradient:
@@ -507,9 +506,8 @@ class TestDeterminism:
         net = prv_loop_net()
         params, scc_params, bounds = setup(net)
         design = ValveDesign(prv_links=(2,))
-        cfg = MultiStartConfig(n_starts=3, seed=99)
-        a = multi_start(net, params, scc_params, bounds, design, cfg)
-        b = multi_start(net, params, scc_params, bounds, design, cfg)
+        a = multi_start(net, params, scc_params, bounds, design, n_starts=3, seed=99)
+        b = multi_start(net, params, scc_params, bounds, design, n_starts=3, seed=99)
         assert a.objective == b.objective
         assert np.array_equal(a.eta, b.eta)
         assert np.array_equal(a.alpha, b.alpha)
