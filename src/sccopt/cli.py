@@ -171,10 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, ignored=None):
         p.add_argument("network", help="network file (.inp or .json)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--config", help="INI file with a [run] section")
+        p.add_argument("--config", help="INI file with a [run] section" + (
+            f"; its {ignored} keys are ignored, and their flags exit 2" if ignored else ""))
 
     def add_placement(p):
         p.add_argument("--nv", type=int, dest="n_v", help="boundary valves to add")
@@ -195,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("control", help="optimize existing valve settings")
-    add_common(p)
+    add_common(p, "n_v, n_f, n_samples and use_obbt")
     add_control(p)
     p.set_defaults(func=cmd_control)
 
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("obbt", help="bound tightening only")
-    add_common(p)
+    add_common(p, "n_samples, n_starts, seed and use_obbt")
     add_placement(p)
     p.set_defaults(func=cmd_obbt)
 

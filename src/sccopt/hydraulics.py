@@ -27,6 +27,8 @@ HW_EXPONENT = 1.852
 # Newton convergence: mass residual in m^3/s, energy residual in m
 TOL_MASS = 1e-8
 TOL_ENERGY = 1e-6
+# Newton iterations before solve_steady gives up
+_MAX_NEWTON = 200
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,6 @@ def solve_steady(
     h0: np.ndarray,
     eta: np.ndarray | None = None,
     alpha: np.ndarray | None = None,
-    max_newton: int = 200,
     residual_log: list | None = None,
     q0: np.ndarray | None = None,
     h0_guess: np.ndarray | None = None,
@@ -113,7 +114,9 @@ def solve_steady(
     """Solve one timestep; returns (q, h) or raises NonConvergence/SingularSystem.
 
     Converged means a mass residual within TOL_MASS (m^3/s) and an energy
-    residual within TOL_ENERGY (m).  ``q0``/``h0_guess`` warm-start the
+    residual within TOL_ENERGY (m) within _MAX_NEWTON iterations.
+    ``residual_log`` gets an (iteration, mass, energy residual) row per
+    pass.  ``q0``/``h0_guess`` warm-start the
     Newton iteration (e.g. from a nearby solve); by default a uniform
     0.03 m/s flow and flat heads are used.  Each iteration fills the Schur
     matrix from the network's compiled pattern (``net.schur``), with the
@@ -145,7 +148,7 @@ def solve_steady(
 
     fe, fm = residuals(q, h)
     s = score(fe, fm)
-    for it in range(max_newton):
+    for it in range(_MAX_NEWTON):
         if residual_log is not None:
             residual_log.append((it, float(np.max(np.abs(fm))), float(np.max(np.abs(fe)))))
         if s <= 1.0:
@@ -180,7 +183,7 @@ def solve_steady(
         q, h, fe, fm, s = q_new, h_new, fe_new, fm_new, s_new
     if s <= 1.0:
         return q, h
-    raise NonConvergence(f"residual score {s:.3g} after {max_newton} iterations")
+    raise NonConvergence(f"residual score {s:.3g} after {_MAX_NEWTON} iterations")
 
 
 def simulate(

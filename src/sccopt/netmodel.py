@@ -104,7 +104,7 @@ class NetworkModel:
         self.source_heads = np.atleast_2d(np.asarray(self.source_heads, dtype=float))
         self.demands.setflags(write=False)
         self.source_heads.setflags(write=False)
-        self._node_index = {n.id: i for i, n in enumerate(self.nodes)}
+        self._node_pos = {n.id: i for i, n in enumerate(self.nodes)}
         # network-only arrays, built once; read-only like demands
         self.areas = np.array([lk.area for lk in self.links])
         self.lengths = np.array([lk.length for lk in self.links])
@@ -130,16 +130,13 @@ class NetworkModel:
     def n_t(self) -> int:
         return self.demands.shape[0]
 
-    def node_index(self, node_id: str) -> int:
-        return self._node_index[node_id]
-
     def _build_incidence(self):
         # Each link's (to, from) ends as indices into the demand nodes followed
         # by the sources.  A12[j, i] = +1 if link j enters demand node i, -1 if
         # it leaves it; A10 likewise for source nodes.  Energy rows then read
         # h_to - h_from.
         index = {s.id: self.n_n + k for k, s in enumerate(self.sources)}
-        index.update(self._node_index)
+        index.update(self._node_pos)
         ends = np.empty((self.n_p, 2), dtype=np.intp)
         for j, lk in enumerate(self.links):
             for k, node_id in enumerate((lk.to_node, lk.from_node)):
@@ -222,6 +219,12 @@ class NetworkModel:
             raise ValueError("demands shape mismatch")
         if self.source_heads.shape != (self.n_t, self.n_0):
             raise ValueError("source_heads shape mismatch")
+        for kind, items in (("node", [*self.nodes, *self.sources]), ("link", self.links)):
+            seen = set()
+            for item in items:
+                if item.id in seen:
+                    raise ValueError(f"repeated {kind} ID {item.id!r}")
+                seen.add(item.id)
         if not np.all(np.isfinite(self.demands)) or np.any(self.demands < 0):
             raise ValueError("demands must be finite and non-negative")
         if not (np.all(np.isfinite(self.elevations)) and np.all(np.isfinite(self.source_heads))):
@@ -314,6 +317,8 @@ def parse_inp(text, timestep_indices=None) -> NetworkModel:
     patterns: dict[str, list[float]] = {}
     options: dict[str, str] = {}
     warned_sections = set()
+    node_ids: set[str] = set()
+    link_ids: set[str] = set()
     pump_entries = 0
 
     section = None
@@ -328,6 +333,12 @@ def parse_inp(text, timestep_indices=None) -> NetworkModel:
         if section is None:
             raise ParseError("content before first section header", lineno)
         try:
+            if section in ("JUNCTIONS", "RESERVOIRS", "PIPES", "VALVES"):
+                kind, ids = (("link", link_ids) if section in ("PIPES", "VALVES")
+                             else ("junction or reservoir", node_ids))
+                if tok[0] in ids:
+                    raise ParseError(f"repeated {kind} ID {tok[0]!r}", lineno)
+                ids.add(tok[0])
             if section == "JUNCTIONS":
                 elev = float(tok[1])
                 demand = float(tok[2]) if len(tok) > 2 else 0.0
@@ -385,7 +396,6 @@ def parse_inp(text, timestep_indices=None) -> NetworkModel:
         return patterns[name]
 
     # Base demands per node (m^3/s) and optional pattern multipliers.
-    base_demand = {nid: 0.0 for nid in junctions}
     demand_patterns: dict[str, list[tuple[float, list[float] | None]]] = {nid: [] for nid in junctions}
     for nid, (elev, demand, pat, lineno) in junctions.items():
         if demand:
@@ -495,8 +505,8 @@ def forest_core(net: NetworkModel) -> ForestCoreDecomposition:
         alive[j] = False
         forest.append(j)
         served = list(fed.get(nid, []))
-        if nid in net._node_index:
-            served.append(net._node_index[nid])
+        if nid in net._node_pos:
+            served.append(net._node_pos[nid])
         sign[j] = 1 if lk.to_node == nid else -1
         downstream[j] = tuple(sorted(served))
         other = lk.from_node if lk.to_node == nid else lk.to_node
@@ -530,5 +540,5 @@ def count_variables(n_p: int, n_n: int, n_t: int) -> ProblemStats:
     )
 
 
-def problem_stats(net: NetworkModel, n_t: int | None = None) -> ProblemStats:
-    return count_variables(net.n_p, net.n_n, net.n_t if n_t is None else n_t)
+def problem_stats(net: NetworkModel) -> ProblemStats:
+    return count_variables(net.n_p, net.n_n, net.n_t)

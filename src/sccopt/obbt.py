@@ -8,7 +8,7 @@ demand aggregation, which is exact up to the flushing allowance.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,13 +42,7 @@ class ObbtReport:
     diam_history: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "lp_solves": self.lp_solves,
-            "cold_retries": self.cold_retries,
-            "wall_time": self.wall_time,
-            "diam_history": list(self.diam_history),
-        }
+        return asdict(self)
 
 
 def _flow_diameter(bounds: BoundSet, core_links) -> float:

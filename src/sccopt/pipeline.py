@@ -30,9 +30,10 @@ _EXPLORE = 0.5
 class RunConfig:
     """The settings of a design/control run: valve counts, sampling, starts,
     seed, OBBT on or off, and the SCC and bound parameters.  The OBBT and SCP
-    stopping rules are constants of their modules.  ``n_starts`` is a floor,
-    not a cap: the deterministic control starts always run (five with n_v,
-    n_f >= 1 in ``run_cms``), so a smaller value changes nothing."""
+    stopping rules are constants of their modules.  ``n_samples`` must be at
+    least 1.  ``n_starts`` is a floor, not a cap: the deterministic control
+    starts always run (five with n_v, n_f >= 1 in ``run_cms``), so a smaller
+    value changes nothing."""
 
     n_v: int = 0
     n_f: int = 0
@@ -45,6 +46,10 @@ class RunConfig:
     u_max: float = 3.0
     p_min: float = 15.0
     alpha_max: float = 0.025
+
+    def __post_init__(self):
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples = {self.n_samples}: need at least 1")
 
 
 @dataclass
@@ -157,10 +162,8 @@ def run_cms(net: NetworkModel, config: RunConfig,
     if config.n_v == 0 and config.n_f == 0:
         candidates = [CandidateDesign((), ())]
     else:
-        z_mix = blend_uniform(z_frac, dcfg.resolved_dbv_candidates(net),
-                              _EXPLORE)
-        y_mix = blend_uniform(y_frac, dcfg.resolved_afv_candidates(net),
-                              _EXPLORE)
+        z_mix = blend_uniform(z_frac, dcfg.free_links(net), _EXPLORE)
+        y_mix = blend_uniform(y_frac, range(net.n_n), _EXPLORE)
         candidates = sample_designs(y_mix, z_mix, config.n_v, config.n_f,
                                     config.n_samples, seed=config.seed)
 

@@ -103,15 +103,14 @@ class BoundSet:
 def default_bounds(
     net: NetworkModel,
     params: HeadLossParams,
-    u_max=3.0,
+    u_max: float = 3.0,
     p_min: float = 15.0,
     alpha_max: float = 0.025,
 ) -> BoundSet:
     """Initial bounds: flows capped by u_max, heads by the regulatory minimum
     and the largest known source head.  Each eta is bounded by the head
     ranges at its link's two ends; a source's range is its fixed head."""
-    u_cap = np.broadcast_to(np.asarray(u_max, dtype=float), (net.n_p,))
-    q_hi1 = net.areas * u_cap
+    q_hi1 = net.areas * u_max
     q_lo = np.tile(-q_hi1, (net.n_t, 1))
     q_hi = np.tile(q_hi1, (net.n_t, 1))
 
@@ -131,14 +130,13 @@ def default_bounds(
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """Valve-count targets and candidate location sets."""
+    """Valve-count targets and existing valves: ``n_v`` new DBVs go on links
+    without a valve, ``n_f`` AFVs on any demand nodes."""
 
     n_v: int = 0
     n_f: int = 0
     prv_links: tuple[int, ...] = ()
     existing_dbv_links: tuple[int, ...] = ()
-    dbv_candidates: tuple[int, ...] | None = None
-    afv_candidates: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.n_v < 0 or self.n_f < 0:
@@ -150,22 +148,20 @@ class DesignConfig:
     def from_network(cls, net: NetworkModel, n_v: int = 0, n_f: int = 0) -> "DesignConfig":
         prv = tuple(j for j, lk in enumerate(net.links) if lk.is_existing_prv)
         dbv = tuple(j for j, lk in enumerate(net.links) if lk.is_existing_dbv)
-        return cls(n_v, n_f, prv, dbv)
+        cfg = cls(n_v, n_f, prv, dbv)
+        free = len(cfg.free_links(net))
+        if n_v > free:
+            raise ValueError(f"n_v = {n_v} exceeds the {free} links that can take a new DBV")
+        if n_f > net.n_n:
+            raise ValueError(f"n_f = {n_f} exceeds the {net.n_n} demand nodes")
+        return cfg
 
     def fixed_links(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.prv_links) | set(self.existing_dbv_links)))
 
-    def resolved_dbv_candidates(self, net: NetworkModel) -> tuple[int, ...]:
-        if self.dbv_candidates is not None:
-            cand = set(self.dbv_candidates) - set(self.fixed_links())
-        else:
-            cand = set(range(net.n_p)) - set(self.fixed_links())
-        return tuple(sorted(cand))
-
-    def resolved_afv_candidates(self, net: NetworkModel) -> tuple[int, ...]:
-        if self.afv_candidates is not None:
-            return tuple(sorted(self.afv_candidates))
-        return tuple(range(net.n_n))
+    def free_links(self, net: NetworkModel) -> tuple[int, ...]:
+        """Every link that carries no existing valve."""
+        return tuple(sorted(set(range(net.n_p)) - set(self.fixed_links())))
 
 
 def build_lp(
@@ -231,9 +227,9 @@ def build_lp(
         c[sp_idx] = c[sm_idx] = -scc_params.weights / net.n_t
 
     # placement variables and count constraints
-    ub[z_idx[list(design.resolved_dbv_candidates(net))]] = 1.0
+    ub[z_idx[list(design.free_links(net))]] = 1.0
     lb[z_idx[fixed]] = ub[z_idx[fixed]] = 1.0
-    ub[y_idx[list(design.resolved_afv_candidates(net))]] = 1.0
+    ub[y_idx] = 1.0
     add(np.ones((1, net.n_p)), z_idx, [design.n_v + len(fixed)], EQ)
     add(np.ones((1, net.n_n)), y_idx, [design.n_f], EQ)
 

@@ -13,9 +13,9 @@ from .netmodel import NetworkModel
 class SccParams:
     """Threshold velocities, sigmoid curvature and length weights.
 
-    Weights are length fractions over the scored link subset and sum to 1;
-    links outside the subset (or with zero length, e.g. valves) carry zero
-    weight and do not contribute to the objective.
+    Weights are each link's fraction of the network's total length and sum
+    to 1; zero-length links (valves) carry zero weight and do not contribute
+    to the objective.
     """
 
     u_min: np.ndarray
@@ -23,20 +23,14 @@ class SccParams:
     weights: np.ndarray
 
     @classmethod
-    def from_network(cls, net: NetworkModel, u_min=0.2, rho: float = 50.0,
-                     link_subset=None) -> "SccParams":
+    def from_network(cls, net: NetworkModel, u_min=0.2, rho: float = 50.0) -> "SccParams":
         u = np.broadcast_to(np.asarray(u_min, dtype=float), (net.n_p,)).copy()
         if np.any(u <= 0) or rho <= 0:
             raise ValueError("u_min and rho must be positive")
-        w = net.lengths.astype(float).copy()
-        if link_subset is not None:
-            mask = np.zeros(net.n_p, dtype=bool)
-            mask[list(link_subset)] = True
-            w[~mask] = 0.0
-        total = w.sum()
+        total = net.lengths.sum()
         if total <= 0:
-            raise ValueError("scored link subset has zero total length")
-        return cls(u, rho, w / total)
+            raise ValueError("network has zero total link length")
+        return cls(u, rho, net.lengths / total)
 
 
 def sigmoid_pair(u, params: SccParams):

@@ -124,31 +124,30 @@ class Subproblem:
     """One timestep's control problem for one valve design and one DBV
     direction assignment, compiled once; every array is read-only.
 
+    ``signs`` holds one direction, +1 or -1, per link of ``design.dbv_links``.
     The controls are stacked as x = (eta on ``ctrl``, alpha at ``afv``) in
-    the box [lo, hi]: each eta keeps its valve's direction sign (+1 unless
-    given) and alpha lies in [0, alpha_hi].  A DBV with a given sign also
-    pins its link's flow to that sign in the step LP (``pin_pos``,
-    ``pin_neg``).  The step LP's matrix is the network's compiled Jacobian
-    pattern followed by one unit column per entry of x (``step_*``).  Its
-    solves and step LPs are looked up in, and stored to, ``memo``.
+    the box [lo, hi]: a DBV's eta takes its sign, a PRV's is non-negative,
+    and alpha lies in [0, alpha_hi].  Each DBV pins its link's flow to its
+    sign in the step LP (``pin_pos``, ``pin_neg``); PRV flows stay free.
+    The step LP's matrix is the network's compiled Jacobian pattern followed
+    by one unit column per entry of x (``step_*``).  Its solves and step
+    LPs are looked up in, and stored to, ``memo``.
     """
 
     def __init__(self, net: NetworkModel, params: HeadLossParams, scc_params: SccParams,
-                 bounds: BoundSet, design: ValveDesign, t: int, directions: dict[int, int],
+                 bounds: BoundSet, design: ValveDesign, t: int, signs: tuple[int, ...],
                  memo: RunMemo):
         self.net, self.params, self.scc_params = net, params, scc_params
-        self.design, self.t, self.memo = design, t, memo
+        self.design, self.t, self.signs, self.memo = design, t, tuple(signs), memo
         self.ctrl, self.afv = ctrl, afv = design.controllable_links, design.flushing_nodes
-        # each DBV's sign in dbv_links order
-        self.signs = tuple(directions.get(j, 1) for j in design.dbv_links)
         self.d, self.h0 = np.array(net.demands[t]), np.array(net.source_heads[t])
         self.q_lo, self.q_hi = np.array(bounds.q_lo[t]), np.array(bounds.q_hi[t])
         self.h_lo, self.h_hi = np.array(bounds.h_lo[t]), np.array(bounds.h_hi[t])
-        pos = np.array([directions.get(j, 1) > 0 for j in ctrl], dtype=bool)
-        given = np.array([j in directions for j in ctrl], dtype=bool)
+        dbv, sign = np.array(design.dbv_links, dtype=np.intp), np.array(signs)
         self.pin_pos, self.pin_neg = np.zeros((2, net.n_p), dtype=bool)
-        self.pin_pos[ctrl[given & pos]] = True
-        self.pin_neg[ctrl[given & ~pos]] = True
+        self.pin_pos[dbv[sign > 0]] = True
+        self.pin_neg[dbv[sign < 0]] = True
+        pos = ~self.pin_neg[ctrl]
         # the np.where forms keep Python's min(0.0, lo) and max(0.0, hi)
         # exactly, signed zeros included
         e_lo, e_hi = bounds.eta_lo[t, ctrl], bounds.eta_hi[t, ctrl]
@@ -265,7 +264,7 @@ def restore_feasibility(sub: Subproblem, x0: np.ndarray):
 def _step_lp(sub: Subproblem, q_k: np.ndarray, h_k: np.ndarray, x_k: np.ndarray):
     """Linearized step LP around the iterate (q_k, h_k, x_k); returns the LP
     point (q, h, x), read-only, or None when the LP is not solved to
-    optimality.  Each distinct (t, design, directions, iterate) is solved
+    optimality.  Each distinct (t, design, signs, iterate) is solved
     once per memo.
 
     Columns are (q, h, x); the equality rows are the energy and mass
@@ -384,11 +383,9 @@ def multi_start(
     feasible horizon.
     """
     ctrl, afv = design.controllable_links, design.flushing_nodes
-    dbv = design.dbv_links
     memo = RunMemo() if memo is None else memo
-    subs = [[Subproblem(net, params, scc_params, bounds, design, t, dict(zip(dbv, signs)),
-                        memo)
-             for signs in itertools.product((1, -1), repeat=len(dbv))]
+    subs = [[Subproblem(net, params, scc_params, bounds, design, t, signs, memo)
+             for signs in itertools.product((1, -1), repeat=len(design.dbv_links))]
             for t in range(net.n_t)]
 
     def start(eta, alpha):

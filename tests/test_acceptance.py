@@ -245,7 +245,7 @@ def test_control_solver_monotone_and_single_pipe_target():
     design = ValveDesign.from_candidate(
         dcfg, CandidateDesign(dbv_links=(1,), afv_nodes=()))
     trace = []
-    res = sfscp_timestep(Subproblem(net, params, sp, bounds, design, 0, {1: 1}, RunMemo()),
+    res = sfscp_timestep(Subproblem(net, params, sp, bounds, design, 0, (1,), RunMemo()),
                          np.zeros(1), trace=trace)
     assert res is not None
     fs = [row[1] for row in trace]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -52,14 +53,14 @@ class TestStats:
         assert main(["stats", str(path)]) == EXIT_INPUT
 
     def test_non_finite_json(self, json_net_file, tmp_path):
-        payload = json.loads(open(json_net_file).read())
+        payload = json.loads(Path(json_net_file).read_text())
         payload["source_heads"][0][0] = float("nan")
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(payload))
         assert main(["stats", str(path)]) == EXIT_INPUT
 
     def test_json_missing_key(self, json_net_file, tmp_path, capsys):
-        payload = json.loads(open(json_net_file).read())
+        payload = json.loads(Path(json_net_file).read_text())
         del payload["sources"]
         path = tmp_path / "nosrc.json"
         path.write_text(json.dumps(payload))
@@ -67,12 +68,28 @@ class TestStats:
         assert "'sources'" in capsys.readouterr().err
 
     def test_json_unknown_link_field(self, json_net_file, tmp_path, capsys):
-        payload = json.loads(open(json_net_file).read())
+        payload = json.loads(Path(json_net_file).read_text())
         payload["links"][1]["colour"] = "blue"
         path = tmp_path / "colour.json"
         path.write_text(json.dumps(payload))
         assert main(["stats", str(path)]) == EXIT_INPUT
         assert "colour" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, index, kind", [
+        ("nodes", 1, "node"), ("sources", 0, "node"), ("links", 2, "link")])
+    def test_json_repeated_id(self, json_net_file, tmp_path, capsys, section, index, kind):
+        # a node and a source share one ID space; links have their own.  The
+        # links follow a renamed node, so only the repeated ID is wrong
+        payload = json.loads(Path(json_net_file).read_text())
+        first, old = payload[kind + "s"][0]["id"], payload[section][index]["id"]
+        payload[section][index]["id"] = first
+        for link in payload["links"] if kind == "node" else ():
+            for end in ("from_node", "to_node"):
+                link[end] = first if link[end] == old else link[end]
+        path = tmp_path / "repeat.json"
+        path.write_text(json.dumps(payload))
+        assert main(["stats", str(path)]) == EXIT_INPUT
+        assert f"repeated {kind} ID {first!r}" in capsys.readouterr().err
 
     def test_inp_link_to_undeclared_node(self, tmp_path, sample_inp_text, capsys):
         path = tmp_path / "ghost.inp"
@@ -152,6 +169,24 @@ class TestControlAndDesign:
         assert dataclasses.astuple(config) == (1, 2, 3, 4, 5, False, 0.25, 40.0, 2.5,
                                                12.0, 0.02)
         assert [type(v) for v in dataclasses.astuple(config)] == [int] * 5 + [bool] + [float] * 5
+
+    @pytest.mark.parametrize("argv, count", [
+        (["design", "--nv", "1", "--nf", "1", "--samples", "0"], "n_samples = 0"),
+        (["design", "--nv", "100"], "n_v = 100"),
+        (["design", "--nf", "100"], "n_f = 100"),
+        (["obbt", "--nv", "100"], "n_v = 100"),
+    ])
+    def test_count_the_network_cannot_hold_is_input_error(self, json_net_file, capsys,
+                                                          argv, count):
+        # the 5-link, 4-node ring takes at most 5 DBVs and 4 AFVs
+        assert main([argv[0], json_net_file, *argv[1:]]) == EXIT_INPUT
+        assert count in capsys.readouterr().err
+
+    def test_config_zero_samples_is_input_error(self, json_net_file, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nn_v = 1\nn_f = 1\nn_samples = 0\n")
+        assert main(["design", json_net_file, "--config", str(cfg)]) == EXIT_INPUT
+        assert "n_samples = 0" in capsys.readouterr().err
 
     def test_missing_config_file_rejected(self, json_net_file, tmp_path, capsys):
         cfg = str(tmp_path / "nope.ini")

@@ -125,11 +125,11 @@ class TestNewtonSolver:
             assert np.array_equal(q0, kept)
             assert q == pytest.approx(q_ref, abs=1e-9)
 
-    def test_nonconvergence_raises(self, loop4):
+    def test_nonconvergence_raises(self, loop4, monkeypatch):
         params = headloss_params(loop4)
+        monkeypatch.setattr("sccopt.hydraulics._MAX_NEWTON", 1)
         with pytest.raises(NonConvergence):
-            solve_steady(loop4, params, loop4.demands[0], loop4.source_heads[0],
-                         max_newton=1)
+            solve_steady(loop4, params, loop4.demands[0], loop4.source_heads[0])
 
     def test_residual_log(self, loop4):
         params = headloss_params(loop4)
@@ -208,7 +208,7 @@ class TestKktAssembly:
             blocks = [[sp.diags(g, format="coo"), net.A12], [net.A12T, None]]
             cases = [(net.kkt(g), sp.bmat(blocks)),
                      (Subproblem(net, params, scc_params, bounds,
-                                 ValveDesign(tuple(ctrl), (), tuple(afv)), 0, {},
+                                 ValveDesign(tuple(ctrl), (), tuple(afv)), 0, (),
                                  RunMemo()).step_matrix(g),
                       sp.bmat([blocks[0] + [E, None], blocks[1] + [None, -F]]))]
             for K, ref in cases:

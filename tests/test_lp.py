@@ -172,7 +172,7 @@ def step_and_relaxation_lps(net, monkeypatch):
     captured = []
     monkeypatch.setattr("sccopt.sfscp.solve_lp", lambda lp: captured.append(lp) or solve_lp(lp))
     sub = Subproblem(net, params, scc_params, bounds, design, 0,
-                     {2: 1 if q[2] >= 0 else -1}, RunMemo())
+                     (1 if q[2] >= 0 else -1,), RunMemo())
     _step_lp(sub, q, h, np.zeros(len(sub.lo)))
     return relax, captured[0]
 

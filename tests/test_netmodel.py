@@ -146,8 +146,8 @@ class TestParser:
         assert net.n_0 == 1
         assert net.n_t == 4
         # LPS -> m^3/s; pattern applied to j1 only
-        j1 = net.node_index("j1")
-        j2 = net.node_index("j2")
+        ids = [n.id for n in net.nodes]
+        j1, j2 = ids.index("j1"), ids.index("j2")
         assert net.demands[:, j1] == pytest.approx([0.005, 0.010, 0.015, 0.012])
         assert net.demands[:, j2] == pytest.approx([0.005] * 4)
         assert net.source_heads[:, 0] == pytest.approx([80.0] * 4)
@@ -228,6 +228,21 @@ class TestParser:
             warnings.simplefilter("ignore")
             with pytest.raises(ParseError, match="disconnected"):
                 parse_inp(text, timestep_indices=[0])
+
+    @pytest.mark.parametrize("old, new, dup", [
+        (" j2   12.0  5.0", " j2   12.0  5.0\n j1   9.0   1.0", "j1"),
+        (" r1   80.0", " r1   80.0\n j2   70.0", "j2"),
+        (" p2   j1    j2  800     250   120",
+         " p2   j1    j2  800     250   120\n p2   r1    j2  900     250   120", "p2"),
+        (" v1   j1    j2  200", " p1   j1    j2  200", "p1"),
+    ], ids=["junction", "reservoir_as_junction", "pipe", "valve_as_pipe"])
+    def test_repeated_id_rejected_at_its_line(self, sample_inp_text, old, new, dup):
+        text = sample_inp_text.replace(old, new)
+        repeat = [k for k, line in enumerate(text.splitlines(), 1)
+                  if line.split()[:1] == [dup]][-1]
+        with pytest.raises(ParseError, match=f"line {repeat}: repeated .*ID '{dup}'") as exc:
+            parse_inp(text)
+        assert exc.value.line == repeat
 
     def test_json_roundtrip(self, sample_inp_text):
         net = parse_inp(sample_inp_text, timestep_indices=[0, 2])

@@ -80,11 +80,7 @@ class TestDesignConfig:
                            line3.demands, line3.source_heads)
         cfg = DesignConfig.from_network(net, n_v=1)
         assert cfg.prv_links == (1,)
-        assert 1 not in cfg.resolved_dbv_candidates(net)
-
-    def test_candidate_restriction(self, line3):
-        cfg = DesignConfig(n_v=1, dbv_candidates=(0, 2))
-        assert cfg.resolved_dbv_candidates(line3) == (0, 2)
+        assert 1 not in cfg.free_links(net)
 
 
 class TestRelaxation:

@@ -24,11 +24,6 @@ class TestParams:
         assert p.weights.sum() == pytest.approx(1.0)
         assert p.weights == pytest.approx([1 / 3] * 3)
 
-    def test_link_subset_zeroes_weights(self, line3):
-        p = SccParams.from_network(line3, link_subset=[0, 2])
-        assert p.weights[1] == 0.0
-        assert p.weights.sum() == pytest.approx(1.0)
-
     def test_invalid_params_rejected(self, line3):
         with pytest.raises(ValueError):
             SccParams.from_network(line3, u_min=0.0)

@@ -45,9 +45,9 @@ def setup(net, **kw):
     return params, scc_params, bounds
 
 
-def timestep_zero_start(net, design, directions, **kw):
+def timestep_zero_start(net, design, signs, **kw):
     """sfscp_timestep on timestep 0 from all controls at zero."""
-    sub = Subproblem(net, *setup(net), design, 0, directions, RunMemo())
+    sub = Subproblem(net, *setup(net), design, 0, signs, RunMemo())
     return sfscp_timestep(sub, np.zeros(len(sub.lo)), **kw)
 
 
@@ -80,7 +80,7 @@ class TestSinglePipeAfv:
 class TestIterationBehaviour:
     def test_objective_sequence_monotone(self):
         trace = []
-        res = timestep_zero_start(prv_loop_net(), ValveDesign(prv_links=(2,)), {},
+        res = timestep_zero_start(prv_loop_net(), ValveDesign(prv_links=(2,)), (),
                                   trace=trace)
         assert res is not None
         fs = [row[1] for row in trace]
@@ -96,7 +96,7 @@ class TestIterationBehaviour:
         # the trace holds the start point plus one row per accepted iterate;
         # a rejected last step or an infeasible step LP is not an iteration
         trace = []
-        res = timestep_zero_start(make_net(), design, {}, trace=trace)
+        res = timestep_zero_start(make_net(), design, (), trace=trace)
         assert res[5] == len(trace) - 1
 
     def test_final_iterate_resimulates_feasibly(self):
@@ -147,7 +147,7 @@ class TestStepLp:
         d, h0 = net.demands[0], net.source_heads[0]
         q_k, h_k = solve_steady(net, params, d, h0, eta_k, alpha_k)
         tf = _TRUST_FRACTION
-        sub = Subproblem(net, params, scc_params, bounds, design, 0, {}, RunMemo())
+        sub = Subproblem(net, params, scc_params, bounds, design, 0, (), RunMemo())
         q, h, x = _step_lp(sub, q_k, h_k, np.array([2.0, 0.01]))
         eta, alpha = sub.unstack(x)
         assert np.max(np.abs(net.A12.T @ q - alpha - d)) <= 1e-12
@@ -212,8 +212,7 @@ def control_cases(draw):
     design = ValveDesign(prv_links=tuple(sorted(ctrl - dbv)),
                          dbv_links=tuple(sorted(dbv)),
                          afv_nodes=tuple(sorted(draw(st.sets(st.integers(0, N_N - 1))))))
-    # a DBV without an entry takes the default direction
-    directions = {j: draw(st.sampled_from([1, -1])) for j in dbv if draw(st.booleans())}
+    signs = tuple(draw(st.sampled_from([1, -1])) for _ in design.dbv_links)
     grid = st.lists(signed, min_size=N_T * N_P, max_size=N_T * N_P)
     # the flow box may be inverted: the rule is the same either way
     q_lo, q_hi = np.reshape([draw(grid), draw(grid)], (2, N_T, N_P))
@@ -221,20 +220,26 @@ def control_cases(draw):
                              eta_hi=np.reshape(draw(grid), (N_T, N_P)),
                              alpha_hi=draw(st.floats(0.0, 1.0)), q_lo=q_lo, q_hi=q_hi,
                              h_lo=np.zeros((N_T, N_N)), h_hi=np.ones((N_T, N_N)))
-    return bounds, draw(st.integers(0, N_T - 1)), design, directions
+    return bounds, draw(st.integers(0, N_T - 1)), design, signs
 
 
-def fixed_case(design, directions=None):
+def fixed_case(design, signs=()):
     eta = np.array([[-1.0, 2.0, -0.0, 0.0, 3.0], [0.0, -2.0, 1.0, -0.0, -3.0]])
     bounds = SimpleNamespace(eta_lo=eta, eta_hi=-eta, alpha_hi=0.025,
                              q_lo=np.minimum(eta, -eta), q_hi=np.maximum(eta, -eta),
                              h_lo=np.zeros((N_T, N_N)), h_hi=np.ones((N_T, N_N)))
-    return bounds, 1, design, directions or {}
+    return bounds, 1, design, signs
 
 
 def box_subproblem(case):
-    bounds, t, design, directions = case
-    return Subproblem(BOX_NET, None, None, bounds, design, t, directions, RunMemo())
+    bounds, t, design, signs = case
+    return Subproblem(BOX_NET, None, None, bounds, design, t, signs, RunMemo())
+
+
+def oracle_case(case):
+    """``case`` with its signs as the {DBV link: sign} dict the oracles take."""
+    bounds, t, design, signs = case
+    return bounds, t, design, dict(zip(design.dbv_links, signs))
 
 
 class TestControlBox:
@@ -242,22 +247,22 @@ class TestControlBox:
     @example(case=fixed_case(ValveDesign()))
     @example(case=fixed_case(ValveDesign(afv_nodes=(0, 3))))
     @example(case=fixed_case(ValveDesign(prv_links=(1,), dbv_links=(0, 2, 3, 4)),
-                             {0: -1, 2: -1, 3: -1}))
+                             (-1, -1, -1, 1)))
     @settings(max_examples=300, deadline=None)
     def test_matches_the_per_link_rule_bit_for_bit(self, case):
         sub = box_subproblem(case)
-        lo_ref, hi_ref = box_oracle(*case)
+        lo_ref, hi_ref = box_oracle(*oracle_case(case))
         # same bits means the same values and the same signed zeros
         assert same_bits(sub.lo, lo_ref) and same_bits(sub.hi, hi_ref)
 
     @given(case=control_cases(), q_k=signed_vectors)
     @example(case=fixed_case(ValveDesign(prv_links=(1,), dbv_links=(0, 2, 3, 4)),
-                             {0: -1, 2: -1, 3: 1, 4: 1}),
+                             (-1, -1, 1, 1)),
              q_k=np.array([-0.0, 0.0, 0.0, -0.0, 1.0]))
     @settings(max_examples=300, deadline=None)
     def test_pinned_flow_box_matches_the_per_link_rule_bit_for_bit(self, case, q_k):
         lo, hi = box_subproblem(case).flow_box(q_k)
-        lo_ref, hi_ref = flow_box_oracle(*case, q_k)
+        lo_ref, hi_ref = flow_box_oracle(*oracle_case(case), q_k)
         assert same_bits(lo, lo_ref) and same_bits(hi, hi_ref)
 
     @given(case=control_cases(),
@@ -284,7 +289,7 @@ class TestSubproblem:
         net = prv_loop_net()
         params, scc_params, bounds = setup(net)
         design = ValveDesign(prv_links=(2,), dbv_links=(4,), afv_nodes=(1,))
-        sub = Subproblem(net, params, scc_params, bounds, design, 0, {4: -1}, RunMemo())
+        sub = Subproblem(net, params, scc_params, bounds, design, 0, (-1,), RunMemo())
         arrays = {k: a for k, a in vars(sub).items() if isinstance(a, np.ndarray)}
         assert set(arrays) == {
             "ctrl", "afv", "d", "h0", "q_lo", "q_hi", "h_lo", "h_hi", "lo", "hi",
@@ -319,10 +324,31 @@ class TestSubproblem:
                           n_starts=6, seed=0)
         # one per (timestep, direction), however many starts run, all on
         # one memo
-        assert [b[:2] for b in built] == [(0, {1: 1}), (0, {1: -1}),
-                                          (1, {1: 1}), (1, {1: -1})]
+        assert [b[:2] for b in built] == [(0, (1,)), (0, (-1,)),
+                                          (1, (1,)), (1, (-1,))]
         assert all(b[2] is built[0][2] for b in built)
         assert len(sol.directions) == net.n_t
+
+    def test_multi_start_pins_every_dbv_and_no_prv(self, monkeypatch):
+        net = loop_network(4, demand=0.012, diameter=0.2, source_head=60.0, n_t=2)
+        design = ValveDesign(prv_links=(0,), dbv_links=(1, 3), afv_nodes=(2,))
+        built = []
+
+        class Recorded(Subproblem):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr("sccopt.sfscp.Subproblem", Recorded)
+        multi_start(net, *setup(net), design, n_starts=1, seed=0)
+        dbv_mask = np.isin(np.arange(net.n_p), design.dbv_links)
+        for sub in built:
+            assert np.array_equal(sub.pin_pos | sub.pin_neg, dbv_mask)
+            assert not np.any(sub.pin_pos & sub.pin_neg)
+            assert np.array_equal(sub.pin_neg[[1, 3]], np.array(sub.signs) < 0)
+        for t in range(net.n_t):
+            assert sorted(sub.signs for sub in built if sub.t == t) == [
+                (-1, -1), (-1, 1), (1, -1), (1, 1)]
 
 
 def counting(monkeypatch, name, fn=None):
@@ -341,9 +367,9 @@ def counting(monkeypatch, name, fn=None):
 
 class TestRunMemo:
     def subproblem(self, design=ValveDesign(prv_links=(2,), afv_nodes=(1,)), t=0,
-                   directions=None, memo=None, net=None):
+                   signs=(), memo=None, net=None):
         net = net or prv_loop_net()
-        return Subproblem(net, *setup(net), design, t, directions or {}, memo or RunMemo())
+        return Subproblem(net, *setup(net), design, t, signs, memo or RunMemo())
 
     def test_repeated_solve_is_one_newton_solve_with_the_same_bits(self, monkeypatch):
         calls = counting(monkeypatch, "solve_steady")
@@ -380,7 +406,7 @@ class TestRunMemo:
         calls = counting(monkeypatch, "solve_steady")
         net, memo = loop_network(4), RunMemo()
         subs = [self.subproblem(ValveDesign(dbv_links=(j,), afv_nodes=(2,)),
-                                directions={j: -1}, memo=memo, net=net) for j in (1, 3)]
+                                signs=(-1,), memo=memo, net=net) for j in (1, 3)]
         x = np.array([0.0, subs[0].hi[-1]])
         assert subs[0].solve(x) is subs[1].solve(x)
         assert len(calls) == 1
@@ -439,7 +465,7 @@ class TestDirectionEnumeration:
         design = ValveDesign.from_candidate(
             dcfg, CandidateDesign(dbv_links=(4,), afv_nodes=()))
         memo = RunMemo()
-        subs = [Subproblem(net, params, scc_params, bounds, design, 0, {4: s}, memo)
+        subs = [Subproblem(net, params, scc_params, bounds, design, 0, (s,), memo)
                 for s in (1, -1)]
         x0 = np.zeros(len(subs[0].lo))
         res = enumerate_dbv_directions(subs, x0)
@@ -456,7 +482,7 @@ class TestRestoration:
         net = prv_loop_net()
         params, scc_params, bounds = setup(net)
         design = ValveDesign(prv_links=(2,))
-        sub = Subproblem(net, params, scc_params, bounds, design, 0, {}, RunMemo())
+        sub = Subproblem(net, params, scc_params, bounds, design, 0, (), RunMemo())
         out = restore_feasibility(sub, np.array([bounds.eta_hi[0, 2]]))
         assert out is not None
         _, _, h = out
@@ -483,7 +509,7 @@ class TestReducedGradient:
         alpha = np.zeros((net.n_t, net.n_n))
         alpha[0, 1] = 0.01
         state = simulate(net, params, eta=eta, alpha=alpha)
-        sub = Subproblem(net, params, scc_params, bounds, design, 0, {}, RunMemo())
+        sub = Subproblem(net, params, scc_params, bounds, design, 0, (), RunMemo())
         q = state.q[0]
         d_eta, d_alpha = sub.gradient(q, scc_smooth_grad_flows(q[None, :], net, scc_params)[0],
                                       np.zeros(net.n_n))
