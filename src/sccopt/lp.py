@@ -1,14 +1,17 @@
 """Sparse LP data model and solver front end.
 
-A fresh LP is solved by HiGHS's dual simplex (Huangfu and Hall, 2018,
-*Parallelizing the dual revised simplex method*), driven through the
-bindings SciPy bundles as the private module ``scipy.optimize._highspy._core``
-(first shipped in SciPy 1.15, hence ``scipy>=1.15``).  ``solve_lp`` hands
-HiGHS the model and options ``scipy.optimize.linprog(method="highs")`` would
-and applies linprog's post-solve feasibility check, but skips linprog's
-per-call input cleaning and option checking, which cost more than the solve
-itself on the small SCP step LPs.  The rest of the pipeline sees only
-``solve_lp``, so a different engine can be swapped in behind it.
+A ``LinearProgram`` is stored in HiGHS's own form, lhs <= A x <= rhs with
+bounds on x, and ``solve_lp`` hands it to HiGHS's dual simplex (Huangfu and
+Hall, 2018, *Parallelizing the dual revised simplex method*) with no
+translation: a CSC matrix in canonical format goes in uncopied, and the rows
+and duals keep the LP's order.  HiGHS is driven through the bindings SciPy
+bundles as the private module ``scipy.optimize._highspy._core`` (first
+shipped in SciPy 1.15, hence ``scipy>=1.15``), with the options
+``scipy.optimize.linprog(method="highs")`` uses and linprog's post-solve
+feasibility check, but without linprog's per-call input cleaning and option
+checking, which cost more than the solve itself on the small SCP step LPs.
+The rest of the pipeline sees only ``solve_lp``, so a different engine can
+be swapped in behind it.
 
 An LP from ``LinearProgram.hot_started()`` instead shares one HiGHS
 instance with its ``with_objective`` copies, as the LPs of an OBBT pass do
@@ -28,9 +31,6 @@ import scipy.optimize._highspy._core as _highs
 
 from .errors import InconsistentBounds
 
-LEQ = "<"
-EQ = "="
-
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -48,19 +48,26 @@ _FEAS_TOL = np.sqrt(1e-9) * 10
 
 @dataclass(eq=False)
 class LinearProgram:
-    """min c @ x  s.t.  A x (<=|=) b,  lb <= x <= ub.
+    """min c @ x  s.t.  lhs <= A x <= rhs,  lb <= x <= ub.
 
-    A may be any SciPy sparse matrix or array (CSR, CSC, ...).  Two LPs
-    compare equal only when they are the same object.
+    This is HiGHS's own model, which ``solve_lp`` passes on as it is: a row
+    with lhs = -inf is an inequality A x <= rhs, and a row with lhs == rhs
+    is an equality.  A may be any SciPy sparse matrix or array; a CSC one in
+    canonical format reaches HiGHS uncopied.  The vectors are stored as
+    float arrays.  Two LPs compare equal only when they are the same object.
     """
 
     c: np.ndarray
     A: sp.spmatrix | sp.sparray
-    senses: np.ndarray
-    b: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
     session: "HotSession | None" = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for name in ("c", "lhs", "rhs", "lb", "ub"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
 
     @property
     def n_rows(self) -> int:
@@ -76,22 +83,24 @@ class LinearProgram:
             raise ValueError("LP has no columns")
         if not (len(self.c) == len(self.lb) == len(self.ub) == m):
             raise ValueError("column dimension mismatch")
-        if not (len(self.senses) == len(self.b) == n):
+        if not (len(self.lhs) == len(self.rhs) == n):
             raise ValueError("row dimension mismatch")
-        if not (np.isfinite(self.A.data).all() and np.isfinite(self.c).all()
-                and np.isfinite(self.b).all()):
+        if not (np.isfinite(self.A.data).all() and np.isfinite(self.c).all()):
             raise ValueError("NaN or infinite coefficient in LP")
-        if np.isnan(self.lb).any() or np.isnan(self.ub).any():
+        if any(np.isnan(v).any() for v in (self.lhs, self.rhs, self.lb, self.ub)):
             raise ValueError("NaN bound in LP")
-        bad = self.lb > self.ub
-        if np.any(bad):
-            idx = int(np.argmax(bad))
-            raise InconsistentBounds(
-                f"variable {idx}: lower bound {self.lb[idx]} > upper bound {self.ub[idx]}")
+        if np.any(self.lhs == np.inf) or np.any(self.rhs == -np.inf):
+            raise ValueError("row bound lhs = +inf or rhs = -inf")
+        for kind, lo, hi in (("variable", self.lb, self.ub), ("row", self.lhs, self.rhs)):
+            bad = lo > hi
+            if np.any(bad):
+                idx = int(np.argmax(bad))
+                raise InconsistentBounds(
+                    f"{kind} {idx}: lower bound {lo[idx]} > upper bound {hi[idx]}")
 
     def with_objective(self, c: np.ndarray) -> "LinearProgram":
         """Same constraints and session, new objective (OBBT re-solves use this)."""
-        return replace(self, c=np.asarray(c, dtype=float))
+        return replace(self, c=c)
 
     def hot_started(self) -> "LinearProgram":
         """This LP with a new ``HotSession``, shared by its ``with_objective``
@@ -124,46 +133,21 @@ _OPTIONS = _options("on", _STRATEGY.kSimplexStrategyDual)
 _HOT_OPTIONS = _options("off", _STRATEGY.kSimplexStrategyPrimal)
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """An LP's data as HiGHS takes it: the LEQ rows, then the EQ rows (as
-    linprog orders them), as lhs <= A x <= rhs with A in canonical CSC."""
-
-    order: np.ndarray
-    n_leq: int
-    A: sp.csc_matrix
-    lhs: np.ndarray
-    rhs: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-
-
-def _rows(lp: LinearProgram) -> _Rows:
-    is_eq = lp.senses == EQ
-    order = np.argsort(is_eq, kind="stable")
-    n_leq = len(order) - int(is_eq.sum())
-    A = lp.A.tocsr()[order].tocsc() if 0 < n_leq < len(order) else lp.A.tocsc()
+def _new_highs(options, lp: LinearProgram):
+    """A HiGHS instance holding ``lp``, or the model status it stopped with."""
+    A = lp.A.tocsc()
     if not A.has_canonical_format:
         A = A.copy()
         A.sum_duplicates()
-    rhs = np.asarray(lp.b, dtype=float)[order]
-    lhs = np.where(is_eq[order], rhs, -np.inf)
-    return _Rows(order, n_leq, A, lhs, rhs,
-                 np.asarray(lp.lb, dtype=float), np.asarray(lp.ub, dtype=float))
-
-
-def _new_highs(options, c, rows: _Rows):
-    """A HiGHS instance holding min c @ x over ``rows``, or the model status
-    it stopped with."""
     model = _highs.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = len(c)
-    model.num_row_ = model.a_matrix_.num_row_ = len(rows.rhs)
+    model.num_col_ = model.a_matrix_.num_col_ = lp.n_cols
+    model.num_row_ = model.a_matrix_.num_row_ = lp.n_rows
     model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    model.a_matrix_.start_ = rows.A.indptr
-    model.a_matrix_.index_ = rows.A.indices
-    model.a_matrix_.value_ = rows.A.data
-    model.col_cost_, model.col_lower_, model.col_upper_ = c, rows.lb, rows.ub
-    model.row_lower_, model.row_upper_ = rows.lhs, rows.rhs
+    model.a_matrix_.start_ = A.indptr
+    model.a_matrix_.index_ = A.indices
+    model.a_matrix_.value_ = A.data
+    model.col_cost_, model.col_lower_, model.col_upper_ = lp.c, lp.lb, lp.ub
+    model.row_lower_, model.row_upper_ = lp.lhs, lp.rhs
     highs = _highs._Highs()
     if highs.passOptions(options) == _highs.HighsStatus.kError:
         return highs.getModelStatus()
@@ -182,9 +166,9 @@ def _run(highs):
                           np.array(sol.row_value), np.array(sol.row_dual))
 
 
-def _run_highs(c, rows: _Rows):
+def _run_highs(lp: LinearProgram):
     """One fresh HiGHS solve with linprog's options."""
-    highs = _new_highs(_OPTIONS, c, rows)
+    highs = _new_highs(_OPTIONS, lp)
     if isinstance(highs, _MS):
         return highs, None
     return _run(highs)
@@ -194,33 +178,32 @@ class HotSession:
     """One HiGHS instance that re-solves an LP's constraints for a sequence of
     objectives, each from the basis the previous solve left.
 
-    It keeps the rows ``solve_lp`` prepared on first use, so every LP solved
-    through it must share the first one's constraints, as ``with_objective``
-    copies do.  ``cold_retries`` counts the solves that failed hot and were
-    solved cold instead.
+    The instance holds the constraints of the LP it was built from, so every
+    LP solved through it must share them, as ``with_objective`` copies do.
+    ``cold_retries`` counts the solves that failed hot and were solved cold
+    instead.
     """
 
     def __init__(self):
-        self.rows: _Rows | None = None
         self.highs = None
         self.cols = None
         self.cold_retries = 0
 
-    def run(self, c):
-        """Solve for objective ``c`` from the kept basis; same result shape
+    def run(self, lp: LinearProgram):
+        """Solve for ``lp``'s objective from the kept basis; same result shape
         as ``_run_highs``."""
         if self.highs is None:
-            highs = _new_highs(_HOT_OPTIONS, c, self.rows)
+            highs = _new_highs(_HOT_OPTIONS, lp)
             if isinstance(highs, _MS):
                 return highs, None
-            self.highs, self.cols = highs, np.arange(len(c), dtype=np.int32)
-        elif self.highs.changeColsCost(len(c), self.cols, c) == _highs.HighsStatus.kError:
+            self.highs, self.cols = highs, np.arange(lp.n_cols, dtype=np.int32)
+        elif self.highs.changeColsCost(lp.n_cols, self.cols, lp.c) == _highs.HighsStatus.kError:
             return _MS.kModelError, None
         return _run(self.highs)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve with HiGHS; duals are returned in the original row order.
+    """Solve with HiGHS; the duals are in the LP's row order.
 
     An optimal point that fails linprog's feasibility check is NUMERICAL.
     An LP carrying a ``HotSession`` (see ``LinearProgram.hot_started``) is
@@ -228,33 +211,26 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     dropped, so the next LP starts a fresh one, and this LP is solved cold.
     """
     lp.validate()
-    c = np.asarray(lp.c, dtype=float)
     session = lp.session
-    if session is None:
-        rows = _rows(lp)
-    else:
-        if session.rows is None:
-            session.rows = _rows(lp)
-        rows = session.rows
-        sol = _checked(lp, rows, *session.run(c))
+    if session is not None:
+        sol = _checked(lp, *session.run(lp))
         if sol.status == OPTIMAL:
             return sol
         session.highs = None
         session.cold_retries += 1
-    return _checked(lp, rows, *_run_highs(c, rows))
+    return _checked(lp, *_run_highs(lp))
 
 
-def _checked(lp: LinearProgram, rows: _Rows, status, result) -> LpSolution:
+def _checked(lp: LinearProgram, status, result) -> LpSolution:
     if result is None:
         return LpSolution(_STATUS.get(status, NUMERICAL))
-    x, objective, activity, row_dual = result
-    # linprog's check of the point: bounds, LEQ slacks and EQ residuals
-    # within _FEAS_TOL, and no NaN
-    tol, residual, n_leq = _FEAS_TOL, rows.rhs - activity, rows.n_leq
-    if not (np.all(x >= rows.lb - tol) and np.all(x <= rows.ub + tol)
-            and np.all(residual[:n_leq] >= -tol)
-            and np.all(np.abs(residual[n_leq:]) <= tol)) or np.isnan(objective):
+    x, objective, activity, duals = result
+    # linprog's check of the point: bounds and both row sides within
+    # _FEAS_TOL, and no NaN; on a row with lhs == rhs the two sides test
+    # |rhs - activity| <= _FEAS_TOL, as linprog's equality check does
+    tol = _FEAS_TOL
+    if not (np.all(x >= lp.lb - tol) and np.all(x <= lp.ub + tol)
+            and np.all(lp.rhs - activity >= -tol)
+            and np.all(activity - lp.lhs >= -tol)) or np.isnan(objective):
         return LpSolution(NUMERICAL)
-    duals = np.empty(lp.n_rows)
-    duals[rows.order] = row_dual
     return LpSolution(OPTIMAL, x, float(objective), duals)

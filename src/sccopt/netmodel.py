@@ -203,15 +203,6 @@ class NetworkModel:
         for arr in (self.kkt_indptr, self.kkt_indices, self.kkt_template):
             arr.setflags(write=False)
 
-    def kkt(self, g: np.ndarray) -> sp.csc_matrix:
-        """[[diag(g), A12], [A12^T, 0]] as CSC with sorted indices: the compiled
-        pattern with g written into the first entry of each q column.  For g
-        with no zeros it is bit-identical to ``sp.bmat`` of those blocks."""
-        data = self.kkt_template.copy()
-        data[self.kkt_indptr[:self.n_p]] = g
-        n = self.n_p + self.n_n
-        return sp.csc_matrix((data, self.kkt_indices, self.kkt_indptr), shape=(n, n))
-
     def validate(self):
         if self.n_t < 1:
             raise ValueError("need at least one timestep")

@@ -30,10 +30,11 @@ _EXPLORE = 0.5
 class RunConfig:
     """The settings of a design/control run: valve counts, sampling, starts,
     seed, OBBT on or off, and the SCC and bound parameters.  The OBBT and SCP
-    stopping rules are constants of their modules.  ``n_samples`` must be at
-    least 1.  ``n_starts`` is a floor, not a cap: the deterministic control
-    starts always run (five with n_v, n_f >= 1 in ``run_cms``), so a smaller
-    value changes nothing."""
+    stopping rules are constants of their modules.  ``n_samples`` and
+    ``n_starts`` must be at least 1, ``u_max`` positive, and ``p_min`` and
+    ``alpha_max`` non-negative.  ``n_starts`` is a floor, not a cap: the
+    deterministic control starts always run (five with n_v, n_f >= 1 in
+    ``run_cms``), so a value below their count changes nothing."""
 
     n_v: int = 0
     n_f: int = 0
@@ -48,8 +49,13 @@ class RunConfig:
     alpha_max: float = 0.025
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples = {self.n_samples}: need at least 1")
+        for name, ok, need in (("n_samples", self.n_samples >= 1, "at least 1"),
+                               ("n_starts", self.n_starts >= 1, "at least 1"),
+                               ("u_max", self.u_max > 0, "a positive value"),
+                               ("p_min", self.p_min >= 0, "a non-negative value"),
+                               ("alpha_max", self.alpha_max >= 0, "a non-negative value")):
+            if not ok:
+                raise ValueError(f"{name} = {getattr(self, name)}: need {need}")
 
 
 @dataclass

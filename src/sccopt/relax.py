@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from . import envelopes
 from .errors import InconsistentBounds
 from .hydraulics import HeadLossParams, phi
-from .lp import EQ, LEQ, LinearProgram, LpSolution, OPTIMAL
+from .lp import LinearProgram, LpSolution, OPTIMAL
 from .netmodel import NetworkModel
 from .scc import SccParams
 
@@ -173,9 +173,10 @@ def build_lp(
 ) -> tuple[LinearProgram, VariableMap]:
     """Assemble the continuous relaxation as a single LP.
 
-    Rows per timestep: mass balance, energy balance, each link's table, then
-    one AFV row per node; the two valve-count rows come last.  The envelope
-    cuts of a timestep's link tables are built for all links at once.
+    The ``<=`` rows come first: per timestep, each link's table, then one
+    AFV row per node.  The equality rows follow: per timestep, mass and
+    energy balance, then the two valve-count rows.  The envelope cuts of a
+    timestep's link tables are built for all links at once.
     """
     vmap = VariableMap(net.n_p, net.n_n, net.n_t)
     n = vmap.total
@@ -185,12 +186,12 @@ def build_lp(
     fixed = list(design.fixed_links())
     # a column's bounds are [0, 0] unless set below
     c, lb, ub = np.zeros(n), np.zeros(n), np.zeros(n)
-    blocks, rhs, senses = [], [], []
+    # (blocks, right-hand sides) of the <= rows and of the equality rows
+    leq, eq = ([], []), ([], [])
 
-    def add(block, cols, b, sense):
-        blocks.append(_at_columns(block, cols, n))
-        rhs.append(b)
-        senses.append(np.full(len(b), sense))
+    def add(group, block, cols, b):
+        group[0].append(_at_columns(block, cols, n))
+        group[1].append(b)
 
     for t in range(net.n_t):
         q_idx, h_idx = vmap.q(t), vmap.h(t)
@@ -200,19 +201,19 @@ def build_lp(
         vp_idx, vm_idx = vmap.v_pos(t), vmap.v_neg(t)
 
         # mass: A12^T q - alpha = d;  energy: A12 h + theta + eta = -A10 h0
-        add(sp.hstack([net.A12T, -I_n]), np.r_[q_idx, a_idx], net.demands[t], EQ)
-        add(sp.hstack([net.A12, I_p, I_p]), np.r_[h_idx, th_idx, eta_idx],
-            -(net.A10 @ net.source_heads[t]), EQ)
+        add(eq, sp.hstack([net.A12T, -I_n]), np.r_[q_idx, a_idx], net.demands[t])
+        add(eq, sp.hstack([net.A12, I_p, I_p]), np.r_[h_idx, th_idx, eta_idx],
+            -(net.A10 @ net.source_heads[t]))
 
         table, keep = _link_tables(params, scc_params, bounds, t, areas)
         cols = np.column_stack([q_idx, sp_idx, sm_idx, th_idx, eta_idx,
                                 vp_idx, vm_idx, z_idx])
         rows = table[keep]
-        add(rows[:, :8], cols[np.nonzero(keep)[0]], rows[:, 8], LEQ)
+        add(leq, rows[:, :8], cols[np.nonzero(keep)[0]], rows[:, 8])
 
         # flushing only where an AFV is placed
-        add(sp.hstack([I_n, -bounds.alpha_hi * I_n]), np.r_[a_idx, y_idx],
-            np.zeros(net.n_n), LEQ)
+        add(leq, sp.hstack([I_n, -bounds.alpha_hi * I_n]), np.r_[a_idx, y_idx],
+            np.zeros(net.n_n))
 
         lb[q_idx], ub[q_idx] = bounds.q_lo[t], bounds.q_hi[t]
         lb[h_idx], ub[h_idx] = bounds.h_lo[t], bounds.h_hi[t]
@@ -230,12 +231,13 @@ def build_lp(
     ub[z_idx[list(design.free_links(net))]] = 1.0
     lb[z_idx[fixed]] = ub[z_idx[fixed]] = 1.0
     ub[y_idx] = 1.0
-    add(np.ones((1, net.n_p)), z_idx, [design.n_v + len(fixed)], EQ)
-    add(np.ones((1, net.n_n)), y_idx, [design.n_f], EQ)
+    add(eq, np.ones((1, net.n_p)), z_idx, [design.n_v + len(fixed)])
+    add(eq, np.ones((1, net.n_n)), y_idx, [design.n_f])
 
-    A = sp.vstack(blocks, format="csr")
+    A = sp.vstack(leq[0] + eq[0], format="csr")
     A.eliminate_zeros()  # no block may store a zero coefficient
-    lp = LinearProgram(c, A, np.concatenate(senses), np.concatenate(rhs, dtype=float), lb, ub)
+    lhs = np.concatenate([np.full(len(b), -np.inf) for b in leq[1]] + eq[1], dtype=float)
+    lp = LinearProgram(c, A.tocsc(), lhs, np.concatenate(leq[1] + eq[1], dtype=float), lb, ub)
     lp.validate()
     return lp, vmap
 

@@ -31,7 +31,7 @@ from scipy.optimize import Bounds, minimize
 
 from .errors import AllStartsInfeasible, NonConvergence, SingularSystem
 from .hydraulics import HeadLossParams, HydraulicState, phi, phi_prime, solve_steady
-from .lp import EQ, OPTIMAL, LinearProgram, solve_lp
+from .lp import OPTIMAL, LinearProgram, solve_lp
 from .netmodel import NetworkModel
 from .relax import BoundSet, DesignConfig
 from .sampler import CandidateDesign
@@ -191,12 +191,13 @@ class Subproblem:
         """Gradient w.r.t. x of a function of (q, h) with gradients (grad_q,
         grad_h), through the hydraulic equations at the flows q.
 
-        The Jacobian [[diag(phi'), A12], [A12^T, 0]] is symmetric, so one
-        solve with the value gradient as right-hand side yields both
-        sensitivities.
+        The Jacobian [[diag(phi'), A12], [A12^T, 0]], the step matrix's
+        leading columns, is symmetric, so one solve with the value gradient
+        as right-hand side yields both sensitivities.
         """
         g = np.maximum(phi_prime(q, self.params), 1e-8)
-        lam = spla.spsolve(self.net.kkt(g), np.concatenate([grad_q, grad_h]))
+        n = self.net.n_p + self.net.n_n
+        lam = spla.spsolve(self.step_matrix(g)[:, :n], np.concatenate([grad_q, grad_h]))
         return np.concatenate([-lam[self.ctrl], lam[self.net.n_p + self.afv]])
 
     def step_matrix(self, g: np.ndarray) -> sp.csc_matrix:
@@ -286,8 +287,7 @@ def _step_lp(sub: Subproblem, q_k: np.ndarray, h_k: np.ndarray, x_k: np.ndarray)
     c = np.zeros(A.shape[1])
     c[:n_q] = -scc_smooth_grad_flows(q_k[None, :], sub.net, sub.scc_params)[0]
     # a pinned direction or an iterate outside its bounds can invert a box
-    sol = solve_lp(LinearProgram(c, A, np.full(len(b), EQ), b,
-                                 np.minimum(lo, hi), np.maximum(lo, hi)))
+    sol = solve_lp(LinearProgram(c, A, b, b, np.minimum(lo, hi), np.maximum(lo, hi)))
     steps[key] = (_read_only(np.split(sol.x, [n_q, n_q + sub.net.n_n]))
                   if sol.status == OPTIMAL else None)
     return steps[key]

@@ -188,6 +188,14 @@ class TestControlAndDesign:
         assert main(["design", json_net_file, "--config", str(cfg)]) == EXIT_INPUT
         assert "n_samples = 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["alpha_max = -0.1", "u_max = -1"])
+    def test_config_bad_bound_is_input_error_naming_it(self, json_net_file, tmp_path, capsys,
+                                                       line):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\nn_v = 1\nn_f = 1\nn_samples = 2\n{line}\n")
+        assert main(["design", json_net_file, "--config", str(cfg)]) == EXIT_INPUT
+        assert line.split(" = ")[0] in capsys.readouterr().err
+
     def test_missing_config_file_rejected(self, json_net_file, tmp_path, capsys):
         cfg = str(tmp_path / "nope.ini")
         assert main(["obbt", json_net_file, "--config", cfg]) == EXIT_INPUT

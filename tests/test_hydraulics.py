@@ -206,11 +206,12 @@ class TestKktAssembly:
             F = sp.coo_matrix((np.ones(len(afv)), (afv, np.arange(len(afv)))),
                               shape=(net.n_n, len(afv)))
             blocks = [[sp.diags(g, format="coo"), net.A12], [net.A12T, None]]
-            cases = [(net.kkt(g), sp.bmat(blocks)),
-                     (Subproblem(net, params, scc_params, bounds,
-                                 ValveDesign(tuple(ctrl), (), tuple(afv)), 0, (),
-                                 RunMemo()).step_matrix(g),
-                      sp.bmat([blocks[0] + [E, None], blocks[1] + [None, -F]]))]
+            step = Subproblem(net, params, scc_params, bounds,
+                              ValveDesign(tuple(ctrl), (), tuple(afv)), 0, (),
+                              RunMemo()).step_matrix(g)
+            # the adjoint solves with the Jacobian, the step matrix's leading columns
+            cases = [(step[:, :net.n_p + net.n_n], sp.bmat(blocks)),
+                     (step, sp.bmat([blocks[0] + [E, None], blocks[1] + [None, -F]]))]
             for K, ref in cases:
                 ref = ref.tocsc()
                 assert K.shape == ref.shape

@@ -1,5 +1,6 @@
-"""Every name a package or test module imports is used in that module, and
-no package module imports a private name from another."""
+"""Every name a package or test module imports is used in that module, no
+package module imports a private name from another, and only ``lp.py``
+imports HiGHS."""
 import ast
 from pathlib import Path
 
@@ -57,3 +58,32 @@ def test_detects_a_private_sibling_import():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_module_imports_no_private_sibling_name(path):
     assert private_sibling_imports(path.read_text()) == []
+
+
+def highs_imports(source: str) -> list[str]:
+    """Imports of SciPy's HiGHS bindings, ``scipy.optimize._highspy``."""
+    tree = ast.parse(source)
+    modules = [(a.name, node.lineno) for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names]
+    modules += [(f"{node.module}.{a.name}", node.lineno) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module for a in node.names]
+    return sorted(f"{name} (line {line})" for name, line in modules
+                  if f"{name}.".startswith("scipy.optimize._highspy."))
+
+
+def test_detects_a_highs_import():
+    source = ("import scipy.optimize._highspy._core as h\n"
+              "from scipy.optimize import _highspy, linprog\n"
+              "from scipy.optimize._highspy._core import HighsLp\n"
+              "import scipy.optimize._highspy_extra\n")
+    assert highs_imports(source) == [
+        "scipy.optimize._highspy (line 2)",
+        "scipy.optimize._highspy._core (line 1)",
+        "scipy.optimize._highspy._core.HighsLp (line 3)"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "lp.py"],
+                         ids=lambda p: p.name)
+def test_only_lp_imports_highs(path):
+    # HiGHS stays behind solve_lp, as lp.py's docstring promises
+    assert highs_imports(path.read_text()) == []

@@ -9,17 +9,26 @@ from linprog_reference import linprog_solve_lp
 from oracle_simplex import simplex_solve
 from sccopt.errors import InconsistentBounds
 from sccopt.hydraulics import headloss_params, solve_steady
-from sccopt.lp import (EQ, LEQ, INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED,
-                       HotSession, LinearProgram, solve_lp)
+from sccopt.lp import (INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED, HotSession, LinearProgram,
+                       solve_lp)
+from sccopt.pipeline import RunConfig, run_cms
 from sccopt.relax import DesignConfig, build_lp, default_bounds
 from sccopt.scc import SccParams
 from sccopt.sfscp import RunMemo, Subproblem, ValveDesign, _step_lp
 
 
+# a row written as linprog takes it: A x <= b (LEQ) or A x == b (EQ)
+LEQ, EQ = "<=", "=="
+
+
+def row_bounds(senses, b):
+    """(lhs, rhs) of rows with these senses and right-hand sides."""
+    b = np.asarray(b, float)
+    return np.where(np.asarray(senses, dtype=object) == EQ, b, -np.inf), b
+
+
 def make_lp(c, A, senses, b, lb, ub):
-    return LinearProgram(np.asarray(c, float), sp.csr_matrix(np.asarray(A, float)),
-                         np.asarray(senses), np.asarray(b, float),
-                         np.asarray(lb, float), np.asarray(ub, float))
+    return LinearProgram(c, sp.csr_matrix(np.asarray(A, float)), *row_bounds(senses, b), lb, ub)
 
 
 class TestSolveBasics:
@@ -71,9 +80,20 @@ class TestSolveBasics:
         with pytest.raises(ValueError):
             solve_lp(make_lp(**kw))
 
+    @pytest.mark.parametrize("lhs, rhs", [
+        ([np.nan], [1.0]), ([0.0], [np.nan]), ([np.inf], [np.inf]), ([-np.inf], [-np.inf])])
+    def test_bad_row_bound_rejected(self, lhs, rhs):
+        with pytest.raises(ValueError):
+            solve_lp(LinearProgram([1.0], sp.csr_matrix([[1.0]]), lhs, rhs, [0.0], [1.0]))
+
+    def test_crossed_row_bounds_rejected_naming_the_row(self):
+        lp = LinearProgram([1.0, 1.0], sp.csr_matrix(np.eye(2)), [0.0, 2.0], [1.0, 1.0],
+                           [0.0, 0.0], [5.0, 5.0])
+        with pytest.raises(InconsistentBounds, match="^row 1: lower bound 2.0 > upper bound 1.0"):
+            solve_lp(lp)
+
     def test_no_columns_rejected(self):
-        lp = LinearProgram(np.zeros(0), sp.csr_matrix((1, 0)), np.array([LEQ]),
-                           np.ones(1), np.zeros(0), np.zeros(0))
+        lp = LinearProgram(np.zeros(0), sp.csr_matrix((1, 0)), [-np.inf], [1.0], [], [])
         with pytest.raises(ValueError):
             solve_lp(lp)
 
@@ -108,8 +128,8 @@ class TestPostSolveCheck:
     """An "optimal" point from HiGHS passes linprog's feasibility check (bounds,
     LEQ slacks and EQ residuals within sqrt(1e-9) * 10) or reads NUMERICAL."""
 
-    # rows: x0 - x1 = 0 (EQ), x0 + x1 <= 1 (LEQ); HiGHS takes the LEQ row first
-    LP = make_lp([1, 1], [[1, -1], [1, 1]], [EQ, LEQ], [0, 1], [0, 0], [1, 1])
+    # rows: x0 + x1 <= 1 (LEQ), x0 - x1 = 0 (EQ)
+    LP = make_lp([1, 1], [[1, 1], [1, -1]], [LEQ, EQ], [1, 0], [0, 0], [1, 1])
 
     @pytest.mark.parametrize("x, activity, objective, status", [
         ([0.5, 0.5], [1.0, 0.0], 1.0, OPTIMAL),
@@ -121,6 +141,7 @@ class TestPostSolveCheck:
         ([np.nan, 0.5], [1.0, 0.0], 1.0, NUMERICAL),
         ([0.5, 0.5], [1.0, np.nan], 1.0, NUMERICAL),
         ([0.5, 0.5], [1.0, 0.0], np.nan, NUMERICAL),
+        ([0.5, 0.5], [1.0, 1e-3], 1.0, NUMERICAL),       # EQ row, from above
     ])
     def test_violating_point_is_numerical(self, monkeypatch, x, activity, objective, status):
         result = (np.array(x), objective, np.array(activity), np.array([0.0, 2.0]))
@@ -129,19 +150,26 @@ class TestPostSolveCheck:
         sol = solve_lp(self.LP)
         assert sol.status == status
         if status == OPTIMAL:
-            # duals come back in the LP's own row order
-            assert np.array_equal(sol.duals, [2.0, 0.0])
+            # duals come back as HiGHS gives them, in the LP's row order
+            assert np.array_equal(sol.duals, [0.0, 2.0])
 
 
 def assert_matches_linprog(lp):
+    """solve_lp's result is linprog's: exactly when every LEQ row comes before
+    every EQ row, the order in which linprog hands rows to HiGHS and the only
+    one the pipeline builds; for any other order, the status and the
+    objective to 1e-9."""
     ours, ref = solve_lp(lp), linprog_solve_lp(lp)
     assert ours.status == ref.status
-    if ref.status == OPTIMAL:
+    is_eq = lp.lhs == lp.rhs
+    if ref.status != OPTIMAL:
+        assert ours.x is None and ours.duals is None
+    elif np.all(is_eq[:-1] <= is_eq[1:]):
         assert np.array_equal(ours.x, ref.x)
         assert ours.objective == ref.objective
         assert np.array_equal(ours.duals, ref.duals)
     else:
-        assert ours.x is None and ours.duals is None
+        assert abs(ours.objective - ref.objective) <= 1e-9 * (1 + abs(ref.objective))
     return ours.status
 
 
@@ -156,7 +184,8 @@ def mixed_lps(draw):
     ub = draw(arrays(float, n, elements=st.one_of(st.just(np.inf), st.floats(0, 5))))
     fmt = draw(st.sampled_from([sp.csr_matrix, sp.csc_matrix]))
     return LinearProgram(draw(arrays(float, n, elements=st.floats(-3, 3))), fmt(A),
-                         senses, draw(arrays(float, m, elements=st.floats(-5, 5))), lb, ub)
+                         *row_bounds(senses, draw(arrays(float, m, elements=st.floats(-5, 5)))),
+                         lb, ub)
 
 
 def step_and_relaxation_lps(net, monkeypatch):
@@ -203,15 +232,15 @@ class TestMatchesLinprog:
         A = sp.csr_matrix((np.array([1.0, 0.5, 0.5, 1.0]), np.array([1, 0, 0, 1]),
                            np.array([0, 3, 4])), shape=(2, 2))
         for senses in ([LEQ, EQ], [EQ, EQ]):
-            lp = LinearProgram(np.array([-1.0, -1.0]), A, np.array(senses),
-                               np.array([2.0, 0.5]), np.zeros(2), np.full(2, 5.0))
+            lp = LinearProgram(np.array([-1.0, -1.0]), A, *row_bounds(senses, [2.0, 0.5]),
+                               np.zeros(2), np.full(2, 5.0))
             assert assert_matches_linprog(lp) == OPTIMAL
             assert solve_lp(lp).x == pytest.approx([1.5, 0.5])
 
     @pytest.mark.parametrize("name", ["loop4", "grid25"])
     def test_step_and_relaxation_lps(self, name, request, monkeypatch):
         relax, step = step_and_relaxation_lps(request.getfixturevalue(name), monkeypatch)
-        assert isinstance(step.A, sp.csc_matrix) and (step.senses == EQ).all()
+        assert isinstance(step.A, sp.csc_matrix) and np.array_equal(step.lhs, step.rhs)
         assert assert_matches_linprog(step) == OPTIMAL
         assert assert_matches_linprog(relax) == OPTIMAL
         # OBBT re-solves the relaxation's rows with other objectives
@@ -220,12 +249,18 @@ class TestMatchesLinprog:
             assert_matches_linprog(relax.with_objective(rng.normal(size=relax.n_cols)))
 
 
+def test_every_step_lp_is_all_equalities(loop4, monkeypatch):
+    steps = []
+    monkeypatch.setattr("sccopt.sfscp.solve_lp", lambda lp: steps.append(lp) or solve_lp(lp))
+    run_cms(loop4, RunConfig(n_v=1, n_f=1, n_samples=2, n_starts=1, seed=0))
+    assert steps and all(np.array_equal(lp.lhs, lp.rhs) for lp in steps)
+
+
 def assert_passes_check(lp, x, tol=np.sqrt(1e-9) * 10):
     """linprog's post-solve check of x, recomputed from the LP's own rows."""
-    residual = lp.b - lp.A @ x
-    is_eq = lp.senses == EQ
+    activity = lp.A @ x
     assert np.all(x >= lp.lb - tol) and np.all(x <= lp.ub + tol)
-    assert np.all(residual[~is_eq] >= -tol) and np.all(np.abs(residual[is_eq]) <= tol)
+    assert np.all(lp.rhs - activity >= -tol) and np.all(activity - lp.lhs >= -tol)
 
 
 class TestHotSession:
@@ -257,7 +292,7 @@ class TestHotSession:
         lp = make_lp([-1, -1], [[1, 1]], [LEQ], [1], [0, 0], [1, 1]).hot_started()
         assert solve_lp(lp).status == OPTIMAL
         monkeypatch.setattr(HotSession, "run",
-                            lambda self, c: (HighsModelStatus.kSolveError, None))
+                            lambda self, lp: (HighsModelStatus.kSolveError, None))
         sol = solve_lp(lp.with_objective([1, -1]))
         assert sol.status == OPTIMAL and sol.objective == pytest.approx(-1.0)
         assert lp.session.cold_retries == 1

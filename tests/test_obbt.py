@@ -104,18 +104,18 @@ class TestHotStart:
         run = HotSession.run
         # every hot solve failing gives a fully cold pass
         monkeypatch.setattr(HotSession, "run",
-                            lambda self, c: (HighsModelStatus.kSolveError, None))
+                            lambda self, lp: (HighsModelStatus.kSolveError, None))
         cold, cold_report = tighten(loop4, *args)
         assert cold_report.cold_retries == cold_report.lp_solves
         calls, built, new_highs = [], [], lp_mod._new_highs
 
-        def fail_third(self, c):
-            calls.append(c)
-            return (HighsModelStatus.kSolveError, None) if len(calls) == 3 else run(self, c)
+        def fail_third(self, lp):
+            calls.append(lp)
+            return (HighsModelStatus.kSolveError, None) if len(calls) == 3 else run(self, lp)
 
-        def spy(options, c, rows):
+        def spy(options, lp):
             built.append(options is _HOT_OPTIONS)
-            return new_highs(options, c, rows)
+            return new_highs(options, lp)
 
         monkeypatch.setattr(HotSession, "run", fail_third)
         monkeypatch.setattr(lp_mod, "_new_highs", spy)

@@ -24,6 +24,15 @@ def cms_solution(loopnet):
     return run_cms(loopnet, cfg)
 
 
+class TestRunConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("n_starts", 0), ("n_starts", -3), ("u_max", 0.0), ("u_max", -1.0),
+        ("p_min", -100.0), ("alpha_max", -0.1)])
+    def test_bad_value_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} = {value}: need"):
+            RunConfig(**{name: value})
+
+
 class TestControlOnly:
     def test_never_below_uncontrolled(self, loopnet):
         sol = run_control_only(loopnet, RunConfig(seed=0, n_starts=2))

@@ -162,6 +162,17 @@ class TestRelaxation:
         # and the two valve-count rows
         assert (lp.n_rows, lp.n_cols, lp.A.nnz) == (90, 52, nnz)
 
+    def test_inequality_rows_come_first(self, loop4):
+        # the 75 link-table and 4 flushing rows are inequalities, then the
+        # 4 mass, 5 energy and two valve-count rows are equalities
+        params, scc_params, bounds, design = setup(loop4, n_v=1, n_f=1)
+        lp, _ = build_lp(loop4, params, scc_params, bounds, design)
+        assert (lp.n_rows, lp.n_cols) == (90, 52)
+        is_leq = lp.lhs == -np.inf
+        assert np.array_equal(is_leq, np.arange(90) < 79)
+        assert np.array_equal(lp.lhs[~is_leq], lp.rhs[~is_leq])
+        assert np.all(np.isfinite(lp.rhs))
+
     def test_sigmoid_rows_are_velocity_cuts_in_flow_space(self, loop4):
         # a psi row evaluated at q = area * u equals its velocity-space cut
         # at u; the sigma coefficient and the rhs are unchanged
