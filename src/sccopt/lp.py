@@ -129,8 +129,14 @@ _STRATEGY = _highs.simplex_constants.SimplexStrategy
 # linprog's HiGHS options; passOptions copies them, so one set serves every solve
 _OPTIONS = _options("on", _STRATEGY.kSimplexStrategyDual)
 # a hot session's options: linprog's, but primal simplex without presolve, so
-# a new objective restarts from the kept basis, which stays primal feasible
+# a new objective restarts from the kept basis, which stays primal feasible.
+# At HiGHS's default 1e-7 dual feasibility tolerance primal simplex stops at
+# a vertex whose objective may exceed the cold (presolved) optimum by more
+# than 1e-7, e.g. when every cost is about 1e-7 and it keeps the slack
+# basis; the tightest tolerance HiGHS accepts makes hot re-solves as exact
+# as cold ones
 _HOT_OPTIONS = _options("off", _STRATEGY.kSimplexStrategyPrimal)
+_HOT_OPTIONS.dual_feasibility_tolerance = 1e-10
 
 
 def _new_highs(options, lp: LinearProgram):

@@ -25,7 +25,7 @@ _BOUND_PAD = 1e-9
 # slack added to each OBBT bound.  An LP value is only as exact as HiGHS's
 # 1e-7 primal feasibility tolerance: on the first-pass LPs of
 # random_network(60, 20, seed=1), hot re-solves differ from cold solves by up
-# to 2.7e-7, and cold solves with and without presolve by 2e-7, so the pad
+# to 1.9e-7, and cold solves with and without presolve by 2e-7, so the pad
 # must exceed both to keep every bound valid
 _OBBT_PAD = 1e-6
 # stopping rule of tighten

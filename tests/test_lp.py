@@ -280,6 +280,15 @@ class TestHotSession:
                 assert_passes_check(lp, ours.x)
         event(f"cold retries: {hot.session.cold_retries}")
 
+    def test_costs_near_the_default_tolerance_are_not_ignored(self):
+        # every reduced cost of the slack basis is below HiGHS's default 1e-7
+        # dual tolerance; the hot solve must still move all three to -1
+        lp = make_lp([0, 0, 0], [[1, 0, 0], [0, 0, 0]], [EQ, EQ], [0, 0], [-1] * 3, [0] * 3)
+        c = np.full(3, 5.96046448e-08)
+        ours, cold = solve_lp(lp.hot_started().with_objective(c)), solve_lp(lp.with_objective(c))
+        assert ours.objective == pytest.approx(cold.objective, rel=1e-12)
+        assert np.array_equal(ours.x, [0.0, -1.0, -1.0])
+
     def test_copies_share_one_session(self):
         lp = make_lp([1, 0], [[1, 1]], [LEQ], [2], [0, 0], [5, 5]).hot_started()
         copy = lp.with_objective([-1, -1])
