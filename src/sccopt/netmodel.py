@@ -62,6 +62,8 @@ class Link:
     def validate(self):
         if self.from_node == self.to_node:
             raise ValueError(f"link {self.id}: joins a node to itself")
+        if self.is_existing_prv and self.is_existing_dbv:
+            raise ValueError(f"link {self.id}: a link cannot be both PRV and DBV")
         if not all(map(math.isfinite, (self.length, self.diameter,
                                        self.hw_coefficient, self.valve_loss))):
             raise ValueError(f"link {self.id}: L, D, C and K must be finite")
@@ -111,6 +113,11 @@ class NetworkModel:
         self.elevations = np.array([n.elevation for n in self.nodes])
         for a in (self.areas, self.lengths, self.elevations):
             a.setflags(write=False)
+        # the existing valves, and the links that can take a new DBV
+        self.prv_links = tuple(j for j, lk in enumerate(self.links) if lk.is_existing_prv)
+        self.dbv_links = tuple(j for j, lk in enumerate(self.links) if lk.is_existing_dbv)
+        self.free_links = tuple(j for j, lk in enumerate(self.links)
+                                if not (lk.is_existing_prv or lk.is_existing_dbv))
         self._build_incidence()
 
     # -- sizes ---------------------------------------------------------------

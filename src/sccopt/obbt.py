@@ -16,7 +16,7 @@ from .errors import InconsistentBounds
 from .hydraulics import HeadLossParams
 from .lp import OPTIMAL, solve_lp
 from .netmodel import NetworkModel, forest_core
-from .relax import BoundSet, DesignConfig, build_lp
+from .relax import BoundSet, build_lp
 from .scc import SccParams
 
 # slack added to each forest bound so later LPs stay strictly feasible; the
@@ -57,9 +57,11 @@ def tighten(
     params: HeadLossParams,
     scc_params: SccParams,
     bounds: BoundSet,
-    design: DesignConfig,
+    n_v: int,
+    n_f: int,
 ) -> tuple[BoundSet, ObbtReport]:
-    """Shrink core-link flow bounds; returns (tightened bounds, report).
+    """Shrink core-link flow bounds over the relaxation with ``n_v`` new DBVs
+    and ``n_f`` AFVs; returns (tightened bounds, report).
 
     Terminates when a pass shrinks the total flow-box diameter by less than
     a factor _EPS_TOL, or after _K_MAX passes.  Tree networks have no core
@@ -79,7 +81,7 @@ def tighten(
     diam = _flow_diameter(bounds, core)
     report.diam_history.append(diam)
     for _ in range(_K_MAX):
-        lp, vmap = build_lp(net, params, scc_params, bounds, design)
+        lp, vmap = build_lp(net, params, scc_params, bounds, n_v, n_f)
         lp = lp.hot_started()
         c = np.zeros(vmap.total)
         for t in range(net.n_t):
@@ -115,19 +117,19 @@ def tighten(
 def tighten_forest(
     net: NetworkModel,
     bounds: BoundSet,
-    design: DesignConfig,
+    n_f: int,
 ) -> BoundSet:
     """Exact forest-link flow bounds by aggregating downstream demand.
 
     Each tree-appendage link carries exactly the demand plus flushing flow
     of the nodes it feeds; the flushing allowance is capped by the number of
-    AFVs that could land downstream.
+    the ``n_f`` AFVs that could land downstream.
     """
     decomp = forest_core(net)
     bounds = bounds.copy()
     for j in decomp.forest_links:
         down = list(decomp.forest_downstream[j])
-        slots = min(len(down), design.n_f)
+        slots = min(len(down), n_f)
         # one np.sum per timestep, so each total rounds as a 1-D sum does
         demand = np.array([np.sum(d[down]) for d in net.demands])
         most = demand + slots * bounds.alpha_hi

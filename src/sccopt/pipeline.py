@@ -15,9 +15,8 @@ from .errors import AllStartsInfeasible
 from .hydraulics import headloss_params, simulate, HydraulicState
 from .lp import solve_lp, OPTIMAL
 from .netmodel import NetworkModel
-from .relax import DesignConfig, build_lp, default_bounds, extract_fractional, lp_bound
-from .sampler import (CandidateDesign, blend_uniform, sample_designs,
-                      write_candidates_csv)
+from .relax import build_lp, default_bounds, extract_fractional, lp_bound
+from .sampler import blend_uniform, sample_designs, write_candidates_csv
 from .scc import SccParams, azp, scc_indicator, scc_smooth, velocity_cdf, write_velocity_cdf_csv
 from .sfscp import ControlSolution, RunMemo, ValveDesign, multi_start
 
@@ -30,8 +29,9 @@ _EXPLORE = 0.5
 class RunConfig:
     """The settings of a design/control run: valve counts, sampling, starts,
     seed, OBBT on or off, and the SCC and bound parameters.  The OBBT and SCP
-    stopping rules are constants of their modules.  ``n_samples`` and
-    ``n_starts`` must be at least 1, ``u_max`` positive, and ``p_min`` and
+    stopping rules are constants of their modules.  ``n_v`` and ``n_f`` count
+    the valves a design adds and must be non-negative, ``n_samples`` and
+    ``n_starts`` at least 1, ``u_max`` positive, and ``p_min`` and
     ``alpha_max`` non-negative.  ``n_starts`` is a floor, not a cap: the
     deterministic control starts always run (five with n_v, n_f >= 1 in
     ``run_cms``), so a value below their count changes nothing."""
@@ -49,7 +49,9 @@ class RunConfig:
     alpha_max: float = 0.025
 
     def __post_init__(self):
-        for name, ok, need in (("n_samples", self.n_samples >= 1, "at least 1"),
+        for name, ok, need in (("n_v", self.n_v >= 0, "a non-negative value"),
+                               ("n_f", self.n_f >= 0, "a non-negative value"),
+                               ("n_samples", self.n_samples >= 1, "at least 1"),
                                ("n_starts", self.n_starts >= 1, "at least 1"),
                                ("u_max", self.u_max > 0, "a positive value"),
                                ("p_min", self.p_min >= 0, "a non-negative value"),
@@ -67,7 +69,8 @@ class CmsSolution:
     azp: float
     lp_upper_bound: float | None = None
     obbt_report: dict | None = None
-    candidates: list[CandidateDesign] = field(default_factory=list)
+    # the (dbv_links, afv_nodes) each candidate adds to the network's valves
+    candidates: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=list)
     candidate_scores: list[float | None] = field(default_factory=list)
     wall_time: float = 0.0
 
@@ -80,6 +83,8 @@ class CmsSolution:
             "scc_exact": self.scc_exact,
             "azp": self.azp,
             "lp_upper_bound": self.lp_upper_bound,
+            "start_index": self.control.start_index,
+            "directions": [list(signs) for signs in self.control.directions],
             "eta": self.control.eta.tolist(),
             "alpha": self.control.alpha.tolist(),
             "flows": self.control.state.q.tolist(),
@@ -98,16 +103,22 @@ def _prepare(net: NetworkModel, config: RunConfig):
 
 def tightened_bounds(net: NetworkModel, config: RunConfig):
     """The model of a design run: (head-loss parameters, SCC parameters,
-    design config, bounds, OBBT report).  The bounds are the default box with
-    the forest links tightened exactly and, when ``config.use_obbt``, the
-    core links by OBBT; the report is None when OBBT is off."""
+    bounds, OBBT report).  The bounds are the default box with the forest
+    links tightened exactly and, when ``config.use_obbt``, the core links by
+    OBBT; the report is None when OBBT is off.  Raises ValueError when the
+    network cannot hold ``config.n_v`` new DBVs or ``config.n_f`` AFVs."""
+    n_v, n_f = config.n_v, config.n_f
+    if n_v > len(net.free_links):
+        raise ValueError(f"n_v = {n_v} exceeds the {len(net.free_links)} links "
+                         "that can take a new DBV")
+    if n_f > net.n_n:
+        raise ValueError(f"n_f = {n_f} exceeds the {net.n_n} demand nodes")
     params, scc_params, bounds = _prepare(net, config)
-    dcfg = DesignConfig.from_network(net, n_v=config.n_v, n_f=config.n_f)
-    bounds = obbt_mod.tighten_forest(net, bounds, dcfg)
+    bounds = obbt_mod.tighten_forest(net, bounds, n_f)
     report = None
     if config.use_obbt:
-        bounds, report = obbt_mod.tighten(net, params, scc_params, bounds, dcfg)
-    return params, scc_params, dcfg, bounds, report
+        bounds, report = obbt_mod.tighten(net, params, scc_params, bounds, n_v, n_f)
+    return params, scc_params, bounds, report
 
 
 def _finish(net, scc_params, design, control, start, **extra) -> CmsSolution:
@@ -137,8 +148,7 @@ def run_control_only(net: NetworkModel, config: RunConfig) -> CmsSolution:
     """
     start = time.perf_counter()
     params, scc_params, bounds = _prepare(net, config)
-    dcfg = DesignConfig.from_network(net)
-    design = ValveDesign.from_candidate(dcfg, CandidateDesign((), ()))
+    design = ValveDesign.from_network(net)
     control = multi_start(net, params, scc_params, bounds, design,
                           config.n_starts, config.seed,
                           extra_seeds=[np.zeros((net.n_t, net.n_p))])
@@ -157,18 +167,18 @@ def run_cms(net: NetworkModel, config: RunConfig,
     solve, since the bounds are final once OBBT has run.
     """
     start = time.perf_counter()
-    params, scc_params, dcfg, bounds, report = tightened_bounds(net, config)
-    lp, vmap = build_lp(net, params, scc_params, bounds, dcfg)
+    params, scc_params, bounds, report = tightened_bounds(net, config)
+    lp, vmap = build_lp(net, params, scc_params, bounds, config.n_v, config.n_f)
     sol = solve_lp(lp)
     if sol.status != OPTIMAL:
         raise AllStartsInfeasible(f"relaxation is {sol.status}")
-    y_frac, z_frac, eta_seed = extract_fractional(sol, vmap, dcfg)
+    y_frac, z_frac, eta_seed = extract_fractional(sol, vmap, net)
     upper = lp_bound(sol)
 
     if config.n_v == 0 and config.n_f == 0:
-        candidates = [CandidateDesign((), ())]
+        candidates = [((), ())]
     else:
-        z_mix = blend_uniform(z_frac, dcfg.free_links(net), _EXPLORE)
+        z_mix = blend_uniform(z_frac, net.free_links, _EXPLORE)
         y_mix = blend_uniform(y_frac, range(net.n_n), _EXPLORE)
         candidates = sample_designs(y_mix, z_mix, config.n_v, config.n_f,
                                     config.n_samples, seed=config.seed)
@@ -180,8 +190,8 @@ def run_cms(net: NetworkModel, config: RunConfig,
     memo = RunMemo()
     best: tuple[float, ValveDesign, ControlSolution] | None = None
     scores: list[float | None] = []
-    for cand in candidates:
-        design = ValveDesign.from_candidate(dcfg, cand)
+    for dbv, afv in candidates:
+        design = ValveDesign.from_network(net, dbv, afv)
         try:
             control = multi_start(net, params, scc_params, bounds, design,
                                   config.n_starts, config.seed, eta_seed=eta_seed,

@@ -128,50 +128,17 @@ def default_bounds(
     return BoundSet(q_lo, q_hi, h_lo, h_hi, eta_lo, eta_hi, float(alpha_max), params)
 
 
-@dataclass(frozen=True)
-class DesignConfig:
-    """Valve-count targets and existing valves: ``n_v`` new DBVs go on links
-    without a valve, ``n_f`` AFVs on any demand nodes."""
-
-    n_v: int = 0
-    n_f: int = 0
-    prv_links: tuple[int, ...] = ()
-    existing_dbv_links: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.n_v < 0 or self.n_f < 0:
-            raise ValueError("valve counts must be non-negative")
-        if set(self.prv_links) & set(self.existing_dbv_links):
-            raise ValueError("a link cannot be both PRV and DBV")
-
-    @classmethod
-    def from_network(cls, net: NetworkModel, n_v: int = 0, n_f: int = 0) -> "DesignConfig":
-        prv = tuple(j for j, lk in enumerate(net.links) if lk.is_existing_prv)
-        dbv = tuple(j for j, lk in enumerate(net.links) if lk.is_existing_dbv)
-        cfg = cls(n_v, n_f, prv, dbv)
-        free = len(cfg.free_links(net))
-        if n_v > free:
-            raise ValueError(f"n_v = {n_v} exceeds the {free} links that can take a new DBV")
-        if n_f > net.n_n:
-            raise ValueError(f"n_f = {n_f} exceeds the {net.n_n} demand nodes")
-        return cfg
-
-    def fixed_links(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.prv_links) | set(self.existing_dbv_links)))
-
-    def free_links(self, net: NetworkModel) -> tuple[int, ...]:
-        """Every link that carries no existing valve."""
-        return tuple(sorted(set(range(net.n_p)) - set(self.fixed_links())))
-
-
 def build_lp(
     net: NetworkModel,
     params: HeadLossParams,
     scc_params: SccParams,
     bounds: BoundSet,
-    design: DesignConfig,
+    n_v: int,
+    n_f: int,
 ) -> tuple[LinearProgram, VariableMap]:
-    """Assemble the continuous relaxation as a single LP.
+    """Assemble the continuous relaxation as a single LP: ``n_v`` new DBVs go
+    on links without a valve, ``n_f`` AFVs on any demand nodes, and the
+    network's existing PRVs and DBVs stay in place.
 
     The ``<=`` rows come first: per timestep, each link's table, then one
     AFV row per node.  The equality rows follow: per timestep, mass and
@@ -183,7 +150,7 @@ def build_lp(
     areas = net.areas
     I_p, I_n = sp.identity(net.n_p), sp.identity(net.n_n)
     z_idx, y_idx = vmap.z, vmap.y
-    fixed = list(design.fixed_links())
+    prv, fixed = list(net.prv_links), list(net.prv_links + net.dbv_links)
     # a column's bounds are [0, 0] unless set below
     c, lb, ub = np.zeros(n), np.zeros(n), np.zeros(n)
     # (blocks, right-hand sides) of the <= rows and of the equality rows
@@ -222,17 +189,16 @@ def build_lp(
         ub[a_idx] = bounds.alpha_hi
         ub[np.r_[sp_idx, sm_idx, vp_idx, vm_idx]] = 1.0
         # existing PRVs are unidirectional; their direction is pinned
-        lb[vp_idx[list(design.prv_links)]] = 1.0
-        ub[vm_idx[list(design.prv_links)]] = 0.0
+        lb[vp_idx[prv]] = 1.0
+        ub[vm_idx[prv]] = 0.0
         # objective: maximize the mean weighted sigma mass
         c[sp_idx] = c[sm_idx] = -scc_params.weights / net.n_t
 
-    # placement variables and count constraints
-    ub[z_idx[list(design.free_links(net))]] = 1.0
-    lb[z_idx[fixed]] = ub[z_idx[fixed]] = 1.0
-    ub[y_idx] = 1.0
-    add(eq, np.ones((1, net.n_p)), z_idx, [design.n_v + len(fixed)])
-    add(eq, np.ones((1, net.n_n)), y_idx, [design.n_f])
+    # placement variables and count constraints; the existing valves stay
+    ub[z_idx] = ub[y_idx] = 1.0
+    lb[z_idx[fixed]] = 1.0
+    add(eq, np.ones((1, net.n_p)), z_idx, [n_v + len(fixed)])
+    add(eq, np.ones((1, net.n_n)), y_idx, [n_f])
 
     A = sp.vstack(leq[0] + eq[0], format="csr")
     A.eliminate_zeros()  # no block may store a zero coefficient
@@ -286,13 +252,14 @@ def _link_tables(params, scc_params, bounds, t, areas):
     return table, keep
 
 
-def extract_fractional(sol: LpSolution, vmap: VariableMap, design: DesignConfig):
-    """Fractional placements (fixed valves zeroed out) and the eta seed."""
+def extract_fractional(sol: LpSolution, vmap: VariableMap, net: NetworkModel):
+    """Fractional placements (the network's existing valves zeroed out) and
+    the eta seed."""
     if sol.status != OPTIMAL:
         raise ValueError(f"LP solution status is {sol.status}")
     z = np.clip(sol.x[vmap.z], 0.0, None)
     y = np.clip(sol.x[vmap.y], 0.0, None)
-    z[list(design.fixed_links())] = 0.0
+    z[list(net.prv_links + net.dbv_links)] = 0.0
     eta0 = np.vstack([sol.x[vmap.eta(t)] for t in range(vmap.n_t)])
     return y, z, eta0
 

@@ -7,19 +7,10 @@ de-duplicates until the requested number of distinct designs is reached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ZeroSupport
-
-
-@dataclass(frozen=True)
-class CandidateDesign:
-    """One placement: DBV link indices and AFV node indices, each sorted."""
-
-    dbv_links: tuple[int, ...]
-    afv_nodes: tuple[int, ...]
 
 
 def _support(frac: np.ndarray, count: int, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -57,8 +48,9 @@ def sample_designs(
     n_f: int,
     n_samples: int,
     seed=None,
-) -> list[CandidateDesign]:
-    """Draw up to n_samples distinct designs from fractional (y, z).
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Draw up to n_samples distinct placements from fractional (y, z), each
+    a pair (DBV link indices, AFV node indices) of sorted tuples.
 
     The draw budget is capped at 1000 * n_samples attempts; if the support
     admits fewer distinct designs than requested, all of them are returned
@@ -75,8 +67,8 @@ def sample_designs(
                  (math.comb(len(z_idx), n_v) if n_v > 0 else 1)
                  * (math.comb(len(y_idx), n_f) if n_f > 0 else 1))
 
-    seen: set[CandidateDesign] = set()
-    out: list[CandidateDesign] = []
+    seen = set()
+    out = []
     for _ in range(1000 * n_samples):
         if len(out) >= target:
             break
@@ -84,7 +76,7 @@ def sample_designs(
                if n_v > 0 else ())
         afv = (tuple(sorted(rng.choice(y_idx, size=n_f, replace=False, p=p_y).tolist()))
                if n_f > 0 else ())
-        cand = CandidateDesign(dbv, afv)
+        cand = (dbv, afv)
         if cand not in seen:
             seen.add(cand)
             out.append(cand)
@@ -92,10 +84,9 @@ def sample_designs(
 
 
 def write_candidates_csv(candidates, fileobj, scores=None):
-    """Dump candidate designs (and optional scores) for inspection."""
+    """Dump (dbv_links, afv_nodes) placements (and optional scores) for
+    inspection."""
     fileobj.write("index,dbv_links,afv_nodes,score\n")
-    for k, cand in enumerate(candidates):
+    for k, (dbv, afv) in enumerate(candidates):
         score = "" if scores is None or scores[k] is None else f"{scores[k]:.10g}"
-        fileobj.write(
-            f"{k},{';'.join(map(str, cand.dbv_links))},"
-            f"{';'.join(map(str, cand.afv_nodes))},{score}\n")
+        fileobj.write(f"{k},{';'.join(map(str, dbv))},{';'.join(map(str, afv))},{score}\n")

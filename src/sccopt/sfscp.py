@@ -33,8 +33,7 @@ from .errors import AllStartsInfeasible, NonConvergence, SingularSystem
 from .hydraulics import HeadLossParams, HydraulicState, phi, phi_prime, solve_steady
 from .lp import OPTIMAL, LinearProgram, solve_lp
 from .netmodel import NetworkModel
-from .relax import BoundSet, DesignConfig
-from .sampler import CandidateDesign
+from .relax import BoundSet
 from .scc import SccParams, scc_smooth_flows, scc_smooth_grad_flows
 
 _PRESSURE_TOL = 1e-6
@@ -79,9 +78,11 @@ class ValveDesign:
     afv_nodes: tuple[int, ...] = ()
 
     @classmethod
-    def from_candidate(cls, design: DesignConfig, candidate: CandidateDesign) -> "ValveDesign":
-        dbv = tuple(sorted(set(design.existing_dbv_links) | set(candidate.dbv_links)))
-        return cls(tuple(design.prv_links), dbv, tuple(candidate.afv_nodes))
+    def from_network(cls, net: NetworkModel, dbv_links=(), afv_nodes=()) -> "ValveDesign":
+        """The network's existing PRVs and DBVs plus the added ``dbv_links``,
+        with AFVs at ``afv_nodes``."""
+        return cls(net.prv_links, tuple(sorted(set(net.dbv_links) | set(dbv_links))),
+                   tuple(afv_nodes))
 
     @cached_property
     def controllable_links(self) -> np.ndarray:

@@ -16,9 +16,9 @@ from sccopt.netmodel import count_variables, forest_core
 from sccopt.obbt import tighten
 from sccopt.pipeline import (RunConfig, performance_profile, run_cms,
                              run_control_only, uncontrolled_state)
-from sccopt.relax import DesignConfig, build_lp, default_bounds, lp_bound
+from sccopt.relax import build_lp, default_bounds, lp_bound
 from sccopt.lp import OPTIMAL, solve_lp
-from sccopt.sampler import CandidateDesign, sample_designs
+from sccopt.sampler import sample_designs
 from sccopt.scc import SccParams, scc_smooth, scc_smooth_flows, scc_smooth_grad_flows
 from sccopt.sfscp import (RunMemo, Subproblem, ValveDesign, multi_start,
                           sfscp_timestep)
@@ -162,8 +162,7 @@ def test_relaxation_bounds_feasible_controls():
         params = headloss_params(net)
         sp = SccParams.from_network(net)
         bounds = default_bounds(net, params)
-        dcfg = DesignConfig.from_network(net, n_v=1, n_f=0)
-        lp, vmap = build_lp(net, params, sp, bounds, dcfg)
+        lp, vmap = build_lp(net, params, sp, bounds, 1, 0)
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         ub = lp_bound(sol)
@@ -195,10 +194,9 @@ def test_obbt_tightens_with_exact_solve_count():
     params = headloss_params(net)
     sp = SccParams.from_network(net)
     before = default_bounds(net, params)
-    dcfg = DesignConfig.from_network(net, n_v=1, n_f=1)
     core = forest_core(net).core_links
     t0 = time.perf_counter()
-    after, report = tighten(net, params, sp, before.copy(), dcfg)
+    after, report = tighten(net, params, sp, before.copy(), 1, 1)
     dt = time.perf_counter() - t0
     assert dt < 5.0
     assert report.iterations >= 1
@@ -221,8 +219,8 @@ def test_sampler_frequencies_and_determinism():
     counts = np.zeros(5)
     n = 10_000
     for k in range(n):
-        cand = sample_designs(np.array([1.0]), z, 1, 0, 1, seed=k)[0]
-        counts[cand.dbv_links[0]] += 1
+        (dbv, _), = sample_designs(np.array([1.0]), z, 1, 0, 1, seed=k)
+        counts[dbv[0]] += 1
     freq = counts / n
     assert np.all(np.abs(freq - 0.2) <= 0.02)
 
@@ -241,9 +239,7 @@ def test_control_solver_monotone_and_single_pipe_target():
     params = headloss_params(net)
     sp = SccParams.from_network(net)
     bounds = default_bounds(net, params)
-    dcfg = DesignConfig.from_network(net)
-    design = ValveDesign.from_candidate(
-        dcfg, CandidateDesign(dbv_links=(1,), afv_nodes=()))
+    design = ValveDesign.from_network(net, dbv_links=(1,))
     trace = []
     res = sfscp_timestep(Subproblem(net, params, sp, bounds, design, 0, (1,), RunMemo()),
                          np.zeros(1), trace=trace)

@@ -9,7 +9,6 @@ from sccopt.cli import (EXIT_INPUT, EXIT_OK, EXIT_SOLVER, _config_from_args, bui
 from sccopt.netgen import loop_network, random_network
 from sccopt.obbt import tighten
 from sccopt.pipeline import RunConfig, _prepare, run_cms
-from sccopt.relax import DesignConfig
 
 
 @pytest.fixture
@@ -91,6 +90,16 @@ class TestStats:
         assert main(["stats", str(path)]) == EXIT_INPUT
         assert f"repeated {kind} ID {first!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["stats", "simulate", "control", "design", "obbt"])
+    def test_json_link_both_prv_and_dbv(self, json_net_file, tmp_path, capsys, verb):
+        payload = json.loads(Path(json_net_file).read_text())
+        payload["links"][2].update(is_existing_prv=True, is_existing_dbv=True)
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps(payload))
+        assert main([verb, str(path)]) == EXIT_INPUT
+        link = payload["links"][2]["id"]
+        assert f"link {link}: a link cannot be both PRV and DBV" in capsys.readouterr().err
+
     def test_inp_link_to_undeclared_node(self, tmp_path, sample_inp_text, capsys):
         path = tmp_path / "ghost.inp"
         path.write_text(sample_inp_text.replace(" p2   j1    j2", " p2   j1    ghost"))
@@ -131,6 +140,24 @@ class TestControlAndDesign:
         payload = json.loads((out_dir / "solution.json").read_text())
         assert len(payload["dbv_links"]) == 1
         assert (out_dir / "candidates.csv").exists()
+
+    def test_design_without_obbt(self, json_net_file, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert main(["design", json_net_file, "--nv", "1", "--nf", "1", "--samples", "2",
+                     "--n-starts", "1", "--seed", "0", "--no-obbt",
+                     "--out", str(out_dir)]) == EXIT_OK
+        assert "lp_upper_bound" in capsys.readouterr().out
+        assert (out_dir / "solution.json").exists()
+        assert not (out_dir / "obbt_report.json").exists()
+
+    def test_control_writes_outputs(self, json_net_file, tmp_path):
+        out_dir = tmp_path / "run"
+        assert main(["control", json_net_file, "--seed", "0", "--n-starts", "1",
+                     "--out", str(out_dir)]) == EXIT_OK
+        for name in ("solution.json", "candidates.csv", "velocity_cdf.csv"):
+            assert (out_dir / name).exists()
+        payload = json.loads((out_dir / "solution.json").read_text())
+        assert payload["dbv_links"] == [] and payload["lp_upper_bound"] is None
 
     def test_design_infeasible_exit_code(self, tmp_path):
         # pressure floor unreachable: 15 m above a 10 m source head
@@ -175,12 +202,28 @@ class TestControlAndDesign:
         (["design", "--nv", "100"], "n_v = 100"),
         (["design", "--nf", "100"], "n_f = 100"),
         (["obbt", "--nv", "100"], "n_v = 100"),
+        (["obbt", "--nf", "100"], "n_f = 100"),
     ])
     def test_count_the_network_cannot_hold_is_input_error(self, json_net_file, capsys,
                                                           argv, count):
         # the 5-link, 4-node ring takes at most 5 DBVs and 4 AFVs
         assert main([argv[0], json_net_file, *argv[1:]]) == EXIT_INPUT
         assert count in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb, flags, count", [
+        ("control", [], "n_v = -1"), ("control", [], "n_f = -1"),
+        ("design", ["--nv", "-1"], "n_v = -1"), ("design", ["--nf", "-1"], "n_f = -1"),
+        ("design", [], "n_f = -1"),
+        ("obbt", ["--nv", "-1"], "n_v = -1"), ("obbt", ["--nf", "-1"], "n_f = -1"),
+        ("obbt", [], "n_v = -1"),
+    ])
+    def test_negative_count_is_input_error_naming_it(self, json_net_file, tmp_path, capsys,
+                                                     verb, flags, count):
+        # without a flag the count comes from the config file
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\n" + ("" if flags else f"{count}\n"))
+        assert main([verb, json_net_file, *flags, "--config", str(cfg)]) == EXIT_INPUT
+        assert f"{count}: need a non-negative value" in capsys.readouterr().err
 
     def test_config_zero_samples_is_input_error(self, json_net_file, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
@@ -239,7 +282,7 @@ class TestObbtVerb:
         keys = ("iterations", "lp_solves", "diam_history")
         assert [cli[k] for k in keys] == [pipe[k] for k in keys]
         # without the forest step the box differs, so the match is not vacuous
-        _, bare = tighten(net, *_prepare(net, config), DesignConfig.from_network(net, 1, 1))
+        _, bare = tighten(net, *_prepare(net, config), 1, 1)
         assert bare.diam_history != cli["diam_history"]
 
 

@@ -12,7 +12,7 @@ from sccopt.hydraulics import headloss_params, solve_steady
 from sccopt.lp import (INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED, HotSession, LinearProgram,
                        solve_lp)
 from sccopt.pipeline import RunConfig, run_cms
-from sccopt.relax import DesignConfig, build_lp, default_bounds
+from sccopt.relax import build_lp, default_bounds
 from sccopt.scc import SccParams
 from sccopt.sfscp import RunMemo, Subproblem, ValveDesign, _step_lp
 
@@ -194,7 +194,7 @@ def step_and_relaxation_lps(net, monkeypatch):
     params = headloss_params(net)
     scc_params = SccParams.from_network(net)
     bounds = default_bounds(net, params)
-    relax, _ = build_lp(net, params, scc_params, bounds, DesignConfig.from_network(net, 1, 1))
+    relax, _ = build_lp(net, params, scc_params, bounds, 1, 1)
     design = ValveDesign(prv_links=(0,), dbv_links=(2,), afv_nodes=(3, 1))
     eta, alpha = np.zeros(net.n_p), np.zeros(net.n_n)
     q, h = solve_steady(net, params, net.demands[0], net.source_heads[0], eta, alpha)

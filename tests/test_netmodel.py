@@ -244,6 +244,39 @@ class TestParser:
             parse_inp(text)
         assert exc.value.line == repeat
 
+    def test_extra_demand_with_pattern_adds_onto_junction(self, sample_inp_text):
+        text = sample_inp_text.replace("[OPTIONS]", "[DEMANDS]\n j2  2.0  pat1\n\n[OPTIONS]")
+        net = parse_inp(text, timestep_indices=[0, 1, 2, 3])
+        ids = [n.id for n in net.nodes]
+        j1, j2 = ids.index("j1"), ids.index("j2")
+        # 5 LPS base plus 2 LPS times pat1 (0.5, 1.0, 1.5, 1.2)
+        assert net.demands[:, j2] == pytest.approx([0.006, 0.007, 0.008, 0.0074])
+        assert net.demands[:, j1] == pytest.approx([0.005, 0.010, 0.015, 0.012])
+
+    @pytest.mark.parametrize("old, new, steps, message, marker", [
+        ("[TITLE]", "stray\n[TITLE]", [0], "content before first section header", "stray"),
+        (" p2   j1    j2  800     250   120", " p2   j1    j2  800", [0],
+         "pipe needs id, nodes, length, diameter, roughness", " p2 "),
+        (" v1   j1    j2  200     TCV   2.5", " v1   j1    j2  200     TCV", [0],
+         "valve needs id, nodes, diameter, type, setting", " v1 "),
+        ("UNITS     LPS", "UNITS     FURLONGS", [0], "unknown flow unit FURLONGS", None),
+        ("TCV", "GPV", [0], "unsupported valve type GPV", " v1 "),
+        ("[END]", "[END]", [4], "timestep index 4 outside pattern length 4", None),
+        ("[OPTIONS]", "[DEMANDS]\n ghost  1.0\n\n[OPTIONS]", [0],
+         "demand for unknown junction 'ghost'", " ghost "),
+    ], ids=["content_before_header", "short_pipe_row", "short_valve_row", "unknown_units",
+            "unsupported_valve_type", "timestep_outside_pattern", "demand_unknown_junction"])
+    def test_malformed_input_rejected(self, sample_inp_text, old, new, steps, message,
+                                      marker):
+        assert old in sample_inp_text
+        text = sample_inp_text.replace(old, new)
+        line = (None if marker is None else
+                next(k for k, row in enumerate(text.splitlines(), 1) if row.startswith(marker)))
+        with pytest.raises(ParseError) as exc:
+            parse_inp(text, timestep_indices=steps)
+        assert exc.value.line == line
+        assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+
     def test_json_roundtrip(self, sample_inp_text):
         net = parse_inp(sample_inp_text, timestep_indices=[0, 2])
         again = NetworkModel.from_json(net.to_json())
@@ -286,6 +319,16 @@ class TestCompiledArrays:
     def test_stored_transpose(self, grid25):
         assert grid25.A12T.shape == (grid25.n_n, grid25.n_p)
         assert (grid25.A12T != grid25.A12.T).nnz == 0
+
+    def test_valve_links_from_flags(self, line3):
+        links = list(line3.links)
+        links[1] = Link("v", links[1].from_node, links[1].to_node, VALVE,
+                        0.0, 0.2, 0.0, 0.0, is_existing_prv=True)
+        links[2] = dataclasses.replace(links[2], is_existing_dbv=True)
+        net = NetworkModel(links, line3.nodes, line3.sources,
+                           line3.demands, line3.source_heads)
+        assert (net.prv_links, net.dbv_links, net.free_links) == ((1,), (2,), (0,))
+        assert (line3.prv_links, line3.dbv_links, line3.free_links) == ((), (), (0, 1, 2))
 
 
 class TestCompiledEnds:
@@ -404,6 +447,32 @@ class TestValidation:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             Link("p1", "a", "a", PIPE, 10, 0.1, 100).validate()
+
+    @pytest.mark.parametrize("link, message", [
+        (Link("p1", "a", "b", PIPE, 0.0, 0.2, 120.0), "pipe p1: L, D and C must be positive"),
+        (Link("p1", "a", "b", PIPE, 100.0, 0.2, -1.0), "pipe p1: L, D and C must be positive"),
+        (Link("v1", "a", "b", VALVE, 0.0, 0.0, 0.0, 0.5), "valve v1: D must be positive and K >= 0"),
+        (Link("v1", "a", "b", VALVE, 0.0, 0.2, 0.0, -0.5),
+         "valve v1: D must be positive and K >= 0"),
+        (Link("x1", "a", "b", "pump", 100.0, 0.2, 120.0), "link x1: unknown kind 'pump'"),
+        (Link("v1", "a", "b", VALVE, 0.0, 0.2, 0.0, 0.0, True, True),
+         "link v1: a link cannot be both PRV and DBV"),
+    ], ids=["pipe_length", "pipe_roughness", "valve_diameter", "valve_loss", "unknown_kind",
+            "prv_and_dbv"])
+    def test_bad_link_rejected(self, link, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            link.validate()
+
+    @pytest.mark.parametrize("demands, heads, message", [
+        (np.zeros((1, 2)), np.full((1, 1), 80.0), "demands shape mismatch"),
+        (np.zeros((1, 3)), np.full((1, 2), 80.0), "source_heads shape mismatch"),
+        (np.zeros((2, 3)), np.full((1, 1), 80.0), "source_heads shape mismatch"),
+        (np.zeros((0, 3)), np.zeros((0, 1)), "need at least one timestep"),
+    ], ids=["demand_columns", "head_columns", "head_rows", "no_timestep"])
+    def test_shape_mismatch_rejected(self, line3, demands, heads, message):
+        net = NetworkModel(line3.links, line3.nodes, line3.sources, demands, heads)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            net.validate()
 
     def test_negative_demand_rejected(self, line3):
         net = NetworkModel(line3.links, line3.nodes, line3.sources,

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from linprog_reference import linprog_solve_lp
-from sccopt import sfscp
+from sccopt import pipeline, sfscp
+from sccopt.errors import AllStartsInfeasible
+from sccopt.lp import LpSolution
 from sccopt.netgen import loop_network
+from sccopt.netmodel import VALVE, Link, NetworkModel
 from sccopt.pipeline import (RunConfig, performance_profile, run_cms,
-                             run_control_only, save_results, uncontrolled_state,
-                             write_profile_csv)
+                             run_control_only, save_results, tightened_bounds,
+                             uncontrolled_state, write_profile_csv)
 from sccopt.scc import SccParams, scc_smooth
+from sccopt.sfscp import ValveDesign
 
 
 @pytest.fixture(scope="module")
@@ -26,11 +30,27 @@ def cms_solution(loopnet):
 
 class TestRunConfig:
     @pytest.mark.parametrize("name, value", [
-        ("n_starts", 0), ("n_starts", -3), ("u_max", 0.0), ("u_max", -1.0),
+        ("n_v", -1), ("n_f", -2), ("n_starts", 0), ("n_starts", -3), ("u_max", 0.0),
+        ("u_max", -1.0),
         ("p_min", -100.0), ("alpha_max", -0.1)])
     def test_bad_value_rejected_by_name(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} = {value}: need"):
             RunConfig(**{name: value})
+
+
+    def test_counts_exclude_existing_valves(self, loopnet):
+        # a PRV on link 1 leaves 4 of the ring's 5 links free for a new DBV
+        links = list(loopnet.links)
+        links[1] = Link("v", links[1].from_node, links[1].to_node, VALVE,
+                        0.0, 0.2, 0.0, 0.0, is_existing_prv=True)
+        net = NetworkModel(links, loopnet.nodes, loopnet.sources,
+                           loopnet.demands, loopnet.source_heads)
+        tightened_bounds(net, RunConfig(n_v=4, n_f=4, use_obbt=False))
+        with pytest.raises(ValueError,
+                           match="^n_v = 5 exceeds the 4 links that can take a new DBV$"):
+            tightened_bounds(net, RunConfig(n_v=5, use_obbt=False))
+        with pytest.raises(ValueError, match="^n_f = 5 exceeds the 4 demand nodes$"):
+            tightened_bounds(net, RunConfig(n_f=5, use_obbt=False))
 
 
 class TestControlOnly:
@@ -128,6 +148,64 @@ class TestRunCms:
         assert on.lp_upper_bound <= off.lp_upper_bound + 1e-9
 
 
+class TestRunCmsFailures:
+    CONFIG = RunConfig(n_v=1, n_f=1, n_samples=3, n_starts=1, seed=0, use_obbt=False)
+
+    def test_relaxation_not_optimal(self, loopnet, monkeypatch):
+        monkeypatch.setattr(pipeline, "solve_lp", lambda lp: LpSolution("infeasible"))
+        with pytest.raises(AllStartsInfeasible, match="^relaxation is infeasible$"):
+            run_cms(loopnet, self.CONFIG)
+
+    def test_candidate_without_feasible_start_scores_none(self, loopnet, tmp_path,
+                                                          monkeypatch):
+        solve, seen = pipeline.multi_start, []
+
+        def fail_first(net, params, scc_params, bounds, design, *args, **kwargs):
+            seen.append(design)
+            if len(seen) == 1:
+                raise AllStartsInfeasible("forced")
+            return solve(net, params, scc_params, bounds, design, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "multi_start", fail_first)
+        sol = run_cms(loopnet, self.CONFIG)
+        assert len(sol.candidates) == len(seen) == 3
+        assert sol.candidate_scores[0] is None
+        assert None not in sol.candidate_scores[1:]
+        assert sol.design != seen[0]
+        assert sol.scc_smooth == max(sol.candidate_scores[1:])
+        save_results(sol, loopnet, tmp_path)
+        rows = (tmp_path / "candidates.csv").read_text().splitlines()
+        dbv, afv = sol.candidates[0]
+        assert rows[1] == f"0,{dbv[0]},{afv[0]},"
+        assert all(row.split(",")[3] for row in rows[2:])
+
+    def test_no_feasible_candidate(self, loopnet, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AllStartsInfeasible("forced")
+
+        monkeypatch.setattr(pipeline, "multi_start", fail)
+        with pytest.raises(AllStartsInfeasible,
+                           match="^no sampled placement admits a feasible control$"):
+            run_cms(loopnet, self.CONFIG)
+
+    def test_no_valves_evaluates_only_the_empty_placement(self, loopnet, monkeypatch):
+        solve, designs = pipeline.multi_start, []
+
+        def spy(net, params, scc_params, bounds, design, *args, **kwargs):
+            designs.append(design)
+            return solve(net, params, scc_params, bounds, design, *args, **kwargs)
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled with no valves to place")
+
+        monkeypatch.setattr(pipeline, "multi_start", spy)
+        monkeypatch.setattr(pipeline, "sample_designs", no_sampling)
+        sol = run_cms(loopnet, RunConfig(n_samples=3, n_starts=1, seed=0, use_obbt=False))
+        assert sol.candidates == [((), ())]
+        assert designs == [ValveDesign()] and sol.design == ValveDesign()
+        assert sol.candidate_scores == [sol.scc_smooth]
+
+
 class TestPersistence:
     def test_output_files(self, tmp_path, loopnet, cms_solution):
         save_results(cms_solution, loopnet, tmp_path)
@@ -137,6 +215,19 @@ class TestPersistence:
         assert (tmp_path / "candidates.csv").exists()
         assert (tmp_path / "velocity_cdf.csv").exists()
         assert (tmp_path / "obbt_report.json").exists()
+
+    def test_solution_names_winning_start_and_directions(self, tmp_path, loopnet,
+                                                            cms_solution):
+        save_results(cms_solution, loopnet, tmp_path)
+        payload = json.loads((tmp_path / "solution.json").read_text())
+        control = cms_solution.control
+        assert payload["start_index"] == control.start_index
+        assert payload["directions"] == [list(signs) for signs in control.directions]
+        # one sign per DBV at each timestep
+        assert len(payload["directions"]) == loopnet.n_t
+        for signs in payload["directions"]:
+            assert len(signs) == len(cms_solution.design.dbv_links)
+            assert set(signs) <= {1, -1}
 
     def test_eta_array_shape_roundtrip(self, tmp_path, loopnet, cms_solution):
         save_results(cms_solution, loopnet, tmp_path)

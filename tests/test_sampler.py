@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sccopt.errors import ZeroSupport
-from sccopt.sampler import CandidateDesign, sample_designs, write_candidates_csv
+from sccopt.sampler import sample_designs, write_candidates_csv
 
 
 class TestSampling:
@@ -31,17 +31,17 @@ class TestSampling:
     def test_respects_cardinality(self):
         y = np.array([0.5, 0.5, 0.0])
         z = np.array([0.3, 0.3, 0.4])
-        for cand in sample_designs(y, z, 2, 1, 10, seed=0):
-            assert len(cand.dbv_links) == 2
-            assert len(cand.afv_nodes) == 1
-            assert cand.dbv_links == tuple(sorted(cand.dbv_links))
+        for dbv, afv in sample_designs(y, z, 2, 1, 10, seed=0):
+            assert len(dbv) == 2
+            assert len(afv) == 1
+            assert dbv == tuple(sorted(dbv))
 
     def test_zero_fraction_never_drawn(self):
         y = np.array([1.0, 0.0, 0.0, 1.0])
         z = np.array([0.0, 1.0, 1.0, 0.0])
-        for cand in sample_designs(y, z, 1, 1, 20, seed=3):
-            assert cand.dbv_links[0] in (1, 2)
-            assert cand.afv_nodes[0] in (0, 3)
+        for dbv, afv in sample_designs(y, z, 1, 1, 20, seed=3):
+            assert dbv[0] in (1, 2)
+            assert afv[0] in (0, 3)
 
     def test_insufficient_support_raises(self):
         y = np.array([1.0, 0.0])
@@ -57,7 +57,7 @@ class TestSampling:
 
     def test_no_valves_requested(self):
         out = sample_designs(np.array([1.0]), np.array([1.0]), 0, 0, 5, seed=0)
-        assert out == [CandidateDesign((), ())]
+        assert out == [((), ())]
 
     def test_empirical_frequency_uniform_weights(self):
         # single-site draws from 5 equally weighted indices, N=10000:
@@ -68,8 +68,8 @@ class TestSampling:
         rng_seed = 0
         n = 10_000
         for k in range(n):
-            cand = sample_designs(np.array([1.0]), z, 1, 0, 1, seed=rng_seed + k)[0]
-            counts[cand.dbv_links[0]] += 1
+            (dbv, _), = sample_designs(np.array([1.0]), z, 1, 0, 1, seed=rng_seed + k)
+            counts[dbv[0]] += 1
         freq = counts / n
         assert np.all(np.abs(freq - 0.2) <= 0.02)
 
@@ -78,15 +78,15 @@ class TestSampling:
         counts = np.zeros(3)
         n = 6000
         for k in range(n):
-            cand = sample_designs(np.array([1.0]), z, 1, 0, 1, seed=k)[0]
-            counts[cand.dbv_links[0]] += 1
+            (dbv, _), = sample_designs(np.array([1.0]), z, 1, 0, 1, seed=k)
+            counts[dbv[0]] += 1
         freq = counts / n
         assert freq == pytest.approx(z, abs=0.03)
 
 
 class TestCsv:
     def test_csv_format(self):
-        cands = [CandidateDesign((1, 3), (0,)), CandidateDesign((2,), ())]
+        cands = [((1, 3), (0,)), ((2,), ())]
         buf = io.StringIO()
         write_candidates_csv(cands, buf, scores=[0.5, None])
         lines = buf.getvalue().strip().splitlines()

@@ -10,8 +10,7 @@ from sccopt.errors import AllStartsInfeasible, NonConvergence
 from sccopt.hydraulics import headloss_params, phi, phi_prime, simulate, solve_steady
 from sccopt.netgen import line_network, loop_network
 from sccopt.netmodel import Link, NetworkModel, VALVE
-from sccopt.relax import DesignConfig, default_bounds
-from sccopt.sampler import CandidateDesign
+from sccopt.relax import default_bounds
 from sccopt.scc import SccParams, scc_smooth, scc_smooth_flows, scc_smooth_grad_flows
 from sccopt.sfscp import (_TRUST_FRACTION, RunMemo, Subproblem, ValveDesign, _step_lp,
                           enumerate_dbv_directions, multi_start, restore_feasibility,
@@ -461,9 +460,7 @@ class TestDirectionEnumeration:
     def test_dbv_direction_count_and_dominance(self):
         net = prv_loop_net()
         params, scc_params, bounds = setup(net)
-        dcfg = DesignConfig.from_network(net)
-        design = ValveDesign.from_candidate(
-            dcfg, CandidateDesign(dbv_links=(4,), afv_nodes=()))
+        design = ValveDesign.from_network(net, dbv_links=(4,))
         memo = RunMemo()
         subs = [Subproblem(net, params, scc_params, bounds, design, 0, (s,), memo)
                 for s in (1, -1)]
