@@ -9,11 +9,11 @@ from .netmodel import (Link, DemandNode, SourceNode, NetworkModel, parse_inp,
 from .hydraulics import HeadLossParams, HydraulicState, headloss_params, phi, \
     phi_prime, simulate, solve_steady
 from .scc import SccParams, azp, scc_indicator, scc_smooth, velocity_cdf
-from .relax import BoundSet, build_lp, default_bounds, lp_bound
+from .relax import BoundSet, Problem, build_lp, default_bounds, lp_bound
 from .obbt import ObbtReport, tighten, tighten_forest
 from .sampler import sample_designs
 from .sfscp import ControlSolution, ValveDesign, multi_start
-from .pipeline import (CmsSolution, RunConfig, performance_profile, run_cms,
-                       run_control_only, save_results, uncontrolled_state)
+from .pipeline import (CmsSolution, RunConfig, default_problem, performance_profile,
+                       run_cms, run_control_only, save_results, uncontrolled_state)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -135,7 +135,7 @@ def cmd_obbt(args) -> int:
     net = load_network(args.network)
     # run_cms's bound tightening, with OBBT on whatever the config says
     config = dataclasses.replace(_config_from_args(args), use_obbt=True)
-    *_, report = tightened_bounds(net, config)
+    _, report = tightened_bounds(net, config)
     print(f"iterations  {report.iterations}")
     print(f"lp_solves   {report.lp_solves}")
     print(f"diam        {' '.join(f'{d:.6g}' for d in report.diam_history)}")

@@ -20,7 +20,7 @@ class NonConvergence(SccoptError):
 
 
 class SingularSystem(SccoptError):
-    """Reduced hydraulic system is rank-deficient (e.g. closures disconnect the network)."""
+    """The reduced hydraulic system could not be factorized or gave a non-finite step."""
 
 
 class InconsistentBounds(SccoptError):
@@ -32,4 +32,5 @@ class ZeroSupport(SccoptError):
 
 
 class AllStartsInfeasible(SccoptError):
-    """Every multi-start initial condition failed feasibility restoration."""
+    """No feasible control: every start failed restoration, no sampled placement
+    admits one, or the relaxation was not solved to optimality."""

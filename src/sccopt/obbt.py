@@ -13,11 +13,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import InconsistentBounds
-from .hydraulics import HeadLossParams
 from .lp import OPTIMAL, solve_lp
-from .netmodel import NetworkModel, forest_core
-from .relax import BoundSet, build_lp
-from .scc import SccParams
+from .netmodel import forest_core
+from .relax import BoundSet, Problem, build_lp
 
 # slack added to each forest bound so later LPs stay strictly feasible; the
 # bounds are exact demand sums, so a rounding-size pad suffices
@@ -45,43 +43,34 @@ class ObbtReport:
         return asdict(self)
 
 
-def _flow_diameter(bounds: BoundSet, core_links) -> float:
-    if not core_links:
-        return 0.0
-    idx = list(core_links)
-    return float(np.sum(bounds.q_hi[:, idx] - bounds.q_lo[:, idx]))
+def _flow_diameter(bounds: BoundSet, core_links: list[int]) -> float:
+    return float(np.sum(bounds.q_hi[:, core_links] - bounds.q_lo[:, core_links]))
 
 
-def tighten(
-    net: NetworkModel,
-    params: HeadLossParams,
-    scc_params: SccParams,
-    bounds: BoundSet,
-    n_v: int,
-    n_f: int,
-) -> tuple[BoundSet, ObbtReport]:
+def tighten(problem: Problem, n_v: int, n_f: int) -> tuple[Problem, ObbtReport]:
     """Shrink core-link flow bounds over the relaxation with ``n_v`` new DBVs
-    and ``n_f`` AFVs; returns (tightened bounds, report).
+    and ``n_f`` AFVs; returns (the tightened Problem, report).
 
     Terminates when a pass shrinks the total flow-box diameter by less than
     a factor _EPS_TOL, or after _K_MAX passes.  Tree networks have no core
-    links and return unchanged with zero LP solves.  The LPs of a pass share
-    their rows and bounds, so they are re-solved in one hot-started HiGHS
-    session; a target whose hot solve fails is solved cold.
+    links and return an equal box with zero LP solves.  A pass builds the
+    relaxation over a snapshot of its box and edits a working copy; its LPs
+    share their rows and bounds, so they are re-solved in one hot-started
+    HiGHS session, and a target whose hot solve fails is solved cold.
     """
     report = ObbtReport()
     start = time.perf_counter()
-    decomp = forest_core(net)
-    core = sorted(decomp.core_links)
-    bounds = bounds.copy()
+    net, scc_params = problem.net, problem.scc_params
+    core = sorted(forest_core(net).core_links)
+    bounds = problem.bounds.copy()
     if not core:
         report.wall_time = time.perf_counter() - start
-        return bounds, report
+        return Problem(net, scc_params, bounds), report
 
     diam = _flow_diameter(bounds, core)
     report.diam_history.append(diam)
     for _ in range(_K_MAX):
-        lp, vmap = build_lp(net, params, scc_params, bounds, n_v, n_f)
+        lp, vmap = build_lp(Problem(net, scc_params, bounds.copy()), n_v, n_f)
         lp = lp.hot_started()
         c = np.zeros(vmap.total)
         for t in range(net.n_t):
@@ -111,22 +100,19 @@ def tighten(
             break
         diam = new_diam
     report.wall_time = time.perf_counter() - start
-    return bounds, report
+    return Problem(net, scc_params, bounds), report
 
 
-def tighten_forest(
-    net: NetworkModel,
-    bounds: BoundSet,
-    n_f: int,
-) -> BoundSet:
+def tighten_forest(problem: Problem, n_f: int) -> Problem:
     """Exact forest-link flow bounds by aggregating downstream demand.
 
     Each tree-appendage link carries exactly the demand plus flushing flow
     of the nodes it feeds; the flushing allowance is capped by the number of
     the ``n_f`` AFVs that could land downstream.
     """
+    net = problem.net
     decomp = forest_core(net)
-    bounds = bounds.copy()
+    bounds = problem.bounds.copy()
     for j in decomp.forest_links:
         down = list(decomp.forest_downstream[j])
         slots = min(len(down), n_f)
@@ -140,4 +126,4 @@ def tighten_forest(
         if crossed.size:
             raise InconsistentBounds(
                 f"forest bounds crossed on link {net.links[j].id}, timestep {crossed[0]}")
-    return bounds
+    return Problem(net, problem.scc_params, bounds)

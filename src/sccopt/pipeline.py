@@ -15,10 +15,10 @@ from .errors import AllStartsInfeasible
 from .hydraulics import headloss_params, simulate, HydraulicState
 from .lp import solve_lp, OPTIMAL
 from .netmodel import NetworkModel
-from .relax import build_lp, default_bounds, extract_fractional, lp_bound
+from .relax import Problem, build_lp, default_bounds, extract_fractional, lp_bound
 from .sampler import blend_uniform, sample_designs, write_candidates_csv
-from .scc import SccParams, azp, scc_indicator, scc_smooth, velocity_cdf, write_velocity_cdf_csv
-from .sfscp import ControlSolution, RunMemo, ValveDesign, multi_start
+from .scc import SccParams, azp, scc_indicator, velocity_cdf, write_velocity_cdf_csv
+from .sfscp import ControlSolution, ValveDesign, multi_start
 
 # the weight of the uniform distribution in each placement's sampling
 # distribution; the relaxation's fractional values get the rest
@@ -93,41 +93,39 @@ class CmsSolution:
         }
 
 
-def _prepare(net: NetworkModel, config: RunConfig):
-    params = headloss_params(net)
-    scc_params = SccParams.from_network(net, u_min=config.u_min, rho=config.rho)
-    bounds = default_bounds(net, params, u_max=config.u_max,
-                            p_min=config.p_min, alpha_max=config.alpha_max)
-    return params, scc_params, bounds
+def default_problem(net: NetworkModel, config: RunConfig) -> Problem:
+    """The untightened model of a run: the SCC parameters and default box of
+    ``config`` under ``net``'s head-loss law."""
+    return Problem(net, SccParams.from_network(net, u_min=config.u_min, rho=config.rho),
+                   default_bounds(net, headloss_params(net), u_max=config.u_max,
+                                  p_min=config.p_min, alpha_max=config.alpha_max))
 
 
 def tightened_bounds(net: NetworkModel, config: RunConfig):
-    """The model of a design run: (head-loss parameters, SCC parameters,
-    bounds, OBBT report).  The bounds are the default box with the forest
-    links tightened exactly and, when ``config.use_obbt``, the core links by
-    OBBT; the report is None when OBBT is off.  Raises ValueError when the
-    network cannot hold ``config.n_v`` new DBVs or ``config.n_f`` AFVs."""
+    """The model of a design run and its OBBT report: (Problem, report).  The
+    box is the default box with the forest links tightened exactly and, when
+    ``config.use_obbt``, the core links by OBBT; the report is None when OBBT
+    is off.  Raises ValueError when the network cannot hold ``config.n_v``
+    new DBVs or ``config.n_f`` AFVs."""
     n_v, n_f = config.n_v, config.n_f
     if n_v > len(net.free_links):
         raise ValueError(f"n_v = {n_v} exceeds the {len(net.free_links)} links "
                          "that can take a new DBV")
     if n_f > net.n_n:
         raise ValueError(f"n_f = {n_f} exceeds the {net.n_n} demand nodes")
-    params, scc_params, bounds = _prepare(net, config)
-    bounds = obbt_mod.tighten_forest(net, bounds, n_f)
-    report = None
-    if config.use_obbt:
-        bounds, report = obbt_mod.tighten(net, params, scc_params, bounds, n_v, n_f)
-    return params, scc_params, bounds, report
+    problem = obbt_mod.tighten_forest(default_problem(net, config), n_f)
+    if not config.use_obbt:
+        return problem, None
+    return obbt_mod.tighten(problem, n_v, n_f)
 
 
-def _finish(net, scc_params, design, control, start, **extra) -> CmsSolution:
+def _finish(problem, design, control, start, **extra) -> CmsSolution:
     return CmsSolution(
         design=design,
         control=control,
         scc_smooth=control.objective,
-        scc_exact=scc_indicator(control.state, net, scc_params),
-        azp=azp(control.state, net),
+        scc_exact=scc_indicator(control.state, problem.net, problem.scc_params),
+        azp=azp(control.state, problem.net),
         wall_time=time.perf_counter() - start,
         **extra,
     )
@@ -135,24 +133,22 @@ def _finish(net, scc_params, design, control, start, **extra) -> CmsSolution:
 
 def uncontrolled_state(net: NetworkModel) -> HydraulicState:
     """Simulate with all controls at zero (valves wide open, no flushing)."""
-    params = headloss_params(net)
-    return simulate(net, params)
+    return simulate(net, headloss_params(net))
 
 
 def run_control_only(net: NetworkModel, config: RunConfig) -> CmsSolution:
     """Optimize settings of the existing valves only (no new hardware).
 
     The all-open control is always among the starts, so the result never
-    scores below the uncontrolled network.  Its one ``multi_start`` call
-    makes its own memo.
+    scores below the uncontrolled network.  It solves over its own
+    ``default_problem``, whose memo no other call sees.
     """
     start = time.perf_counter()
-    params, scc_params, bounds = _prepare(net, config)
+    problem = default_problem(net, config)
     design = ValveDesign.from_network(net)
-    control = multi_start(net, params, scc_params, bounds, design,
-                          config.n_starts, config.seed,
+    control = multi_start(problem, design, config.n_starts, config.seed,
                           extra_seeds=[np.zeros((net.n_t, net.n_p))])
-    return _finish(net, scc_params, design, control, start)
+    return _finish(problem, design, control, start)
 
 
 def run_cms(net: NetworkModel, config: RunConfig,
@@ -163,12 +159,14 @@ def run_cms(net: NetworkModel, config: RunConfig,
     placements, samples candidate placements, optimizes controls for each
     candidate, and returns the best.  The all-open control and (when given)
     the settings-only solution are injected as extra starts, so the result
-    never scores below either.  One memo serves every candidate's control
-    solve, since the bounds are final once OBBT has run.
+    never scores below either.  Every candidate's control solve runs on the
+    one tightened Problem, so they share its memo; no other call does.
+    Raises AllStartsInfeasible when the relaxation is not solved to
+    optimality or no candidate admits a feasible control.
     """
     start = time.perf_counter()
-    params, scc_params, bounds, report = tightened_bounds(net, config)
-    lp, vmap = build_lp(net, params, scc_params, bounds, config.n_v, config.n_f)
+    problem, report = tightened_bounds(net, config)
+    lp, vmap = build_lp(problem, config.n_v, config.n_f)
     sol = solve_lp(lp)
     if sol.status != OPTIMAL:
         raise AllStartsInfeasible(f"relaxation is {sol.status}")
@@ -187,15 +185,13 @@ def run_cms(net: NetworkModel, config: RunConfig,
     if warm_control is not None:
         extra.append(warm_control.control.eta)
 
-    memo = RunMemo()
     best: tuple[float, ValveDesign, ControlSolution] | None = None
     scores: list[float | None] = []
     for dbv, afv in candidates:
         design = ValveDesign.from_network(net, dbv, afv)
         try:
-            control = multi_start(net, params, scc_params, bounds, design,
-                                  config.n_starts, config.seed, eta_seed=eta_seed,
-                                  extra_seeds=extra, memo=memo)
+            control = multi_start(problem, design, config.n_starts, config.seed,
+                                  eta_seed=eta_seed, extra_seeds=extra)
         except AllStartsInfeasible:
             scores.append(None)
             continue
@@ -205,7 +201,7 @@ def run_cms(net: NetworkModel, config: RunConfig,
     if best is None:
         raise AllStartsInfeasible("no sampled placement admits a feasible control")
 
-    return _finish(net, scc_params, best[1], best[2], start,
+    return _finish(problem, best[1], best[2], start,
                    lp_upper_bound=upper,
                    obbt_report=None if report is None else report.to_dict(),
                    candidates=candidates, candidate_scores=scores)

@@ -5,7 +5,7 @@ placements that seed the sampler.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,6 +100,44 @@ class BoundSet:
                         self.alpha_hi, self.params)
 
 
+@dataclass
+class RunMemo:
+    """The hydraulic states and step-LP points solved over one ``Problem``.
+
+    ``states`` maps (t, eta bytes + alpha bytes), on the full arrays, to the
+    read-only (q, h), or to None when Newton failed.  ``steps`` maps (t,
+    design, signs, q_k bytes + h_k bytes + x_k bytes) to the read-only LP
+    point (q, h, x), or to None when the LP was not optimal.
+    """
+
+    states: dict = field(default_factory=dict)
+    steps: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """The model one run solves: the network, the SCC objective's parameters
+    and the variable box, whose head-loss law is ``bounds.params``.
+
+    Building it makes the six bound arrays read-only, so a tightened box is
+    a new Problem.  Each Problem owns a fresh ``memo``, which therefore never
+    outlives or crosses the box its entries were solved under.
+    """
+
+    net: NetworkModel
+    scc_params: SccParams
+    bounds: BoundSet
+    memo: RunMemo = field(default_factory=RunMemo, init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("q_lo", "q_hi", "h_lo", "h_hi", "eta_lo", "eta_hi"):
+            getattr(self.bounds, name).flags.writeable = False
+
+    @property
+    def params(self) -> HeadLossParams:
+        return self.bounds.params
+
+
 def default_bounds(
     net: NetworkModel,
     params: HeadLossParams,
@@ -128,14 +166,7 @@ def default_bounds(
     return BoundSet(q_lo, q_hi, h_lo, h_hi, eta_lo, eta_hi, float(alpha_max), params)
 
 
-def build_lp(
-    net: NetworkModel,
-    params: HeadLossParams,
-    scc_params: SccParams,
-    bounds: BoundSet,
-    n_v: int,
-    n_f: int,
-) -> tuple[LinearProgram, VariableMap]:
+def build_lp(problem: Problem, n_v: int, n_f: int) -> tuple[LinearProgram, VariableMap]:
     """Assemble the continuous relaxation as a single LP: ``n_v`` new DBVs go
     on links without a valve, ``n_f`` AFVs on any demand nodes, and the
     network's existing PRVs and DBVs stay in place.
@@ -145,9 +176,9 @@ def build_lp(
     energy balance, then the two valve-count rows.  The envelope cuts of a
     timestep's link tables are built for all links at once.
     """
+    net, bounds = problem.net, problem.bounds
     vmap = VariableMap(net.n_p, net.n_n, net.n_t)
     n = vmap.total
-    areas = net.areas
     I_p, I_n = sp.identity(net.n_p), sp.identity(net.n_n)
     z_idx, y_idx = vmap.z, vmap.y
     prv, fixed = list(net.prv_links), list(net.prv_links + net.dbv_links)
@@ -172,7 +203,7 @@ def build_lp(
         add(eq, sp.hstack([net.A12, I_p, I_p]), np.r_[h_idx, th_idx, eta_idx],
             -(net.A10 @ net.source_heads[t]))
 
-        table, keep = _link_tables(params, scc_params, bounds, t, areas)
+        table, keep = _link_tables(problem, t)
         cols = np.column_stack([q_idx, sp_idx, sm_idx, th_idx, eta_idx,
                                 vp_idx, vm_idx, z_idx])
         rows = table[keep]
@@ -192,7 +223,7 @@ def build_lp(
         lb[vp_idx[prv]] = 1.0
         ub[vm_idx[prv]] = 0.0
         # objective: maximize the mean weighted sigma mass
-        c[sp_idx] = c[sm_idx] = -scc_params.weights / net.n_t
+        c[sp_idx] = c[sm_idx] = -problem.scc_params.weights / net.n_t
 
     # placement variables and count constraints; the existing valves stay
     ub[z_idx] = ub[y_idx] = 1.0
@@ -216,7 +247,7 @@ def _at_columns(block, cols, n_cols):
     return sp.csr_matrix((b.data, (b.row, cols)), shape=(b.shape[0], n_cols))
 
 
-def _link_tables(params, scc_params, bounds, t, areas):
+def _link_tables(problem: Problem, t: int):
     """Rows ``[coefficients | rhs]`` of every link at timestep t, a ``<=`` row
     each over the link's columns (q, sigma+, sigma-, theta, eta, v+, v-, z),
     as an (n_p, 15, 9) slot table and the (n_p, 15) mask of the slots in use.
@@ -224,13 +255,14 @@ def _link_tables(params, scc_params, bounds, t, areas):
     Per link: two slots each for the psi+, psi-, lower and upper head-loss
     envelope cuts, then big-M valve activation and one control direction.
     """
+    bounds, scc_params, areas = problem.bounds, problem.scc_params, problem.net.areas
     q_lo, q_hi = bounds.q_lo[t], bounds.q_hi[t]
     th_lo, th_hi = bounds.theta_lo[t], bounds.theta_hi[t]
     e_lo, e_hi = bounds.eta_lo[t], bounds.eta_hi[t]
     # the sigmoid envelopes are built in velocity space
     cuts = envelopes.sigmoid_envelope(scc_params.rho, scc_params.u_min,
                                       q_lo / areas, q_hi / areas)
-    cuts += envelopes.hw_envelope(params.r, params.n_exp, q_lo, q_hi)
+    cuts += envelopes.hw_envelope(problem.params.r, problem.params.n_exp, q_lo, q_hi)
     to_flow = (1.0 / areas)[:, None]
     o, z = np.ones(len(areas)), np.zeros(len(areas))
     table = np.zeros((len(areas), 15, 9))

@@ -12,16 +12,15 @@ work on its stacked controls x = (eta on the controllable links, alpha at the
 flushing nodes) inside its control box.
 
 Starts, candidates and valve directions reach the same points again and
-again, so the hydraulic solves and step LPs of one run go through a
-``RunMemo``, keyed on the exact bytes of their inputs: each distinct call is
-made once per run, failures included, and a repeat returns the stored
+again, so the hydraulic solves and step LPs go through the ``Problem``'s
+memo, keyed on the exact bytes of their inputs: each distinct call is made
+once per Problem, failures included, and a repeat returns the stored
 read-only arrays.  A state's key holds no design, so hits cross candidates.
-``run_cms`` shares one memo across its candidates; nothing outlives the run.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,11 +29,11 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import Bounds, minimize
 
 from .errors import AllStartsInfeasible, NonConvergence, SingularSystem
-from .hydraulics import HeadLossParams, HydraulicState, phi, phi_prime, solve_steady
+from .hydraulics import HydraulicState, phi, phi_prime, solve_steady
 from .lp import OPTIMAL, LinearProgram, solve_lp
 from .netmodel import NetworkModel
-from .relax import BoundSet
-from .scc import SccParams, scc_smooth_flows, scc_smooth_grad_flows
+from .relax import Problem
+from .scc import scc_smooth_flows, scc_smooth_grad_flows
 
 _PRESSURE_TOL = 1e-6
 _IMPROVE_TOL = 1e-12
@@ -106,21 +105,6 @@ class ControlSolution:
     directions: tuple = ()
 
 
-@dataclass
-class RunMemo:
-    """The hydraulic states and step-LP points of one run.
-
-    ``states`` maps (t, eta bytes + alpha bytes), on the full arrays, to the
-    read-only (q, h), or to None when Newton failed.  ``steps`` maps (t,
-    design, signs, q_k bytes + h_k bytes + x_k bytes) to the read-only LP
-    point (q, h, x), or to None when the LP was not optimal.  Valid only
-    while the network, head-loss and SCC parameters and bounds stay fixed.
-    """
-
-    states: dict = field(default_factory=dict)
-    steps: dict = field(default_factory=dict)
-
-
 class Subproblem:
     """One timestep's control problem for one valve design and one DBV
     direction assignment, compiled once; every array is read-only.
@@ -129,21 +113,25 @@ class Subproblem:
     The controls are stacked as x = (eta on ``ctrl``, alpha at ``afv``) in
     the box [lo, hi]: a DBV's eta takes its sign, a PRV's is non-negative,
     and alpha lies in [0, alpha_hi].  Each DBV pins its link's flow to its
-    sign in the step LP (``pin_pos``, ``pin_neg``); PRV flows stay free.
-    The step LP's matrix is the network's compiled Jacobian pattern followed
-    by one unit column per entry of x (``step_*``).  Its solves and step
-    LPs are looked up in, and stored to, ``memo``.
+    sign in the step LP (``pin_pos``, ``pin_neg``); a PRV's flow is free
+    there, but ``feasible`` rejects a PRV throttling a reversed flow.  The
+    step LP's matrix is the network's compiled Jacobian pattern followed by
+    one unit column per entry of x (``step_*``).  Solves and step LPs go
+    through the Problem's memo.
     """
 
-    def __init__(self, net: NetworkModel, params: HeadLossParams, scc_params: SccParams,
-                 bounds: BoundSet, design: ValveDesign, t: int, signs: tuple[int, ...],
-                 memo: RunMemo):
-        self.net, self.params, self.scc_params = net, params, scc_params
-        self.design, self.t, self.signs, self.memo = design, t, tuple(signs), memo
+    def __init__(self, problem: Problem, design: ValveDesign, t: int,
+                 signs: tuple[int, ...]):
+        net, bounds = problem.net, problem.bounds
+        self.net, self.params, self.scc_params = net, problem.params, problem.scc_params
+        self.design, self.t, self.signs, self.memo = design, t, tuple(signs), problem.memo
         self.ctrl, self.afv = ctrl, afv = design.controllable_links, design.flushing_nodes
+        is_prv = np.isin(ctrl, design.prv_links)
+        self.prv_x, self.prv = np.flatnonzero(is_prv), ctrl[is_prv]  # in x; as links
         self.d, self.h0 = np.array(net.demands[t]), np.array(net.source_heads[t])
-        self.q_lo, self.q_hi = np.array(bounds.q_lo[t]), np.array(bounds.q_hi[t])
-        self.h_lo, self.h_hi = np.array(bounds.h_lo[t]), np.array(bounds.h_hi[t])
+        # views: a Problem's box is read-only
+        self.q_lo, self.q_hi = bounds.q_lo[t], bounds.q_hi[t]
+        self.h_lo, self.h_hi = bounds.h_lo[t], bounds.h_hi[t]
         dbv, sign = np.array(design.dbv_links, dtype=np.intp), np.array(signs)
         self.pin_pos, self.pin_neg = np.zeros((2, net.n_p), dtype=bool)
         self.pin_pos[dbv[sign > 0]] = True
@@ -210,6 +198,12 @@ class Subproblem:
         return sp.csc_matrix((data, self.step_indices, self.step_indptr),
                              shape=(n, n + len(self.lo)))
 
+    def feasible(self, x: np.ndarray, q: np.ndarray, h: np.ndarray) -> bool:
+        """Whether the state (q, h) at the controls x meets the head floor
+        with no PRV throttling (eta > 0) a reversed flow, where it adds head."""
+        return (float(np.max(np.maximum(self.h_lo - h, 0.0), initial=0.0)) <= _PRESSURE_TOL
+                and not np.any((x[self.prv_x] > 0.0) & (q[self.prv] < 0.0)))
+
     def flow_box(self, q_k: np.ndarray):
         """The step LP's flow bounds: the trust box around q_k, with each
         pinned flow kept on its valve's side of zero as Python's max(lo, 0.0)
@@ -225,16 +219,12 @@ def _trust_box(lo, hi, center):
     return np.maximum(lo, center - span), np.minimum(hi, center + span)
 
 
-def _pressure_violation(h: np.ndarray, h_lo: np.ndarray) -> float:
-    return float(np.max(np.maximum(h_lo - h, 0.0), initial=0.0))
-
-
 def restore_feasibility(sub: Subproblem, x0: np.ndarray):
     """Push the controls toward the pressure-feasible set.
 
     Minimizes the squared hinge of the minimum-head violation over the
-    control box, escalating the penalty weight tenfold until the violation
-    is within tolerance or the weight cap is reached.  Returns (x, q, h) or
+    control box, escalating the penalty weight tenfold until the state is
+    ``sub.feasible`` or the weight cap is reached.  Returns (x, q, h) or
     None when restoration fails.
     """
     def penalty(x, mu):
@@ -256,7 +246,7 @@ def restore_feasibility(sub: Subproblem, x0: np.ndarray):
         if sol is None:
             return None
         q, h = sol
-        if _pressure_violation(h, sub.h_lo) <= _PRESSURE_TOL:
+        if sub.feasible(x, q, h):
             return x, q, h
         if not x.size or mu >= _MU_CAP:
             return None
@@ -304,7 +294,7 @@ def sfscp_timestep(sub: Subproblem, x0: np.ndarray, trace: list | None = None):
     """
     x = np.clip(x0, sub.lo, sub.hi)
     sol = sub.solve(x)
-    if sol is None or _pressure_violation(sol[1], sub.h_lo) > _PRESSURE_TOL:
+    if sol is None or not sub.feasible(x, *sol):
         restored = restore_feasibility(sub, x)
         if restored is None:
             return None
@@ -329,8 +319,7 @@ def sfscp_timestep(sub: Subproblem, x0: np.ndarray, trace: list | None = None):
             if sol is not None:
                 q_try, h_try = sol
                 f_try = scc_smooth_flows(q_try[None, :], sub.net, sub.scc_params)
-                if (f_try > f + _IMPROVE_TOL
-                        and _pressure_violation(h_try, sub.h_lo) <= _PRESSURE_TOL):
+                if f_try > f + _IMPROVE_TOL and sub.feasible(x_try, q_try, h_try):
                     accepted = True
                     break
             beta *= 0.5
@@ -360,32 +349,28 @@ def enumerate_dbv_directions(subs: list[Subproblem], x0: np.ndarray):
 
 
 def multi_start(
-    net: NetworkModel,
-    params: HeadLossParams,
-    scc_params: SccParams,
-    bounds: BoundSet,
+    problem: Problem,
     design: ValveDesign,
     n_starts: int,
     seed: int | None,
     eta_seed: np.ndarray | None = None,
     extra_seeds=(),
-    memo: RunMemo | None = None,
 ) -> ControlSolution:
-    """Run the per-timestep solver from several starts; keep the best.
+    """Run the per-timestep solver on ``problem`` from several starts; keep
+    the best.
 
     The start list is: the relaxation eta seed (when given), the caller's
     eta seeds in ``extra_seeds`` (each starts with no flushing), the
     deterministic flushing and throttle starts, then uniform random draws to
     fill up to n_starts (a floor, not a cap: every deterministic start runs),
     drawn from ``seed``.  Each start is an (n_t, n_x) array of stacked
-    controls.  The subproblems share ``memo``, a fresh one when none is
-    given; a memo passed in must come from calls with the same network,
-    parameters and bounds.  Raises AllStartsInfeasible when no start yields a
-    feasible horizon.
+    controls.  The subproblems solve through ``problem.memo``, so calls on
+    one Problem share their solves.  Raises AllStartsInfeasible when no
+    start yields a feasible horizon.
     """
+    net, bounds = problem.net, problem.bounds
     ctrl, afv = design.controllable_links, design.flushing_nodes
-    memo = RunMemo() if memo is None else memo
-    subs = [[Subproblem(net, params, scc_params, bounds, design, t, signs, memo)
+    subs = [[Subproblem(problem, design, t, signs)
              for signs in itertools.product((1, -1), repeat=len(design.dbv_links))]
             for t in range(net.n_t)]
 
@@ -434,7 +419,7 @@ def multi_start(
         else:
             eta, alpha, q, h, _, iters = map(np.array, zip(*(r for r, _ in results)))
             state = HydraulicState(q, h, eta, alpha)
-            objective = scc_smooth_flows(q, net, scc_params)
+            objective = scc_smooth_flows(q, net, problem.scc_params)
             if best is None or objective > best.objective:
                 best = ControlSolution(eta, alpha, objective, state, int(iters.sum()),
                                        s_idx, tuple(signs for _, signs in results))

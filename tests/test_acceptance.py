@@ -14,14 +14,13 @@ from sccopt.hydraulics import headloss_params, phi, phi_prime, simulate, solve_s
 from sccopt.netgen import grid_network, line_network, loop_network, random_network
 from sccopt.netmodel import count_variables, forest_core
 from sccopt.obbt import tighten
-from sccopt.pipeline import (RunConfig, performance_profile, run_cms,
+from sccopt.pipeline import (RunConfig, default_problem, performance_profile, run_cms,
                              run_control_only, uncontrolled_state)
-from sccopt.relax import build_lp, default_bounds, lp_bound
+from sccopt.relax import build_lp, lp_bound
 from sccopt.lp import OPTIMAL, solve_lp
 from sccopt.sampler import sample_designs
 from sccopt.scc import SccParams, scc_smooth, scc_smooth_flows, scc_smooth_grad_flows
-from sccopt.sfscp import (RunMemo, Subproblem, ValveDesign, multi_start,
-                          sfscp_timestep)
+from sccopt.sfscp import Subproblem, ValveDesign, multi_start, sfscp_timestep
 
 DATA_DIR = Path(__file__).parent.parent / "data"
 
@@ -159,10 +158,9 @@ def test_relaxation_bounds_feasible_controls():
         size = 4 + k % 5
         net = loop_network(size, demand=0.008 + 0.001 * (k % 4),
                            diameter=0.2, source_head=60.0)
-        params = headloss_params(net)
-        sp = SccParams.from_network(net)
-        bounds = default_bounds(net, params)
-        lp, vmap = build_lp(net, params, sp, bounds, 1, 0)
+        problem = default_problem(net, RunConfig())
+        params, sp, bounds = problem.params, problem.scc_params, problem.bounds
+        lp, vmap = build_lp(problem, 1, 0)
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         ub = lp_bound(sol)
@@ -191,12 +189,12 @@ def test_obbt_tightens_with_exact_solve_count():
     """Bound tightening never widens an interval, uses exactly 2*n_t*|core|
     LP solves per iteration, and finishes the ring fixture in under 5 s."""
     net = loop_network(6, demand=0.01, diameter=0.2, source_head=60.0)
-    params = headloss_params(net)
-    sp = SccParams.from_network(net)
-    before = default_bounds(net, params)
+    problem = default_problem(net, RunConfig())
+    before = problem.bounds
     core = forest_core(net).core_links
     t0 = time.perf_counter()
-    after, report = tighten(net, params, sp, before.copy(), 1, 1)
+    tightened, report = tighten(problem, 1, 1)
+    after = tightened.bounds
     dt = time.perf_counter() - t0
     assert dt < 5.0
     assert report.iterations >= 1
@@ -204,7 +202,7 @@ def test_obbt_tightens_with_exact_solve_count():
     assert np.all(after.q_lo >= before.q_lo - 1e-9)
     assert np.all(after.q_hi <= before.q_hi + 1e-9)
     # the tightened box still contains simulated feasible flows
-    state = simulate(net, params)
+    state = simulate(net, problem.params)
     assert np.all(state.q >= after.q_lo - 1e-9)
     assert np.all(state.q <= after.q_hi + 1e-9)
     print(f"\n[acceptance 5] PASS bound tightening: {report.iterations} "
@@ -236,28 +234,22 @@ def test_control_solver_monotone_and_single_pipe_target():
     """Per-timestep iterations only improve the objective while staying
     pressure-feasible; a one-pipe flushing fixture reaches 0.99 in < 1 s."""
     net = loop_network(4, demand=0.012, diameter=0.2, source_head=60.0)
-    params = headloss_params(net)
-    sp = SccParams.from_network(net)
-    bounds = default_bounds(net, params)
+    problem = default_problem(net, RunConfig())
     design = ValveDesign.from_network(net, dbv_links=(1,))
     trace = []
-    res = sfscp_timestep(Subproblem(net, params, sp, bounds, design, 0, (1,), RunMemo()),
-                         np.zeros(1), trace=trace)
+    res = sfscp_timestep(Subproblem(problem, design, 0, (1,)), np.zeros(1), trace=trace)
     assert res is not None
     fs = [row[1] for row in trace]
     assert all(b >= a - 1e-12 for a, b in zip(fs, fs[1:]))
     eta, alpha, q, h, f_final, _ = res
-    assert np.all(h >= bounds.h_lo[0] - 1e-6)
+    assert np.all(h >= problem.bounds.h_lo[0] - 1e-6)
 
     pipe = line_network(1, demand=0.005, length=1000.0, diameter=0.3,
                         hw=130.0, source_head=80.0)
-    p2 = headloss_params(pipe)
-    sp2 = SccParams.from_network(pipe)
-    b2 = default_bounds(pipe, p2)
     # flushing at the cap raises the velocity to (0.005+0.025)/area = 0.424
     assert (0.005 + 0.025) / pipe.areas[0] == pytest.approx(0.424, abs=1e-3)
     t0 = time.perf_counter()
-    sol = multi_start(pipe, p2, sp2, b2, ValveDesign(afv_nodes=(0,)),
+    sol = multi_start(default_problem(pipe, RunConfig()), ValveDesign(afv_nodes=(0,)),
                       n_starts=2, seed=0)
     dt = time.perf_counter() - t0
     assert dt < 1.0
@@ -276,9 +268,8 @@ def grid_fixture():
 def _exhaustive_oracle(net, alpha_cap):
     """Best smoothed objective over every (valve link, flushing node) pair
     using a coarse setting grid per placement."""
-    params = headloss_params(net)
-    sp = SccParams.from_network(net)
-    bounds = default_bounds(net, params, alpha_max=alpha_cap)
+    problem = default_problem(net, RunConfig(alpha_max=alpha_cap))
+    params, sp, bounds = problem.params, problem.scc_params, problem.bounds
     d, h0 = net.demands[0], net.source_heads[0]
     qb, hb = solve_steady(net, params, d, h0)
     best = -np.inf

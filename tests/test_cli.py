@@ -8,7 +8,7 @@ from sccopt.cli import (EXIT_INPUT, EXIT_OK, EXIT_SOLVER, _config_from_args, bui
                         load_network, main)
 from sccopt.netgen import loop_network, random_network
 from sccopt.obbt import tighten
-from sccopt.pipeline import RunConfig, _prepare, run_cms
+from sccopt.pipeline import RunConfig, default_problem, run_cms
 
 
 @pytest.fixture
@@ -282,7 +282,7 @@ class TestObbtVerb:
         keys = ("iterations", "lp_solves", "diam_history")
         assert [cli[k] for k in keys] == [pipe[k] for k in keys]
         # without the forest step the box differs, so the match is not vacuous
-        _, bare = tighten(net, *_prepare(net, config), 1, 1)
+        _, bare = tighten(default_problem(net, config), 1, 1)
         assert bare.diam_history != cli["diam_history"]
 
 

@@ -11,9 +11,8 @@ from sccopt.hydraulics import (GRAVITY, HeadLossParams, headloss_params, phi,
                                phi_prime, simulate, solve_steady)
 from sccopt.netgen import line_network, random_network
 from sccopt.netmodel import Link, NetworkModel, VALVE
-from sccopt.relax import default_bounds
-from sccopt.scc import SccParams
-from sccopt.sfscp import RunMemo, Subproblem, ValveDesign
+from sccopt.pipeline import RunConfig, default_problem
+from sccopt.sfscp import Subproblem, ValveDesign
 
 # Hand-computed resistance for L=1000 m, C=130, D=0.3 m:
 #   r = 10.67 * 1000 / (130^1.852 * 0.3^4.871)
@@ -195,8 +194,7 @@ class TestSchurAssembly:
 class TestKktAssembly:
     def test_matches_bmat_bit_for_bit(self, net):
         rng = np.random.default_rng(0)
-        params = headloss_params(net)
-        scc_params, bounds = SccParams.from_network(net), default_bounds(net, params)
+        problem = default_problem(net, RunConfig())
         for k in range(20):
             g = 10.0 ** rng.uniform(-12.0, 10.0, net.n_p)
             ctrl = sorted(rng.choice(net.n_p, size=k % 4, replace=False))
@@ -206,9 +204,8 @@ class TestKktAssembly:
             F = sp.coo_matrix((np.ones(len(afv)), (afv, np.arange(len(afv)))),
                               shape=(net.n_n, len(afv)))
             blocks = [[sp.diags(g, format="coo"), net.A12], [net.A12T, None]]
-            step = Subproblem(net, params, scc_params, bounds,
-                              ValveDesign(tuple(ctrl), (), tuple(afv)), 0, (),
-                              RunMemo()).step_matrix(g)
+            step = Subproblem(problem, ValveDesign(tuple(ctrl), (), tuple(afv)), 0,
+                              ()).step_matrix(g)
             # the adjoint solves with the Jacobian, the step matrix's leading columns
             cases = [(step[:, :net.n_p + net.n_n], sp.bmat(blocks)),
                      (step, sp.bmat([blocks[0] + [E, None], blocks[1] + [None, -F]]))]

@@ -8,13 +8,12 @@ from scipy.optimize._highspy._core import HighsModelStatus
 from linprog_reference import linprog_solve_lp
 from oracle_simplex import simplex_solve
 from sccopt.errors import InconsistentBounds
-from sccopt.hydraulics import headloss_params, solve_steady
+from sccopt.hydraulics import solve_steady
 from sccopt.lp import (INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED, HotSession, LinearProgram,
                        solve_lp)
-from sccopt.pipeline import RunConfig, run_cms
-from sccopt.relax import build_lp, default_bounds
-from sccopt.scc import SccParams
-from sccopt.sfscp import RunMemo, Subproblem, ValveDesign, _step_lp
+from sccopt.pipeline import RunConfig, default_problem, run_cms
+from sccopt.relax import build_lp
+from sccopt.sfscp import Subproblem, ValveDesign, _step_lp
 
 
 # a row written as linprog takes it: A x <= b (LEQ) or A x == b (EQ)
@@ -191,17 +190,14 @@ def mixed_lps(draw):
 def step_and_relaxation_lps(net, monkeypatch):
     """The relaxation LP and one SCP step LP (with eta, alpha and a DBV
     direction pinned to the flow's) on ``net``, as the pipeline builds them."""
-    params = headloss_params(net)
-    scc_params = SccParams.from_network(net)
-    bounds = default_bounds(net, params)
-    relax, _ = build_lp(net, params, scc_params, bounds, 1, 1)
+    problem = default_problem(net, RunConfig())
+    relax, _ = build_lp(problem, 1, 1)
     design = ValveDesign(prv_links=(0,), dbv_links=(2,), afv_nodes=(3, 1))
     eta, alpha = np.zeros(net.n_p), np.zeros(net.n_n)
-    q, h = solve_steady(net, params, net.demands[0], net.source_heads[0], eta, alpha)
+    q, h = solve_steady(net, problem.params, net.demands[0], net.source_heads[0], eta, alpha)
     captured = []
     monkeypatch.setattr("sccopt.sfscp.solve_lp", lambda lp: captured.append(lp) or solve_lp(lp))
-    sub = Subproblem(net, params, scc_params, bounds, design, 0,
-                     (1 if q[2] >= 0 else -1,), RunMemo())
+    sub = Subproblem(problem, design, 0, (1 if q[2] >= 0 else -1,))
     _step_lp(sub, q, h, np.zeros(len(sub.lo)))
     return relax, captured[0]
 

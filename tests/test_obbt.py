@@ -13,80 +13,90 @@ from sccopt.lp import _HOT_OPTIONS, OPTIMAL, HotSession, LpSolution, solve_lp
 from sccopt.netgen import line_network
 from sccopt.netmodel import forest_core
 from sccopt.obbt import _OBBT_PAD, tighten, tighten_forest
-from sccopt.pipeline import RunConfig, _prepare
-from sccopt.relax import build_lp, default_bounds
-from sccopt.scc import SccParams
-
-
-def setup(net):
-    params = headloss_params(net)
-    scc_params = SccParams.from_network(net)
-    bounds = default_bounds(net, params)
-    return params, scc_params, bounds
+from sccopt.pipeline import RunConfig, default_problem
+from sccopt.relax import Problem, build_lp, default_bounds
 
 
 class TestCoreTightening:
     def test_tree_network_is_noop(self, line3):
-        params, scc_params, bounds = setup(line3)
-        tightened, report = tighten(line3, params, scc_params, bounds, 0, 0)
+        problem = default_problem(line3, RunConfig())
+        tightened, report = tighten(problem, 0, 0)
         assert report.lp_solves == 0
         assert report.iterations == 0
-        assert np.array_equal(tightened.q_lo, bounds.q_lo)
-        assert np.array_equal(tightened.q_hi, bounds.q_hi)
+        assert np.array_equal(tightened.bounds.q_lo, problem.bounds.q_lo)
+        assert np.array_equal(tightened.bounds.q_hi, problem.bounds.q_hi)
+        assert tightened is not problem and tightened.memo is not problem.memo
 
     def test_loop_fixture_under_five_seconds(self, loop4):
-        params, scc_params, bounds = setup(loop4)
+        problem = default_problem(loop4, RunConfig())
         t0 = time.perf_counter()
-        tightened, report = tighten(loop4, params, scc_params, bounds, 1, 1)
+        tightened, report = tighten(problem, 1, 1)
         assert time.perf_counter() - t0 < 5.0
         assert report.iterations >= 1
 
     def test_solve_count_per_iteration(self, loop4):
-        params, scc_params, bounds = setup(loop4)
-        tightened, report = tighten(loop4, params, scc_params, bounds, 1, 1)
+        problem = default_problem(loop4, RunConfig())
+        tightened, report = tighten(problem, 1, 1)
         n_core = len(forest_core(loop4).core_links)
         assert report.lp_solves == report.iterations * 2 * loop4.n_t * n_core
 
     def test_bounds_monotone_nonincreasing(self, loop4):
-        params, scc_params, bounds = setup(loop4)
-        tightened, report = tighten(loop4, params, scc_params, bounds, 1, 1)
-        assert np.all(tightened.q_lo >= bounds.q_lo - 1e-12)
-        assert np.all(tightened.q_hi <= bounds.q_hi + 1e-12)
+        problem = default_problem(loop4, RunConfig())
+        tightened, report = tighten(problem, 1, 1)
+        assert np.all(tightened.bounds.q_lo >= problem.bounds.q_lo - 1e-12)
+        assert np.all(tightened.bounds.q_hi <= problem.bounds.q_hi + 1e-12)
         diams = report.diam_history
         assert all(b <= a + 1e-9 for a, b in zip(diams, diams[1:]))
 
     def test_tightened_bounds_contain_simulated_flows(self, loop4):
-        params, scc_params, bounds = setup(loop4)
-        tightened, _ = tighten(loop4, params, scc_params, bounds, 1, 1)
-        state = simulate(loop4, params)
-        assert np.all(state.q >= tightened.q_lo - 1e-8)
-        assert np.all(state.q <= tightened.q_hi + 1e-8)
+        problem = default_problem(loop4, RunConfig())
+        tightened, _ = tighten(problem, 1, 1)
+        state = simulate(loop4, problem.params)
+        assert np.all(state.q >= tightened.bounds.q_lo - 1e-8)
+        assert np.all(state.q <= tightened.bounds.q_hi + 1e-8)
 
     def test_actually_tightens_a_loop(self, loop4):
-        params, scc_params, bounds = setup(loop4)
-        tightened, report = tighten(loop4, params, scc_params, bounds, 1, 1)
+        problem = default_problem(loop4, RunConfig())
+        tightened, report = tighten(problem, 1, 1)
         assert report.diam_history[-1] < report.diam_history[0]
 
     def test_failed_bound_lp_names_link_and_timestep(self, loop4, monkeypatch):
-        params, scc_params, bounds = setup(loop4)
+        problem = default_problem(loop4, RunConfig())
         monkeypatch.setattr(obbt, "solve_lp", lambda lp: LpSolution("infeasible"))
         first = loop4.links[min(forest_core(loop4).core_links)].id
         with pytest.raises(InconsistentBounds,
                            match=f"^bound LP for link {first}, timestep 0 returned infeasible$"):
-            tighten(loop4, params, scc_params, bounds, 1, 1)
+            tighten(problem, 1, 1)
 
     def test_report_serializes(self, loop4):
-        params, scc_params, bounds = setup(loop4)
-        _, report = tighten(loop4, params, scc_params, bounds, 0, 0)
+        problem = default_problem(loop4, RunConfig())
+        _, report = tighten(problem, 0, 0)
         d = report.to_dict()
         assert set(d) == {"iterations", "lp_solves", "cold_retries", "wall_time",
                           "diam_history"}
 
 
 def pipeline_setup(net):
-    """Parameters and forest-tightened bounds as run_cms gives OBBT them."""
-    params, scc_params, bounds = _prepare(net, RunConfig(n_v=1, n_f=1))
-    return params, scc_params, tighten_forest(net, bounds, 1), 1, 1
+    """The forest-tightened Problem and valve counts as run_cms gives OBBT them."""
+    return tighten_forest(default_problem(net, RunConfig(n_v=1, n_f=1)), 1), 1, 1
+
+
+class TestReturnedProblem:
+    @pytest.mark.parametrize("tightener", [
+        lambda problem: tighten(problem, 1, 1)[0],
+        lambda problem: tighten_forest(problem, 1)], ids=["tighten", "tighten_forest"])
+    def test_a_new_problem_with_an_empty_memo(self, loop4, tightener):
+        problem = default_problem(loop4, RunConfig())
+        problem.memo.states["seen"] = None
+        tightened = tightener(problem)
+        assert tightened.net is problem.net and tightened.scc_params is problem.scc_params
+        assert tightened.memo is not problem.memo
+        assert tightened.memo.states == {} and tightened.memo.steps == {}
+        # the input's box is left as it was, and the new box is read-only
+        untouched = default_problem(loop4, RunConfig()).bounds
+        assert np.array_equal(problem.bounds.q_lo, untouched.q_lo)
+        with pytest.raises(ValueError):
+            tightened.bounds.q_lo[0, 0] = 0.0
 
 
 class TestHotStart:
@@ -94,8 +104,8 @@ class TestHotStart:
     def test_hot_values_within_pad_of_cold(self, name, request):
         # so the hot-tightened box contains every cold bound LP's value
         net = request.getfixturevalue(name)
-        params, scc_params, bounds, *counts = pipeline_setup(net)
-        lp, vmap = build_lp(net, params, scc_params, bounds, *counts)
+        problem, *counts = pipeline_setup(net)
+        lp, vmap = build_lp(problem, *counts)
         hot = lp.hot_started()
         c = np.zeros(vmap.total)
         for t in range(net.n_t):
@@ -114,7 +124,7 @@ class TestHotStart:
         # every hot solve failing gives a fully cold pass
         monkeypatch.setattr(HotSession, "run",
                             lambda self, lp: (HighsModelStatus.kSolveError, None))
-        cold, cold_report = tighten(loop4, *args)
+        cold, cold_report = tighten(*args)
         assert cold_report.cold_retries == cold_report.lp_solves
         calls, built, new_highs = [], [], lp_mod._new_highs
 
@@ -128,30 +138,29 @@ class TestHotStart:
 
         monkeypatch.setattr(HotSession, "run", fail_third)
         monkeypatch.setattr(lp_mod, "_new_highs", spy)
-        hot, report = tighten(loop4, *args)
+        hot, report = tighten(*args)
         assert report.cold_retries == 1
         assert report.lp_solves == cold_report.lp_solves
         # one hot instance per pass, one more after the failure, one cold solve
         assert built.count(True) == report.iterations + 1 and built.count(False) == 1
-        assert np.allclose(hot.q_lo, cold.q_lo, rtol=0.0, atol=_OBBT_PAD)
-        assert np.allclose(hot.q_hi, cold.q_hi, rtol=0.0, atol=_OBBT_PAD)
+        assert np.allclose(hot.bounds.q_lo, cold.bounds.q_lo, rtol=0.0, atol=_OBBT_PAD)
+        assert np.allclose(hot.bounds.q_hi, cold.bounds.q_hi, rtol=0.0, atol=_OBBT_PAD)
 
 
 class TestForestTightening:
     def test_chain_flows_pinned_to_demand_aggregation(self, line3):
-        _, _, bounds = setup(line3)
-        tightened = tighten_forest(line3, bounds, 0)
+        tightened = tighten_forest(default_problem(line3, RunConfig()), 0).bounds
         # without flushing the branch flows are exactly demand-determined
         expected = np.array([0.03, 0.02, 0.01])
         assert tightened.q_lo[0] == pytest.approx(expected, abs=1e-8)
         assert tightened.q_hi[0] == pytest.approx(expected, abs=1e-8)
 
     def test_flushing_allowance_expands_upper(self, line3):
-        _, _, bounds = setup(line3)
-        tightened = tighten_forest(line3, bounds, 1)
+        problem = default_problem(line3, RunConfig())
+        tightened = tighten_forest(problem, 1).bounds
         # one AFV could sit anywhere downstream: +alpha_U on each branch
         assert tightened.q_hi[0] == pytest.approx(
-            np.array([0.03, 0.02, 0.01]) + bounds.alpha_hi, abs=1e-8)
+            np.array([0.03, 0.02, 0.01]) + problem.bounds.alpha_hi, abs=1e-8)
         assert tightened.q_lo[0] == pytest.approx([0.03, 0.02, 0.01], abs=1e-8)
 
     def test_reversed_branch_gets_negative_interval(self):
@@ -161,14 +170,13 @@ class TestForestTightening:
                  Link("p2", "b", "a", PIPE, 500, 0.3, 130)]
         net = NetworkModel(links, nodes, [SourceNode("src")],
                            np.array([[0.01, 0.004]]), np.array([[60.0]]))
-        _, _, bounds = setup(net)
-        tightened = tighten_forest(net, bounds, 0)
+        tightened = tighten_forest(default_problem(net, RunConfig()), 0).bounds
         assert tightened.q_hi[0, 1] == pytest.approx(-0.004, abs=1e-8)
 
     def test_simulated_flows_stay_inside(self, line3):
-        params, _, bounds = setup(line3)
-        tightened = tighten_forest(line3, bounds, 1)
-        state = simulate(line3, params)
+        problem = default_problem(line3, RunConfig())
+        tightened = tighten_forest(problem, 1).bounds
+        state = simulate(line3, problem.params)
         assert np.all(state.q >= tightened.q_lo - 1e-8)
         assert np.all(state.q <= tightened.q_hi + 1e-8)
 
@@ -176,9 +184,10 @@ class TestForestTightening:
         # the flow cap u_max * area (7.1e-3 m^3/s on p1) lies above p1's
         # demand at timestep 0 (3e-3) and below it at timestep 1 (3e-2)
         net = line_network(3, demand_factors=[0.1, 1.0])
-        _, _, bounds = setup(net)
-        capped = default_bounds(net, headloss_params(net), u_max=0.1)
-        tighten_forest(net, bounds, 0)
+        problem = default_problem(net, RunConfig())
+        capped = Problem(net, problem.scc_params,
+                         default_bounds(net, headloss_params(net), u_max=0.1))
+        tighten_forest(problem, 0)
         with pytest.raises(InconsistentBounds,
                            match="^forest bounds crossed on link p1, timestep 1$"):
-            tighten_forest(net, capped, 0)
+            tighten_forest(capped, 0)

@@ -7,7 +7,7 @@ from linprog_reference import linprog_solve_lp
 from sccopt import pipeline, sfscp
 from sccopt.errors import AllStartsInfeasible
 from sccopt.lp import LpSolution
-from sccopt.netgen import loop_network
+from sccopt.netgen import loop_network, random_network
 from sccopt.netmodel import VALVE, Link, NetworkModel
 from sccopt.pipeline import (RunConfig, performance_profile, run_cms,
                              run_control_only, save_results, tightened_bounds,
@@ -129,6 +129,49 @@ class TestRunCms:
         assert sols[0].scc_smooth == sols[1].scc_smooth
         assert np.array_equal(sols[0].control.eta, sols[1].control.eta)
 
+    def test_control_only_and_design_calls_never_share_a_memo(self, loopnet, monkeypatch):
+        solve, memos = pipeline.multi_start, []
+
+        def spy(problem, design, *args, **kwargs):
+            memos.append(problem.memo)
+            return solve(problem, design, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "multi_start", spy)
+        ctrl = run_control_only(loopnet, RunConfig(seed=0, n_starts=1))
+        assert len(memos) == 1
+        run_cms(loopnet, RunConfig(n_v=1, n_f=1, n_samples=3, n_starts=1, seed=0,
+                                   use_obbt=False), warm_control=ctrl)
+        # the candidates of one run_cms call share one memo, and no other
+        assert len(memos) == 4 and all(m is memos[1] for m in memos[2:])
+        assert memos[1] is not memos[0]
+
+    def test_tightened_problem_has_a_fresh_memo(self, loopnet):
+        for use_obbt in (True, False):
+            cfg = RunConfig(n_v=1, n_f=1, use_obbt=use_obbt)
+            a, _ = tightened_bounds(loopnet, cfg)
+            b, _ = tightened_bounds(loopnet, cfg)
+            assert a.memo is not b.memo
+            assert a.memo.states == {} and a.memo.steps == {}
+            assert np.array_equal(a.bounds.q_lo, b.bounds.q_lo)
+            with pytest.raises(ValueError):
+                a.bounds.q_lo[0, 0] = 0.0
+
+    def test_existing_prv_never_adds_head(self):
+        # the relaxation pins an existing PRV's flow direction; a control
+        # that throttles its reversed flow would pump head and beat the bound
+        base = random_network(20, 6, seed=3)
+        links = list(base.links)
+        lk = links[4]
+        links[4] = Link(lk.id, lk.from_node, lk.to_node, lk.kind, lk.length,
+                        lk.diameter, lk.hw_coefficient, lk.valve_loss,
+                        is_existing_prv=True)
+        net = NetworkModel(links, base.nodes, base.sources, base.demands,
+                           base.source_heads)
+        net.validate()
+        sol = run_cms(net, RunConfig(n_samples=1, n_starts=1, seed=0))
+        assert sol.scc_smooth <= sol.lp_upper_bound + 1e-6
+        assert not np.any((sol.control.eta[:, 4] > 0.0) & (sol.control.state.q[:, 4] < 0.0))
+
     def test_obbt_report_attached(self, cms_solution):
         assert cms_solution.obbt_report is not None
         assert cms_solution.obbt_report["lp_solves"] > 0
@@ -160,11 +203,11 @@ class TestRunCmsFailures:
                                                           monkeypatch):
         solve, seen = pipeline.multi_start, []
 
-        def fail_first(net, params, scc_params, bounds, design, *args, **kwargs):
+        def fail_first(problem, design, *args, **kwargs):
             seen.append(design)
             if len(seen) == 1:
                 raise AllStartsInfeasible("forced")
-            return solve(net, params, scc_params, bounds, design, *args, **kwargs)
+            return solve(problem, design, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "multi_start", fail_first)
         sol = run_cms(loopnet, self.CONFIG)
@@ -191,9 +234,9 @@ class TestRunCmsFailures:
     def test_no_valves_evaluates_only_the_empty_placement(self, loopnet, monkeypatch):
         solve, designs = pipeline.multi_start, []
 
-        def spy(net, params, scc_params, bounds, design, *args, **kwargs):
+        def spy(problem, design, *args, **kwargs):
             designs.append(design)
-            return solve(net, params, scc_params, bounds, design, *args, **kwargs)
+            return solve(problem, design, *args, **kwargs)
 
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled with no valves to place")

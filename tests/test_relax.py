@@ -6,15 +6,10 @@ from sccopt.errors import InconsistentBounds
 from sccopt.hydraulics import headloss_params, phi, simulate
 from sccopt.lp import OPTIMAL, solve_lp
 from sccopt.netgen import random_network
-from sccopt.relax import _link_tables, build_lp, default_bounds, extract_fractional, lp_bound
+from sccopt.pipeline import RunConfig, default_problem
+from sccopt.relax import (Problem, RunMemo, _link_tables, build_lp, default_bounds,
+                          extract_fractional, lp_bound)
 from sccopt.scc import SccParams, scc_smooth
-
-
-def setup(net, **kw):
-    params = headloss_params(net)
-    scc_params = SccParams.from_network(net)
-    bounds = default_bounds(net, params, **kw)
-    return params, scc_params, bounds
 
 
 class TestBounds:
@@ -64,40 +59,62 @@ class TestBounds:
             default_bounds(line3, params, p_min=100.0)
 
 
+class TestProblem:
+    def test_bound_arrays_are_read_only(self, loop4):
+        bounds = default_bounds(loop4, headloss_params(loop4))
+        problem = Problem(loop4, SccParams.from_network(loop4), bounds)
+        assert problem.bounds is bounds and problem.params is bounds.params
+        for name in ("q_lo", "q_hi", "h_lo", "h_hi", "eta_lo", "eta_hi"):
+            with pytest.raises(ValueError):
+                getattr(problem.bounds, name)[0, 0] = 0.0
+        # a copy is a writable box for a new Problem
+        edited = problem.bounds.copy()
+        edited.q_hi[0, 0] = 0.0
+        assert problem.bounds.q_hi[0, 0] != 0.0
+
+    def test_each_problem_owns_a_fresh_memo(self, loop4):
+        a = default_problem(loop4, RunConfig())
+        b = Problem(a.net, a.scc_params, a.bounds)
+        assert isinstance(a.memo, RunMemo) and a.memo is not b.memo
+        assert a.memo.states == {} and a.memo.steps == {}
+        with pytest.raises(AttributeError):
+            a.memo = RunMemo()
+
+
 class TestRelaxation:
     def test_column_count(self, loop4):
-        params, scc_params, bounds = setup(loop4)
-        lp, vmap = build_lp(loop4, params, scc_params, bounds, 1, 1)
+        problem = default_problem(loop4, RunConfig())
+        lp, vmap = build_lp(problem, 1, 1)
         n_p, n_n, n_t = loop4.n_p, loop4.n_n, loop4.n_t
         assert vmap.total == n_t * (7 * n_p + 2 * n_n) + n_p + n_n
         assert lp.n_cols == vmap.total
 
     def test_relaxation_solves(self, loop4):
-        params, scc_params, bounds = setup(loop4)
-        lp, vmap = build_lp(loop4, params, scc_params, bounds, 1, 1)
+        problem = default_problem(loop4, RunConfig())
+        lp, vmap = build_lp(problem, 1, 1)
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
 
     def test_dominates_uncontrolled_simulation(self, loop4):
-        params, scc_params, bounds = setup(loop4)
-        lp, vmap = build_lp(loop4, params, scc_params, bounds, 0, 0)
+        problem = default_problem(loop4, RunConfig())
+        lp, vmap = build_lp(problem, 0, 0)
         sol = solve_lp(lp)
-        state = simulate(loop4, params)
-        assert lp_bound(sol) >= scc_smooth(state, loop4, scc_params) - 1e-9
+        state = simulate(loop4, problem.params)
+        assert lp_bound(sol) >= scc_smooth(state, loop4, problem.scc_params) - 1e-9
 
     def test_dominates_on_random_fixtures(self):
         for seed in range(6):
             net = random_network(n_nodes=10, extra_edges=3, seed=seed)
-            params, scc_params, bounds = setup(net)
-            lp, vmap = build_lp(net, params, scc_params, bounds, 0, 0)
+            problem = default_problem(net, RunConfig())
+            lp, vmap = build_lp(problem, 0, 0)
             sol = solve_lp(lp)
             assert sol.status == OPTIMAL
-            state = simulate(net, params)
-            assert lp_bound(sol) >= scc_smooth(state, net, scc_params) - 1e-9
+            state = simulate(net, problem.params)
+            assert lp_bound(sol) >= scc_smooth(state, net, problem.scc_params) - 1e-9
 
     def test_fractional_extraction_sums(self, loop4):
-        params, scc_params, bounds = setup(loop4)
-        lp, vmap = build_lp(loop4, params, scc_params, bounds, 1, 2)
+        problem = default_problem(loop4, RunConfig())
+        lp, vmap = build_lp(problem, 1, 2)
         sol = solve_lp(lp)
         y, z, eta0 = extract_fractional(sol, vmap, loop4)
         assert np.sum(z) == pytest.approx(1.0, abs=1e-6)
@@ -107,15 +124,15 @@ class TestRelaxation:
 
     def test_alpha_needs_flushing_binary(self, loop4):
         # with n_f = 0 every alpha is pinned to zero through the big-M row
-        params, scc_params, bounds = setup(loop4)
-        lp, vmap = build_lp(loop4, params, scc_params, bounds, 0, 0)
+        problem = default_problem(loop4, RunConfig())
+        lp, vmap = build_lp(problem, 0, 0)
         sol = solve_lp(lp)
         alpha = np.concatenate([sol.x[vmap.alpha(t)] for t in range(loop4.n_t)])
         assert np.max(np.abs(alpha)) <= 1e-8
 
     def test_flow_consistency_rows_hold(self, loop4):
-        params, scc_params, bounds = setup(loop4)
-        lp, vmap = build_lp(loop4, params, scc_params, bounds, 1, 1)
+        problem = default_problem(loop4, RunConfig())
+        lp, vmap = build_lp(problem, 1, 1)
         sol = solve_lp(lp)
         q = sol.x[vmap.q(0)]
         alpha = sol.x[vmap.alpha(0)]
@@ -124,8 +141,8 @@ class TestRelaxation:
 
     def test_bound_not_above_two(self, loop4):
         # each sigma pair is bounded by 1+1; weights sum to one
-        params, scc_params, bounds = setup(loop4)
-        lp, _ = build_lp(loop4, params, scc_params, bounds, 1, 1)
+        problem = default_problem(loop4, RunConfig())
+        lp, _ = build_lp(problem, 1, 1)
         sol = solve_lp(lp)
         assert lp_bound(sol) <= 2.0 + 1e-9
 
@@ -134,9 +151,9 @@ class TestRelaxation:
         # the source link's eta_lo is 0, so its big-M row has a zero
         # coefficient that must not be stored; alpha_max 0 zeroes the y
         # coefficient of every flushing row
-        params, scc_params, bounds = setup(loop4, alpha_max=alpha_max)
-        assert bounds.eta_lo[0, 0] == 0.0
-        lp, _ = build_lp(loop4, params, scc_params, bounds, 1, 1)
+        problem = default_problem(loop4, RunConfig(alpha_max=alpha_max))
+        assert problem.bounds.eta_lo[0, 0] == 0.0
+        lp, _ = build_lp(problem, 1, 1)
         assert np.all(lp.A.data != 0)
         # 4 mass + 5 energy rows, 5 link tables of 15 rows, 4 flushing rows
         # and the two valve-count rows
@@ -145,8 +162,8 @@ class TestRelaxation:
     def test_inequality_rows_come_first(self, loop4):
         # the 75 link-table and 4 flushing rows are inequalities, then the
         # 4 mass, 5 energy and two valve-count rows are equalities
-        params, scc_params, bounds = setup(loop4)
-        lp, _ = build_lp(loop4, params, scc_params, bounds, 1, 1)
+        problem = default_problem(loop4, RunConfig())
+        lp, _ = build_lp(problem, 1, 1)
         assert (lp.n_rows, lp.n_cols) == (90, 52)
         is_leq = lp.lhs == -np.inf
         assert np.array_equal(is_leq, np.arange(90) < 79)
@@ -156,8 +173,9 @@ class TestRelaxation:
     def test_sigmoid_rows_are_velocity_cuts_in_flow_space(self, loop4):
         # a psi row evaluated at q = area * u equals its velocity-space cut
         # at u; the sigma coefficient and the rhs are unchanged
-        params, scc_params, bounds = setup(loop4)
-        table, keep = _link_tables(params, scc_params, bounds, 0, loop4.areas)
+        problem = default_problem(loop4, RunConfig())
+        scc_params, bounds = problem.scc_params, problem.bounds
+        table, keep = _link_tables(problem, 0)
         families = envelopes.sigmoid_envelope(
             scc_params.rho, scc_params.u_min, bounds.q_lo[0] / loop4.areas,
             bounds.q_hi[0] / loop4.areas)

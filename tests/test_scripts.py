@@ -22,3 +22,17 @@ def test_run_benchmark_writes_scores_and_profile(tmp_path):
     assert [r[0] for r in rows[1:]] == ["p0"]
     with open(tmp_path / "profile.csv") as f:
         assert f.readline().strip() == "tau,obbt_ms4,no_obbt_ms4"
+
+
+def test_grid_demo_prints_the_monotone_chain(tmp_path, capsys):
+    grid_demo = load_script("grid_demo")
+    grid_demo.main(["--out", str(tmp_path), "--seed", "0", "--samples", "2",
+                    "--n-starts", "1"])
+    values = {}
+    for line in capsys.readouterr().out.splitlines():
+        label, _, value = line.rpartition(" ")
+        values[label.strip()] = value
+    chain = [float(values[k]) for k in ("uncontrolled", "settings only",
+                                        "design + settings", "relaxation bound")]
+    assert chain == sorted(chain)
+    assert (tmp_path / "solution.json").is_file()

@@ -10,9 +10,10 @@ from sccopt.errors import AllStartsInfeasible, NonConvergence
 from sccopt.hydraulics import headloss_params, phi, phi_prime, simulate, solve_steady
 from sccopt.netgen import line_network, loop_network
 from sccopt.netmodel import Link, NetworkModel, VALVE
-from sccopt.relax import default_bounds
+from sccopt.pipeline import RunConfig, default_problem
+from sccopt.relax import Problem, default_bounds
 from sccopt.scc import SccParams, scc_smooth, scc_smooth_flows, scc_smooth_grad_flows
-from sccopt.sfscp import (_TRUST_FRACTION, RunMemo, Subproblem, ValveDesign, _step_lp,
+from sccopt.sfscp import (_TRUST_FRACTION, Subproblem, ValveDesign, _step_lp,
                           enumerate_dbv_directions, multi_start, restore_feasibility,
                           sfscp_timestep)
 
@@ -37,16 +38,9 @@ def prv_loop_net():
     return net
 
 
-def setup(net, **kw):
-    params = headloss_params(net)
-    scc_params = SccParams.from_network(net)
-    bounds = default_bounds(net, params, **kw)
-    return params, scc_params, bounds
-
-
 def timestep_zero_start(net, design, signs, **kw):
     """sfscp_timestep on timestep 0 from all controls at zero."""
-    sub = Subproblem(net, *setup(net), design, 0, signs, RunMemo())
+    sub = Subproblem(default_problem(net, RunConfig()), design, 0, signs)
     return sfscp_timestep(sub, np.zeros(len(sub.lo)), **kw)
 
 
@@ -58,22 +52,20 @@ class TestSinglePipeAfv:
         assert (0.005 + 0.025) / area == pytest.approx(0.424, abs=1e-3)
 
     def test_reaches_smoothed_objective_099(self):
-        net = single_pipe_net()
-        params, scc_params, bounds = setup(net)
+        problem = default_problem(single_pipe_net(), RunConfig())
         design = ValveDesign(afv_nodes=(0,))
         t0 = time.perf_counter()
-        sol = multi_start(net, params, scc_params, bounds, design,
-                          n_starts=2, seed=0)
+        sol = multi_start(problem, design, n_starts=2, seed=0)
         assert time.perf_counter() - t0 < 1.0
         assert sol.objective >= 0.99
         assert sol.alpha[0, 0] == pytest.approx(0.025, abs=1e-4)
 
     def test_uncontrolled_pipe_is_slow(self):
         net = single_pipe_net()
-        params, scc_params, _ = setup(net)
-        state = simulate(net, params)
+        problem = default_problem(net, RunConfig())
+        state = simulate(net, problem.params)
         assert abs(state.velocities(net)[0, 0]) < 0.2
-        assert scc_smooth(state, net, scc_params) < 0.01
+        assert scc_smooth(state, net, problem.scc_params) < 0.01
 
 
 class TestIterationBehaviour:
@@ -100,10 +92,10 @@ class TestIterationBehaviour:
 
     def test_final_iterate_resimulates_feasibly(self):
         net = prv_loop_net()
-        params, scc_params, bounds = setup(net)
+        problem = default_problem(net, RunConfig())
+        params, bounds = problem.params, problem.bounds
         design = ValveDesign(prv_links=(2,))
-        sol = multi_start(net, params, scc_params, bounds, design,
-                          n_starts=3, seed=1)
+        sol = multi_start(problem, design, n_starts=3, seed=1)
         for t in range(net.n_t):
             q, h = sol.state.q[t], sol.state.h[t]
             mass = net.A12.T @ q - net.demands[t] - sol.alpha[t]
@@ -115,29 +107,50 @@ class TestIterationBehaviour:
 
     def test_prv_eta_nonnegative(self):
         net = prv_loop_net()
-        params, scc_params, bounds = setup(net)
         design = ValveDesign(prv_links=(2,))
-        sol = multi_start(net, params, scc_params, bounds, design,
-                          n_starts=3, seed=1)
+        sol = multi_start(default_problem(net, RunConfig()), design, n_starts=3, seed=1)
         assert np.all(sol.eta[:, 2] >= -1e-12)
         assert np.all(sol.eta[:, [0, 1, 3, 4]] == 0.0)
 
     def test_improves_on_uncontrolled(self):
         net = prv_loop_net()
-        params, scc_params, bounds = setup(net)
+        problem = default_problem(net, RunConfig())
         design = ValveDesign(prv_links=(2,))
-        sol = multi_start(net, params, scc_params, bounds, design,
-                          n_starts=3, seed=1,
+        sol = multi_start(problem, design, n_starts=3, seed=1,
                           extra_seeds=[np.zeros((net.n_t, net.n_p))])
-        state = simulate(net, params)
-        assert sol.objective >= scc_smooth(state, net, scc_params) - 1e-9
+        state = simulate(net, problem.params)
+        assert sol.objective >= scc_smooth(state, net, problem.scc_params) - 1e-9
+
+
+class TestPrvDirection:
+    def test_throttled_prv_with_reversed_flow_is_infeasible(self):
+        # a PRV with eta > 0 against its flow would add head, like a pump
+        problem = default_problem(prv_loop_net(), RunConfig())
+        sub = Subproblem(problem, ValveDesign(prv_links=(2,), afv_nodes=(1,)), 0, ())
+        h = problem.bounds.h_hi[0]
+        q = np.full(sub.net.n_p, 0.01)
+        q_rev = q.copy()
+        q_rev[2] = -0.01
+        assert sub.feasible(np.array([2.0, 0.0]), q, h)
+        assert sub.feasible(np.array([0.0, 0.01]), q_rev, h)
+        assert not sub.feasible(np.array([2.0, 0.0]), q_rev, h)
+        # the head floor still applies
+        assert not sub.feasible(np.array([0.0, 0.0]), q, problem.bounds.h_lo[0] - 1.0)
+
+    def test_dbv_and_afv_controls_are_not_prv_checked(self):
+        problem = default_problem(prv_loop_net(), RunConfig())
+        sub = Subproblem(problem, ValveDesign(dbv_links=(2,), afv_nodes=(1,)), 0, (-1,))
+        q = np.full(sub.net.n_p, -0.01)
+        assert sub.feasible(np.array([-2.0, 0.01]), q, problem.bounds.h_hi[0])
+        assert sub.prv_x.size == 0 and sub.prv.size == 0
 
 
 class TestStepLp:
     def test_point_solves_the_linearized_equations_in_the_trust_box(self):
         # the PRV link is a zero-loss valve, so its phi' is 0 at any flow
         net = prv_loop_net()
-        params, scc_params, bounds = setup(net)
+        problem = default_problem(net, RunConfig())
+        params, bounds = problem.params, problem.bounds
         design = ValveDesign(prv_links=(2,), afv_nodes=(1,))
         eta_k = np.zeros(net.n_p)
         eta_k[2] = 2.0
@@ -146,7 +159,7 @@ class TestStepLp:
         d, h0 = net.demands[0], net.source_heads[0]
         q_k, h_k = solve_steady(net, params, d, h0, eta_k, alpha_k)
         tf = _TRUST_FRACTION
-        sub = Subproblem(net, params, scc_params, bounds, design, 0, (), RunMemo())
+        sub = Subproblem(problem, design, 0, ())
         q, h, x = _step_lp(sub, q_k, h_k, np.array([2.0, 0.01]))
         eta, alpha = sub.unstack(x)
         assert np.max(np.abs(net.A12.T @ q - alpha - d)) <= 1e-12
@@ -218,7 +231,8 @@ def control_cases(draw):
     bounds = SimpleNamespace(eta_lo=np.reshape(draw(grid), (N_T, N_P)),
                              eta_hi=np.reshape(draw(grid), (N_T, N_P)),
                              alpha_hi=draw(st.floats(0.0, 1.0)), q_lo=q_lo, q_hi=q_hi,
-                             h_lo=np.zeros((N_T, N_N)), h_hi=np.ones((N_T, N_N)))
+                             h_lo=np.zeros((N_T, N_N)), h_hi=np.ones((N_T, N_N)),
+                             params=None)
     return bounds, draw(st.integers(0, N_T - 1)), design, signs
 
 
@@ -226,13 +240,14 @@ def fixed_case(design, signs=()):
     eta = np.array([[-1.0, 2.0, -0.0, 0.0, 3.0], [0.0, -2.0, 1.0, -0.0, -3.0]])
     bounds = SimpleNamespace(eta_lo=eta, eta_hi=-eta, alpha_hi=0.025,
                              q_lo=np.minimum(eta, -eta), q_hi=np.maximum(eta, -eta),
-                             h_lo=np.zeros((N_T, N_N)), h_hi=np.ones((N_T, N_N)))
+                             h_lo=np.zeros((N_T, N_N)), h_hi=np.ones((N_T, N_N)),
+                             params=None)
     return bounds, 1, design, signs
 
 
 def box_subproblem(case):
     bounds, t, design, signs = case
-    return Subproblem(BOX_NET, None, None, bounds, design, t, signs, RunMemo())
+    return Subproblem(Problem(BOX_NET, None, bounds), design, t, signs)
 
 
 def oracle_case(case):
@@ -285,14 +300,13 @@ class TestControlBox:
 
 class TestSubproblem:
     def test_arrays_are_read_only(self):
-        net = prv_loop_net()
-        params, scc_params, bounds = setup(net)
+        problem = default_problem(prv_loop_net(), RunConfig())
         design = ValveDesign(prv_links=(2,), dbv_links=(4,), afv_nodes=(1,))
-        sub = Subproblem(net, params, scc_params, bounds, design, 0, (-1,), RunMemo())
+        sub = Subproblem(problem, design, 0, (-1,))
         arrays = {k: a for k, a in vars(sub).items() if isinstance(a, np.ndarray)}
         assert set(arrays) == {
-            "ctrl", "afv", "d", "h0", "q_lo", "q_hi", "h_lo", "h_hi", "lo", "hi",
-            "pin_pos", "pin_neg", "energy_rhs", "step_data", "step_indices",
+            "ctrl", "afv", "prv_x", "prv", "d", "h0", "q_lo", "q_hi", "h_lo", "h_hi",
+            "lo", "hi", "pin_pos", "pin_neg", "energy_rhs", "step_data", "step_indices",
             "step_indptr"}
         arrays.update(controllable_links=design.controllable_links,
                       flushing_nodes=design.flushing_nodes)
@@ -300,32 +314,33 @@ class TestSubproblem:
             assert a.size, name
             with pytest.raises(ValueError):
                 a[0] = a[0]
-        # a copy, not a view: a later edit of the bounds leaves it as built
+        # the Problem's box cannot be edited either, so the box stays as built
         h_lo = sub.h_lo.copy()
-        bounds.h_lo[0] += 1.0
+        with pytest.raises(ValueError):
+            problem.bounds.h_lo[0] += 1.0
         assert np.array_equal(sub.h_lo, h_lo)
-        assert sub.signs == (-1,)
+        assert sub.signs == (-1,) and sub.memo is problem.memo
+        assert list(sub.prv_x) == [0] and list(sub.prv) == [2]
         assert list(np.flatnonzero(sub.pin_neg)) == [4] and not sub.pin_pos.any()
 
     def test_multi_start_compiles_each_subproblem_once(self, monkeypatch):
         net = loop_network(4, demand=0.012, diameter=0.2, source_head=60.0, n_t=2)
-        params, scc_params, bounds = setup(net)
+        problem = default_problem(net, RunConfig())
         built = []
 
         class Counted(Subproblem):
             def __init__(self, *args):
-                built.append(args[5:])
+                built.append(args)
                 super().__init__(*args)
 
         monkeypatch.setattr("sccopt.sfscp.Subproblem", Counted)
-        sol = multi_start(net, params, scc_params, bounds,
-                          ValveDesign(dbv_links=(1,), afv_nodes=(2,)),
+        sol = multi_start(problem, ValveDesign(dbv_links=(1,), afv_nodes=(2,)),
                           n_starts=6, seed=0)
         # one per (timestep, direction), however many starts run, all on
-        # one memo
-        assert [b[:2] for b in built] == [(0, (1,)), (0, (-1,)),
+        # the one Problem and so on its one memo
+        assert [b[2:] for b in built] == [(0, (1,)), (0, (-1,)),
                                           (1, (1,)), (1, (-1,))]
-        assert all(b[2] is built[0][2] for b in built)
+        assert all(b[0] is problem for b in built)
         assert len(sol.directions) == net.n_t
 
     def test_multi_start_pins_every_dbv_and_no_prv(self, monkeypatch):
@@ -339,7 +354,7 @@ class TestSubproblem:
                 built.append(self)
 
         monkeypatch.setattr("sccopt.sfscp.Subproblem", Recorded)
-        multi_start(net, *setup(net), design, n_starts=1, seed=0)
+        multi_start(default_problem(net, RunConfig()), design, n_starts=1, seed=0)
         dbv_mask = np.isin(np.arange(net.n_p), design.dbv_links)
         for sub in built:
             assert np.array_equal(sub.pin_pos | sub.pin_neg, dbv_mask)
@@ -366,9 +381,9 @@ def counting(monkeypatch, name, fn=None):
 
 class TestRunMemo:
     def subproblem(self, design=ValveDesign(prv_links=(2,), afv_nodes=(1,)), t=0,
-                   signs=(), memo=None, net=None):
-        net = net or prv_loop_net()
-        return Subproblem(net, *setup(net), design, t, signs, memo or RunMemo())
+                   signs=(), problem=None):
+        return Subproblem(problem or default_problem(prv_loop_net(), RunConfig()),
+                          design, t, signs)
 
     def test_repeated_solve_is_one_newton_solve_with_the_same_bits(self, monkeypatch):
         calls = counting(monkeypatch, "solve_steady")
@@ -403,9 +418,9 @@ class TestRunMemo:
     def test_states_are_shared_across_designs(self, monkeypatch):
         # eta = 0 with the AFV at its cap is the same solve for every DBV
         calls = counting(monkeypatch, "solve_steady")
-        net, memo = loop_network(4), RunMemo()
+        problem = default_problem(loop_network(4), RunConfig())
         subs = [self.subproblem(ValveDesign(dbv_links=(j,), afv_nodes=(2,)),
-                                signs=(-1,), memo=memo, net=net) for j in (1, 3)]
+                                signs=(-1,), problem=problem) for j in (1, 3)]
         x = np.array([0.0, subs[0].hi[-1]])
         assert subs[0].solve(x) is subs[1].solve(x)
         assert len(calls) == 1
@@ -413,13 +428,15 @@ class TestRunMemo:
     def test_timesteps_never_share_an_entry(self, monkeypatch):
         # both timesteps have the same demands, so only t tells them apart
         calls = counting(monkeypatch, "solve_steady")
-        net, memo = loop_network(4, n_t=2), RunMemo()
+        net = loop_network(4, n_t=2)
+        problem = default_problem(net, RunConfig())
         state = simulate(net, headloss_params(net))
         x = np.array([0.01])
         for t in (0, 1):
-            sub = self.subproblem(ValveDesign(afv_nodes=(2,)), t, memo=memo, net=net)
+            sub = self.subproblem(ValveDesign(afv_nodes=(2,)), t, problem=problem)
             sub.solve(x)
             _step_lp(sub, state.q[t], state.h[t], x)
+        memo = problem.memo
         assert len(calls) == 2 and len(memo.states) == 2 and len(memo.steps) == 2
 
     def test_repeated_step_lp_is_one_lp(self, monkeypatch):
@@ -436,7 +453,8 @@ class TestRunMemo:
 class TestGridSearchOracle:
     def test_single_prv_matches_scalar_scan(self):
         net = prv_loop_net()
-        params, scc_params, bounds = setup(net)
+        problem = default_problem(net, RunConfig())
+        params, scc_params, bounds = problem.params, problem.scc_params, problem.bounds
         design = ValveDesign(prv_links=(2,))
         # brute-force oracle: scan eta on the PRV link
         best = -np.inf
@@ -450,8 +468,7 @@ class TestGridSearchOracle:
             if np.any(state.h[0] < bounds.h_lo[0] - 1e-6):
                 continue
             best = max(best, scc_smooth(state, net, scc_params))
-        sol = multi_start(net, params, scc_params, bounds, design,
-                          n_starts=5, seed=0,
+        sol = multi_start(problem, design, n_starts=5, seed=0,
                           extra_seeds=[np.zeros((net.n_t, net.n_p))])
         assert sol.objective >= best - 0.01 * max(abs(best), 1e-9)
 
@@ -459,11 +476,9 @@ class TestGridSearchOracle:
 class TestDirectionEnumeration:
     def test_dbv_direction_count_and_dominance(self):
         net = prv_loop_net()
-        params, scc_params, bounds = setup(net)
+        problem = default_problem(net, RunConfig())
         design = ValveDesign.from_network(net, dbv_links=(4,))
-        memo = RunMemo()
-        subs = [Subproblem(net, params, scc_params, bounds, design, 0, (s,), memo)
-                for s in (1, -1)]
+        subs = [Subproblem(problem, design, 0, (s,)) for s in (1, -1)]
         x0 = np.zeros(len(subs[0].lo))
         res = enumerate_dbv_directions(subs, x0)
         assert res is not None
@@ -476,10 +491,10 @@ class TestDirectionEnumeration:
 class TestRestoration:
     def test_restores_pressure_with_prv_start_too_high(self):
         # a huge eta start violates the 15 m floor; restoration must recover
-        net = prv_loop_net()
-        params, scc_params, bounds = setup(net)
+        problem = default_problem(prv_loop_net(), RunConfig())
+        bounds = problem.bounds
         design = ValveDesign(prv_links=(2,))
-        sub = Subproblem(net, params, scc_params, bounds, design, 0, (), RunMemo())
+        sub = Subproblem(problem, design, 0, ())
         out = restore_feasibility(sub, np.array([bounds.eta_hi[0, 2]]))
         assert out is not None
         _, _, h = out
@@ -488,25 +503,26 @@ class TestRestoration:
     def test_all_starts_infeasible_raises(self):
         # pressure floor above what the source can deliver anywhere
         net = single_pipe_net()
-        params, scc_params, bounds = setup(net)
+        bounds = default_bounds(net, headloss_params(net))
         bounds.h_lo[:] = 85.0  # above the 80 m source head
+        problem = Problem(net, SccParams.from_network(net), bounds)
         design = ValveDesign(afv_nodes=(0,))
         with pytest.raises(AllStartsInfeasible):
-            multi_start(net, params, scc_params, bounds, design,
-                        n_starts=2, seed=0)
+            multi_start(problem, design, n_starts=2, seed=0)
 
 
 class TestReducedGradient:
     def test_matches_finite_difference(self):
         net = prv_loop_net()
-        params, scc_params, bounds = setup(net)
+        problem = default_problem(net, RunConfig())
+        params, scc_params = problem.params, problem.scc_params
         design = ValveDesign(prv_links=(2,), afv_nodes=(1,))
         eta = np.zeros((net.n_t, net.n_p))
         eta[0, 2] = 2.0
         alpha = np.zeros((net.n_t, net.n_n))
         alpha[0, 1] = 0.01
         state = simulate(net, params, eta=eta, alpha=alpha)
-        sub = Subproblem(net, params, scc_params, bounds, design, 0, (), RunMemo())
+        sub = Subproblem(problem, design, 0, ())
         q = state.q[0]
         d_eta, d_alpha = sub.gradient(q, scc_smooth_grad_flows(q[None, :], net, scc_params)[0],
                                       np.zeros(net.n_n))
@@ -527,10 +543,10 @@ class TestReducedGradient:
 class TestDeterminism:
     def test_same_seed_same_solution(self):
         net = prv_loop_net()
-        params, scc_params, bounds = setup(net)
         design = ValveDesign(prv_links=(2,))
-        a = multi_start(net, params, scc_params, bounds, design, n_starts=3, seed=99)
-        b = multi_start(net, params, scc_params, bounds, design, n_starts=3, seed=99)
+        # two Problems, so b is a fresh computation and not a memo hit
+        a = multi_start(default_problem(net, RunConfig()), design, n_starts=3, seed=99)
+        b = multi_start(default_problem(net, RunConfig()), design, n_starts=3, seed=99)
         assert a.objective == b.objective
         assert np.array_equal(a.eta, b.eta)
         assert np.array_equal(a.alpha, b.alpha)
