@@ -11,13 +11,27 @@ S = A12^T diag(1/phi') A12 has a pattern that depends only on the network:
 its CSC pattern and the scatter map of link weights into it are compiled
 once per ``NetworkModel``, and each Newton iteration fills S with one
 ``np.bincount`` (``NetworkModel.schur``).
+
+Each iteration runs on those compiled arrays with no sparse-matrix object in
+between, with the bits of the sparse-matrix code it replaces: S is factored
+by SuperLU's ``gstrf`` with the options ``splu`` passes, and the products
+with A12 and A12^T call the ``csr_matvec``/``csc_matvec`` kernels that
+``@`` ends in.  ``head_loss`` returns phi and phi' from one power
+|q|^(n-1), so each iterate takes that power once.
+``gstrf`` (``scipy.sparse.linalg._dsolve._superlu``) and ``_sparsetools``
+are private SciPy modules, present with these signatures in SciPy 1.15
+to 1.17, the releases the ``scipy>=1.15,<1.18`` pin admits; only this
+module imports them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse.linalg as spla
+import scipy.sparse as sp
+from scipy.sparse import _sparsetools
+from scipy.sparse.linalg._dsolve import _superlu
 
 from .errors import NonConvergence, SingularSystem
 from .netmodel import NetworkModel, PIPE
@@ -29,6 +43,9 @@ TOL_MASS = 1e-8
 TOL_ENERGY = 1e-6
 # Newton iterations before solve_steady gives up
 _MAX_NEWTON = 200
+# the options splu passes by default: None leaves each to SuperLU.  Spelling
+# out the documented defaults instead changes the factorization's bits.
+_SPLU_OPTIONS = dict(DiagPivotThresh=None, ColPerm=None, PanelSize=None, Relax=None)
 
 
 @dataclass(frozen=True)
@@ -44,11 +61,11 @@ class HeadLossParams:
     n_exp: np.ndarray
     q_eps: float = 1e-6
 
-    @property
+    @cached_property
     def smoothing_a(self) -> np.ndarray:
         return self.r * self.q_eps ** (self.n_exp - 1.0) * (3.0 - self.n_exp) / 2.0
 
-    @property
+    @cached_property
     def smoothing_b(self) -> np.ndarray:
         return self.r * self.q_eps ** (self.n_exp - 3.0) * (self.n_exp - 1.0) / 2.0
 
@@ -66,25 +83,28 @@ def headloss_params(net: NetworkModel) -> HeadLossParams:
     return HeadLossParams(r, n)
 
 
+def head_loss(q, params: HeadLossParams) -> tuple[np.ndarray, np.ndarray]:
+    """(phi(q), phi'(q)): the head loss in m for flow q and its slope,
+    vectorized over links, from one power |q|^(n-1)."""
+    q = np.asarray(q, dtype=float)
+    abs_q = np.abs(q)
+    power = abs_q ** (params.n_exp - 1.0)
+    loss, slope = params.r * power * q, params.r * params.n_exp * power
+    band = abs_q <= params.q_eps
+    if band.any():
+        a, b = params.smoothing_a, params.smoothing_b
+        loss = np.where(band, a * q + b * q**3, loss)
+        slope = np.where(band, a + 3.0 * b * q**2, slope)
+    return loss, slope
+
+
 def phi(q, params: HeadLossParams) -> np.ndarray:
     """Head loss in m for flow q (vectorized over links)."""
-    q = np.asarray(q, dtype=float)
-    out = params.r * np.abs(q) ** (params.n_exp - 1.0) * q
-    band = np.abs(q) <= params.q_eps
-    if np.any(band):
-        a, b = params.smoothing_a, params.smoothing_b
-        out = np.where(band, a * q + b * q**3, out)
-    return out
+    return head_loss(q, params)[0]
 
 
 def phi_prime(q, params: HeadLossParams) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    out = params.r * params.n_exp * np.abs(q) ** (params.n_exp - 1.0)
-    band = np.abs(q) <= params.q_eps
-    if np.any(band):
-        a, b = params.smoothing_a, params.smoothing_b
-        out = np.where(band, a + 3.0 * b * q**2, out)
-    return out
+    return head_loss(q, params)[1]
 
 
 @dataclass
@@ -121,11 +141,25 @@ def solve_steady(
     0.03 m/s flow and flat heads are used.  Each iteration fills the Schur
     matrix from the network's compiled pattern (``net.schur``), with the
     same bits as the sparse product A12^T diag(w) A12, and factors it with
-    SuperLU.
+    SuperLU; a singular S raises SingularSystem.
     """
     eta = np.zeros(net.n_p) if eta is None else np.asarray(eta, dtype=float)
     alpha = np.zeros(net.n_n) if alpha is None else np.asarray(alpha, dtype=float)
-    A12, A12T = net.A12, net.A12T
+    n_p, n_n = net.n_p, net.n_n
+    # A12 (CSR) and A12^T (its CSC view) as sparsetools arguments: the
+    # kernels ``@`` ends in, so each product has the bits of the sparse one
+    a12 = (n_p, n_n, net.A12.indptr, net.A12.indices, net.A12.data)
+    a12t = (n_n, n_p, net.A12T.indptr, net.A12T.indices, net.A12T.data)
+
+    def times_a12(x):
+        y = np.zeros(n_p)
+        _sparsetools.csr_matvec(*a12, x, y)
+        return y
+
+    def times_a12t(x):
+        y = np.zeros(n_n)
+        _sparsetools.csc_matvec(*a12t, x, y)
+        return y
 
     if q0 is not None:
         q = np.array(q0, dtype=float)  # a copy: q0 is never returned
@@ -134,42 +168,45 @@ def solve_steady(
     if h0_guess is not None:
         h = np.array(h0_guess, dtype=float)
     else:
-        h = np.full(net.n_n, float(np.max(h0)))
+        h = np.full(n_n, float(np.max(h0)))
     rhs_fixed = net.A10 @ h0 + eta
 
     def residuals(q, h):
-        fe = A12 @ h + rhs_fixed + phi(q, params)
-        fm = A12T @ q - d - alpha
-        return fe, fm
+        """Energy and mass residuals at (q, h), and phi'(q)."""
+        loss, slope = head_loss(q, params)
+        fe = times_a12(h) + rhs_fixed + loss
+        fm = times_a12t(q) - d - alpha
+        return fe, fm, slope
 
     def score(fe, fm):
-        return max(np.max(np.abs(fm)) / TOL_MASS,
-                   np.max(np.abs(fe)) / TOL_ENERGY)
+        return max(np.abs(fm).max() / TOL_MASS, np.abs(fe).max() / TOL_ENERGY)
 
-    fe, fm = residuals(q, h)
+    fe, fm, slope = residuals(q, h)
     s = score(fe, fm)
     for it in range(_MAX_NEWTON):
         if residual_log is not None:
-            residual_log.append((it, float(np.max(np.abs(fm))), float(np.max(np.abs(fe)))))
+            residual_log.append((it, float(np.abs(fm).max()), float(np.abs(fe).max())))
         if s <= 1.0:
             return q, h
-        g = np.maximum(phi_prime(q, params), 1e-8)
-        w = 1.0 / g
+        w = 1.0 / np.maximum(slope, 1e-8)
+        data = net.schur(w)
         try:
-            lu = spla.splu(net.schur(w))
+            lu = _superlu.gstrf(n_n, data.size, data, net.schur_indices, net.schur_indptr,
+                                csc_construct_func=sp.csc_array, ilu=False,
+                                options=_SPLU_OPTIONS)
         except RuntimeError as exc:
             raise SingularSystem(str(exc)) from exc
-        dh = lu.solve(fm - A12T @ (w * fe))
-        if not np.all(np.isfinite(dh)):
+        dh = lu.solve(fm - times_a12t(w * fe))
+        if not np.isfinite(dh).all():
             raise SingularSystem("reduced system produced non-finite step")
-        dq = -w * (fe + A12 @ dh)
+        dq = -w * (fe + times_a12(dh))
         # the full step zeroes the (linear) mass residual exactly and the
         # iteration recovers from transient energy-residual spikes, whereas
         # monotone backtracking can stall on vanishing steps; damp only when
         # the step overflows into non-finite values
         q_new = q + dq
         h_new = h + dh
-        fe_new, fm_new = residuals(q_new, h_new)
+        fe_new, fm_new, slope_new = residuals(q_new, h_new)
         s_new = score(fe_new, fm_new)
         step = 0.5
         for _ in range(30):
@@ -177,10 +214,10 @@ def solve_steady(
                 break
             q_new = q + step * dq
             h_new = h + step * dh
-            fe_new, fm_new = residuals(q_new, h_new)
+            fe_new, fm_new, slope_new = residuals(q_new, h_new)
             s_new = score(fe_new, fm_new)
             step *= 0.5
-        q, h, fe, fm, s = q_new, h_new, fe_new, fm_new, s_new
+        q, h, fe, fm, slope, s = q_new, h_new, fe_new, fm_new, slope_new, s_new
     if s <= 1.0:
         return q, h
     raise NonConvergence(f"residual score {s:.3g} after {_MAX_NEWTON} iterations")

@@ -190,14 +190,12 @@ class NetworkModel:
                     self.schur_link, self.schur_sign):
             arr.setflags(write=False)
 
-    def schur(self, w: np.ndarray) -> sp.csc_matrix:
-        """A12^T diag(w) A12 as CSC with sorted indices, one bincount over the
-        compiled pattern.  For positive w it is bit-identical to the SciPy
-        sparse product; that product drops entries that sum to 0, this keeps
-        them."""
-        data = np.bincount(self.schur_pos, weights=self.schur_sign * w[self.schur_link])
-        return sp.csc_matrix((data, self.schur_indices, self.schur_indptr),
-                             shape=(self.n_n, self.n_n))
+    def schur(self, w: np.ndarray) -> np.ndarray:
+        """The values of A12^T diag(w) A12 on the compiled CSC pattern
+        (``schur_indices``, ``schur_indptr``), one bincount.  For positive w
+        they are bit-identical to the SciPy sparse product's; that product
+        drops entries that sum to 0, this keeps them."""
+        return np.bincount(self.schur_pos, weights=self.schur_sign * w[self.schur_link])
 
     def _build_kkt_pattern(self):
         # K(g) = [[diag g, A12], [A12^T, 0]], the Jacobian of the hydraulic
@@ -209,6 +207,14 @@ class NetworkModel:
         self.kkt_indptr, self.kkt_indices, self.kkt_template = K.indptr, K.indices, K.data
         for arr in (self.kkt_indptr, self.kkt_indices, self.kkt_template):
             arr.setflags(write=False)
+
+    def kkt(self, g: np.ndarray) -> sp.csc_matrix:
+        """K(g) as CSC on the compiled pattern: g on the diagonal of the q
+        block, the network's incidence elsewhere."""
+        data = self.kkt_template.copy()
+        data[self.kkt_indptr[:self.n_p]] = g
+        n = self.n_p + self.n_n
+        return sp.csc_matrix((data, self.kkt_indices, self.kkt_indptr), shape=(n, n))
 
     def validate(self):
         if self.n_t < 1:

@@ -29,7 +29,7 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import Bounds, minimize
 
 from .errors import AllStartsInfeasible, NonConvergence, SingularSystem
-from .hydraulics import HydraulicState, phi, phi_prime, solve_steady
+from .hydraulics import HydraulicState, head_loss, phi_prime, solve_steady
 from .lp import OPTIMAL, LinearProgram, solve_lp
 from .netmodel import NetworkModel
 from .relax import Problem
@@ -180,13 +180,12 @@ class Subproblem:
         """Gradient w.r.t. x of a function of (q, h) with gradients (grad_q,
         grad_h), through the hydraulic equations at the flows q.
 
-        The Jacobian [[diag(phi'), A12], [A12^T, 0]], the step matrix's
-        leading columns, is symmetric, so one solve with the value gradient
-        as right-hand side yields both sensitivities.
+        The Jacobian [[diag(phi'), A12], [A12^T, 0]] (``net.kkt``, the step
+        matrix's leading columns) is symmetric, so one solve with the value
+        gradient as right-hand side yields both sensitivities.
         """
         g = np.maximum(phi_prime(q, self.params), 1e-8)
-        n = self.net.n_p + self.net.n_n
-        lam = spla.spsolve(self.step_matrix(g)[:, :n], np.concatenate([grad_q, grad_h]))
+        lam = spla.spsolve(self.net.kkt(g), np.concatenate([grad_q, grad_h]))
         return np.concatenate([-lam[self.ctrl], lam[self.net.n_p + self.afv]])
 
     def step_matrix(self, g: np.ndarray) -> sp.csc_matrix:
@@ -225,7 +224,9 @@ def restore_feasibility(sub: Subproblem, x0: np.ndarray):
     Minimizes the squared hinge of the minimum-head violation over the
     control box, escalating the penalty weight tenfold until the state is
     ``sub.feasible`` or the weight cap is reached.  Returns (x, q, h) or
-    None when restoration fails.
+    None when restoration fails, at once when a state with no head gap is
+    still infeasible: there the penalty and its gradient are zero, so no
+    round can move x.
     """
     def penalty(x, mu):
         sol = sub.solve(x)
@@ -237,8 +238,11 @@ def restore_feasibility(sub: Subproblem, x0: np.ndarray):
         return val, sub.gradient(q, np.zeros(sub.net.n_p), -2.0 * mu * gap)
 
     x = np.clip(x0, sub.lo, sub.hi)
+    sol = sub.solve(x)
     mu = _MU0
     while True:
+        if sol is not None and not np.any(sub.h_lo > sol[1]) and not sub.feasible(x, *sol):
+            return None
         if x.size:
             x = minimize(penalty, x, args=(mu,), jac=True, method="L-BFGS-B",
                          bounds=Bounds(sub.lo, sub.hi), options={"maxiter": 200}).x
@@ -268,9 +272,10 @@ def _step_lp(sub: Subproblem, q_k: np.ndarray, h_k: np.ndarray, x_k: np.ndarray)
         return steps[key]
     n_q = sub.net.n_p
     # not the adjoint's 1e-8 floor: that would change the LP on zero-loss valves
-    dphi = np.maximum(phi_prime(q_k, sub.params), 1e-12)
+    loss, slope = head_loss(q_k, sub.params)
+    dphi = np.maximum(slope, 1e-12)
     A = sub.step_matrix(dphi)
-    b = np.concatenate([sub.energy_rhs - phi(q_k, sub.params) + dphi * q_k, sub.d])
+    b = np.concatenate([sub.energy_rhs - loss + dphi * q_k, sub.d])
     lo, hi = map(np.concatenate, zip(
         sub.flow_box(q_k), _trust_box(sub.h_lo, sub.h_hi, h_k),
         _trust_box(sub.lo, sub.hi, np.clip(x_k, sub.lo, sub.hi))))

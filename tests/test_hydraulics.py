@@ -4,13 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from sccopt.errors import NonConvergence
-from sccopt.hydraulics import (GRAVITY, HeadLossParams, headloss_params, phi,
-                               phi_prime, simulate, solve_steady)
+import hydraulics_reference as reference
+from sccopt.errors import NonConvergence, SingularSystem
+from sccopt.hydraulics import (GRAVITY, HeadLossParams, head_loss, headloss_params,
+                               phi, phi_prime, simulate, solve_steady)
 from sccopt.netgen import line_network, random_network
-from sccopt.netmodel import Link, NetworkModel, VALVE
+from sccopt.netmodel import PIPE, DemandNode, Link, NetworkModel, VALVE
 from sccopt.pipeline import RunConfig, default_problem
 from sccopt.sfscp import Subproblem, ValveDesign
 
@@ -178,11 +180,10 @@ class TestSchurAssembly:
             w = 10.0 ** rng.uniform(-10.0, 10.0, net.n_p)
             ref = (net.A12T @ sp.diags(w) @ net.A12).tocsc()
             ref.sort_indices()
-            S = net.schur(w)
-            assert S.shape == ref.shape
-            assert np.array_equal(S.indptr, ref.indptr)
-            assert np.array_equal(S.indices, ref.indices)
-            assert np.array_equal(S.data, ref.data)
+            assert ref.shape == (net.n_n, net.n_n)
+            assert np.array_equal(net.schur_indptr, ref.indptr)
+            assert np.array_equal(net.schur_indices, ref.indices)
+            assert np.array_equal(net.schur(w), ref.data)
 
     def test_compiled_arrays_are_read_only(self, net):
         for arr in (net.schur_indices, net.schur_indptr, net.schur_pos,
@@ -207,7 +208,8 @@ class TestKktAssembly:
             step = Subproblem(problem, ValveDesign(tuple(ctrl), (), tuple(afv)), 0,
                               ()).step_matrix(g)
             # the adjoint solves with the Jacobian, the step matrix's leading columns
-            cases = [(step[:, :net.n_p + net.n_n], sp.bmat(blocks)),
+            cases = [(net.kkt(g), sp.bmat(blocks)),
+                     (step[:, :net.n_p + net.n_n], sp.bmat(blocks)),
                      (step, sp.bmat([blocks[0] + [E, None], blocks[1] + [None, -F]]))]
             for K, ref in cases:
                 ref = ref.tocsc()
@@ -220,3 +222,104 @@ class TestKktAssembly:
         for arr in (net.kkt_indptr, net.kkt_indices, net.kkt_template):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+    def test_jacobian_solves_like_the_step_matrix_slice(self, net):
+        # the adjoint's spsolve sees the same matrix, so the same bits
+        rng = np.random.default_rng(1)
+        problem = default_problem(net, RunConfig())
+        sub = Subproblem(problem, ValveDesign((0,), (), (1,)), 0, ())
+        n = net.n_p + net.n_n
+        for _ in range(10):
+            g = 10.0 ** rng.uniform(-8.0, 4.0, net.n_p)
+            rhs = rng.standard_normal(n)
+            ref = spla.spsolve(sub.step_matrix(g)[:, :n], rhs)
+            assert spla.spsolve(net.kkt(g), rhs).tobytes() == ref.tobytes()
+
+
+def outcome(solver, net, params, *args, **kwargs):
+    """What a solve returns or raises, and its residual log, as bytes and text."""
+    log = []
+    try:
+        q, h = solver(net, params, *args, residual_log=log, **kwargs)
+        result = ("solved", q.tobytes(), h.tobytes())
+    except (NonConvergence, SingularSystem) as exc:
+        result = (type(exc).__name__, str(exc))
+    return result, np.array(log).tobytes()
+
+
+class TestMatchesReference:
+    """``solve_steady`` takes the reference's iterates bit for bit
+    (tests/hydraulics_reference.py: sparse products, phi and phi' apart,
+    ``splu``)."""
+
+    @given(seed=st.integers(0, 10_000), n_nodes=st.integers(2, 30),
+           extra=st.integers(0, 8), parallel=st.booleans(), zero_loss=st.booleans(),
+           q_eps=st.sampled_from([1e-6, 1e-3]),
+           start=st.sampled_from(["default", "band", "random", "solution"]))
+    @settings(max_examples=80, deadline=None)
+    def test_random_networks(self, seed, n_nodes, extra, parallel, zero_loss, q_eps,
+                             start):
+        rng = np.random.default_rng(seed)
+        net = random_network(n_nodes, extra, seed=seed)
+        if parallel:
+            j = int(rng.integers(net.n_p))
+            net = NetworkModel(net.links + [replace(net.links[j], id="parallel")],
+                               net.nodes, net.sources, net.demands, net.source_heads)
+        params = headloss_params(net)
+        r = params.r.copy()
+        if zero_loss:  # phi' = 0 there, so the 1e-8 floor sets its weight
+            r[rng.integers(net.n_p)] = 0.0
+        # the wide band puts many iterates' flows inside it
+        params = HeadLossParams(r, params.n_exp, q_eps)
+        eta = np.where(rng.random(net.n_p) < 0.3, rng.uniform(0.0, 10.0, net.n_p), 0.0)
+        alpha = np.where(rng.random(net.n_n) < 0.3, rng.uniform(0.0, 0.01, net.n_n), 0.0)
+        args = (net.demands[0], net.source_heads[0], eta, alpha)
+        warm = {}
+        if start == "band":
+            warm = dict(q0=rng.uniform(-1.0, 1.0, net.n_p) * q_eps,
+                        h0_guess=rng.uniform(40.0, 80.0, net.n_n))
+        elif start == "random":
+            warm = dict(q0=rng.uniform(-0.05, 0.05, net.n_p),
+                        h0_guess=rng.uniform(0.0, 100.0, net.n_n))
+        elif start == "solution":
+            (kind, *_), _ = outcome(reference.solve_steady, net, params, *args)
+            if kind == "solved":
+                q, h = reference.solve_steady(net, params, *args)
+                warm = dict(q0=q, h0_guess=h)
+        assert (outcome(solve_steady, net, params, *args, **warm)
+                == outcome(reference.solve_steady, net, params, *args, **warm))
+
+    @given(q=st.lists(st.one_of(st.floats(-0.5, 0.5), st.floats(-2e-6, 2e-6)),
+                      min_size=1, max_size=8),
+           q_eps=st.sampled_from([1e-6, 1e-3]))
+    @settings(max_examples=100, deadline=None)
+    def test_head_loss(self, q, q_eps):
+        q = np.array(q)
+        n = np.resize([1.852, 2.0], q.size)
+        params = HeadLossParams(np.linspace(0.0, 500.0, q.size), n, q_eps)
+        loss, slope = head_loss(q, params)
+        assert loss.tobytes() == reference.phi(q, params).tobytes()
+        assert slope.tobytes() == reference.phi_prime(q, params).tobytes()
+
+    def test_fixtures(self, line3, loop4, grid25, rand60):
+        for net in (line3, loop4, grid25, rand60):
+            params = headloss_params(net)
+            args = (net.demands[0], net.source_heads[0])
+            result, log = outcome(solve_steady, net, params, *args)
+            assert result[0] == "solved"
+            assert (result, log) == outcome(reference.solve_steady, net, params, *args)
+
+    def test_singular_system_on_both(self):
+        # two demand nodes joined to each other and to no source: S is
+        # exactly singular on the island
+        base = line_network(2)
+        nodes = base.nodes + [DemandNode("i1", 0.0), DemandNode("i2", 0.0)]
+        links = base.links + [Link("island", "i1", "i2", PIPE, 100.0, 0.2, 100.0)]
+        demands = np.concatenate([base.demands, [[0.001, -0.001]]], axis=1)
+        net = NetworkModel(links, nodes, base.sources, demands, base.source_heads)
+        args = (net, headloss_params(net), net.demands[0], net.source_heads[0])
+        with pytest.raises(SingularSystem):
+            solve_steady(*args)
+        result, log = outcome(solve_steady, *args)
+        assert result[0] == "SingularSystem"
+        assert (result, log) == outcome(reference.solve_steady, *args)

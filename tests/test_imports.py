@@ -1,6 +1,7 @@
 """Every name a package or test module imports is used in that module, no
-package module imports a private name from another, and only ``lp.py``
-imports HiGHS."""
+package module imports a private name from another, only ``lp.py`` imports
+HiGHS, and only ``hydraulics.py`` imports SciPy's private SuperLU and
+sparsetools modules."""
 import ast
 from pathlib import Path
 
@@ -60,15 +61,21 @@ def test_module_imports_no_private_sibling_name(path):
     assert private_sibling_imports(path.read_text()) == []
 
 
-def highs_imports(source: str) -> list[str]:
-    """Imports of SciPy's HiGHS bindings, ``scipy.optimize._highspy``."""
+def imports_of(source: str, package: str) -> list[str]:
+    """Imports of ``package`` or of anything inside it."""
     tree = ast.parse(source)
     modules = [(a.name, node.lineno) for node in ast.walk(tree)
                if isinstance(node, ast.Import) for a in node.names]
     modules += [(f"{node.module}.{a.name}", node.lineno) for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module for a in node.names]
     return sorted(f"{name} (line {line})" for name, line in modules
-                  if f"{name}.".startswith("scipy.optimize._highspy."))
+                  if f"{name}.".startswith(f"{package}."))
+
+
+# SciPy's HiGHS bindings
+HIGHS = "scipy.optimize._highspy"
+# SciPy's SuperLU bindings and sparse-product kernels
+SUPERLU, SPARSETOOLS = "scipy.sparse.linalg._dsolve", "scipy.sparse._sparsetools"
 
 
 def test_detects_a_highs_import():
@@ -76,14 +83,40 @@ def test_detects_a_highs_import():
               "from scipy.optimize import _highspy, linprog\n"
               "from scipy.optimize._highspy._core import HighsLp\n"
               "import scipy.optimize._highspy_extra\n")
-    assert highs_imports(source) == [
+    assert imports_of(source, HIGHS) == [
         "scipy.optimize._highspy (line 2)",
         "scipy.optimize._highspy._core (line 1)",
         "scipy.optimize._highspy._core.HighsLp (line 3)"]
+
+
+def test_detects_a_superlu_or_sparsetools_import():
+    source = ("from scipy.sparse.linalg._dsolve import _superlu\n"
+              "from scipy.sparse import _sparsetools, csc_array\n"
+              "import scipy.sparse.linalg as spla\n"
+              "from scipy.sparse.linalg import _dsolve\n")
+    assert imports_of(source, SUPERLU) == [
+        "scipy.sparse.linalg._dsolve (line 4)",
+        "scipy.sparse.linalg._dsolve._superlu (line 1)"]
+    assert imports_of(source, SPARSETOOLS) == ["scipy.sparse._sparsetools (line 2)"]
 
 
 @pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "lp.py"],
                          ids=lambda p: p.name)
 def test_only_lp_imports_highs(path):
     # HiGHS stays behind solve_lp, as lp.py's docstring promises
-    assert highs_imports(path.read_text()) == []
+    assert imports_of(path.read_text(), HIGHS) == []
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "hydraulics.py"],
+                         ids=lambda p: p.name)
+def test_only_hydraulics_imports_superlu_and_sparsetools(path):
+    # the private SciPy modules the Newton kernel calls stay in one place,
+    # as hydraulics.py's docstring promises
+    source = path.read_text()
+    assert imports_of(source, SUPERLU) + imports_of(source, SPARSETOOLS) == []
+
+
+def test_hydraulics_imports_superlu_and_sparsetools():
+    # the guard above names the modules the kernel really imports
+    source = Path(sccopt.__file__).with_name("hydraulics.py").read_text()
+    assert imports_of(source, SUPERLU) and imports_of(source, SPARSETOOLS)

@@ -23,6 +23,19 @@ def loopnet():
 
 
 @pytest.fixture(scope="module")
+def prv_net():
+    """``random_network(20, 6, seed=3)`` with link 4 an existing PRV."""
+    base = random_network(20, 6, seed=3)
+    links = list(base.links)
+    lk = links[4]
+    links[4] = Link(lk.id, lk.from_node, lk.to_node, lk.kind, lk.length,
+                    lk.diameter, lk.hw_coefficient, lk.valve_loss, is_existing_prv=True)
+    net = NetworkModel(links, base.nodes, base.sources, base.demands, base.source_heads)
+    net.validate()
+    return net
+
+
+@pytest.fixture(scope="module")
 def cms_solution(loopnet):
     cfg = RunConfig(n_v=1, n_f=1, n_samples=5, n_starts=2, seed=11)
     return run_cms(loopnet, cfg)
@@ -156,21 +169,34 @@ class TestRunCms:
             with pytest.raises(ValueError):
                 a.bounds.q_lo[0, 0] = 0.0
 
-    def test_existing_prv_never_adds_head(self):
+    def test_existing_prv_never_adds_head(self, prv_net):
         # the relaxation pins an existing PRV's flow direction; a control
         # that throttles its reversed flow would pump head and beat the bound
-        base = random_network(20, 6, seed=3)
-        links = list(base.links)
-        lk = links[4]
-        links[4] = Link(lk.id, lk.from_node, lk.to_node, lk.kind, lk.length,
-                        lk.diameter, lk.hw_coefficient, lk.valve_loss,
-                        is_existing_prv=True)
-        net = NetworkModel(links, base.nodes, base.sources, base.demands,
-                           base.source_heads)
-        net.validate()
-        sol = run_cms(net, RunConfig(n_samples=1, n_starts=1, seed=0))
+        sol = run_cms(prv_net, RunConfig(n_samples=1, n_starts=1, seed=0))
         assert sol.scc_smooth <= sol.lp_upper_bound + 1e-6
         assert not np.any((sol.control.eta[:, 4] > 0.0) & (sol.control.state.q[:, 4] < 0.0))
+
+    def test_restoration_stops_when_no_head_gap_is_left(self, prv_net, monkeypatch):
+        # both restorations start with every head above its floor and the
+        # PRV throttling a reversed flow: the penalty and its gradient are
+        # zero, so no L-BFGS-B round runs, and the result is unchanged
+        minimize, restore = sfscp.minimize, sfscp.restore_feasibility
+        rounds, restored = [], []
+
+        def counted_minimize(*args, **kwargs):
+            rounds.append(args)
+            return minimize(*args, **kwargs)
+
+        def recorded_restore(*args):
+            restored.append(restore(*args))
+            return restored[-1]
+
+        monkeypatch.setattr(sfscp, "minimize", counted_minimize)
+        monkeypatch.setattr(sfscp, "restore_feasibility", recorded_restore)
+        sol = run_cms(prv_net, RunConfig(n_samples=1, n_starts=1, seed=0))
+        assert rounds == [] and restored == [None, None]
+        assert sol.scc_smooth == 0.373122535101099
+        assert sol.lp_upper_bound == 0.40085455430497013
 
     def test_obbt_report_attached(self, cms_solution):
         assert cms_solution.obbt_report is not None
