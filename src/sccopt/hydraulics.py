@@ -12,16 +12,17 @@ its CSC pattern and the scatter map of link weights into it are compiled
 once per ``NetworkModel``, and each Newton iteration fills S with one
 ``np.bincount`` (``NetworkModel.schur``).
 
-Each iteration runs on those compiled arrays with no sparse-matrix object in
-between, with the bits of the sparse-matrix code it replaces: S is factored
-by SuperLU's ``gstrf`` with the options ``splu`` passes, and the products
-with A12 and A12^T call the ``csr_matvec``/``csc_matvec`` kernels that
-``@`` ends in.  ``head_loss`` returns phi and phi' from one power
+``kkt_solve`` solves this saddle-point system for the Newton step and the
+adjoint alike, on those compiled arrays with no sparse-matrix object in
+between and with the bits of the sparse-matrix code it replaces: S is
+factored by SuperLU's ``gstrf`` with the options ``splu`` passes, and the
+products with A12 and A12^T call the ``csr_matvec``/``csc_matvec`` kernels
+that ``@`` ends in.  ``head_loss`` returns phi and phi' from one power
 |q|^(n-1), so each iterate takes that power once.
 ``gstrf`` (``scipy.sparse.linalg._dsolve._superlu``) and ``_sparsetools``
 are private SciPy modules, present with these signatures in SciPy 1.15
 to 1.17, the releases the ``scipy>=1.15,<1.18`` pin admits; only this
-module imports them.
+module imports them or anything under ``scipy.sparse.linalg``.
 """
 from __future__ import annotations
 
@@ -107,6 +108,43 @@ def phi_prime(q, params: HeadLossParams) -> np.ndarray:
     return head_loss(q, params)[1]
 
 
+def _times_a12(net: NetworkModel, x: np.ndarray) -> np.ndarray:
+    """A12 x by the CSR kernel ``@`` ends in, so with the sparse product's bits."""
+    y = np.zeros(net.n_p)
+    _sparsetools.csr_matvec(net.n_p, net.n_n, net.A12.indptr, net.A12.indices,
+                            net.A12.data, x, y)
+    return y
+
+
+def _times_a12t(net: NetworkModel, x: np.ndarray) -> np.ndarray:
+    """A12^T x by the CSC kernel ``@`` ends in on A12's transpose view."""
+    y = np.zeros(net.n_n)
+    _sparsetools.csc_matvec(net.n_n, net.n_p, net.A12T.indptr, net.A12T.indices,
+                            net.A12T.data, x, y)
+    return y
+
+
+def kkt_solve(net: NetworkModel, slope: np.ndarray, r_q: np.ndarray, r_h: np.ndarray):
+    """Solve K(g) (x_q, x_h) = (r_q, r_h) for the hydraulic Jacobian
+    K(g) = [[diag g, A12], [A12^T, 0]], g = max(slope, 1e-8): the Schur
+    matrix A12^T diag(w) A12 (``net.schur``), w = 1/g, is factored for x_h,
+    then x_q = w (r_q - A12 x_h).  A singular or non-finite solve raises
+    SingularSystem.
+    """
+    w = 1.0 / np.maximum(slope, 1e-8)
+    data = net.schur(w)
+    try:
+        lu = _superlu.gstrf(net.n_n, data.size, data, net.schur_indices, net.schur_indptr,
+                            csc_construct_func=sp.csc_array, ilu=False,
+                            options=_SPLU_OPTIONS)
+    except RuntimeError as exc:
+        raise SingularSystem(str(exc)) from exc
+    x_h = lu.solve(_times_a12t(net, w * r_q) - r_h)
+    if not np.isfinite(x_h).all():
+        raise SingularSystem("reduced system produced non-finite step")
+    return w * (r_q - _times_a12(net, x_h)), x_h
+
+
 @dataclass
 class HydraulicState:
     """Per-timestep flows, heads and controls; shape (n_t, .)."""
@@ -138,29 +176,11 @@ def solve_steady(
     ``residual_log`` gets an (iteration, mass, energy residual) row per
     pass.  ``q0``/``h0_guess`` warm-start the
     Newton iteration (e.g. from a nearby solve); by default a uniform
-    0.03 m/s flow and flat heads are used.  Each iteration fills the Schur
-    matrix from the network's compiled pattern (``net.schur``), with the
-    same bits as the sparse product A12^T diag(w) A12, and factors it with
-    SuperLU; a singular S raises SingularSystem.
+    0.03 m/s flow and flat heads are used.  Each iteration takes its step
+    from ``kkt_solve``; a singular Schur matrix raises SingularSystem.
     """
     eta = np.zeros(net.n_p) if eta is None else np.asarray(eta, dtype=float)
     alpha = np.zeros(net.n_n) if alpha is None else np.asarray(alpha, dtype=float)
-    n_p, n_n = net.n_p, net.n_n
-    # A12 (CSR) and A12^T (its CSC view) as sparsetools arguments: the
-    # kernels ``@`` ends in, so each product has the bits of the sparse one
-    a12 = (n_p, n_n, net.A12.indptr, net.A12.indices, net.A12.data)
-    a12t = (n_n, n_p, net.A12T.indptr, net.A12T.indices, net.A12T.data)
-
-    def times_a12(x):
-        y = np.zeros(n_p)
-        _sparsetools.csr_matvec(*a12, x, y)
-        return y
-
-    def times_a12t(x):
-        y = np.zeros(n_n)
-        _sparsetools.csc_matvec(*a12t, x, y)
-        return y
-
     if q0 is not None:
         q = np.array(q0, dtype=float)  # a copy: q0 is never returned
     else:
@@ -168,14 +188,14 @@ def solve_steady(
     if h0_guess is not None:
         h = np.array(h0_guess, dtype=float)
     else:
-        h = np.full(n_n, float(np.max(h0)))
+        h = np.full(net.n_n, float(np.max(h0)))
     rhs_fixed = net.A10 @ h0 + eta
 
     def residuals(q, h):
         """Energy and mass residuals at (q, h), and phi'(q)."""
         loss, slope = head_loss(q, params)
-        fe = times_a12(h) + rhs_fixed + loss
-        fm = times_a12t(q) - d - alpha
+        fe = _times_a12(net, h) + rhs_fixed + loss
+        fm = _times_a12t(net, q) - d - alpha
         return fe, fm, slope
 
     def score(fe, fm):
@@ -188,18 +208,8 @@ def solve_steady(
             residual_log.append((it, float(np.abs(fm).max()), float(np.abs(fe).max())))
         if s <= 1.0:
             return q, h
-        w = 1.0 / np.maximum(slope, 1e-8)
-        data = net.schur(w)
-        try:
-            lu = _superlu.gstrf(n_n, data.size, data, net.schur_indices, net.schur_indptr,
-                                csc_construct_func=sp.csc_array, ilu=False,
-                                options=_SPLU_OPTIONS)
-        except RuntimeError as exc:
-            raise SingularSystem(str(exc)) from exc
-        dh = lu.solve(fm - times_a12t(w * fe))
-        if not np.isfinite(dh).all():
-            raise SingularSystem("reduced system produced non-finite step")
-        dq = -w * (fe + times_a12(dh))
+        # -fe and -fm are exact, so the step keeps the bits of (fe, fm)
+        dq, dh = kkt_solve(net, slope, -fe, -fm)
         # the full step zeroes the (linear) mass residual exactly and the
         # iteration recovers from transient energy-residual spikes, whereas
         # monotone backtracking can stall on vanishing steps; damp only when

@@ -208,14 +208,6 @@ class NetworkModel:
         for arr in (self.kkt_indptr, self.kkt_indices, self.kkt_template):
             arr.setflags(write=False)
 
-    def kkt(self, g: np.ndarray) -> sp.csc_matrix:
-        """K(g) as CSC on the compiled pattern: g on the diagonal of the q
-        block, the network's incidence elsewhere."""
-        data = self.kkt_template.copy()
-        data[self.kkt_indptr[:self.n_p]] = g
-        n = self.n_p + self.n_n
-        return sp.csc_matrix((data, self.kkt_indices, self.kkt_indptr), shape=(n, n))
-
     def validate(self):
         if self.n_t < 1:
             raise ValueError("need at least one timestep")

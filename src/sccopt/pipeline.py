@@ -31,8 +31,9 @@ class RunConfig:
     seed, OBBT on or off, and the SCC and bound parameters.  The OBBT and SCP
     stopping rules are constants of their modules.  ``n_v`` and ``n_f`` count
     the valves a design adds and must be non-negative, ``n_samples`` and
-    ``n_starts`` at least 1, ``u_max`` positive, and ``p_min`` and
-    ``alpha_max`` non-negative.  ``n_starts`` is a floor, not a cap: the
+    ``n_starts`` at least 1, ``seed`` None or non-negative, ``u_min``,
+    ``rho`` and ``u_max`` positive, and ``p_min`` and ``alpha_max``
+    non-negative; NaN fails every check.  ``n_starts`` is a floor, not a cap: the
     deterministic control starts always run (five with n_v, n_f >= 1 in
     ``run_cms``), so a value below their count changes nothing."""
 
@@ -53,6 +54,10 @@ class RunConfig:
                                ("n_f", self.n_f >= 0, "a non-negative value"),
                                ("n_samples", self.n_samples >= 1, "at least 1"),
                                ("n_starts", self.n_starts >= 1, "at least 1"),
+                               ("seed", self.seed is None or self.seed >= 0,
+                                "None or a non-negative value"),
+                               ("u_min", self.u_min > 0, "a positive value"),
+                               ("rho", self.rho > 0, "a positive value"),
                                ("u_max", self.u_max > 0, "a positive value"),
                                ("p_min", self.p_min >= 0, "a non-negative value"),
                                ("alpha_max", self.alpha_max >= 0, "a non-negative value")):

@@ -25,7 +25,7 @@ class SccParams:
     @classmethod
     def from_network(cls, net: NetworkModel, u_min=0.2, rho: float = 50.0) -> "SccParams":
         u = np.broadcast_to(np.asarray(u_min, dtype=float), (net.n_p,)).copy()
-        if np.any(u <= 0) or rho <= 0:
+        if not (np.all(u > 0) and rho > 0):
             raise ValueError("u_min and rho must be positive")
         total = net.lengths.sum()
         if total <= 0:

@@ -25,11 +25,10 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.optimize import Bounds, minimize
 
 from .errors import AllStartsInfeasible, NonConvergence, SingularSystem
-from .hydraulics import HydraulicState, head_loss, phi_prime, solve_steady
+from .hydraulics import HydraulicState, head_loss, kkt_solve, phi_prime, solve_steady
 from .lp import OPTIMAL, LinearProgram, solve_lp
 from .netmodel import NetworkModel
 from .relax import Problem
@@ -41,9 +40,9 @@ _IMPROVE_TOL = 1e-12
 _TRUST_FRACTION = 0.25
 # line-search step halvings before a step is rejected
 _MAX_HALVINGS = 12
-# restoration penalty weight: starts at _MU0, grows tenfold up to _MU_CAP
-_MU0 = 1e2
-_MU_CAP = 1e8
+# restoration penalty weight; the penalty's minimizer does not depend on it,
+# it only scales L-BFGS-B's first step
+_MU = 1e2
 # the SCP stops once an accepted iterate gains at most _EPS_TOL, or after
 # _K_MAX iterates
 _EPS_TOL = 1e-4
@@ -180,13 +179,12 @@ class Subproblem:
         """Gradient w.r.t. x of a function of (q, h) with gradients (grad_q,
         grad_h), through the hydraulic equations at the flows q.
 
-        The Jacobian [[diag(phi'), A12], [A12^T, 0]] (``net.kkt``, the step
-        matrix's leading columns) is symmetric, so one solve with the value
+        The Jacobian [[diag(phi'), A12], [A12^T, 0]] (the step matrix's
+        leading columns) is symmetric, so one ``kkt_solve`` with the value
         gradient as right-hand side yields both sensitivities.
         """
-        g = np.maximum(phi_prime(q, self.params), 1e-8)
-        lam = spla.spsolve(self.net.kkt(g), np.concatenate([grad_q, grad_h]))
-        return np.concatenate([-lam[self.ctrl], lam[self.net.n_p + self.afv]])
+        lam_q, lam_h = kkt_solve(self.net, phi_prime(q, self.params), grad_q, grad_h)
+        return np.concatenate([-lam_q[self.ctrl], lam_h[self.afv]])
 
     def step_matrix(self, g: np.ndarray) -> sp.csc_matrix:
         """The step LP's equality rows [[diag(g), A12, E, 0], [A12^T, 0, 0, -F]]
@@ -222,39 +220,31 @@ def restore_feasibility(sub: Subproblem, x0: np.ndarray):
     """Push the controls toward the pressure-feasible set.
 
     Minimizes the squared hinge of the minimum-head violation over the
-    control box, escalating the penalty weight tenfold until the state is
-    ``sub.feasible`` or the weight cap is reached.  Returns (x, q, h) or
-    None when restoration fails, at once when a state with no head gap is
-    still infeasible: there the penalty and its gradient are zero, so no
-    round can move x.
+    control box in one bounded L-BFGS-B solve.  Returns (x, q, h) when the
+    state there is ``sub.feasible``, else None; None at once when a state
+    with no head gap is still infeasible, since there the penalty and its
+    gradient are zero and no solve can move x.
     """
-    def penalty(x, mu):
+    def penalty(x):
         sol = sub.solve(x)
         if sol is None:
             return 1e20, np.zeros_like(x)
         q, h = sol
         gap = np.maximum(sub.h_lo - h, 0.0)
-        val = mu * float(gap @ gap)
-        return val, sub.gradient(q, np.zeros(sub.net.n_p), -2.0 * mu * gap)
+        val = _MU * float(gap @ gap)
+        return val, sub.gradient(q, np.zeros(sub.net.n_p), -2.0 * _MU * gap)
 
     x = np.clip(x0, sub.lo, sub.hi)
     sol = sub.solve(x)
-    mu = _MU0
-    while True:
-        if sol is not None and not np.any(sub.h_lo > sol[1]) and not sub.feasible(x, *sol):
-            return None
-        if x.size:
-            x = minimize(penalty, x, args=(mu,), jac=True, method="L-BFGS-B",
-                         bounds=Bounds(sub.lo, sub.hi), options={"maxiter": 200}).x
-        sol = sub.solve(x)
-        if sol is None:
-            return None
-        q, h = sol
-        if sub.feasible(x, q, h):
-            return x, q, h
-        if not x.size or mu >= _MU_CAP:
-            return None
-        mu *= 10.0
+    if sol is not None and not np.any(sub.h_lo > sol[1]) and not sub.feasible(x, *sol):
+        return None
+    if x.size:
+        x = minimize(penalty, x, jac=True, method="L-BFGS-B",
+                     bounds=Bounds(sub.lo, sub.hi), options={"maxiter": 200}).x
+    sol = sub.solve(x)
+    if sol is None or not sub.feasible(x, *sol):
+        return None
+    return x, *sol
 
 
 def _step_lp(sub: Subproblem, q_k: np.ndarray, h_k: np.ndarray, x_k: np.ndarray):
@@ -271,7 +261,7 @@ def _step_lp(sub: Subproblem, q_k: np.ndarray, h_k: np.ndarray, x_k: np.ndarray)
     if key in steps:
         return steps[key]
     n_q = sub.net.n_p
-    # not the adjoint's 1e-8 floor: that would change the LP on zero-loss valves
+    # not kkt_solve's 1e-8 floor: that would change the LP on zero-loss valves
     loss, slope = head_loss(q_k, sub.params)
     dphi = np.maximum(slope, 1e-12)
     A = sub.step_matrix(dphi)

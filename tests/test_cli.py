@@ -231,7 +231,8 @@ class TestControlAndDesign:
         assert main(["design", json_net_file, "--config", str(cfg)]) == EXIT_INPUT
         assert "n_samples = 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["alpha_max = -0.1", "u_max = -1"])
+    @pytest.mark.parametrize("line", ["alpha_max = -0.1", "u_max = -1", "seed = -1",
+                                      "rho = nan", "u_min = nan"])
     def test_config_bad_bound_is_input_error_naming_it(self, json_net_file, tmp_path, capsys,
                                                        line):
         cfg = tmp_path / "run.ini"

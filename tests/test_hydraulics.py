@@ -4,13 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import hydraulics_reference as reference
 from sccopt.errors import NonConvergence, SingularSystem
 from sccopt.hydraulics import (GRAVITY, HeadLossParams, head_loss, headloss_params,
-                               phi, phi_prime, simulate, solve_steady)
+                               kkt_solve, phi, phi_prime, simulate, solve_steady)
 from sccopt.netgen import line_network, random_network
 from sccopt.netmodel import PIPE, DemandNode, Link, NetworkModel, VALVE
 from sccopt.pipeline import RunConfig, default_problem
@@ -192,6 +191,18 @@ class TestSchurAssembly:
                 arr[0] = 0
 
 
+def assert_solves(net, g, r_q, r_h, x, K):
+    """x = (x_q, x_h) matches the dense solve of K (x_q, x_h) = (r_q, r_h) to
+    1e-9, x_h relative to its largest entry and x_q in the units of r_q, as
+    g x_q: the Schur elimination forms x_q = (r_q - A12 x_h) / g, so x_q
+    itself carries an error of about eps / min(g)."""
+    ref = np.linalg.solve(K.toarray(), np.concatenate([r_q, r_h]))
+    (x_q, x_h), ref_q, ref_h = x, ref[:net.n_p], ref[net.n_p:]
+    assert np.abs(x_h - ref_h).max() <= 1e-9 * np.abs(ref_h).max()
+    scale = max(np.abs(r_q).max(), np.abs(g * ref_q).max())
+    assert np.abs(g * (x_q - ref_q)).max() <= 1e-9 * scale
+
+
 class TestKktAssembly:
     def test_matches_bmat_bit_for_bit(self, net):
         rng = np.random.default_rng(0)
@@ -207,9 +218,8 @@ class TestKktAssembly:
             blocks = [[sp.diags(g, format="coo"), net.A12], [net.A12T, None]]
             step = Subproblem(problem, ValveDesign(tuple(ctrl), (), tuple(afv)), 0,
                               ()).step_matrix(g)
-            # the adjoint solves with the Jacobian, the step matrix's leading columns
-            cases = [(net.kkt(g), sp.bmat(blocks)),
-                     (step[:, :net.n_p + net.n_n], sp.bmat(blocks)),
+            # its leading columns are the Jacobian the Newton step and the adjoint solve
+            cases = [(step[:, :net.n_p + net.n_n], sp.bmat(blocks)),
                      (step, sp.bmat([blocks[0] + [E, None], blocks[1] + [None, -F]]))]
             for K, ref in cases:
                 ref = ref.tocsc()
@@ -224,16 +234,38 @@ class TestKktAssembly:
                 arr[0] = 0
 
     def test_jacobian_solves_like_the_step_matrix_slice(self, net):
-        # the adjoint's spsolve sees the same matrix, so the same bits
+        # kkt_solve, which the Newton step and the adjoint call, solves the
+        # system whose matrix is the step LP's leading columns
         rng = np.random.default_rng(1)
         problem = default_problem(net, RunConfig())
         sub = Subproblem(problem, ValveDesign((0,), (), (1,)), 0, ())
         n = net.n_p + net.n_n
         for _ in range(10):
-            g = 10.0 ** rng.uniform(-8.0, 4.0, net.n_p)
-            rhs = rng.standard_normal(n)
-            ref = spla.spsolve(sub.step_matrix(g)[:, :n], rhs)
-            assert spla.spsolve(net.kkt(g), rhs).tobytes() == ref.tobytes()
+            g = 10.0 ** rng.uniform(-4.0, 2.0, net.n_p)
+            r_q, r_h = rng.standard_normal(net.n_p), rng.standard_normal(net.n_n)
+            assert_solves(net, g, r_q, r_h, kkt_solve(net, g, r_q, r_h),
+                          sub.step_matrix(g)[:, :n])
+
+    @given(seed=st.integers(0, 10_000), n_nodes=st.integers(2, 30),
+           extra=st.integers(0, 8), parallel=st.booleans(), low=st.floats(-12.0, 4.0))
+    @settings(max_examples=80, deadline=None)
+    def test_kkt_solve_matches_dense_solve(self, seed, n_nodes, extra, parallel, low):
+        # slopes span six decades from 10^low, so between them they reach
+        # from 1e-12 to 1e10; below 1e-8 the floor binds, and those below
+        # 1e-10 are set to zero, a lossless valve's slope.  The dense solve
+        # uses the floored g.
+        rng = np.random.default_rng(seed)
+        net = random_network(n_nodes, extra, seed=seed)
+        if parallel:
+            j = int(rng.integers(net.n_p))
+            net = NetworkModel(net.links + [replace(net.links[j], id="parallel")],
+                               net.nodes, net.sources, net.demands, net.source_heads)
+        slope = 10.0 ** rng.uniform(low, low + 6.0, net.n_p)
+        slope[slope < 1e-10] = 0.0
+        r_q, r_h = rng.standard_normal(net.n_p), rng.standard_normal(net.n_n)
+        g = np.maximum(slope, 1e-8)
+        K = sp.bmat([[sp.diags(g), net.A12], [net.A12T, None]])
+        assert_solves(net, g, r_q, r_h, kkt_solve(net, slope, r_q, r_h), K)
 
 
 def outcome(solver, net, params, *args, **kwargs):

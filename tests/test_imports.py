@@ -1,7 +1,7 @@
 """Every name a package or test module imports is used in that module, no
 package module imports a private name from another, only ``lp.py`` imports
 HiGHS, and only ``hydraulics.py`` imports SciPy's private SuperLU and
-sparsetools modules."""
+sparsetools modules or anything else under ``scipy.sparse.linalg``."""
 import ast
 from pathlib import Path
 
@@ -76,6 +76,9 @@ def imports_of(source: str, package: str) -> list[str]:
 HIGHS = "scipy.optimize._highspy"
 # SciPy's SuperLU bindings and sparse-product kernels
 SUPERLU, SPARSETOOLS = "scipy.sparse.linalg._dsolve", "scipy.sparse._sparsetools"
+# SciPy's sparse solvers, public and private: the hydraulic Jacobian is
+# factored in hydraulics.py alone
+SPARSE_LINALG = "scipy.sparse.linalg"
 
 
 def test_detects_a_highs_import():
@@ -93,11 +96,20 @@ def test_detects_a_superlu_or_sparsetools_import():
     source = ("from scipy.sparse.linalg._dsolve import _superlu\n"
               "from scipy.sparse import _sparsetools, csc_array\n"
               "import scipy.sparse.linalg as spla\n"
-              "from scipy.sparse.linalg import _dsolve\n")
+              "from scipy.sparse.linalg import _dsolve\n"
+              "from scipy.sparse.linalg import spsolve\n"
+              "from scipy.sparse import linalg\n"
+              "import scipy.sparse.linalgebra\n")
     assert imports_of(source, SUPERLU) == [
         "scipy.sparse.linalg._dsolve (line 4)",
         "scipy.sparse.linalg._dsolve._superlu (line 1)"]
     assert imports_of(source, SPARSETOOLS) == ["scipy.sparse._sparsetools (line 2)"]
+    assert imports_of(source, SPARSE_LINALG) == [
+        "scipy.sparse.linalg (line 3)",
+        "scipy.sparse.linalg (line 6)",
+        "scipy.sparse.linalg._dsolve (line 4)",
+        "scipy.sparse.linalg._dsolve._superlu (line 1)",
+        "scipy.sparse.linalg.spsolve (line 5)"]
 
 
 @pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "lp.py"],
@@ -114,6 +126,14 @@ def test_only_hydraulics_imports_superlu_and_sparsetools(path):
     # as hydraulics.py's docstring promises
     source = path.read_text()
     assert imports_of(source, SUPERLU) + imports_of(source, SPARSETOOLS) == []
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "hydraulics.py"],
+                         ids=lambda p: p.name)
+def test_only_hydraulics_imports_sparse_linalg(path):
+    # one factorization of the hydraulic Jacobian, kkt_solve, serves the
+    # Newton step and the adjoint alike
+    assert imports_of(path.read_text(), SPARSE_LINALG) == []
 
 
 def test_hydraulics_imports_superlu_and_sparsetools():

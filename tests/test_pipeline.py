@@ -43,9 +43,11 @@ def cms_solution(loopnet):
 
 class TestRunConfig:
     @pytest.mark.parametrize("name, value", [
-        ("n_v", -1), ("n_f", -2), ("n_starts", 0), ("n_starts", -3), ("u_max", 0.0),
-        ("u_max", -1.0),
-        ("p_min", -100.0), ("alpha_max", -0.1)])
+        ("n_v", -1), ("n_f", -2), ("n_starts", 0), ("n_starts", -3), ("seed", -1),
+        ("u_min", 0.0), ("u_min", -0.2), ("u_min", float("nan")), ("rho", 0.0),
+        ("rho", -50.0), ("rho", float("nan")), ("u_max", 0.0), ("u_max", -1.0),
+        ("u_max", float("nan")), ("p_min", -100.0), ("p_min", float("nan")),
+        ("alpha_max", -0.1)])
     def test_bad_value_rejected_by_name(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} = {value}: need"):
             RunConfig(**{name: value})

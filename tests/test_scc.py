@@ -29,6 +29,11 @@ class TestParams:
             SccParams.from_network(line3, u_min=0.0)
         with pytest.raises(ValueError):
             SccParams.from_network(line3, rho=-1.0)
+        # NaN fails a positivity check instead of passing it
+        for bad in (dict(u_min=float("nan")), dict(u_min=[0.2, float("nan"), 0.2]),
+                    dict(rho=float("nan"))):
+            with pytest.raises(ValueError, match="u_min and rho must be positive"):
+                SccParams.from_network(line3, **bad)
 
 
 class TestSigmoid:

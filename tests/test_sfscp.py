@@ -510,6 +510,25 @@ class TestRestoration:
         with pytest.raises(AllStartsInfeasible):
             multi_start(problem, design, n_starts=2, seed=0)
 
+    def test_hopeless_restoration_is_one_minimization(self, monkeypatch):
+        # the penalty's minimizer does not depend on its weight, so a
+        # restoration that cannot succeed makes one L-BFGS-B solve and stops
+        net = single_pipe_net()
+        bounds = default_bounds(net, headloss_params(net))
+        bounds.h_lo[:] = 85.0  # above the 80 m source head
+        sub = Subproblem(Problem(net, SccParams.from_network(net), bounds),
+                         ValveDesign(afv_nodes=(0,)), 0, ())
+        calls = []
+
+        def counted_minimize(*args, **kwargs):
+            calls.append(args)
+            return minimize(*args, **kwargs)
+
+        minimize = sfscp.minimize
+        monkeypatch.setattr(sfscp, "minimize", counted_minimize)
+        assert restore_feasibility(sub, np.array([0.01])) is None
+        assert len(calls) == 1
+
 
 class TestReducedGradient:
     def test_matches_finite_difference(self):
@@ -538,6 +557,29 @@ class TestReducedGradient:
         fd_alpha = (f_of(2.0, 0.01 + eps) - f_of(2.0, 0.01 - eps)) / (2 * eps)
         assert d_eta == pytest.approx(fd_eta, rel=1e-3, abs=1e-8)
         assert d_alpha == pytest.approx(fd_alpha, rel=1e-3, abs=1e-8)
+
+    def test_head_penalty_matches_finite_difference(self):
+        # restoration's use: a function of the heads alone, the squared head
+        # gap, so grad_q = 0; eta = 40 m on the PRV leaves node 2 below its floor
+        net = prv_loop_net()
+        problem = default_problem(net, RunConfig())
+        h_lo = problem.bounds.h_lo[0]
+        sub = Subproblem(problem, ValveDesign(prv_links=(2,), afv_nodes=(1,)), 0, ())
+
+        def penalty(x):
+            eta, alpha = sub.unstack(x)
+            st = simulate(net, problem.params, eta=eta, alpha=alpha)
+            gap = np.maximum(h_lo - st.h[0], 0.0)
+            return float(gap @ gap), st.q[0], gap
+
+        x = np.array([40.0, 0.01])
+        _, q, gap = penalty(x)
+        assert gap[2] > 1.0 and np.count_nonzero(gap) == 1
+        grad = sub.gradient(q, np.zeros(net.n_p), -2.0 * gap)
+        eps = 1e-6
+        fd = [(penalty(x + eps * e)[0] - penalty(x - eps * e)[0]) / (2 * eps)
+              for e in np.eye(2)]
+        assert grad == pytest.approx(fd, rel=1e-5)
 
 
 class TestDeterminism:
