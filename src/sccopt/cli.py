@@ -136,9 +136,10 @@ def cmd_obbt(args) -> int:
     # run_cms's bound tightening, with OBBT on whatever the config says
     config = dataclasses.replace(_config_from_args(args), use_obbt=True)
     _, report = tightened_bounds(net, config)
-    print(f"iterations  {report.iterations}")
-    print(f"lp_solves   {report.lp_solves}")
-    print(f"diam        {' '.join(f'{d:.6g}' for d in report.diam_history)}")
+    print(f"iterations          {report.iterations}")
+    print(f"lp_solves           {report.lp_solves}")
+    print(f"simplex_iterations  {report.simplex_iterations}")
+    print(f"diam                {' '.join(f'{d:.6g}' for d in report.diam_history)}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -114,6 +114,8 @@ class LpSolution:
     x: np.ndarray | None = None
     objective: float | None = None
     duals: np.ndarray | None = None
+    # HiGHS's simplex_iteration_count of the solve that returned this point
+    simplex_iterations: int = 0
 
 
 def _options(presolve: str, strategy) -> _highs.HighsOptions:
@@ -164,12 +166,14 @@ def _new_highs(options, lp: LinearProgram):
 
 def _run(highs):
     """Run ``highs``; returns the model status and, when optimal,
-    (x, objective, row activities, row duals)."""
+    (x, objective, row activities, row duals) and the simplex iteration
+    count."""
     if highs.run() == _highs.HighsStatus.kError or highs.getModelStatus() != _MS.kOptimal:
         return highs.getModelStatus(), None
-    sol = highs.getSolution()
-    return _MS.kOptimal, (np.array(sol.col_value), highs.getInfo().objective_function_value,
-                          np.array(sol.row_value), np.array(sol.row_dual))
+    sol, info = highs.getSolution(), highs.getInfo()
+    result = (np.array(sol.col_value), info.objective_function_value,
+              np.array(sol.row_value), np.array(sol.row_dual))
+    return _MS.kOptimal, result, info.simplex_iteration_count
 
 
 def _run_highs(lp: LinearProgram):
@@ -227,7 +231,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     return _checked(lp, *_run_highs(lp))
 
 
-def _checked(lp: LinearProgram, status, result) -> LpSolution:
+def _checked(lp: LinearProgram, status, result, iterations: int = 0) -> LpSolution:
     if result is None:
         return LpSolution(_STATUS.get(status, NUMERICAL))
     x, objective, activity, duals = result
@@ -239,4 +243,4 @@ def _checked(lp: LinearProgram, status, result) -> LpSolution:
             and np.all(lp.rhs - activity >= -tol)
             and np.all(activity - lp.lhs >= -tol)) or np.isnan(objective):
         return LpSolution(NUMERICAL)
-    return LpSolution(OPTIMAL, x, float(objective), duals)
+    return LpSolution(OPTIMAL, x, float(objective), duals, int(iterations))

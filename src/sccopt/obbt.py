@@ -1,21 +1,28 @@
 """Optimization-based bound tightening for the flow variables.
 
 Each pass solves a min and a max LP per (core link, timestep) over the
-current relaxation, shrinks the flow box, and rebuilds the relaxation with
-the tighter box.  Forest (tree-appendage) links are handled separately by
-demand aggregation, which is exact up to the flushing allowance.
+current relaxation's feasible set, shrinks the flow box, and rebuilds the
+relaxation with the tighter box.  The bound LPs leave out the relaxation's
+sigma block, which only the SCC objective uses: every row holding a sigma
+column is a concave over-estimator cut sigma <= cut(u) of the sigmoid, and
+cut >= psi > 0 on the flow box, so sigma = 0 satisfies each of them.
+Dropping those rows and fixing sigma at 0 leaves the projection onto every
+other column, and so every min and max flow, unchanged, up to rounding: a
+cut whose tangent point is bisected can dip to -2e-12 where psi is about 0,
+3e-13 m^3/s of flow.  Forest (tree-appendage) links are handled separately
+by demand aggregation, which is exact up to the flushing allowance.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import InconsistentBounds
-from .lp import OPTIMAL, solve_lp
+from .lp import OPTIMAL, LinearProgram, solve_lp
 from .netmodel import forest_core
-from .relax import BoundSet, Problem, build_lp
+from .relax import BoundSet, Problem, VariableMap, build_lp
 
 # slack added to each forest bound so later LPs stay strictly feasible; the
 # bounds are exact demand sums, so a rounding-size pad suffices
@@ -24,7 +31,10 @@ _BOUND_PAD = 1e-9
 # 1e-7 primal feasibility tolerance: on the first-pass LPs of
 # random_network(60, 20, seed=1), hot re-solves differ from cold solves by up
 # to 1.9e-7, and cold solves with and without presolve by 2e-7, so the pad
-# must exceed both to keep every bound valid
+# must exceed both to keep every bound valid.  Without the sigma block, cold
+# solves move by up to 4.6e-7 against cold solves with it, tolerance noise on
+# either side: at HiGHS's tightest tolerances (1e-10) the two optima agree to
+# 1e-11, and the hot values lie within 1.4e-8 of them (1.3e-8 with the block)
 _OBBT_PAD = 1e-6
 # stopping rule of tighten
 _EPS_TOL = 0.90
@@ -36,6 +46,9 @@ class ObbtReport:
     iterations: int = 0
     lp_solves: int = 0
     cold_retries: int = 0
+    # HiGHS simplex iterations over the bound LPs; a target retried cold
+    # counts its cold solve's
+    simplex_iterations: int = 0
     wall_time: float = 0.0
     diam_history: list[float] = field(default_factory=list)
 
@@ -47,6 +60,20 @@ def _flow_diameter(bounds: BoundSet, core_links: list[int]) -> float:
     return float(np.sum(bounds.q_hi[:, core_links] - bounds.q_lo[:, core_links]))
 
 
+def flow_polytope(lp: LinearProgram, vmap: VariableMap) -> LinearProgram:
+    """``lp`` without the rows that hold a sigma column and with every sigma
+    column fixed at 0; the columns keep their indices, so ``vmap`` still maps
+    them.  Exact for flow objectives: those rows are the psi cuts, which
+    sigma = 0 satisfies on the flow box (see the module docstring)."""
+    sigma = np.concatenate([np.r_[vmap.sigma_pos(t), vmap.sigma_neg(t)]
+                            for t in range(vmap.n_t)])
+    keep = np.ones(lp.n_rows, dtype=bool)
+    keep[lp.A.tocsc()[:, sigma].indices] = False
+    ub = lp.ub.copy()
+    ub[sigma] = 0.0
+    return replace(lp, A=lp.A[keep], lhs=lp.lhs[keep], rhs=lp.rhs[keep], ub=ub)
+
+
 def tighten(problem: Problem, n_v: int, n_f: int) -> tuple[Problem, ObbtReport]:
     """Shrink core-link flow bounds over the relaxation with ``n_v`` new DBVs
     and ``n_f`` AFVs; returns (the tightened Problem, report).
@@ -54,9 +81,11 @@ def tighten(problem: Problem, n_v: int, n_f: int) -> tuple[Problem, ObbtReport]:
     Terminates when a pass shrinks the total flow-box diameter by less than
     a factor _EPS_TOL, or after _K_MAX passes.  Tree networks have no core
     links and return an equal box with zero LP solves.  A pass builds the
-    relaxation over a snapshot of its box and edits a working copy; its LPs
-    share their rows and bounds, so they are re-solved in one hot-started
-    HiGHS session, and a target whose hot solve fails is solved cold.
+    relaxation over a snapshot of its box, cuts it down to its flow polytope
+    (``flow_polytope``: no sigma block, the same optima) and edits a working
+    copy of the box; its LPs share their rows and bounds, so they are
+    re-solved in one hot-started HiGHS session, and a target whose hot solve
+    fails is solved cold.
     """
     report = ObbtReport()
     start = time.perf_counter()
@@ -71,7 +100,7 @@ def tighten(problem: Problem, n_v: int, n_f: int) -> tuple[Problem, ObbtReport]:
     report.diam_history.append(diam)
     for _ in range(_K_MAX):
         lp, vmap = build_lp(Problem(net, scc_params, bounds.copy()), n_v, n_f)
-        lp = lp.hot_started()
+        lp = flow_polytope(lp, vmap).hot_started()
         c = np.zeros(vmap.total)
         for t in range(net.n_t):
             q_idx = vmap.q(t)
@@ -81,6 +110,7 @@ def tighten(problem: Problem, n_v: int, n_f: int) -> tuple[Problem, ObbtReport]:
                     c[q_idx[j]] = sign
                     sol = solve_lp(lp.with_objective(c))
                     report.lp_solves += 1
+                    report.simplex_iterations += sol.simplex_iterations
                     if sol.status != OPTIMAL:
                         raise InconsistentBounds(
                             f"bound LP for link {net.links[j].id}, timestep {t} "

@@ -257,6 +257,7 @@ class TestObbtVerb:
         assert main(["obbt", json_net_file, "--nv", "1"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "lp_solves" in out
+        assert "simplex_iterations" in out
 
     def test_rejects_control_flags(self, json_net_file, capsys):
         # OBBT has no starts, samples or randomness, and always runs here
@@ -280,7 +281,7 @@ class TestObbtVerb:
         net = load_network(str(path))
         config = RunConfig(n_v=1, n_f=1, n_samples=2, n_starts=1, seed=0)
         pipe = run_cms(net, config).obbt_report
-        keys = ("iterations", "lp_solves", "diam_history")
+        keys = ("iterations", "lp_solves", "simplex_iterations", "diam_history")
         assert [cli[k] for k in keys] == [pipe[k] for k in keys]
         # without the forest step the box differs, so the match is not vacuous
         _, bare = tighten(default_problem(net, config), 1, 1)

@@ -246,6 +246,19 @@ class TestKktAssembly:
             assert_solves(net, g, r_q, r_h, kkt_solve(net, g, r_q, r_h),
                           sub.step_matrix(g)[:, :n])
 
+    def test_numerically_singular_schur_is_a_singular_system(self):
+        # floored slopes spanning 17.6 decades make the Schur matrix exactly
+        # singular in floating point on a connected network, 2 of 300 such
+        # draws of random_network(20, 5); SuperLU's RuntimeError must reach
+        # Newton as SingularSystem.  With unit slopes the same network solves,
+        # so the singularity is numerical, not structural as on an island
+        net = random_network(20, 5, seed=52)
+        g = 10.0 ** np.random.default_rng(52).uniform(-12.0, 10.0, net.n_p)
+        r_q, r_h = np.ones(net.n_p), np.ones(net.n_n)
+        with pytest.raises(SingularSystem, match="exactly singular"):
+            kkt_solve(net, g, r_q, r_h)
+        assert all(np.isfinite(x).all() for x in kkt_solve(net, np.ones(net.n_p), r_q, r_h))
+
     @given(seed=st.integers(0, 10_000), n_nodes=st.integers(2, 30),
            extra=st.integers(0, 8), parallel=st.booleans(), low=st.floats(-12.0, 4.0))
     @settings(max_examples=80, deadline=None)

@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from scipy.optimize._highspy._core import HighsModelStatus
 
@@ -10,9 +11,9 @@ from sccopt import obbt
 from sccopt.errors import InconsistentBounds
 from sccopt.hydraulics import headloss_params, simulate
 from sccopt.lp import _HOT_OPTIONS, OPTIMAL, HotSession, LpSolution, solve_lp
-from sccopt.netgen import line_network
+from sccopt.netgen import line_network, random_network
 from sccopt.netmodel import forest_core
-from sccopt.obbt import _OBBT_PAD, tighten, tighten_forest
+from sccopt.obbt import _OBBT_PAD, flow_polytope, tighten, tighten_forest
 from sccopt.pipeline import RunConfig, default_problem
 from sccopt.relax import Problem, build_lp, default_bounds
 
@@ -72,8 +73,22 @@ class TestCoreTightening:
         problem = default_problem(loop4, RunConfig())
         _, report = tighten(problem, 0, 0)
         d = report.to_dict()
-        assert set(d) == {"iterations", "lp_solves", "cold_retries", "wall_time",
-                          "diam_history"}
+        assert set(d) == {"iterations", "lp_solves", "cold_retries", "simplex_iterations",
+                          "wall_time", "diam_history"}
+
+    def test_simplex_iterations_sum_the_bound_lps(self, loop4, monkeypatch):
+        problem = default_problem(loop4, RunConfig())
+        counts = []
+
+        def counted(lp):
+            sol = solve_lp(lp)
+            counts.append(sol.simplex_iterations)
+            return sol
+
+        monkeypatch.setattr(obbt, "solve_lp", counted)
+        _, report = tighten(problem, 1, 1)
+        assert len(counts) == report.lp_solves
+        assert report.simplex_iterations == sum(counts) > 0
 
 
 def pipeline_setup(net):
@@ -99,23 +114,98 @@ class TestReturnedProblem:
             tightened.bounds.q_lo[0, 0] = 0.0
 
 
+def bound_targets(net, vmap):
+    """Each OBBT target's objective: +-1 on one core link's flow column."""
+    for t in range(net.n_t):
+        for j in sorted(forest_core(net).core_links):
+            for sign in (1.0, -1.0):
+                c = np.zeros(vmap.total)
+                c[vmap.q(t)[j]] = sign
+                yield c
+
+
+# HiGHS's tightest feasibility tolerances.  At its default 1e-7, cold solves
+# of the full and the reduced first-pass LPs of rand60 differ by up to
+# 4.6e-7, either side off; at 1e-10 both agree to 1e-11
+_EXACT_OPTIONS = lp_mod._options("on", lp_mod._STRATEGY.kSimplexStrategyDual)
+_EXACT_OPTIONS.primal_feasibility_tolerance = 1e-10
+_EXACT_OPTIONS.dual_feasibility_tolerance = 1e-10
+
+
+def exact_solve(lp):
+    """A cold solve at _EXACT_OPTIONS: (status, objective or None)."""
+    status, result, *_ = lp_mod._run(lp_mod._new_highs(_EXACT_OPTIONS, lp))
+    return status, None if result is None else result[1]
+
+
+class TestFlowPolytope:
+    """OBBT's LPs leave out the sigma block; the flow optima stay the same."""
+
+    def assert_same_optima(self, problem, n_v, n_f):
+        lp, vmap = build_lp(problem, n_v, n_f)
+        reduced = flow_polytope(lp, vmap)
+        assert reduced.n_cols == lp.n_cols and reduced.n_rows < lp.n_rows
+        for c in bound_targets(problem.net, vmap):
+            (full_status, full), (ours_status, ours) = (
+                exact_solve(lp.with_objective(c)), exact_solve(reduced.with_objective(c)))
+            assert ours_status == full_status
+            if full is not None:
+                assert abs(ours - full) <= 1e-8
+
+    @pytest.mark.parametrize("name", ["grid25", "rand60"])
+    def test_fixture_optima_unchanged(self, name, request):
+        self.assert_same_optima(*pipeline_setup(request.getfixturevalue(name)))
+
+    @given(seed=st.integers(0, 10_000), n_nodes=st.integers(3, 25),
+           extra=st.integers(1, 6), n_t=st.integers(1, 2))
+    @settings(max_examples=25, deadline=None)
+    def test_random_network_optima_unchanged(self, seed, n_nodes, extra, n_t):
+        net = random_network(n_nodes, extra, seed=seed, n_t=n_t)
+        try:
+            setup = pipeline_setup(net)
+        except InconsistentBounds:
+            assume(False)
+        self.assert_same_optima(*setup)
+
+    @pytest.mark.parametrize("name", ["loop4", "grid25", "rand60"])
+    def test_dropped_rows_hold_at_sigma_zero(self, name, request):
+        # every dropped row is a cut sigma <= cut(q) on one link's flow; it
+        # holds with sigma = 0 at both ends of the link's box, so on all of
+        # it.  On a tightened box a cut can dip to -2.1e-12 where psi is
+        # about 0 at an end (rand60), as the tangent point is bisected; that
+        # is 3e-13 m^3/s of flow, far inside HiGHS's 1e-7 tolerance
+        problem = tighten(*pipeline_setup(request.getfixturevalue(name)))[0]
+        lp, vmap = build_lp(problem, 1, 1)
+        sigma = np.concatenate([np.r_[vmap.sigma_pos(t), vmap.sigma_neg(t)]
+                                for t in range(vmap.n_t)])
+        q = np.concatenate([vmap.q(t) for t in range(vmap.n_t)])
+        A = lp.A.tocsr()
+        dropped = np.flatnonzero(np.diff(A[:, sigma].indptr))
+        assert len(dropped) == lp.n_rows - flow_polytope(lp, vmap).n_rows > 0
+        for r in dropped:
+            cols, vals = A.indices[A.indptr[r]:A.indptr[r + 1]], A.data[A.indptr[r]:A.indptr[r + 1]]
+            on_sigma = np.isin(cols, sigma)
+            # a flat cut (a point interval) stores no flow coefficient
+            j, a = cols[~on_sigma], vals[~on_sigma]
+            assert on_sigma.sum() == 1 and len(j) <= 1 and np.isin(j, q).all()
+            assert lp.lhs[r] == -np.inf
+            assert max(np.sum(a * lp.lb[j]), np.sum(a * lp.ub[j])) <= lp.rhs[r] + 1e-10
+
+
 class TestHotStart:
     @pytest.mark.parametrize("name", ["grid25", "rand60"])
     def test_hot_values_within_pad_of_cold(self, name, request):
-        # so the hot-tightened box contains every cold bound LP's value
+        # so the hot-tightened box contains every cold bound LP's value; the
+        # LP is the one tighten solves
         net = request.getfixturevalue(name)
         problem, *counts = pipeline_setup(net)
         lp, vmap = build_lp(problem, *counts)
+        lp = flow_polytope(lp, vmap)
         hot = lp.hot_started()
-        c = np.zeros(vmap.total)
-        for t in range(net.n_t):
-            for j in sorted(forest_core(net).core_links):
-                for sign in (1.0, -1.0):
-                    c[:] = 0.0
-                    c[vmap.q(t)[j]] = sign
-                    ours, cold = solve_lp(hot.with_objective(c)), solve_lp(lp.with_objective(c))
-                    assert ours.status == cold.status == OPTIMAL
-                    assert abs(ours.objective - cold.objective) <= _OBBT_PAD
+        for c in bound_targets(net, vmap):
+            ours, cold = solve_lp(hot.with_objective(c)), solve_lp(lp.with_objective(c))
+            assert ours.status == cold.status == OPTIMAL
+            assert abs(ours.objective - cold.objective) <= _OBBT_PAD
         assert hot.session.cold_retries == 0
 
     def test_one_hot_failure_is_retried_cold(self, loop4, monkeypatch):

@@ -197,8 +197,8 @@ class TestRunCms:
         monkeypatch.setattr(sfscp, "restore_feasibility", recorded_restore)
         sol = run_cms(prv_net, RunConfig(n_samples=1, n_starts=1, seed=0))
         assert rounds == [] and restored == [None, None]
-        assert sol.scc_smooth == 0.373122535101099
-        assert sol.lp_upper_bound == 0.40085455430497013
+        assert sol.scc_smooth == 0.37312253510194776
+        assert sol.lp_upper_bound == 0.40085455596277675
 
     def test_obbt_report_attached(self, cms_solution):
         assert cms_solution.obbt_report is not None
