@@ -12,13 +12,13 @@ its CSC pattern and the scatter map of link weights into it are compiled
 once per ``NetworkModel``, and each Newton iteration fills S with one
 ``np.bincount`` (``NetworkModel.schur``).
 
-``kkt_solve`` solves this saddle-point system for the Newton step and the
-adjoint alike, on those compiled arrays with no sparse-matrix object in
-between and with the bits of the sparse-matrix code it replaces: S is
-factored by SuperLU's ``gstrf`` with the options ``splu`` passes, and the
-products with A12 and A12^T call the ``csr_matvec``/``csc_matvec`` kernels
-that ``@`` ends in.  ``head_loss`` returns phi and phi' from one power
-|q|^(n-1), so each iterate takes that power once.
+``kkt_solve`` solves this saddle-point system for the Newton step, on those
+compiled arrays with no sparse-matrix object in between and with the bits of
+the sparse-matrix code it replaces: S is factored by SuperLU's ``gstrf``
+with the options ``splu`` passes, and the products with A12 and A12^T call
+the ``csr_matvec``/``csc_matvec`` kernels that ``@`` ends in; the SCP step's
+``jacobian_solve`` factors the Jacobian itself.  ``head_loss`` returns phi
+and phi' from one power |q|^(n-1), so each iterate takes that power once.
 ``gstrf`` (``scipy.sparse.linalg._dsolve._superlu``) and ``_sparsetools``
 are private SciPy modules, present with these signatures in SciPy 1.15
 to 1.17, the releases the ``scipy>=1.15,<1.18`` pin admits; only this
@@ -124,6 +124,17 @@ def _times_a12t(net: NetworkModel, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _factor(n: int, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+    """SuperLU's LU of the n x n CSC matrix (data, indices, indptr), as
+    ``splu`` computes it; an exactly singular matrix raises SingularSystem."""
+    try:
+        return _superlu.gstrf(n, data.size, data, indices, indptr,
+                              csc_construct_func=sp.csc_array, ilu=False,
+                              options=_SPLU_OPTIONS)
+    except RuntimeError as exc:
+        raise SingularSystem(str(exc)) from exc
+
+
 def kkt_solve(net: NetworkModel, slope: np.ndarray, r_q: np.ndarray, r_h: np.ndarray):
     """Solve K(g) (x_q, x_h) = (r_q, r_h) for the hydraulic Jacobian
     K(g) = [[diag g, A12], [A12^T, 0]], g = max(slope, 1e-8): the Schur
@@ -132,17 +143,24 @@ def kkt_solve(net: NetworkModel, slope: np.ndarray, r_q: np.ndarray, r_h: np.nda
     SingularSystem.
     """
     w = 1.0 / np.maximum(slope, 1e-8)
-    data = net.schur(w)
-    try:
-        lu = _superlu.gstrf(net.n_n, data.size, data, net.schur_indices, net.schur_indptr,
-                            csc_construct_func=sp.csc_array, ilu=False,
-                            options=_SPLU_OPTIONS)
-    except RuntimeError as exc:
-        raise SingularSystem(str(exc)) from exc
+    lu = _factor(net.n_n, net.schur(w), net.schur_indices, net.schur_indptr)
     x_h = lu.solve(_times_a12t(net, w * r_q) - r_h)
     if not np.isfinite(x_h).all():
         raise SingularSystem("reduced system produced non-finite step")
     return w * (r_q - _times_a12(net, x_h)), x_h
+
+
+def jacobian_solve(net: NetworkModel, g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve K(g) X = rhs, rhs of shape (n_p + n_n, k), by one LU of K(g)
+    itself (``net.kkt``): unlike the Schur form it stays exact when some g
+    is far below the others, as a zero-loss valve's floored slope is.  A
+    singular or non-finite solve raises SingularSystem.
+    """
+    lu = _factor(net.n_p + net.n_n, net.kkt(g), net.kkt_indices, net.kkt_indptr)
+    x = lu.solve(rhs)
+    if not np.isfinite(x).all():
+        raise SingularSystem("Jacobian system produced a non-finite solution")
+    return x
 
 
 @dataclass

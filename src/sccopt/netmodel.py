@@ -208,6 +208,13 @@ class NetworkModel:
         for arr in (self.kkt_indptr, self.kkt_indices, self.kkt_template):
             arr.setflags(write=False)
 
+    def kkt(self, g: np.ndarray) -> np.ndarray:
+        """The values of K(g) on the compiled CSC pattern (``kkt_indices``,
+        ``kkt_indptr``), g in the leading entry of each flow column."""
+        data = self.kkt_template.copy()
+        data[self.kkt_indptr[:self.n_p]] = g
+        return data
+
     def validate(self):
         if self.n_t < 1:
             raise ValueError("need at least one timestep")

@@ -106,8 +106,8 @@ class RunMemo:
 
     ``states`` maps (t, eta bytes + alpha bytes), on the full arrays, to the
     read-only (q, h), or to None when Newton failed.  ``steps`` maps (t,
-    design, signs, q_k bytes + h_k bytes + x_k bytes) to the read-only LP
-    point (q, h, x), or to None when the LP was not optimal.
+    design, signs, q_k bytes + h_k bytes + x_k bytes) to the read-only step
+    point (q, h, x), x the step LP's controls, or to None when there is none.
     """
 
     states: dict = field(default_factory=dict)

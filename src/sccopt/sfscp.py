@@ -25,10 +25,9 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, minimize
 
 from .errors import AllStartsInfeasible, NonConvergence, SingularSystem
-from .hydraulics import HydraulicState, head_loss, kkt_solve, phi_prime, solve_steady
+from .hydraulics import HydraulicState, head_loss, jacobian_solve, solve_steady
 from .lp import OPTIMAL, LinearProgram, solve_lp
 from .netmodel import NetworkModel
 from .relax import Problem
@@ -40,9 +39,6 @@ _IMPROVE_TOL = 1e-12
 _TRUST_FRACTION = 0.25
 # line-search step halvings before a step is rejected
 _MAX_HALVINGS = 12
-# restoration penalty weight; the penalty's minimizer does not depend on it,
-# it only scales L-BFGS-B's first step
-_MU = 1e2
 # the SCP stops once an accepted iterate gains at most _EPS_TOL, or after
 # _K_MAX iterates
 _EPS_TOL = 1e-4
@@ -113,10 +109,10 @@ class Subproblem:
     the box [lo, hi]: a DBV's eta takes its sign, a PRV's is non-negative,
     and alpha lies in [0, alpha_hi].  Each DBV pins its link's flow to its
     sign in the step LP (``pin_pos``, ``pin_neg``); a PRV's flow is free
-    there, but ``feasible`` rejects a PRV throttling a reversed flow.  The
-    step LP's matrix is the network's compiled Jacobian pattern followed by
-    one unit column per entry of x (``step_*``).  Solves and step LPs go
-    through the Problem's memo.
+    there, but ``feasible`` rejects a PRV throttling a reversed flow.
+    ``control_rhs`` holds the Jacobian right-hand side of each entry of x:
+    -1 on an eta's energy row, +1 on an alpha's mass row.  Solves and step
+    LPs go through the Problem's memo.
     """
 
     def __init__(self, problem: Problem, design: ValveDesign, t: int,
@@ -144,11 +140,9 @@ class Subproblem:
         self.hi = np.concatenate([np.where(pos, np.where(e_hi > 0.0, e_hi, 0.0), 0.0),
                                   np.full(len(afv), bounds.alpha_hi)])
         self.energy_rhs = -(net.A10 @ self.h0)
-        self.step_data = np.concatenate([net.kkt_template, np.ones(len(ctrl)),
-                                         -np.ones(len(afv))])
-        self.step_indices = np.concatenate([net.kkt_indices, ctrl, net.n_p + afv])
-        self.step_indptr = np.concatenate(
-            [net.kkt_indptr, net.kkt_indptr[-1] + np.arange(1, len(self.lo) + 1)])
+        self.control_rhs = np.zeros((net.n_p + net.n_n, len(self.lo)))
+        self.control_rhs[ctrl, np.arange(len(ctrl))] = -1.0
+        self.control_rhs[net.n_p + afv, len(ctrl) + np.arange(len(afv))] = 1.0
         for a in vars(self).values():
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
@@ -175,26 +169,6 @@ class Subproblem:
                 states[key] = None
         return states[key]
 
-    def gradient(self, q: np.ndarray, grad_q: np.ndarray, grad_h: np.ndarray) -> np.ndarray:
-        """Gradient w.r.t. x of a function of (q, h) with gradients (grad_q,
-        grad_h), through the hydraulic equations at the flows q.
-
-        The Jacobian [[diag(phi'), A12], [A12^T, 0]] (the step matrix's
-        leading columns) is symmetric, so one ``kkt_solve`` with the value
-        gradient as right-hand side yields both sensitivities.
-        """
-        lam_q, lam_h = kkt_solve(self.net, phi_prime(q, self.params), grad_q, grad_h)
-        return np.concatenate([-lam_q[self.ctrl], lam_h[self.afv]])
-
-    def step_matrix(self, g: np.ndarray) -> sp.csc_matrix:
-        """The step LP's equality rows [[diag(g), A12, E, 0], [A12^T, 0, 0, -F]]
-        as CSC: E has +1 on each eta's link row, F +1 on each alpha's node row."""
-        data = self.step_data.copy()
-        data[self.net.kkt_indptr[:self.net.n_p]] = g
-        n = self.net.n_p + self.net.n_n
-        return sp.csc_matrix((data, self.step_indices, self.step_indptr),
-                             shape=(n, n + len(self.lo)))
-
     def feasible(self, x: np.ndarray, q: np.ndarray, h: np.ndarray) -> bool:
         """Whether the state (q, h) at the controls x meets the head floor
         with no PRV throttling (eta > 0) a reversed flow, where it adds head."""
@@ -216,31 +190,11 @@ def _trust_box(lo, hi, center):
     return np.maximum(lo, center - span), np.minimum(hi, center + span)
 
 
-def restore_feasibility(sub: Subproblem, x0: np.ndarray):
-    """Push the controls toward the pressure-feasible set.
-
-    Minimizes the squared hinge of the minimum-head violation over the
-    control box in one bounded L-BFGS-B solve.  Returns (x, q, h) when the
-    state there is ``sub.feasible``, else None; None at once when a state
-    with no head gap is still infeasible, since there the penalty and its
-    gradient are zero and no solve can move x.
-    """
-    def penalty(x):
-        sol = sub.solve(x)
-        if sol is None:
-            return 1e20, np.zeros_like(x)
-        q, h = sol
-        gap = np.maximum(sub.h_lo - h, 0.0)
-        val = _MU * float(gap @ gap)
-        return val, sub.gradient(q, np.zeros(sub.net.n_p), -2.0 * _MU * gap)
-
-    x = np.clip(x0, sub.lo, sub.hi)
-    sol = sub.solve(x)
-    if sol is not None and not np.any(sub.h_lo > sol[1]) and not sub.feasible(x, *sol):
-        return None
-    if x.size:
-        x = minimize(penalty, x, jac=True, method="L-BFGS-B",
-                     bounds=Bounds(sub.lo, sub.hi), options={"maxiter": 200}).x
+def restore_feasibility(sub: Subproblem):
+    """Restore an infeasible start to the open control x = 0 (valves wide
+    open, no flushing), which lies in every control box: (x, q, h) when its
+    state is ``sub.feasible``, else None."""
+    x = np.zeros(len(sub.lo))
     sol = sub.solve(x)
     if sol is None or not sub.feasible(x, *sol):
         return None
@@ -249,13 +203,19 @@ def restore_feasibility(sub: Subproblem, x0: np.ndarray):
 
 def _step_lp(sub: Subproblem, q_k: np.ndarray, h_k: np.ndarray, x_k: np.ndarray):
     """Linearized step LP around the iterate (q_k, h_k, x_k); returns the LP
-    point (q, h, x), read-only, or None when the LP is not solved to
-    optimality.  Each distinct (t, design, signs, iterate) is solved
-    once per memo.
+    point (q, h, x), read-only, or None when the Jacobian is singular or the
+    LP is not solved to optimality, and at once when there are no controls.
+    Each distinct (t, design, signs, iterate) is solved once per memo.
 
-    Columns are (q, h, x); the equality rows are the energy and mass
-    equations linearized at q_k.
+    The step eliminates the flows and heads (Nocedal and Wright, *Numerical
+    Optimization*, 2nd ed., section 18.4): one ``jacobian_solve`` of the
+    energy and mass equations linearized at q_k, for their base and for
+    each column of ``sub.control_rhs``, gives (q, h) = p + S x.  The LP's
+    columns are x in its trust box; its rows keep p + S x in the flow box
+    and the heads' trust box.
     """
+    if not sub.lo.size:
+        return None
     steps = sub.memo.steps
     key = (sub.t, sub.design, sub.signs, q_k.tobytes() + h_k.tobytes() + x_k.tobytes())
     if key in steps:
@@ -263,19 +223,24 @@ def _step_lp(sub: Subproblem, q_k: np.ndarray, h_k: np.ndarray, x_k: np.ndarray)
     n_q = sub.net.n_p
     # not kkt_solve's 1e-8 floor: that would change the LP on zero-loss valves
     loss, slope = head_loss(q_k, sub.params)
-    dphi = np.maximum(slope, 1e-12)
-    A = sub.step_matrix(dphi)
-    b = np.concatenate([sub.energy_rhs - loss + dphi * q_k, sub.d])
-    lo, hi = map(np.concatenate, zip(
-        sub.flow_box(q_k), _trust_box(sub.h_lo, sub.h_hi, h_k),
-        _trust_box(sub.lo, sub.hi, np.clip(x_k, sub.lo, sub.hi))))
-
-    c = np.zeros(A.shape[1])
-    c[:n_q] = -scc_smooth_grad_flows(q_k[None, :], sub.net, sub.scc_params)[0]
+    g = np.maximum(slope, 1e-12)
+    base = np.concatenate([sub.energy_rhs - loss + g * q_k, sub.d])
+    steps[key] = None
+    try:
+        sens = jacobian_solve(sub.net, g, np.column_stack([base, sub.control_rhs]))
+    except SingularSystem:
+        return None
+    p, S = sens[:, 0], sens[:, 1:]
+    lo, hi = map(np.concatenate, zip(sub.flow_box(q_k), _trust_box(sub.h_lo, sub.h_hi, h_k)))
+    x_lo, x_hi = _trust_box(sub.lo, sub.hi, np.clip(x_k, sub.lo, sub.hi))
+    c = -scc_smooth_grad_flows(q_k[None, :], sub.net, sub.scc_params)[0] @ S[:n_q]
     # a pinned direction or an iterate outside its bounds can invert a box
-    sol = solve_lp(LinearProgram(c, A, b, b, np.minimum(lo, hi), np.maximum(lo, hi)))
-    steps[key] = (_read_only(np.split(sol.x, [n_q, n_q + sub.net.n_n]))
-                  if sol.status == OPTIMAL else None)
+    sol = solve_lp(LinearProgram(c, sp.csc_matrix(S), np.minimum(lo, hi) - p,
+                                 np.maximum(lo, hi) - p, np.minimum(x_lo, x_hi),
+                                 np.maximum(x_lo, x_hi)))
+    if sol.status == OPTIMAL:
+        qh = p + S @ sol.x
+        steps[key] = _read_only([qh[:n_q], qh[n_q:], sol.x])
     return steps[key]
 
 
@@ -290,7 +255,7 @@ def sfscp_timestep(sub: Subproblem, x0: np.ndarray, trace: list | None = None):
     x = np.clip(x0, sub.lo, sub.hi)
     sol = sub.solve(x)
     if sol is None or not sub.feasible(x, *sol):
-        restored = restore_feasibility(sub, x)
+        restored = restore_feasibility(sub)
         if restored is None:
             return None
         x, q, h = restored

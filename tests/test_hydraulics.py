@@ -9,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 import hydraulics_reference as reference
 from sccopt.errors import NonConvergence, SingularSystem
 from sccopt.hydraulics import (GRAVITY, HeadLossParams, head_loss, headloss_params,
-                               kkt_solve, phi, phi_prime, simulate, solve_steady)
+                               jacobian_solve, kkt_solve, phi, phi_prime, simulate,
+                               solve_steady)
 from sccopt.netgen import line_network, random_network
 from sccopt.netmodel import PIPE, DemandNode, Link, NetworkModel, VALVE
-from sccopt.pipeline import RunConfig, default_problem
-from sccopt.sfscp import Subproblem, ValveDesign
 
 # Hand-computed resistance for L=1000 m, C=130, D=0.3 m:
 #   r = 10.67 * 1000 / (130^1.852 * 0.3^4.871)
@@ -206,27 +205,12 @@ def assert_solves(net, g, r_q, r_h, x, K):
 class TestKktAssembly:
     def test_matches_bmat_bit_for_bit(self, net):
         rng = np.random.default_rng(0)
-        problem = default_problem(net, RunConfig())
-        for k in range(20):
+        for _ in range(20):
             g = 10.0 ** rng.uniform(-12.0, 10.0, net.n_p)
-            ctrl = sorted(rng.choice(net.n_p, size=k % 4, replace=False))
-            afv = list(rng.choice(net.n_n, size=k % 3, replace=False))
-            E = sp.coo_matrix((np.ones(len(ctrl)), (ctrl, np.arange(len(ctrl)))),
-                              shape=(net.n_p, len(ctrl)))
-            F = sp.coo_matrix((np.ones(len(afv)), (afv, np.arange(len(afv)))),
-                              shape=(net.n_n, len(afv)))
-            blocks = [[sp.diags(g, format="coo"), net.A12], [net.A12T, None]]
-            step = Subproblem(problem, ValveDesign(tuple(ctrl), (), tuple(afv)), 0,
-                              ()).step_matrix(g)
-            # its leading columns are the Jacobian the Newton step and the adjoint solve
-            cases = [(step[:, :net.n_p + net.n_n], sp.bmat(blocks)),
-                     (step, sp.bmat([blocks[0] + [E, None], blocks[1] + [None, -F]]))]
-            for K, ref in cases:
-                ref = ref.tocsc()
-                assert K.shape == ref.shape
-                assert np.array_equal(K.indptr, ref.indptr)
-                assert np.array_equal(K.indices, ref.indices)
-                assert np.array_equal(K.data, ref.data)
+            ref = sp.bmat([[sp.diags(g, format="coo"), net.A12], [net.A12T, None]]).tocsc()
+            assert np.array_equal(net.kkt_indptr, ref.indptr)
+            assert np.array_equal(net.kkt_indices, ref.indices)
+            assert np.array_equal(net.kkt(g), ref.data)
 
     def test_compiled_arrays_are_read_only(self, net):
         for arr in (net.kkt_indptr, net.kkt_indices, net.kkt_template):
@@ -234,17 +218,35 @@ class TestKktAssembly:
                 arr[0] = 0
 
     def test_jacobian_solves_like_the_step_matrix_slice(self, net):
-        # kkt_solve, which the Newton step and the adjoint call, solves the
-        # system whose matrix is the step LP's leading columns
+        # the Newton step's Schur form (kkt_solve) and the SCP step's LU of
+        # the matrix K(g) itself (jacobian_solve) solve one system, column by
+        # column of a 2-D right-hand side
         rng = np.random.default_rng(1)
-        problem = default_problem(net, RunConfig())
-        sub = Subproblem(problem, ValveDesign((0,), (), (1,)), 0, ())
         n = net.n_p + net.n_n
         for _ in range(10):
             g = 10.0 ** rng.uniform(-4.0, 2.0, net.n_p)
-            r_q, r_h = rng.standard_normal(net.n_p), rng.standard_normal(net.n_n)
-            assert_solves(net, g, r_q, r_h, kkt_solve(net, g, r_q, r_h),
-                          sub.step_matrix(g)[:, :n])
+            K = sp.bmat([[sp.diags(g), net.A12], [net.A12T, None]])
+            rhs = rng.standard_normal((n, 3))
+            X = jacobian_solve(net, g, rhs)
+            assert X.shape == (n, 3)
+            for k in range(3):
+                r_q, r_h = rhs[:net.n_p, k], rhs[net.n_p:, k]
+                assert_solves(net, g, r_q, r_h, (X[:net.n_p, k], X[net.n_p:, k]), K)
+            assert_solves(net, g, r_q, r_h, kkt_solve(net, g, r_q, r_h), K)
+
+    def test_jacobian_solve_is_exact_at_a_zero_loss_slope(self, net):
+        # the SCP step floors a zero-loss valve's slope at 1e-12, where the
+        # Schur form's 1/g weights would swamp the others; the LU of K(g)
+        # still leaves a residual at round-off
+        rng = np.random.default_rng(2)
+        n = net.n_p + net.n_n
+        for j in range(min(net.n_p, 5)):
+            g = 10.0 ** rng.uniform(-4.0, 2.0, net.n_p)
+            g[j] = 1e-12
+            K = sp.bmat([[sp.diags(g), net.A12], [net.A12T, None]]).tocsc()
+            rhs = rng.standard_normal((n, 2))
+            X = jacobian_solve(net, g, rhs)
+            assert np.abs(K @ X - rhs).max() <= 1e-12 * (1.0 + np.abs(X).max())
 
     def test_numerically_singular_schur_is_a_singular_system(self):
         # floored slopes spanning 17.6 decades make the Schur matrix exactly

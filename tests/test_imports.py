@@ -131,8 +131,8 @@ def test_only_hydraulics_imports_superlu_and_sparsetools(path):
 @pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "hydraulics.py"],
                          ids=lambda p: p.name)
 def test_only_hydraulics_imports_sparse_linalg(path):
-    # one factorization of the hydraulic Jacobian, kkt_solve, serves the
-    # Newton step and the adjoint alike
+    # the hydraulic Jacobian is factored in hydraulics.py alone: kkt_solve
+    # for the Newton step, jacobian_solve for the SCP step
     assert imports_of(path.read_text(), SPARSE_LINALG) == []
 
 

@@ -154,16 +154,17 @@ class TestPostSolveCheck:
 
 
 def assert_matches_linprog(lp):
-    """solve_lp's result is linprog's: exactly when every LEQ row comes before
-    every EQ row, the order in which linprog hands rows to HiGHS and the only
-    one the pipeline builds; for any other order, the status and the
+    """solve_lp's result is linprog's: exactly when every row is LEQ or EQ and
+    every LEQ row comes before every EQ row, the order in which linprog hands
+    rows to HiGHS and the relaxation's order; otherwise (another order, or a
+    two-sided row, which linprog takes as two LEQ rows) the status and the
     objective to 1e-9."""
     ours, ref = solve_lp(lp), linprog_solve_lp(lp)
     assert ours.status == ref.status
     is_eq = lp.lhs == lp.rhs
     if ref.status != OPTIMAL:
         assert ours.x is None and ours.duals is None
-    elif np.all(is_eq[:-1] <= is_eq[1:]):
+    elif np.all(is_eq | (lp.lhs == -np.inf)) and np.all(is_eq[:-1] <= is_eq[1:]):
         assert np.array_equal(ours.x, ref.x)
         assert ours.objective == ref.objective
         assert np.array_equal(ours.duals, ref.duals)
@@ -189,7 +190,8 @@ def mixed_lps(draw):
 
 def step_and_relaxation_lps(net, monkeypatch):
     """The relaxation LP and one SCP step LP (with eta, alpha and a DBV
-    direction pinned to the flow's) on ``net``, as the pipeline builds them."""
+    direction pinned to the flow's) on ``net``, as the pipeline builds them;
+    the step LP's columns are its four controls."""
     problem = default_problem(net, RunConfig())
     relax, _ = build_lp(problem, 1, 1)
     design = ValveDesign(prv_links=(0,), dbv_links=(2,), afv_nodes=(3, 1))
@@ -235,8 +237,10 @@ class TestMatchesLinprog:
 
     @pytest.mark.parametrize("name", ["loop4", "grid25"])
     def test_step_and_relaxation_lps(self, name, request, monkeypatch):
-        relax, step = step_and_relaxation_lps(request.getfixturevalue(name), monkeypatch)
-        assert isinstance(step.A, sp.csc_matrix) and np.array_equal(step.lhs, step.rhs)
+        net = request.getfixturevalue(name)
+        relax, step = step_and_relaxation_lps(net, monkeypatch)
+        assert isinstance(step.A, sp.csc_matrix)
+        assert step.A.shape == (net.n_p + net.n_n, 4) and np.all(step.lhs < step.rhs)
         assert assert_matches_linprog(step) == OPTIMAL
         assert assert_matches_linprog(relax) == OPTIMAL
         # OBBT re-solves the relaxation's rows with other objectives
@@ -245,11 +249,16 @@ class TestMatchesLinprog:
             assert_matches_linprog(relax.with_objective(rng.normal(size=relax.n_cols)))
 
 
-def test_every_step_lp_is_all_equalities(loop4, monkeypatch):
+def test_every_step_lp_is_over_the_controls(loop4, monkeypatch):
+    # one column per control (the DBV's eta and the AFV's alpha) and one
+    # two-sided row per flow and per head
     steps = []
     monkeypatch.setattr("sccopt.sfscp.solve_lp", lambda lp: steps.append(lp) or solve_lp(lp))
     run_cms(loop4, RunConfig(n_v=1, n_f=1, n_samples=2, n_starts=1, seed=0))
-    assert steps and all(np.array_equal(lp.lhs, lp.rhs) for lp in steps)
+    assert steps
+    for lp in steps:
+        assert lp.A.shape == (loop4.n_p + loop4.n_n, 2)
+        assert np.all(lp.lhs <= lp.rhs) and np.isfinite(lp.lb).all() and np.isfinite(lp.ub).all()
 
 
 def assert_passes_check(lp, x, tol=np.sqrt(1e-9) * 10):

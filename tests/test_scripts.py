@@ -36,3 +36,21 @@ def test_grid_demo_prints_the_monotone_chain(tmp_path, capsys):
                                         "design + settings", "relaxation bound")]
     assert chain == sorted(chain)
     assert (tmp_path / "solution.json").is_file()
+
+
+def test_design_digests_describes_a_run(loop4):
+    from sccopt.pipeline import RunConfig, run_cms
+
+    design_digests = load_script("design_digests")
+    config = RunConfig(n_v=1, n_f=1, n_samples=2, n_starts=1, seed=0)
+    line = design_digests.describe("loop4", loop4, config)
+    fields = dict(f.split("=", 1) for f in line.split()[1:])
+    assert line.startswith("loop4 seed=0 ")
+    sol = run_cms(loop4, config)
+    assert fields["digest"] == design_digests.control_digest(sol)
+    assert len(fields["digest"]) == 16
+    assert float(fields["scc_smooth"]) == sol.scc_smooth
+    assert float(fields["scc_exact"]) == sol.scc_exact
+    assert fields["start"] == str(sol.control.start_index)
+    assert fields["dbv"] == ",".join(map(str, sol.design.dbv_links))
+    assert fields["afv"] == ",".join(map(str, sol.design.afv_nodes))

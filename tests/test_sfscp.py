@@ -6,16 +6,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sccopt import sfscp
-from sccopt.errors import AllStartsInfeasible, NonConvergence
+from sccopt.errors import AllStartsInfeasible, NonConvergence, SingularSystem
 from sccopt.hydraulics import headloss_params, phi, phi_prime, simulate, solve_steady
-from sccopt.netgen import line_network, loop_network
+from sccopt.lp import OPTIMAL, solve_lp
+from sccopt.netgen import line_network, loop_network, random_network
 from sccopt.netmodel import Link, NetworkModel, VALVE
 from sccopt.pipeline import RunConfig, default_problem
 from sccopt.relax import Problem, default_bounds
-from sccopt.scc import SccParams, scc_smooth, scc_smooth_flows, scc_smooth_grad_flows
+from sccopt.scc import SccParams, scc_smooth, scc_smooth_flows
 from sccopt.sfscp import (_TRUST_FRACTION, Subproblem, ValveDesign, _step_lp,
                           enumerate_dbv_directions, multi_start, restore_feasibility,
                           sfscp_timestep)
+from step_lp_reference import full_step_lp, tight_optimum
 
 
 def single_pipe_net(demand=0.005, diameter=0.3):
@@ -174,6 +176,75 @@ class TestStepLp:
         assert np.all(eta[[0, 1, 3, 4]] == 0.0) and eta[2] >= 0.0
         assert np.all(alpha[[0, 2, 3]] == 0.0) and alpha[1] >= 0.0
 
+    def test_no_controls_is_no_step(self, monkeypatch):
+        # with nothing to move, the line search could accept no step anyway
+        lps = counting(monkeypatch, "solve_lp")
+        sub = Subproblem(default_problem(prv_loop_net(), RunConfig()), ValveDesign(), 0, ())
+        q, h = sub.solve(np.zeros(0))
+        assert _step_lp(sub, q, h, np.zeros(0)) is None and lps == []
+        assert sfscp_timestep(sub, np.zeros(0))[4:] == (
+            scc_smooth_flows(q[None, :], sub.net, sub.scc_params), 0)
+
+    def test_singular_jacobian_is_no_step(self, monkeypatch):
+        # a singular Jacobian ends the SCP like a failed LP, once per iterate
+        def singular(*args):
+            raise SingularSystem("test")
+
+        calls = counting(monkeypatch, "jacobian_solve", singular)
+        lps = counting(monkeypatch, "solve_lp")
+        sub = Subproblem(default_problem(prv_loop_net(), RunConfig()),
+                         ValveDesign(prv_links=(2,), afv_nodes=(1,)), 0, ())
+        x = np.array([2.0, 0.01])
+        q, h = sub.solve(x)
+        assert _step_lp(sub, q, h, x) is None and _step_lp(sub, q, h, x) is None
+        assert len(calls) == 1 and lps == []
+        assert sfscp_timestep(sub, x)[5] == 0
+
+    @given(seed=st.integers(0, 100_000), zero_loss=st.booleans(),
+           sign=st.sampled_from([1, -1]))
+    @settings(max_examples=100, deadline=None)
+    @example(seed=1189, zero_loss=False, sign=1)
+    @example(seed=2154, zero_loss=True, sign=1)
+    @example(seed=1014, zero_loss=False, sign=1)
+    def test_matches_the_full_space_lp(self, seed, zero_loss, sign):
+        # the LP over the controls alone against the same step with every
+        # flow and head a column (tests/step_lp_reference.py), at a random
+        # iterate of a random design; zero_loss makes the DBV link a
+        # lossless valve, whose slope the step floors at 1e-12
+        rng = np.random.default_rng(seed)
+        net = random_network(int(rng.integers(3, 16)), int(rng.integers(0, 5)), seed=seed)
+        j, i = int(rng.integers(net.n_p)), int(rng.integers(net.n_n))
+        if zero_loss:
+            links = list(net.links)
+            lk = links[j]
+            links[j] = Link(lk.id, lk.from_node, lk.to_node, VALVE, 0.0, lk.diameter, 0.0, 0.0)
+            net = NetworkModel(links, net.nodes, net.sources, net.demands, net.source_heads)
+        sub = Subproblem(default_problem(net, RunConfig()),
+                         ValveDesign(dbv_links=(j,), afv_nodes=(i,)), 0, (sign,))
+        x_k = sub.lo + rng.uniform(0.0, 1.0, 2) * (sub.hi - sub.lo)
+        state = sub.solve(x_k)
+        if state is None:
+            return
+        full = full_step_lp(sub, *state, x_k)
+        ref, ours = solve_lp(full), _step_lp(sub, *state, x_k)
+        assert (ours is not None) == (ref.status == OPTIMAL)
+        if ours is None:
+            return
+        z = np.concatenate(ours)
+        assert np.abs(full.A @ z - full.rhs).max() <= 1e-9
+        # a flow or head is a row of the reduced LP, which HiGHS meets only to
+        # its 1e-7 primal feasibility tolerance where the full LP holds the
+        # column at its bound; and the LP itself may be infeasible by that
+        # much, as the full LP's own point then is (seed 1189: a head 3.0e-8
+        # below its bound, the full LP's point on it; seed 2154: 9.6e-8 each)
+        slack = 1e-7 + max(0.0, np.max(full.lb - ref.x), np.max(ref.x - full.ub))
+        assert np.all(z >= full.lb - slack) and np.all(z <= full.ub + slack)
+        # seed 1014 is such an LP: infeasible at 1e-10, so it has no tight
+        # optimum, and its optimal value holds only at HiGHS's tolerance
+        best = tight_optimum(full)
+        best = ref.objective if best is None else best
+        assert abs(full.c @ z - best) <= 1e-9 * max(1.0, abs(best))
+
 
 def box_oracle(bounds, t, design, directions):
     """The control box link by link, with Python's scalar min and max."""
@@ -306,8 +377,7 @@ class TestSubproblem:
         arrays = {k: a for k, a in vars(sub).items() if isinstance(a, np.ndarray)}
         assert set(arrays) == {
             "ctrl", "afv", "prv_x", "prv", "d", "h0", "q_lo", "q_hi", "h_lo", "h_hi",
-            "lo", "hi", "pin_pos", "pin_neg", "energy_rhs", "step_data", "step_indices",
-            "step_indptr"}
+            "lo", "hi", "pin_pos", "pin_neg", "energy_rhs", "control_rhs"}
         arrays.update(controllable_links=design.controllable_links,
                       flushing_nodes=design.flushing_nodes)
         for name, a in arrays.items():
@@ -490,15 +560,20 @@ class TestDirectionEnumeration:
 
 class TestRestoration:
     def test_restores_pressure_with_prv_start_too_high(self):
-        # a huge eta start violates the 15 m floor; restoration must recover
+        # a huge eta start violates the 15 m floor; restoration returns the
+        # open control, which meets it
         problem = default_problem(prv_loop_net(), RunConfig())
         bounds = problem.bounds
         design = ValveDesign(prv_links=(2,))
         sub = Subproblem(problem, design, 0, ())
-        out = restore_feasibility(sub, np.array([bounds.eta_hi[0, 2]]))
+        start = np.array([bounds.eta_hi[0, 2]])
+        assert not sub.feasible(start, *sub.solve(start))
+        out = restore_feasibility(sub)
         assert out is not None
-        _, _, h = out
+        x, _, h = out
+        assert np.array_equal(x, [0.0])
         assert np.all(h >= bounds.h_lo[0] - 1e-6)
+        assert sfscp_timestep(sub, start) is not None
 
     def test_all_starts_infeasible_raises(self):
         # pressure floor above what the source can deliver anywhere
@@ -510,76 +585,16 @@ class TestRestoration:
         with pytest.raises(AllStartsInfeasible):
             multi_start(problem, design, n_starts=2, seed=0)
 
-    def test_hopeless_restoration_is_one_minimization(self, monkeypatch):
-        # the penalty's minimizer does not depend on its weight, so a
-        # restoration that cannot succeed makes one L-BFGS-B solve and stops
+    def test_hopeless_restoration_returns_none(self):
+        # with the floor above the source head not even the open control is
+        # feasible, so restoration and the timestep solve give up
         net = single_pipe_net()
         bounds = default_bounds(net, headloss_params(net))
         bounds.h_lo[:] = 85.0  # above the 80 m source head
         sub = Subproblem(Problem(net, SccParams.from_network(net), bounds),
                          ValveDesign(afv_nodes=(0,)), 0, ())
-        calls = []
-
-        def counted_minimize(*args, **kwargs):
-            calls.append(args)
-            return minimize(*args, **kwargs)
-
-        minimize = sfscp.minimize
-        monkeypatch.setattr(sfscp, "minimize", counted_minimize)
-        assert restore_feasibility(sub, np.array([0.01])) is None
-        assert len(calls) == 1
-
-
-class TestReducedGradient:
-    def test_matches_finite_difference(self):
-        net = prv_loop_net()
-        problem = default_problem(net, RunConfig())
-        params, scc_params = problem.params, problem.scc_params
-        design = ValveDesign(prv_links=(2,), afv_nodes=(1,))
-        eta = np.zeros((net.n_t, net.n_p))
-        eta[0, 2] = 2.0
-        alpha = np.zeros((net.n_t, net.n_n))
-        alpha[0, 1] = 0.01
-        state = simulate(net, params, eta=eta, alpha=alpha)
-        sub = Subproblem(problem, design, 0, ())
-        q = state.q[0]
-        d_eta, d_alpha = sub.gradient(q, scc_smooth_grad_flows(q[None, :], net, scc_params)[0],
-                                      np.zeros(net.n_n))
-        eps = 1e-6
-
-        def f_of(ev, av):
-            e = eta.copy(); e[0, 2] = ev
-            a = alpha.copy(); a[0, 1] = av
-            st = simulate(net, params, eta=e, alpha=a)
-            return scc_smooth_flows(st.q[0][None, :], net, scc_params)
-
-        fd_eta = (f_of(2.0 + eps, 0.01) - f_of(2.0 - eps, 0.01)) / (2 * eps)
-        fd_alpha = (f_of(2.0, 0.01 + eps) - f_of(2.0, 0.01 - eps)) / (2 * eps)
-        assert d_eta == pytest.approx(fd_eta, rel=1e-3, abs=1e-8)
-        assert d_alpha == pytest.approx(fd_alpha, rel=1e-3, abs=1e-8)
-
-    def test_head_penalty_matches_finite_difference(self):
-        # restoration's use: a function of the heads alone, the squared head
-        # gap, so grad_q = 0; eta = 40 m on the PRV leaves node 2 below its floor
-        net = prv_loop_net()
-        problem = default_problem(net, RunConfig())
-        h_lo = problem.bounds.h_lo[0]
-        sub = Subproblem(problem, ValveDesign(prv_links=(2,), afv_nodes=(1,)), 0, ())
-
-        def penalty(x):
-            eta, alpha = sub.unstack(x)
-            st = simulate(net, problem.params, eta=eta, alpha=alpha)
-            gap = np.maximum(h_lo - st.h[0], 0.0)
-            return float(gap @ gap), st.q[0], gap
-
-        x = np.array([40.0, 0.01])
-        _, q, gap = penalty(x)
-        assert gap[2] > 1.0 and np.count_nonzero(gap) == 1
-        grad = sub.gradient(q, np.zeros(net.n_p), -2.0 * gap)
-        eps = 1e-6
-        fd = [(penalty(x + eps * e)[0] - penalty(x - eps * e)[0]) / (2 * eps)
-              for e in np.eye(2)]
-        assert grad == pytest.approx(fd, rel=1e-5)
+        assert restore_feasibility(sub) is None
+        assert sfscp_timestep(sub, np.array([0.01])) is None
 
 
 class TestDeterminism:
