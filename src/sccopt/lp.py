@@ -14,9 +14,12 @@ The rest of the pipeline sees only ``solve_lp``, so a different engine can
 be swapped in behind it.
 
 An LP from ``LinearProgram.hot_started()`` instead shares one HiGHS
-instance with its ``with_objective`` copies, as the LPs of an OBBT pass do
-(Gleixner et al., 2017, *Three enhancements for optimization-based bound
-tightening*).  Each later objective is re-solved by primal simplex, without
+instance with its ``with_objective`` copies, as the LPs of one bound
+direction of an OBBT pass do (Gleixner et al., 2017, *Three enhancements for
+optimization-based bound tightening*).  A session is used by one thread at a
+time; separate sessions over the same LP may run in separate threads, since
+HiGHS releases the GIL while it solves and ``solve_lp`` only reads the LP's
+arrays.  Each later objective is re-solved by primal simplex, without
 presolve, from the basis the previous solve left: a new objective keeps
 that basis primal feasible.  The values agree with a fresh solve only to
 HiGHS's feasibility tolerance, and one that fails hot is solved fresh.

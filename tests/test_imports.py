@@ -1,7 +1,8 @@
 """Every name a package or test module imports is used in that module, no
 package module imports a private name from another, only ``lp.py`` imports
-HiGHS, and only ``hydraulics.py`` imports SciPy's private SuperLU and
-sparsetools modules or anything else under ``scipy.sparse.linalg``."""
+HiGHS, only ``hydraulics.py`` imports SciPy's private SuperLU and
+sparsetools modules or anything else under ``scipy.sparse.linalg``, and only
+``obbt.py`` imports a thread or process module."""
 import ast
 from pathlib import Path
 
@@ -140,3 +141,33 @@ def test_hydraulics_imports_superlu_and_sparsetools():
     # the guard above names the modules the kernel really imports
     source = Path(sccopt.__file__).with_name("hydraulics.py").read_text()
     assert imports_of(source, SUPERLU) and imports_of(source, SPARSETOOLS)
+
+
+# the standard library's thread and process modules: OBBT's worker thread is
+# the package's only concurrency
+THREADS = ("threading", "concurrent.futures", "multiprocessing")
+
+
+def thread_imports(source: str) -> list[str]:
+    return sorted(name for package in THREADS for name in imports_of(source, package))
+
+
+def test_detects_a_thread_import():
+    source = ("import threading\n"
+              "from concurrent.futures import ThreadPoolExecutor\n"
+              "import multiprocessing.pool as mpp\n"
+              "from concurrent import futures\n"
+              "import threadpoolctl\n")
+    assert thread_imports(source) == [
+        "concurrent.futures (line 4)",
+        "concurrent.futures.ThreadPoolExecutor (line 2)",
+        "multiprocessing.pool (line 3)",
+        "threading (line 1)"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "obbt.py"],
+                         ids=lambda p: p.name)
+def test_only_obbt_starts_threads(path):
+    # obbt.tighten joins the one worker thread it starts before it returns,
+    # as its docstring promises
+    assert thread_imports(path.read_text()) == []

@@ -1,4 +1,6 @@
+import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -114,11 +116,12 @@ class TestReturnedProblem:
             tightened.bounds.q_lo[0, 0] = 0.0
 
 
-def bound_targets(net, vmap):
-    """Each OBBT target's objective: +-1 on one core link's flow column."""
+def bound_targets(net, vmap, signs=(1.0, -1.0)):
+    """Each OBBT target's objective in tighten's order: +-1 (``signs``) on
+    one core link's flow column."""
     for t in range(net.n_t):
         for j in sorted(forest_core(net).core_links):
-            for sign in (1.0, -1.0):
+            for sign in signs:
                 c = np.zeros(vmap.total)
                 c[vmap.q(t)[j]] = sign
                 yield c
@@ -196,17 +199,19 @@ class TestHotStart:
     @pytest.mark.parametrize("name", ["grid25", "rand60"])
     def test_hot_values_within_pad_of_cold(self, name, request):
         # so the hot-tightened box contains every cold bound LP's value; the
-        # LP is the one tighten solves
+        # LP is the one tighten solves, and each direction's session walks
+        # the targets in tighten's order
         net = request.getfixturevalue(name)
         problem, *counts = pipeline_setup(net)
         lp, vmap = build_lp(problem, *counts)
         lp = flow_polytope(lp, vmap)
-        hot = lp.hot_started()
-        for c in bound_targets(net, vmap):
-            ours, cold = solve_lp(hot.with_objective(c)), solve_lp(lp.with_objective(c))
-            assert ours.status == cold.status == OPTIMAL
-            assert abs(ours.objective - cold.objective) <= _OBBT_PAD
-        assert hot.session.cold_retries == 0
+        for sign in (1.0, -1.0):
+            hot = lp.hot_started()
+            for c in bound_targets(net, vmap, signs=(sign,)):
+                ours, cold = solve_lp(hot.with_objective(c)), solve_lp(lp.with_objective(c))
+                assert ours.status == cold.status == OPTIMAL
+                assert abs(ours.objective - cold.objective) <= _OBBT_PAD
+            assert hot.session.cold_retries == 0
 
     def test_one_hot_failure_is_retried_cold(self, loop4, monkeypatch):
         args = pipeline_setup(loop4)
@@ -216,25 +221,124 @@ class TestHotStart:
                             lambda self, lp: (HighsModelStatus.kSolveError, None))
         cold, cold_report = tighten(*args)
         assert cold_report.cold_retries == cold_report.lp_solves
-        calls, built, new_highs = [], [], lp_mod._new_highs
+        lower_calls, built, new_highs = [], [], lp_mod._new_highs
 
-        def fail_third(self, lp):
-            calls.append(lp)
-            return (HighsModelStatus.kSolveError, None) if len(calls) == 3 else run(self, lp)
+        def fail_third_lower(self, lp):
+            # only the calling thread's session solves min LPs, so counting
+            # them races with nothing
+            if lp.c.max() > 0:
+                lower_calls.append(lp)
+                if len(lower_calls) == 3:
+                    return HighsModelStatus.kSolveError, None
+            return run(self, lp)
 
         def spy(options, lp):
             built.append(options is _HOT_OPTIONS)
             return new_highs(options, lp)
 
-        monkeypatch.setattr(HotSession, "run", fail_third)
+        monkeypatch.setattr(HotSession, "run", fail_third_lower)
         monkeypatch.setattr(lp_mod, "_new_highs", spy)
         hot, report = tighten(*args)
         assert report.cold_retries == 1
         assert report.lp_solves == cold_report.lp_solves
-        # one hot instance per pass, one more after the failure, one cold solve
-        assert built.count(True) == report.iterations + 1 and built.count(False) == 1
+        # two hot instances per pass, one more after the failure, one cold solve
+        assert built.count(True) == 2 * report.iterations + 1 and built.count(False) == 1
         assert np.allclose(hot.bounds.q_lo, cold.bounds.q_lo, rtol=0.0, atol=_OBBT_PAD)
         assert np.allclose(hot.bounds.q_hi, cold.bounds.q_hi, rtol=0.0, atol=_OBBT_PAD)
+
+
+class SynchronousExecutor:
+    """``ThreadPoolExecutor``'s interface, running each submit at once on the
+    calling thread."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def tighten_outcome(args):
+    """tighten's bounds and report counts, or the InconsistentBounds text."""
+    try:
+        tightened, report = tighten(*args)
+    except InconsistentBounds as exc:
+        return str(exc)
+    d = report.to_dict()
+    del d["wall_time"]
+    return tightened.bounds.q_lo, tightened.bounds.q_hi, d
+
+
+class TestConcurrentSessions:
+    @given(seed=st.integers(0, 10_000), n_nodes=st.integers(8, 20),
+           extra=st.integers(1, 6), n_t=st.integers(1, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_same_result_as_one_thread(self, seed, n_nodes, extra, n_t):
+        # the two sessions' results do not depend on how they are scheduled;
+        # and each draw runs two HiGHS instances at once
+        net = random_network(n_nodes, extra, seed=seed, n_t=n_t)
+        try:
+            args = pipeline_setup(net)
+        except InconsistentBounds:
+            assume(False)
+        threaded = tighten_outcome(args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(obbt, "ThreadPoolExecutor", SynchronousExecutor)
+            serial = tighten_outcome(args)
+        if isinstance(threaded, str):
+            assert threaded == serial
+            return
+        (q_lo, q_hi, report), (s_lo, s_hi, s_report) = threaded, serial
+        assert np.array_equal(q_lo, s_lo) and np.array_equal(q_hi, s_hi)
+        assert report == s_report
+        # OBBT only shrinks the box
+        box = args[0].bounds
+        assert np.all(q_lo >= box.q_lo) and np.all(q_hi <= box.q_hi)
+        assert np.all(q_lo <= q_hi)
+
+    def test_failed_upper_session_joins_its_thread(self, loop4, monkeypatch):
+        problem = default_problem(loop4, RunConfig())
+        monkeypatch.setattr(obbt, "solve_lp", lambda lp: (
+            LpSolution("infeasible") if lp.c.min() < 0 else solve_lp(lp)))
+        first = loop4.links[min(forest_core(loop4).core_links)].id
+        before = threading.active_count()
+        with pytest.raises(InconsistentBounds,
+                           match=f"^bound LP for link {first}, timestep 0 returned infeasible$"):
+            tighten(problem, 1, 1)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("lower_from, upper_from", [(2, 1), (1, 2), (1, 1)])
+    def test_first_failure_in_serial_order_is_named(self, loop4, monkeypatch,
+                                                    lower_from, upper_from):
+        # the min LPs fail from target lower_from on and the max LPs from
+        # upper_from on; the error names the earlier target, whichever
+        # session reached it
+        problem = default_problem(loop4, RunConfig())
+        _, vmap = build_lp(problem, 1, 1)
+        core = sorted(forest_core(loop4).core_links)
+        order = {int(vmap.q(0)[j]): k for k, j in enumerate(core)}
+
+        def failing(lp):
+            col = int(np.flatnonzero(lp.c)[0])
+            first = lower_from if lp.c[col] > 0 else upper_from
+            return LpSolution("infeasible") if order[col] >= first else solve_lp(lp)
+
+        monkeypatch.setattr(obbt, "solve_lp", failing)
+        named = loop4.links[core[min(lower_from, upper_from)]].id
+        with pytest.raises(InconsistentBounds,
+                           match=f"^bound LP for link {named}, timestep 0 returned infeasible$"):
+            tighten(problem, 1, 1)
 
 
 class TestForestTightening:

@@ -193,8 +193,8 @@ class TestRunCms:
         sol = run_cms(prv_net, RunConfig(n_samples=1, n_starts=1, seed=0))
         assert len(restored) == 2
         assert all(r is not None and np.array_equal(r[0], [0.0]) for r in restored)
-        assert sol.scc_smooth == 0.37312253441429555
-        assert sol.lp_upper_bound == 0.40085455596277675
+        assert sol.scc_smooth == 0.3731225344148909
+        assert sol.lp_upper_bound == 0.4008545561249951
 
     def test_obbt_report_attached(self, cms_solution):
         assert cms_solution.obbt_report is not None
