@@ -23,9 +23,13 @@ arrays.  Each later objective is re-solved by primal simplex, without
 presolve, from the basis the previous solve left: a new objective keeps
 that basis primal feasible.  The values agree with a fresh solve only to
 HiGHS's feasibility tolerance, and one that fails hot is solved fresh.
+
+``solve_lp`` also works in a process forked after HiGHS has run, as the
+candidate workers of ``pipeline.run_cms`` are.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,6 +49,12 @@ _MS = _highs.HighsModelStatus
 _STATUS = {_MS.kOptimal: OPTIMAL, _MS.kTimeLimit: ITERATION_LIMIT,
            _MS.kIterationLimit: ITERATION_LIMIT, _MS.kInfeasible: INFEASIBLE,
            _MS.kModelError: INFEASIBLE, _MS.kUnbounded: UNBOUNDED}
+# A forked child inherits HiGHS's task scheduler but none of its worker
+# threads, and a parallel solve there would wait on them forever; the child
+# drops the scheduler, so its first solve starts one of its own.  The reset
+# does not block: a blocking one waits for the dead workers to let go of the
+# scheduler, and crashes the child when the parent's scheduler had workers
+os.register_at_fork(after_in_child=lambda: _highs._Highs.resetGlobalScheduler(False))
 # linprog's post-solve tolerance, sqrt(tol) * 10 at its default tol of 1e-9
 _FEAS_TOL = np.sqrt(1e-9) * 10
 

@@ -4,7 +4,10 @@ placements, control optimization per candidate, and result persistence.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -156,6 +159,56 @@ def run_control_only(net: NetworkModel, config: RunConfig) -> CmsSolution:
     return _finish(problem, design, control, start)
 
 
+# the inputs every candidate's control solve shares, (Problem, designs,
+# config, eta seed, extra seeds), in a candidate worker process
+_RUN: tuple | None = None
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _start_worker(*run) -> None:
+    global _RUN
+    _RUN = run
+
+
+def _solve_candidate(i: int, run: tuple | None = None) -> ControlSolution | None:
+    """Candidate ``i``'s best control, or None when no start is feasible;
+    ``run`` defaults to the inputs the worker process was started with."""
+    problem, designs, config, eta_seed, extra = run or _RUN
+    try:
+        return multi_start(problem, designs[i], config.n_starts, config.seed,
+                           eta_seed=eta_seed, extra_seeds=extra)
+    except AllStartsInfeasible:
+        return None
+
+
+def _solve_candidates(problem: Problem, designs: list[ValveDesign], config: RunConfig,
+                      eta_seed, extra) -> list[ControlSolution | None]:
+    """Each design's best control, or None when it has no feasible start, in
+    the designs' order.
+
+    The designs are solved by min(len(designs), usable CPUs) worker
+    processes forked from this one, which inherit the inputs unpickled, so
+    each worker keeps one memo over the designs it solves.  Every memo entry
+    is a pure function of its key, so the results do not depend on which
+    worker solves which design.  With one worker this process solves them
+    itself.  The workers are joined before this returns or raises.
+    """
+    run = (problem, designs, config, eta_seed, extra)
+    workers = min(len(designs), _usable_cpus())
+    if workers == 1:
+        return [_solve_candidate(i, run) for i in range(len(designs))]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_worker, initargs=run) as pool:
+        return list(pool.map(_solve_candidate, range(len(designs))))
+
+
 def run_cms(net: NetworkModel, config: RunConfig,
             warm_control: CmsSolution | None = None) -> CmsSolution:
     """Full design-plus-control optimization.
@@ -164,10 +217,14 @@ def run_cms(net: NetworkModel, config: RunConfig,
     placements, samples candidate placements, optimizes controls for each
     candidate, and returns the best.  The all-open control and (when given)
     the settings-only solution are injected as extra starts, so the result
-    never scores below either.  Every candidate's control solve runs on the
-    one tightened Problem, so they share its memo; no other call does.
-    Raises AllStartsInfeasible when the relaxation is not solved to
-    optimality or no candidate admits a feasible control.
+    never scores below either.  The candidates are solved in worker
+    processes forked from this one, one per usable CPU and at most one per
+    candidate, or in this process when that count is 1; every worker is
+    joined before this returns or raises.  Every candidate's control solve
+    runs on the one tightened Problem, so the candidates one worker solves
+    share its memo; no other call does.  The winner is the first candidate
+    with the highest score.  Raises AllStartsInfeasible when the relaxation
+    is not solved to optimality or no candidate admits a feasible control.
     """
     start = time.perf_counter()
     problem, report = tightened_bounds(net, config)
@@ -190,18 +247,12 @@ def run_cms(net: NetworkModel, config: RunConfig,
     if warm_control is not None:
         extra.append(warm_control.control.eta)
 
+    designs = [ValveDesign.from_network(net, dbv, afv) for dbv, afv in candidates]
+    controls = _solve_candidates(problem, designs, config, eta_seed, extra)
     best: tuple[float, ValveDesign, ControlSolution] | None = None
-    scores: list[float | None] = []
-    for dbv, afv in candidates:
-        design = ValveDesign.from_network(net, dbv, afv)
-        try:
-            control = multi_start(problem, design, config.n_starts, config.seed,
-                                  eta_seed=eta_seed, extra_seeds=extra)
-        except AllStartsInfeasible:
-            scores.append(None)
-            continue
-        scores.append(control.objective)
-        if best is None or control.objective > best[0]:
+    scores = [None if c is None else c.objective for c in controls]
+    for design, control in zip(designs, controls):
+        if control is not None and (best is None or control.objective > best[0]):
             best = (control.objective, design, control)
     if best is None:
         raise AllStartsInfeasible("no sampled placement admits a feasible control")

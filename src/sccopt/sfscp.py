@@ -14,8 +14,10 @@ flushing nodes) inside its control box.
 Starts, candidates and valve directions reach the same points again and
 again, so the hydraulic solves and step LPs go through the ``Problem``'s
 memo, keyed on the exact bytes of their inputs: each distinct call is made
-once per Problem, failures included, and a repeat returns the stored
-read-only arrays.  A state's key holds no design, so hits cross candidates.
+once per memo, failures included, and a repeat returns the stored
+read-only arrays.  A state's key holds no design, so hits cross the
+candidates solved on one memo: all of a ``pipeline.run_cms`` call's in one
+process, or those of one worker when it forks several.
 """
 from __future__ import annotations
 

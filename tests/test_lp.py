@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,6 +10,7 @@ from hypothesis import event, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize._highspy._core import HighsModelStatus
 
+import sccopt
 from linprog_reference import linprog_solve_lp
 from oracle_simplex import simplex_solve
 from sccopt.errors import InconsistentBounds
@@ -251,7 +257,9 @@ class TestMatchesLinprog:
 
 def test_every_step_lp_is_over_the_controls(loop4, monkeypatch):
     # one column per control (the DBV's eta and the AFV's alpha) and one
-    # two-sided row per flow and per head
+    # two-sided row per flow and per head; one worker, so every step LP is
+    # solved in this process and seen
+    monkeypatch.setattr("sccopt.pipeline._usable_cpus", lambda: 1)
     steps = []
     monkeypatch.setattr("sccopt.sfscp.solve_lp", lambda lp: steps.append(lp) or solve_lp(lp))
     run_cms(loop4, RunConfig(n_v=1, n_f=1, n_samples=2, n_starts=1, seed=0))
@@ -259,6 +267,59 @@ def test_every_step_lp_is_over_the_controls(loop4, monkeypatch):
     for lp in steps:
         assert lp.A.shape == (loop4.n_p + loop4.n_n, 2)
         assert np.all(lp.lhs <= lp.rhs) and np.isfinite(lp.lb).all() and np.isfinite(lp.ub).all()
+
+
+# Solves one LP by parallel dual simplex on a four-thread HiGHS scheduler,
+# then again in a child forked from this process, which inherits that
+# scheduler without its threads.  Prints the parent's and the child's
+# objectives, each from the parallel solve and from solve_lp.
+FORKED_SOLVE = """
+import multiprocessing
+import signal
+from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
+import scipy.sparse as sp
+
+from sccopt.lp import _STRATEGY, LinearProgram, _new_highs, _options, solve_lp
+
+rng = np.random.default_rng(0)
+lp = LinearProgram(rng.uniform(-1, 1, 80), sp.random(60, 80, density=0.2, random_state=1,
+                                                     format="csc"),
+                   np.full(60, -np.inf), np.ones(60), np.zeros(80), np.ones(80))
+
+
+def objectives():
+    options = _options("on", _STRATEGY.kSimplexStrategyDualMulti)
+    options.threads = 4
+    highs = _new_highs(options, lp)
+    assert str(highs.run()) == "HighsStatus.kOk"
+    return highs.getInfo().objective_function_value, solve_lp(lp).objective
+
+
+if __name__ == "__main__":
+    parent = objectives()
+    # a child that hangs is ended by its alarm, so it never outlives the test
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"),
+                             initializer=signal.alarm, initargs=(30,)) as pool:
+        child = pool.submit(objectives).result()
+    print(*parent, *child)
+"""
+
+
+def test_forked_child_solves_after_the_parent(tmp_path):
+    # without the fork hook in lp.py the child's parallel solve waits forever
+    # on the parent's scheduler threads; its alarm turns that into a failure
+    script = tmp_path / "forked_solve.py"
+    script.write_text(FORKED_SOLVE)
+    src = str(Path(sccopt.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    objectives = [float(v) for v in done.stdout.split()]
+    # the same point in both processes, and the parallel solve agrees
+    assert objectives[:2] == objectives[2:]
+    assert objectives[1] == pytest.approx(objectives[0], rel=1e-9, abs=1e-9)
 
 
 def assert_passes_check(lp, x, tol=np.sqrt(1e-9) * 10):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -130,7 +132,9 @@ class TestRunCms:
         assert np.array_equal(a.control.eta, b.control.eta)
 
     def test_memo_lives_for_one_call(self, monkeypatch):
-        # a cache that outlived the call would let the second call skip solves
+        # a cache that outlived the call would let the second call skip solves;
+        # one worker, so every solve is made in this process and counted
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
         solve, calls = sfscp.solve_steady, []
         monkeypatch.setattr(sfscp, "solve_steady",
                             lambda *a, **k: calls.append(1) or solve(*a, **k))
@@ -145,6 +149,8 @@ class TestRunCms:
         assert np.array_equal(sols[0].control.eta, sols[1].control.eta)
 
     def test_control_only_and_design_calls_never_share_a_memo(self, loopnet, monkeypatch):
+        # one worker, so every candidate is solved in this process
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
         solve, memos = pipeline.multi_start, []
 
         def spy(problem, design, *args, **kwargs):
@@ -225,20 +231,31 @@ class TestRunCmsFailures:
 
     def test_candidate_without_feasible_start_scores_none(self, loopnet, tmp_path,
                                                           monkeypatch):
-        solve, seen = pipeline.multi_start, []
+        # the first candidate fails in whichever process solves it: the
+        # parent records its design before the workers are forked, and the
+        # calls are counted in memory the workers share
+        sample, solve, failing = pipeline.sample_designs, pipeline.multi_start, []
+        seen = multiprocessing.Value("i", 0)
+
+        def record_first(*args, **kwargs):
+            candidates = sample(*args, **kwargs)
+            failing.append(ValveDesign.from_network(loopnet, *candidates[0]))
+            return candidates
 
         def fail_first(problem, design, *args, **kwargs):
-            seen.append(design)
-            if len(seen) == 1:
+            with seen.get_lock():
+                seen.value += 1
+            if design == failing[0]:
                 raise AllStartsInfeasible("forced")
             return solve(problem, design, *args, **kwargs)
 
+        monkeypatch.setattr(pipeline, "sample_designs", record_first)
         monkeypatch.setattr(pipeline, "multi_start", fail_first)
         sol = run_cms(loopnet, self.CONFIG)
-        assert len(sol.candidates) == len(seen) == 3
+        assert len(sol.candidates) == seen.value == 3
         assert sol.candidate_scores[0] is None
         assert None not in sol.candidate_scores[1:]
-        assert sol.design != seen[0]
+        assert sol.design != failing[0]
         assert sol.scc_smooth == max(sol.candidate_scores[1:])
         save_results(sol, loopnet, tmp_path)
         rows = (tmp_path / "candidates.csv").read_text().splitlines()
@@ -265,12 +282,95 @@ class TestRunCmsFailures:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled with no valves to place")
 
+        # the one candidate is solved in this process, whatever the CPU count
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(pipeline, "multi_start", spy)
         monkeypatch.setattr(pipeline, "sample_designs", no_sampling)
         sol = run_cms(loopnet, RunConfig(n_samples=3, n_starts=1, seed=0, use_obbt=False))
         assert sol.candidates == [((), ())]
         assert designs == [ValveDesign()] and sol.design == ValveDesign()
         assert sol.candidate_scores == [sol.scc_smooth]
+
+
+def control_digest(sol) -> str:
+    """SHA-256 of the final (eta, alpha, q, h) bytes."""
+    digest = hashlib.sha256()
+    for a in (sol.control.eta, sol.control.alpha, sol.control.state.q, sol.control.state.h):
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+class TestCandidateWorkers:
+    """run_cms solves the candidates in forked worker processes, one per
+    usable CPU, with the same result as one process solving them all."""
+
+    CONFIG = RunConfig(n_v=1, n_f=1, n_samples=6, n_starts=2, seed=2)
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        return random_network(20, 6, seed=3, n_t=2)
+
+    def run(self, net, monkeypatch, cpus):
+        """run_cms with ``cpus`` usable CPUs, and the multi_start calls made
+        in this process."""
+        solve, calls = sfscp.multi_start, []
+
+        def spy(problem, design, *args, **kwargs):
+            calls.append(design)
+            return solve(problem, design, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(pipeline, "multi_start", spy)
+        return run_cms(net, self.CONFIG), calls
+
+    def test_workers_match_one_process(self, net, monkeypatch):
+        pooled, pooled_calls = self.run(net, monkeypatch, 3)
+        alone, alone_calls = self.run(net, monkeypatch, 1)
+        # the workers solved every candidate; this process solved none
+        assert pooled_calls == [] and len(alone_calls) == len(alone.candidates) >= 3
+        assert control_digest(pooled) == control_digest(alone)
+        assert pooled.candidates == alone.candidates
+        assert pooled.candidate_scores == alone.candidate_scores
+        assert pooled.design == alone.design
+        assert pooled.control.start_index == alone.control.start_index
+        assert pooled.control.directions == alone.control.directions
+        assert len(set(pooled.candidate_scores)) > 1
+
+    def test_no_worker_outlives_a_return(self, net, monkeypatch):
+        self.run(net, monkeypatch, 3)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_all_candidates_failing(self, net, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AllStartsInfeasible("forced")
+
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(pipeline, "multi_start", fail)
+        with pytest.raises(AllStartsInfeasible,
+                           match="^no sampled placement admits a feasible control$"):
+            run_cms(net, self.CONFIG)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reaches_the_caller(self, net, monkeypatch):
+        # an error that is not the solver's own is raised again here, after
+        # every worker is joined
+        def crash(*args, **kwargs):
+            raise RuntimeError("crashed in a worker")
+
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(pipeline, "multi_start", crash)
+        with pytest.raises(RuntimeError, match="^crashed in a worker$"):
+            run_cms(net, self.CONFIG)
+        assert multiprocessing.active_children() == []
+
+    def test_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        assert pipeline._usable_cpus() == 3
+        monkeypatch.delattr(pipeline.os, "sched_getaffinity")
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 6)
+        assert pipeline._usable_cpus() == 6
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: None)
+        assert pipeline._usable_cpus() == 1
 
 
 class TestPersistence:

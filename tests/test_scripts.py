@@ -2,6 +2,8 @@ import csv
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -54,3 +56,21 @@ def test_design_digests_describes_a_run(loop4):
     assert fields["start"] == str(sol.control.start_index)
     assert fields["dbv"] == ",".join(map(str, sol.design.dbv_links))
     assert fields["afv"] == ",".join(map(str, sol.design.afv_nodes))
+    assert fields["scores"] == design_digests.scores_digest(sol)
+    assert len(fields["scores"]) == 16
+
+
+def test_scores_digest_covers_every_candidate():
+    from types import SimpleNamespace
+
+    design_digests = load_script("design_digests")
+
+    def digest(scores):
+        return design_digests.scores_digest(SimpleNamespace(candidate_scores=scores))
+
+    base = digest([0.5, None, 0.25])
+    assert digest([0.5, None, 0.25]) == base
+    # a move in the last bit of a loser, an infeasible candidate, or the order
+    for other in ([0.5, None, float(np.nextafter(0.25, 1))], [0.5, 0.0, 0.25],
+                  [0.5, 0.25, None], [0.5, None]):
+        assert digest(other) != base
