@@ -13,16 +13,22 @@ once per ``NetworkModel``, and each Newton iteration fills S with one
 ``np.bincount`` (``NetworkModel.schur``).
 
 ``kkt_solve`` solves this saddle-point system for the Newton step, on those
-compiled arrays with no sparse-matrix object in between and with the bits of
-the sparse-matrix code it replaces: S is factored by SuperLU's ``gstrf``
-with the options ``splu`` passes, and the products with A12 and A12^T call
-the ``csr_matvec``/``csc_matvec`` kernels that ``@`` ends in; the SCP step's
-``jacobian_solve`` factors the Jacobian itself.  ``head_loss`` returns phi
-and phi' from one power |q|^(n-1), so each iterate takes that power once.
-``gstrf`` (``scipy.sparse.linalg._dsolve._superlu``) and ``_sparsetools``
-are private SciPy modules, present with these signatures in SciPy 1.15
-to 1.17, the releases the ``scipy>=1.15,<1.18`` pin admits; only this
-module imports them or anything under ``scipy.sparse.linalg``.
+compiled arrays with no sparse-matrix object in between.  S is symmetric
+positive definite on a connected network.  On a network of at most
+``DENSE_SCHUR_MAX_NODES`` demand nodes it is scattered into a dense array
+and factored by LAPACK's Cholesky (``dpotrf``/``dpotrs``, the calls
+``scipy.linalg.cho_factor``/``cho_solve`` make); above that it is factored
+by SuperLU's ``gstrf`` with the options ``splu`` passes, whose fixed
+per-call setup costs more than the dense factorization on small networks
+(scripts/schur_crossover.py measures the crossover).  The products with A12
+and A12^T call the ``csr_matvec``/``csc_matvec`` kernels that ``@`` ends
+in; the SCP step's ``jacobian_solve`` factors the Jacobian itself by
+SuperLU at every size.  ``head_loss`` returns phi and phi' from one power
+|q|^(n-1), so each iterate takes that power once.  ``gstrf``
+(``scipy.sparse.linalg._dsolve._superlu``) and ``_sparsetools`` are private
+SciPy modules, present with these signatures in SciPy 1.15 to 1.17, the
+releases the ``scipy>=1.15,<1.18`` pin admits; only this module imports
+them or anything under ``scipy.sparse.linalg``.
 """
 from __future__ import annotations
 
@@ -31,6 +37,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.sparse import _sparsetools
 from scipy.sparse.linalg._dsolve import _superlu
 
@@ -47,6 +54,13 @@ _MAX_NEWTON = 200
 # the options splu passes by default: None leaves each to SuperLU.  Spelling
 # out the documented defaults instead changes the factorization's bits.
 _SPLU_OPTIONS = dict(DiagPivotThresh=None, ColPerm=None, PanelSize=None, Relax=None)
+# networks of at most this many demand nodes factor the Newton step's Schur
+# matrix by dense Cholesky, larger ones by SuperLU.  On random_network(n,
+# 0.3 n) on a 2-core x86-64 VM (scripts/schur_crossover.py), dense Cholesky
+# took 8 against 35 us per solve at 25 nodes and 87 against 134-159 us at
+# 125; from 150 nodes up the two were within 25% of each other, with SuperLU
+# ahead from 200 to 300 nodes (299 against 271 us, 698 against 488 us)
+DENSE_SCHUR_MAX_NODES = 128
 
 
 @dataclass(frozen=True)
@@ -135,16 +149,34 @@ def _factor(n: int, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
         raise SingularSystem(str(exc)) from exc
 
 
+def _schur_solve(net: NetworkModel, w: np.ndarray, rhs: np.ndarray, dense: bool) -> np.ndarray:
+    """Solve S x = rhs for the Schur matrix S = A12^T diag(w) A12, by dense
+    Cholesky or by SuperLU.  A non-positive pivot or an exactly singular LU
+    raises SingularSystem."""
+    if not dense:
+        return _factor(net.n_n, net.schur(w), net.schur_indices, net.schur_indptr).solve(rhs)
+    S = np.zeros((net.n_n, net.n_n))
+    S.ravel()[net.schur_dense_pos] = net.schur(w)
+    # S is symmetric, so its transpose is the Fortran-ordered array LAPACK
+    # factors in place; only the upper triangle is read
+    c, info = dpotrf(S.T, lower=0, clean=0, overwrite_a=1)
+    if info > 0:
+        raise SingularSystem(f"{info}-th leading minor of the Schur matrix "
+                             "is not positive definite")
+    return dpotrs(c, rhs, lower=0, overwrite_b=1)[0]
+
+
 def kkt_solve(net: NetworkModel, slope: np.ndarray, r_q: np.ndarray, r_h: np.ndarray):
     """Solve K(g) (x_q, x_h) = (r_q, r_h) for the hydraulic Jacobian
     K(g) = [[diag g, A12], [A12^T, 0]], g = max(slope, 1e-8): the Schur
     matrix A12^T diag(w) A12 (``net.schur``), w = 1/g, is factored for x_h,
-    then x_q = w (r_q - A12 x_h).  A singular or non-finite solve raises
-    SingularSystem.
+    by dense Cholesky on a network of at most DENSE_SCHUR_MAX_NODES demand
+    nodes and by SuperLU on a larger one, then x_q = w (r_q - A12 x_h).  A
+    singular, indefinite or non-finite solve raises SingularSystem.
     """
     w = 1.0 / np.maximum(slope, 1e-8)
-    lu = _factor(net.n_n, net.schur(w), net.schur_indices, net.schur_indptr)
-    x_h = lu.solve(_times_a12t(net, w * r_q) - r_h)
+    x_h = _schur_solve(net, w, _times_a12t(net, w * r_q) - r_h,
+                       dense=net.n_n <= DENSE_SCHUR_MAX_NODES)
     if not np.isfinite(x_h).all():
         raise SingularSystem("reduced system produced non-finite step")
     return w * (r_q - _times_a12(net, x_h)), x_h
@@ -195,7 +227,9 @@ def solve_steady(
     pass.  ``q0``/``h0_guess`` warm-start the
     Newton iteration (e.g. from a nearby solve); by default a uniform
     0.03 m/s flow and flat heads are used.  Each iteration takes its step
-    from ``kkt_solve``; a singular Schur matrix raises SingularSystem.
+    from ``kkt_solve`` (dense Cholesky of the Schur matrix up to
+    DENSE_SCHUR_MAX_NODES demand nodes, SuperLU above); a singular or
+    indefinite Schur matrix raises SingularSystem.
     """
     eta = np.zeros(net.n_p) if eta is None else np.asarray(eta, dtype=float)
     alpha = np.zeros(net.n_n) if alpha is None else np.asarray(alpha, dtype=float)

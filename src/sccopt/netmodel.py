@@ -186,8 +186,11 @@ class NetworkModel:
         self.schur_pos = pos
         self.schur_link = entry_link[a]
         self.schur_sign = A12.data[a] * A12.data[b]
+        # each entry's index in the row-major n_n x n_n array, where small
+        # networks factor S densely
+        self.schur_dense_pos = keys % self.n_n * self.n_n + keys // self.n_n
         for arr in (self.schur_indices, self.schur_indptr, self.schur_pos,
-                    self.schur_link, self.schur_sign):
+                    self.schur_link, self.schur_sign, self.schur_dense_pos):
             arr.setflags(write=False)
 
     def schur(self, w: np.ndarray) -> np.ndarray:

@@ -1,21 +1,25 @@
-"""The Newton solve of ``sccopt.hydraulics`` through SciPy's sparse-matrix API.
+"""The Newton solve of ``sccopt.hydraulics`` through SciPy's public API.
 
 A test-only oracle: ``solve_steady`` runs each iteration on the network's
-compiled arrays (SuperLU's ``gstrf`` called directly, the sparsetools
-products, one power |q|^(n-1) for phi and phi' in ``head_loss``) and must
-return, and log, exactly the bits this reference does.  Here every product
-is a sparse ``@``, phi and phi' are evaluated separately, each with its own
-power, and the Schur matrix is a ``csc_matrix`` factored by ``splu`` with
-its default options.
+compiled arrays (the Schur matrix scattered into a dense array and factored
+by LAPACK's ``dpotrf``/``dpotrs`` up to ``DENSE_SCHUR_MAX_NODES`` demand
+nodes, SuperLU's ``gstrf`` called directly above, the sparsetools products,
+one power |q|^(n-1) for phi and phi' in ``head_loss``) and must return, and
+log, exactly the bits this reference does.  Here every product is a sparse
+``@``, phi and phi' are evaluated separately, each with its own power, and
+the Schur matrix is a ``csc_matrix``, factored by ``cho_factor`` and
+``cho_solve`` on its ``toarray()`` up to that size and by ``splu`` with its
+default options above.
 """
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from sccopt.errors import NonConvergence, SingularSystem
-from sccopt.hydraulics import TOL_ENERGY, TOL_MASS
+from sccopt.hydraulics import DENSE_SCHUR_MAX_NODES, TOL_ENERGY, TOL_MASS
 
 MAX_NEWTON = 200
 
@@ -38,6 +42,22 @@ def phi_prime(q, params):
         a, b = params.smoothing_a, params.smoothing_b
         out = np.where(band, a + 3.0 * b * q**2, out)
     return out
+
+
+def schur_solve(S, rhs):
+    """S x = rhs, by Cholesky of the dense S on a small network and by
+    ``splu`` on a large one, each failure raised as the kernel raises it."""
+    if S.shape[0] <= DENSE_SCHUR_MAX_NODES:
+        try:
+            factor = la.cho_factor(S.toarray(), check_finite=False)
+        except la.LinAlgError as exc:
+            raise SingularSystem(str(exc).replace("the array", "the Schur matrix")) from exc
+        return la.cho_solve(factor, rhs, check_finite=False)
+    try:
+        lu = spla.splu(S)
+    except RuntimeError as exc:
+        raise SingularSystem(str(exc)) from exc
+    return lu.solve(rhs)
 
 
 def solve_steady(net, params, d, h0, eta=None, alpha=None, residual_log=None,
@@ -77,11 +97,7 @@ def solve_steady(net, params, d, h0, eta=None, alpha=None, residual_log=None,
         w = 1.0 / g
         S = sp.csc_matrix((net.schur(w), net.schur_indices, net.schur_indptr),
                           shape=(net.n_n, net.n_n))
-        try:
-            lu = spla.splu(S)
-        except RuntimeError as exc:
-            raise SingularSystem(str(exc)) from exc
-        dh = lu.solve(fm - A12T @ (w * fe))
+        dh = schur_solve(S, fm - A12T @ (w * fe))
         if not np.all(np.isfinite(dh)):
             raise SingularSystem("reduced system produced non-finite step")
         dq = -w * (fe + A12 @ dh)

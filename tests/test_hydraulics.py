@@ -7,16 +7,30 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import hydraulics_reference as reference
+from sccopt import hydraulics
 from sccopt.errors import NonConvergence, SingularSystem
-from sccopt.hydraulics import (GRAVITY, HeadLossParams, head_loss, headloss_params,
-                               jacobian_solve, kkt_solve, phi, phi_prime, simulate,
-                               solve_steady)
+from sccopt.hydraulics import (DENSE_SCHUR_MAX_NODES, GRAVITY, HeadLossParams, head_loss,
+                               headloss_params, jacobian_solve, kkt_solve, phi, phi_prime,
+                               simulate, solve_steady)
 from sccopt.netgen import line_network, random_network
 from sccopt.netmodel import PIPE, DemandNode, Link, NetworkModel, VALVE
 
 # Hand-computed resistance for L=1000 m, C=130, D=0.3 m:
 #   r = 10.67 * 1000 / (130^1.852 * 0.3^4.871)
 R_ORACLE = 10.67 * 1000.0 / (130.0**1.852 * 0.3**4.871)
+
+# network sizes on each side of the Schur solve's dense/SuperLU cutoff
+SMALL_SIZES = st.integers(2, 30)
+LARGE_SIZES = st.integers(DENSE_SCHUR_MAX_NODES + 1, DENSE_SCHUR_MAX_NODES + 30)
+
+
+def with_island(net: NetworkModel) -> NetworkModel:
+    """``net`` plus two demand nodes joined to each other and to no source,
+    which makes the Schur matrix exactly singular."""
+    nodes = net.nodes + [DemandNode("i1", 0.0), DemandNode("i2", 0.0)]
+    links = net.links + [Link("island", "i1", "i2", PIPE, 100.0, 0.2, 100.0)]
+    demands = np.concatenate([net.demands, [[0.001, -0.001]]], axis=1)
+    return NetworkModel(links, nodes, net.sources, demands, net.source_heads)
 
 
 class TestHeadLoss:
@@ -183,9 +197,18 @@ class TestSchurAssembly:
             assert np.array_equal(net.schur_indices, ref.indices)
             assert np.array_equal(net.schur(w), ref.data)
 
+    def test_dense_positions_match_toarray(self, net):
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            w = 10.0 ** rng.uniform(-10.0, 10.0, net.n_p)
+            dense = np.zeros(net.n_n * net.n_n)
+            dense[net.schur_dense_pos] = net.schur(w)
+            ref = (net.A12T @ sp.diags(w) @ net.A12).toarray()
+            assert np.array_equal(dense.reshape(net.n_n, net.n_n), ref)
+
     def test_compiled_arrays_are_read_only(self, net):
         for arr in (net.schur_indices, net.schur_indptr, net.schur_pos,
-                    net.schur_link, net.schur_sign):
+                    net.schur_link, net.schur_sign, net.schur_dense_pos):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
@@ -249,26 +272,32 @@ class TestKktAssembly:
             assert np.abs(K @ X - rhs).max() <= 1e-12 * (1.0 + np.abs(X).max())
 
     def test_numerically_singular_schur_is_a_singular_system(self):
-        # floored slopes spanning 17.6 decades make the Schur matrix exactly
-        # singular in floating point on a connected network, 2 of 300 such
-        # draws of random_network(20, 5); SuperLU's RuntimeError must reach
-        # Newton as SingularSystem.  With unit slopes the same network solves,
-        # so the singularity is numerical, not structural as on an island
+        # floored slopes spanning 17.6 decades make the Schur matrix singular
+        # in floating point on a connected network, 2 of 300 such draws of
+        # random_network(20, 5).  Dense Cholesky meets a non-positive pivot
+        # and SuperLU an exactly singular LU; each must reach Newton as
+        # SingularSystem with its reason.  With unit slopes the same network
+        # solves, so the singularity is numerical, not structural as on an
+        # island
         net = random_network(20, 5, seed=52)
+        assert net.n_n <= DENSE_SCHUR_MAX_NODES
         g = 10.0 ** np.random.default_rng(52).uniform(-12.0, 10.0, net.n_p)
         r_q, r_h = np.ones(net.n_p), np.ones(net.n_n)
-        with pytest.raises(SingularSystem, match="exactly singular"):
+        with pytest.raises(SingularSystem, match="not positive definite"):
             kkt_solve(net, g, r_q, r_h)
+        with pytest.raises(SingularSystem, match="exactly singular"):
+            hydraulics._schur_solve(net, 1.0 / g, r_h, dense=False)
         assert all(np.isfinite(x).all() for x in kkt_solve(net, np.ones(net.n_p), r_q, r_h))
 
-    @given(seed=st.integers(0, 10_000), n_nodes=st.integers(2, 30),
+    @given(seed=st.integers(0, 10_000), n_nodes=st.one_of(SMALL_SIZES, LARGE_SIZES),
            extra=st.integers(0, 8), parallel=st.booleans(), low=st.floats(-12.0, 4.0))
     @settings(max_examples=80, deadline=None)
     def test_kkt_solve_matches_dense_solve(self, seed, n_nodes, extra, parallel, low):
         # slopes span six decades from 10^low, so between them they reach
         # from 1e-12 to 1e10; below 1e-8 the floor binds, and those below
         # 1e-10 are set to zero, a lossless valve's slope.  The dense solve
-        # uses the floored g.
+        # uses the floored g.  Networks on both sides of the cutoff run
+        # through both Schur factorizations
         rng = np.random.default_rng(seed)
         net = random_network(n_nodes, extra, seed=seed)
         if parallel:
@@ -294,12 +323,40 @@ def outcome(solver, net, params, *args, **kwargs):
     return result, np.array(log).tobytes()
 
 
+class TestSchurFactorization:
+    """Small networks factor the Newton step's Schur matrix densely, large
+    ones by SuperLU."""
+
+    def solve_counting_lu(self, net, monkeypatch):
+        """Newton iterations and SuperLU factorizations of one solve."""
+        factor, calls = hydraulics._factor, []
+
+        def counted(*args):
+            calls.append(args[0])
+            return factor(*args)
+
+        monkeypatch.setattr(hydraulics, "_factor", counted)
+        log = []
+        solve_steady(net, headloss_params(net), net.demands[0], net.source_heads[0],
+                     residual_log=log)
+        return len(log) - 1, calls
+
+    def test_small_network_makes_no_lu(self, grid25, monkeypatch):
+        iterations, calls = self.solve_counting_lu(grid25, monkeypatch)
+        assert iterations > 0 and calls == []
+
+    def test_large_network_factors_by_superlu(self, monkeypatch):
+        net = random_network(DENSE_SCHUR_MAX_NODES + 1, 40, seed=0)
+        iterations, calls = self.solve_counting_lu(net, monkeypatch)
+        assert iterations > 0 and calls == [net.n_n] * iterations
+
+
 class TestMatchesReference:
     """``solve_steady`` takes the reference's iterates bit for bit
     (tests/hydraulics_reference.py: sparse products, phi and phi' apart,
-    ``splu``)."""
+    ``cho_factor`` on a small network and ``splu`` on a large one)."""
 
-    @given(seed=st.integers(0, 10_000), n_nodes=st.integers(2, 30),
+    @given(seed=st.integers(0, 10_000), n_nodes=st.one_of(SMALL_SIZES, LARGE_SIZES),
            extra=st.integers(0, 8), parallel=st.booleans(), zero_loss=st.booleans(),
            q_eps=st.sampled_from([1e-6, 1e-3]),
            start=st.sampled_from(["default", "band", "random", "solution"]))
@@ -349,7 +406,8 @@ class TestMatchesReference:
         assert slope.tobytes() == reference.phi_prime(q, params).tobytes()
 
     def test_fixtures(self, line3, loop4, grid25, rand60):
-        for net in (line3, loop4, grid25, rand60):
+        large = random_network(DENSE_SCHUR_MAX_NODES + 22, 40, seed=1)
+        for net in (line3, loop4, grid25, rand60, large):
             params = headloss_params(net)
             args = (net.demands[0], net.source_heads[0])
             result, log = outcome(solve_steady, net, params, *args)
@@ -357,16 +415,16 @@ class TestMatchesReference:
             assert (result, log) == outcome(reference.solve_steady, net, params, *args)
 
     def test_singular_system_on_both(self):
-        # two demand nodes joined to each other and to no source: S is
-        # exactly singular on the island
-        base = line_network(2)
-        nodes = base.nodes + [DemandNode("i1", 0.0), DemandNode("i2", 0.0)]
-        links = base.links + [Link("island", "i1", "i2", PIPE, 100.0, 0.2, 100.0)]
-        demands = np.concatenate([base.demands, [[0.001, -0.001]]], axis=1)
-        net = NetworkModel(links, nodes, base.sources, demands, base.source_heads)
-        args = (net, headloss_params(net), net.demands[0], net.source_heads[0])
-        with pytest.raises(SingularSystem):
-            solve_steady(*args)
-        result, log = outcome(solve_steady, *args)
-        assert result[0] == "SingularSystem"
-        assert (result, log) == outcome(reference.solve_steady, *args)
+        # an island makes S exactly singular: dense Cholesky meets a
+        # non-positive pivot on a small network, SuperLU a singular LU on a
+        # large one
+        for net, reason in (
+                (with_island(line_network(2)), "not positive definite"),
+                (with_island(random_network(DENSE_SCHUR_MAX_NODES + 1, 6, seed=0)),
+                 "exactly singular")):
+            args = (net, headloss_params(net), net.demands[0], net.source_heads[0])
+            with pytest.raises(SingularSystem, match=reason):
+                solve_steady(*args)
+            result, log = outcome(solve_steady, *args)
+            assert result[0] == "SingularSystem"
+            assert (result, log) == outcome(reference.solve_steady, *args)

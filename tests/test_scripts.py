@@ -74,3 +74,15 @@ def test_scores_digest_covers_every_candidate():
     for other in ([0.5, None, float(np.nextafter(0.25, 1))], [0.5, 0.0, 0.25],
                   [0.5, 0.25, None], [0.5, None]):
         assert digest(other) != base
+
+
+def test_schur_crossover_times_both_factorizations(capsys):
+    schur_crossover = load_script("schur_crossover")
+    schur_crossover.main(["--sizes", "10", "20", "--repeat", "1"])
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["n", "dense_us", "superlu_us", "faster"]
+    assert [row.split()[0] for row in rows] == ["10", "20"]
+    for row in rows:
+        _, dense, superlu, faster = row.split()
+        assert float(dense) > 0.0 and float(superlu) > 0.0
+        assert faster in ("dense", "superlu")
