@@ -18,9 +18,11 @@ positive definite on a connected network.  On a network of at most
 ``DENSE_SCHUR_MAX_NODES`` demand nodes it is scattered into a dense array
 and factored by LAPACK's Cholesky (``dpotrf``/``dpotrs``, the calls
 ``scipy.linalg.cho_factor``/``cho_solve`` make); above that it is factored
-by SuperLU's ``gstrf`` with the options ``splu`` passes, whose fixed
-per-call setup costs more than the dense factorization on small networks
-(scripts/schur_crossover.py measures the crossover).  The products with A12
+by SuperLU's ``gstrf`` with the options ``splu`` passes.  SuperLU's fixed
+per-call setup costs more than the dense factorization on small networks,
+and the dense factorization's n^3 work and n x n array cost more on large
+ones (scripts/schur_crossover.py times whole Newton solves both ways, from
+which the cutoff is set).  The products with A12
 and A12^T call the ``csr_matvec``/``csc_matvec`` kernels that ``@`` ends
 in; the SCP step's ``jacobian_solve`` factors the Jacobian itself by
 SuperLU at every size.  ``head_loss`` returns phi and phi' from one power
@@ -55,12 +57,15 @@ _MAX_NEWTON = 200
 # out the documented defaults instead changes the factorization's bits.
 _SPLU_OPTIONS = dict(DiagPivotThresh=None, ColPerm=None, PanelSize=None, Relax=None)
 # networks of at most this many demand nodes factor the Newton step's Schur
-# matrix by dense Cholesky, larger ones by SuperLU.  On random_network(n,
-# 0.3 n) on a 2-core x86-64 VM (scripts/schur_crossover.py), dense Cholesky
-# took 8 against 35 us per solve at 25 nodes and 87 against 134-159 us at
-# 125; from 150 nodes up the two were within 25% of each other, with SuperLU
-# ahead from 200 to 300 nodes (299 against 271 us, 698 against 488 us)
-DENSE_SCHUR_MAX_NODES = 128
+# matrix by dense Cholesky, larger ones by SuperLU, whose work follows the
+# matrix's fill instead of n^3 and which needs no n x n array.  Whole
+# solve_steady calls on random_network(n, 0.3 n), seeds 0-5, on a 2-core
+# x86-64 VM with OpenBLAS at one thread and at its default threading
+# (scripts/schur_crossover.py): dense was faster at every size up to 200
+# nodes (0.75 against 1.45 ms at 100, 3.4-3.7 against 4.2-4.4 ms at 200),
+# the two were even at 225-250, and SuperLU was faster from 300 nodes (5.6
+# against 7.8 ms) and 7 times faster at 2,000 (106 against 787 ms)
+DENSE_SCHUR_MAX_NODES = 200
 
 
 @dataclass(frozen=True)

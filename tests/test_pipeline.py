@@ -1,11 +1,17 @@
 import hashlib
 import json
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from linprog_reference import linprog_solve_lp
+import sccopt
 from sccopt import pipeline, sfscp
 from sccopt.errors import AllStartsInfeasible
 from sccopt.lp import LpSolution
@@ -302,6 +308,32 @@ def control_digest(sol) -> str:
     return digest.hexdigest()
 
 
+# run_cms on a network where the Newton step factors a dense Schur matrix of
+# at least 64 rows, which OpenBLAS's dpotrf splits over its thread pool
+# unless a thread variable pins it.  The one-process run goes first, so the
+# parent has run that pool before run_cms forks its workers.
+FORKED_DENSE_DESIGN = """
+import hashlib, json
+from sccopt import hydraulics, pipeline
+from sccopt.netgen import random_network
+from sccopt.pipeline import RunConfig, run_cms
+
+net = random_network(80, 24, seed=5, demand_scale=0.002)
+assert 64 <= net.n_n <= hydraulics.DENSE_SCHUR_MAX_NODES
+config = RunConfig(n_v=1, n_f=1, n_samples=4, n_starts=1, seed=0, use_obbt=False)
+runs = []
+for cpus in (1, 2):
+    pipeline._usable_cpus = lambda: cpus
+    sol = run_cms(net, config)
+    digest = hashlib.sha256()
+    for a in (sol.control.eta, sol.control.alpha, sol.control.state.q, sol.control.state.h):
+        digest.update(a.tobytes())
+    runs.append([digest.hexdigest(), [repr(s) for s in sol.candidate_scores],
+                 repr(sol.design), sol.control.start_index])
+print(json.dumps(runs))
+"""
+
+
 class TestCandidateWorkers:
     """run_cms solves the candidates in forked worker processes, one per
     usable CPU, with the same result as one process solving them all."""
@@ -337,6 +369,27 @@ class TestCandidateWorkers:
         assert pooled.control.start_index == alone.control.start_index
         assert pooled.control.directions == alone.control.directions
         assert len(set(pooled.candidate_scores)) > 1
+
+    def test_workers_match_one_process_at_default_blas_threading(self, tmp_path):
+        script = tmp_path / "forked_dense_design.py"
+        script.write_text(FORKED_DENSE_DESIGN)
+        env = {k: v for k, v in os.environ.items()
+               if not k.endswith("_NUM_THREADS") and k != "VECLIB_MAXIMUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(sccopt.__file__).resolve().parent.parent)
+        proc = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=env,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=300)
+        except subprocess.TimeoutExpired:
+            # the workers are in the script's session too
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("run_cms did not return within 300 s")
+        assert proc.returncode == 0, err
+        alone, pooled = json.loads(out)
+        assert len(alone[1]) >= 2 and len(set(alone[1])) > 1
+        assert pooled == alone
 
     def test_no_worker_outlives_a_return(self, net, monkeypatch):
         self.run(net, monkeypatch, 3)

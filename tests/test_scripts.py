@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 
+from sccopt import hydraulics
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -76,13 +78,24 @@ def test_scores_digest_covers_every_candidate():
         assert digest(other) != base
 
 
-def test_schur_crossover_times_both_factorizations(capsys):
+def test_schur_crossover_times_both_factorizations(capsys, monkeypatch):
     schur_crossover = load_script("schur_crossover")
-    schur_crossover.main(["--sizes", "10", "20", "--repeat", "1"])
+    cutoff, solve, paths = hydraulics.DENSE_SCHUR_MAX_NODES, hydraulics._schur_solve, set()
+
+    def recorded(net, w, rhs, dense):
+        paths.add((net.n_n, dense))
+        return solve(net, w, rhs, dense)
+
+    monkeypatch.setattr(hydraulics, "_schur_solve", recorded)
+    schur_crossover.main(["--sizes", "10", "20", "--repeat", "1", "--seeds", "1"])
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["n", "dense_us", "superlu_us", "faster"]
+    assert header.split() == ["n", "dense_ms", "superlu_ms", "faster"]
     assert [row.split()[0] for row in rows] == ["10", "20"]
     for row in rows:
         _, dense, superlu, faster = row.split()
         assert float(dense) > 0.0 and float(superlu) > 0.0
         assert faster in ("dense", "superlu")
+    # each size ran through both factorizations, and the cutoff it moved for
+    # the timing is restored
+    assert paths == {(n, dense) for n in (10, 20) for dense in (True, False)}
+    assert hydraulics.DENSE_SCHUR_MAX_NODES == cutoff
