@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import expit
+
+from .scc import sigmoid, sigmoid_prime
 
 # Bracket-width termination; small enough that the tangency residual
 # |f(w)| stays below 1e-9 even for steep sigmoids (rho ~ 100).
@@ -86,15 +87,6 @@ def _two_slots(first, second, two):
 # ---------------------------------------------------------------------------
 # Sigmoid envelope
 # ---------------------------------------------------------------------------
-
-
-def sigmoid(u, rho, u_min):
-    return expit(rho * (np.asarray(u, dtype=float) - u_min))
-
-
-def sigmoid_prime(u, rho, u_min):
-    s = sigmoid(u, rho, u_min)
-    return rho * s * (1.0 - s)
 
 
 @np.errstate(divide="ignore", invalid="ignore")

@@ -123,10 +123,6 @@ def phi(q, params: HeadLossParams) -> np.ndarray:
     return head_loss(q, params)[0]
 
 
-def phi_prime(q, params: HeadLossParams) -> np.ndarray:
-    return head_loss(q, params)[1]
-
-
 def _times_a12(net: NetworkModel, x: np.ndarray) -> np.ndarray:
     """A12 x by the CSR kernel ``@`` ends in, so with the sparse product's bits."""
     y = np.zeros(net.n_p)
@@ -249,17 +245,14 @@ def solve_steady(
     rhs_fixed = net.A10 @ h0 + eta
 
     def residuals(q, h):
-        """Energy and mass residuals at (q, h), and phi'(q)."""
+        """Energy and mass residuals at (q, h), phi'(q), and the residual
+        score: at most 1 once both are within tolerance."""
         loss, slope = head_loss(q, params)
         fe = _times_a12(net, h) + rhs_fixed + loss
         fm = _times_a12t(net, q) - d - alpha
-        return fe, fm, slope
+        return fe, fm, slope, max(np.abs(fm).max() / TOL_MASS, np.abs(fe).max() / TOL_ENERGY)
 
-    def score(fe, fm):
-        return max(np.abs(fm).max() / TOL_MASS, np.abs(fe).max() / TOL_ENERGY)
-
-    fe, fm, slope = residuals(q, h)
-    s = score(fe, fm)
+    fe, fm, slope, s = residuals(q, h)
     for it in range(_MAX_NEWTON):
         if residual_log is not None:
             residual_log.append((it, float(np.abs(fm).max()), float(np.abs(fe).max())))
@@ -267,24 +260,19 @@ def solve_steady(
             return q, h
         # -fe and -fm are exact, so the step keeps the bits of (fe, fm)
         dq, dh = kkt_solve(net, slope, -fe, -fm)
-        # the full step zeroes the (linear) mass residual exactly and the
-        # iteration recovers from transient energy-residual spikes, whereas
-        # monotone backtracking can stall on vanishing steps; damp only when
-        # the step overflows into non-finite values
-        q_new = q + dq
-        h_new = h + dh
-        fe_new, fm_new, slope_new = residuals(q_new, h_new)
-        s_new = score(fe_new, fm_new)
-        step = 0.5
-        for _ in range(30):
-            if np.isfinite(s_new):
+        # the full step (1.0 * dq has the bits of dq) zeroes the (linear)
+        # mass residual exactly and the iteration recovers from transient
+        # energy-residual spikes, whereas monotone backtracking can stall on
+        # vanishing steps; halve the step only while it overflows into
+        # non-finite values, at most 30 times
+        step = 1.0
+        for _ in range(31):
+            q_new, h_new = q + step * dq, h + step * dh
+            fe, fm, slope, s = residuals(q_new, h_new)
+            if np.isfinite(s):
                 break
-            q_new = q + step * dq
-            h_new = h + step * dh
-            fe_new, fm_new, slope_new = residuals(q_new, h_new)
-            s_new = score(fe_new, fm_new)
             step *= 0.5
-        q, h, fe, fm, slope, s = q_new, h_new, fe_new, fm_new, slope_new, s_new
+        q, h = q_new, h_new
     if s <= 1.0:
         return q, h
     raise NonConvergence(f"residual score {s:.3g} after {_MAX_NEWTON} iterations")

@@ -177,24 +177,25 @@ def _new_highs(options, lp: LinearProgram):
     return highs
 
 
-def _run(highs):
-    """Run ``highs``; returns the model status and, when optimal,
-    (x, objective, row activities, row duals) and the simplex iteration
-    count."""
-    if highs.run() == _highs.HighsStatus.kError or highs.getModelStatus() != _MS.kOptimal:
-        return highs.getModelStatus(), None
-    sol, info = highs.getSolution(), highs.getInfo()
-    result = (np.array(sol.col_value), info.objective_function_value,
-              np.array(sol.row_value), np.array(sol.row_dual))
-    return _MS.kOptimal, result, info.simplex_iteration_count
-
-
-def _run_highs(lp: LinearProgram):
-    """One fresh HiGHS solve with linprog's options."""
-    highs = _new_highs(_OPTIONS, lp)
+def _run(highs, lp: LinearProgram) -> LpSolution:
+    """Run ``highs``, an instance holding ``lp`` or the model status
+    ``_new_highs`` stopped with, and apply linprog's post-solve check: an
+    optimal point whose bounds or row sides miss by more than _FEAS_TOL, or
+    with a NaN, is NUMERICAL.  On a row with lhs == rhs the two sides test
+    |rhs - activity| <= _FEAS_TOL, as linprog's equality check does."""
     if isinstance(highs, _MS):
-        return highs, None
-    return _run(highs)
+        return LpSolution(_STATUS.get(highs, NUMERICAL))
+    if highs.run() == _highs.HighsStatus.kError or highs.getModelStatus() != _MS.kOptimal:
+        return LpSolution(_STATUS.get(highs.getModelStatus(), NUMERICAL))
+    sol, info = highs.getSolution(), highs.getInfo()
+    x, activity = np.array(sol.col_value), np.array(sol.row_value)
+    objective, tol = info.objective_function_value, _FEAS_TOL
+    if not (np.all(x >= lp.lb - tol) and np.all(x <= lp.ub + tol)
+            and np.all(lp.rhs - activity >= -tol)
+            and np.all(activity - lp.lhs >= -tol)) or np.isnan(objective):
+        return LpSolution(NUMERICAL)
+    return LpSolution(OPTIMAL, x, float(objective), np.array(sol.row_dual),
+                      int(info.simplex_iteration_count))
 
 
 class HotSession:
@@ -212,17 +213,16 @@ class HotSession:
         self.cols = None
         self.cold_retries = 0
 
-    def run(self, lp: LinearProgram):
-        """Solve for ``lp``'s objective from the kept basis; same result shape
-        as ``_run_highs``."""
+    def run(self, lp: LinearProgram) -> LpSolution:
+        """Solve for ``lp``'s objective from the kept basis."""
         if self.highs is None:
             highs = _new_highs(_HOT_OPTIONS, lp)
             if isinstance(highs, _MS):
-                return highs, None
+                return _run(highs, lp)
             self.highs, self.cols = highs, np.arange(lp.n_cols, dtype=np.int32)
         elif self.highs.changeColsCost(lp.n_cols, self.cols, lp.c) == _highs.HighsStatus.kError:
-            return _MS.kModelError, None
-        return _run(self.highs)
+            return _run(_MS.kModelError, lp)
+        return _run(self.highs, lp)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -236,24 +236,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     lp.validate()
     session = lp.session
     if session is not None:
-        sol = _checked(lp, *session.run(lp))
+        sol = session.run(lp)
         if sol.status == OPTIMAL:
             return sol
         session.highs = None
         session.cold_retries += 1
-    return _checked(lp, *_run_highs(lp))
-
-
-def _checked(lp: LinearProgram, status, result, iterations: int = 0) -> LpSolution:
-    if result is None:
-        return LpSolution(_STATUS.get(status, NUMERICAL))
-    x, objective, activity, duals = result
-    # linprog's check of the point: bounds and both row sides within
-    # _FEAS_TOL, and no NaN; on a row with lhs == rhs the two sides test
-    # |rhs - activity| <= _FEAS_TOL, as linprog's equality check does
-    tol = _FEAS_TOL
-    if not (np.all(x >= lp.lb - tol) and np.all(x <= lp.ub + tol)
-            and np.all(lp.rhs - activity >= -tol)
-            and np.all(activity - lp.lhs >= -tol)) or np.isnan(objective):
-        return LpSolution(NUMERICAL)
-    return LpSolution(OPTIMAL, x, float(objective), duals, int(iterations))
+    return _run(_new_highs(_OPTIONS, lp), lp)

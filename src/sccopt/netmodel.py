@@ -325,7 +325,7 @@ def parse_inp(text, timestep_indices=None) -> NetworkModel:
     warned_sections = set()
     node_ids: set[str] = set()
     link_ids: set[str] = set()
-    pump_entries = 0
+    pump_entries = closed_pipes = 0
 
     section = None
     for lineno, tok in _tokenize(stream):
@@ -357,7 +357,15 @@ def parse_inp(text, timestep_indices=None) -> NetworkModel:
             elif section == "PIPES":
                 if len(tok) < 6:
                     raise ParseError("pipe needs id, nodes, length, diameter, roughness", lineno)
-                pipes.append((tok[0], tok[1], tok[2], float(tok[3]), float(tok[4]), float(tok[5]), lineno))
+                pipe = (*tok[:3], *map(float, tok[3:6]), lineno)
+                # EPANET's 8th field; a check valve (CV) is not modelled
+                status = tok[7].upper() if len(tok) > 7 else "OPEN"
+                if status not in ("OPEN", "CLOSED"):
+                    raise ParseError(f"unsupported pipe status {status}", lineno)
+                if status == "OPEN":
+                    pipes.append(pipe)
+                else:
+                    closed_pipes += 1
             elif section == "VALVES":
                 if len(tok) < 6:
                     raise ParseError("valve needs id, nodes, diameter, type, setting", lineno)
@@ -389,10 +397,12 @@ def parse_inp(text, timestep_indices=None) -> NetworkModel:
 
     if not junctions or not reservoirs or not (pipes or valves):
         raise ParseError("file must define junctions, reservoirs and links")
+    # Pumps and closed pipes are dropped from the model; a graph left
+    # disconnected without them is rejected by validate() below.
     if pump_entries:
-        # Dropped from the model; a graph left disconnected without them is
-        # rejected by validate() below.
         warnings.warn(f"{pump_entries} pump link(s) ignored", ParserWarning)
+    if closed_pipes:
+        warnings.warn(f"{closed_pipes} closed pipe(s) ignored", ParserWarning)
 
     def pattern_of(name, lineno):
         if name is None:

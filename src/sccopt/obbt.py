@@ -8,13 +8,12 @@ hot-started HiGHS session on the calling thread while the max LPs run as
 another on one worker thread (HiGHS releases the GIL while it solves), and
 the bounds are then applied in (timestep, link, min then max) order.  The
 split is fixed, so the result does not depend on thread scheduling or the
-core count.  On ``rand60_obbt_design`` the two sessions take 29,893 simplex
-iterations over both passes where one session for both directions took
-31,562, and OBBT's wall time falls from 1.72 to 0.74 s on a shared 2-core
-VM (median of 5 calls).  The bound LPs leave out the relaxation's
-sigma block, which only the SCC objective uses: every row holding a sigma
-column is a concave over-estimator cut sigma <= cut(u) of the sigmoid, and
-cut >= psi > 0 on the flow box, so sigma = 0 satisfies each of them.
+core count.  The two sessions overlap on two cores, and on the benchmark
+networks they also take fewer simplex iterations than one session for both
+directions.  The bound LPs leave out the relaxation's sigma block, which
+only the SCC objective uses: every row holding a sigma column is a concave
+over-estimator cut sigma <= cut(u) of the sigmoid, and cut >= psi > 0 on
+the flow box, so sigma = 0 satisfies each of them.
 Dropping those rows and fixing sigma at 0 leaves the projection onto every
 other column, and so every min and max flow, unchanged, up to rounding: a
 cut whose tangent point is bisected can dip to -2e-12 where psi is about 0,

@@ -33,16 +33,27 @@ class SccParams:
         return cls(u, rho, net.lengths / total)
 
 
+def sigmoid(u, rho, u_min):
+    """psi+(u) = 1 / (1 + exp(-rho (u - u_min))), evaluated overflow-safely;
+    the objective and the relaxation's envelopes both use this one."""
+    return expit(rho * (np.asarray(u, dtype=float) - u_min))
+
+
+def sigmoid_prime(u, rho, u_min):
+    s = sigmoid(u, rho, u_min)
+    return rho * s * (1.0 - s)
+
+
 def sigmoid_pair(u, params: SccParams):
-    """(psi_plus, psi_minus) evaluated overflow-safely."""
+    """(psi_plus, psi_minus), where psi_minus(u) = psi_plus(-u)."""
     u = np.asarray(u, dtype=float)
-    return (expit(params.rho * (u - params.u_min)),
-            expit(params.rho * (-u - params.u_min)))
+    return sigmoid(u, params.rho, params.u_min), sigmoid(-u, params.rho, params.u_min)
 
 
 def sigmoid_pair_prime(u, params: SccParams):
-    p, m = sigmoid_pair(u, params)
-    return (params.rho * p * (1.0 - p), -params.rho * m * (1.0 - m))
+    u = np.asarray(u, dtype=float)
+    return (sigmoid_prime(u, params.rho, params.u_min),
+            -sigmoid_prime(-u, params.rho, params.u_min))
 
 
 def scc_indicator(state, net: NetworkModel, params: SccParams) -> float:

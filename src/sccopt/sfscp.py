@@ -234,25 +234,23 @@ def _step_lp(sub: Subproblem, q_k: np.ndarray, h_k: np.ndarray, x_k: np.ndarray)
         return None
     p, S = sens[:, 0], sens[:, 1:]
     lo, hi = map(np.concatenate, zip(sub.flow_box(q_k), _trust_box(sub.h_lo, sub.h_hi, h_k)))
-    x_lo, x_hi = _trust_box(sub.lo, sub.hi, np.clip(x_k, sub.lo, sub.hi))
     c = -scc_smooth_grad_flows(q_k[None, :], sub.net, sub.scc_params)[0] @ S[:n_q]
-    # a pinned direction or an iterate outside its bounds can invert a box
+    # a pinned direction or an iterate outside its flow box can invert a row
+    # box; the x box cannot invert, as its centre lies in [sub.lo, sub.hi]
     sol = solve_lp(LinearProgram(c, sp.csc_matrix(S), np.minimum(lo, hi) - p,
-                                 np.maximum(lo, hi) - p, np.minimum(x_lo, x_hi),
-                                 np.maximum(x_lo, x_hi)))
+                                 np.maximum(lo, hi) - p,
+                                 *_trust_box(sub.lo, sub.hi, np.clip(x_k, sub.lo, sub.hi))))
     if sol.status == OPTIMAL:
         qh = p + S @ sol.x
         steps[key] = _read_only([qh[:n_q], qh[n_q:], sol.x])
     return steps[key]
 
 
-def sfscp_timestep(sub: Subproblem, x0: np.ndarray, trace: list | None = None):
+def sfscp_timestep(sub: Subproblem, x0: np.ndarray):
     """One timestep, one direction assignment, one start x0.
 
     Returns (eta, alpha, q, h, objective, iterations) or None when the start
-    cannot be made feasible; iterations counts the accepted iterates.  When
-    given, ``trace`` receives one (iteration, objective, beta) row per
-    accepted iterate, after a row 0 for the start.
+    cannot be made feasible; iterations counts the accepted iterates.
     """
     x = np.clip(x0, sub.lo, sub.hi)
     sol = sub.solve(x)
@@ -265,8 +263,6 @@ def sfscp_timestep(sub: Subproblem, x0: np.ndarray, trace: list | None = None):
         q, h = sol
 
     f = scc_smooth_flows(q[None, :], sub.net, sub.scc_params)
-    if trace is not None:
-        trace.append((0, f, 0.0))
     iters = 0
     for _ in range(_K_MAX):
         step = _step_lp(sub, q, h, x)
@@ -290,8 +286,6 @@ def sfscp_timestep(sub: Subproblem, x0: np.ndarray, trace: list | None = None):
         gain = f_try - f
         x, q, h, f = x_try, q_try, h_try, f_try
         iters += 1
-        if trace is not None:
-            trace.append((iters, f, beta))
         if gain <= _EPS_TOL:
             break
     return *sub.unstack(x), q, h, f, iters

@@ -1,13 +1,15 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from sccopt import sfscp
 from sccopt.netgen import grid_network, line_network, loop_network, random_network
 from sccopt.hydraulics import headloss_params
-from sccopt.scc import SccParams
+from sccopt.scc import SccParams, scc_smooth_flows
 
 
 @pytest.fixture
@@ -33,6 +35,33 @@ def grid25():
 def rand60():
     # 60-node random network whose design run is dominated by OBBT
     return random_network(60, 20, seed=1)
+
+
+@pytest.fixture
+def traced_timestep(monkeypatch):
+    """``sfscp_timestep(sub, x0)`` that also returns the smoothed objective at
+    the start and at each accepted iterate, in order.
+
+    ``sfscp._step_lp`` receives the start and every accepted iterate except
+    one that ends the SCP, which is the result's own; an accepted iterate
+    gains on the one before it, so the result's flows repeat the last ones
+    seen exactly when the SCP ended on a step it did not accept.
+    """
+    flows, step_lp = [], sfscp._step_lp
+
+    def recording(sub, q_k, h_k, x_k):
+        flows.append(q_k)
+        return step_lp(sub, q_k, h_k, x_k)
+
+    def run(sub, x0):
+        flows.clear()
+        res = sfscp.sfscp_timestep(sub, x0)
+        if res is not None and not np.array_equal(res[2], flows[-1]):
+            flows.append(res[2])
+        return res, [scc_smooth_flows(q[None, :], sub.net, sub.scc_params) for q in flows]
+
+    monkeypatch.setattr(sfscp, "_step_lp", recording)
+    return run
 
 
 @pytest.fixture

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sccopt.envelopes import hw, hw_envelope, sigmoid, sigmoid_envelope
-from sccopt.hydraulics import headloss_params, phi, phi_prime, simulate, solve_steady
+from sccopt.envelopes import hw, hw_envelope, sigmoid_envelope
+from sccopt.hydraulics import head_loss, headloss_params, phi, simulate, solve_steady
 from sccopt.netgen import grid_network, line_network, loop_network, random_network
 from sccopt.netmodel import count_variables, forest_core
 from sccopt.obbt import tighten
@@ -19,8 +19,9 @@ from sccopt.pipeline import (RunConfig, default_problem, performance_profile, ru
 from sccopt.relax import build_lp, lp_bound
 from sccopt.lp import OPTIMAL, solve_lp
 from sccopt.sampler import sample_designs
-from sccopt.scc import SccParams, scc_smooth, scc_smooth_flows, scc_smooth_grad_flows
-from sccopt.sfscp import Subproblem, ValveDesign, multi_start, sfscp_timestep
+from sccopt.scc import (SccParams, scc_smooth, scc_smooth_flows, scc_smooth_grad_flows,
+                        sigmoid)
+from sccopt.sfscp import Subproblem, ValveDesign, multi_start
 
 DATA_DIR = Path(__file__).parent.parent / "data"
 
@@ -82,7 +83,7 @@ def test_gradients_match_finite_differences():
     eps_q = 1e-7
     fd = (phi(qs + eps_q, _scalarize(params, qs)) -
           phi(qs - eps_q, _scalarize(params, qs))) / (2 * eps_q)
-    an = phi_prime(qs, _scalarize(params, qs))
+    an = head_loss(qs, _scalarize(params, qs))[1]
     rel = np.abs(an - fd) / np.maximum(np.abs(fd), 1e-12)
     assert np.max(rel) <= 1e-5
     dt = time.perf_counter() - t0
@@ -230,16 +231,14 @@ def test_sampler_frequencies_and_determinism():
           "distinct and deterministic")
 
 
-def test_control_solver_monotone_and_single_pipe_target():
+def test_control_solver_monotone_and_single_pipe_target(traced_timestep):
     """Per-timestep iterations only improve the objective while staying
     pressure-feasible; a one-pipe flushing fixture reaches 0.99 in < 1 s."""
     net = loop_network(4, demand=0.012, diameter=0.2, source_head=60.0)
     problem = default_problem(net, RunConfig())
     design = ValveDesign.from_network(net, dbv_links=(1,))
-    trace = []
-    res = sfscp_timestep(Subproblem(problem, design, 0, (1,)), np.zeros(1), trace=trace)
+    res, fs = traced_timestep(Subproblem(problem, design, 0, (1,)), np.zeros(1))
     assert res is not None
-    fs = [row[1] for row in trace]
     assert all(b >= a - 1e-12 for a, b in zip(fs, fs[1:]))
     eta, alpha, q, h, f_final, _ = res
     assert np.all(h >= problem.bounds.h_lo[0] - 1e-6)

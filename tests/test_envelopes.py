@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 import envelopes_reference as ref
-from sccopt.envelopes import (hw, hw_envelope, sigmoid, sigmoid_envelope,
-                              sigmoid_prime)
+from sccopt.envelopes import hw, hw_envelope, sigmoid_envelope
+from sccopt.scc import sigmoid, sigmoid_prime
 
 RHO, UMIN = 50.0, 0.2
 R_HW, N_HW = 456.6, 1.852

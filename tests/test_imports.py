@@ -1,9 +1,10 @@
 """Every name a package or test module imports is used in that module, no
 package module imports a private name from another, only ``lp.py`` imports
 HiGHS, only ``hydraulics.py`` imports SciPy's private SuperLU and
-sparsetools modules or anything else under ``scipy.sparse.linalg``, and only
-``obbt.py`` imports a thread or process module, apart from the process pool
-``pipeline.py`` forks its candidate workers with."""
+sparsetools modules or anything else under ``scipy.sparse.linalg``, only
+``scc.py`` imports ``scipy.special``, and only ``obbt.py`` imports a thread
+or process module, apart from the process pool ``pipeline.py`` forks its
+candidate workers with."""
 import ast
 from pathlib import Path
 
@@ -142,6 +143,35 @@ def test_hydraulics_imports_superlu_and_sparsetools():
     # the guard above names the modules the kernel really imports
     source = Path(sccopt.__file__).with_name("hydraulics.py").read_text()
     assert imports_of(source, SUPERLU) and imports_of(source, SPARSETOOLS)
+
+
+# SciPy's special functions: the sigmoid psi is written once, in scc.py, so
+# the objective and the relaxation's envelopes evaluate the same curve
+SPECIAL = "scipy.special"
+
+
+def test_detects_a_special_import():
+    source = ("from scipy.special import expit\n"
+              "import scipy.special as sc\n"
+              "from scipy import special, stats\n"
+              "import scipy.special_extra\n")
+    assert imports_of(source, SPECIAL) == [
+        "scipy.special (line 2)",
+        "scipy.special (line 3)",
+        "scipy.special.expit (line 1)"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "scc.py"],
+                         ids=lambda p: p.name)
+def test_only_scc_imports_special(path):
+    # envelopes.py takes sigmoid and sigmoid_prime from scc.py
+    assert imports_of(path.read_text(), SPECIAL) == []
+
+
+def test_scc_imports_special():
+    # the guard above names the module scc.py really imports
+    source = Path(sccopt.__file__).with_name("scc.py").read_text()
+    assert imports_of(source, SPECIAL)
 
 
 # the standard library's thread and process modules: OBBT's worker thread and

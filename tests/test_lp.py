@@ -2,21 +2,21 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import event, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.optimize._highspy._core import HighsModelStatus
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus
 
 import sccopt
 from linprog_reference import linprog_solve_lp
 from oracle_simplex import simplex_solve
 from sccopt.errors import InconsistentBounds
 from sccopt.hydraulics import solve_steady
-from sccopt.lp import (INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED, HotSession, LinearProgram,
-                       solve_lp)
+from sccopt.lp import INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
 from sccopt.pipeline import RunConfig, default_problem, run_cms
 from sccopt.relax import build_lp
 from sccopt.sfscp import Subproblem, ValveDesign, _step_lp
@@ -34,6 +34,33 @@ def row_bounds(senses, b):
 
 def make_lp(c, A, senses, b, lb, ub):
     return LinearProgram(c, sp.csr_matrix(np.asarray(A, float)), *row_bounds(senses, b), lb, ub)
+
+
+class FakeHighs:
+    """What ``solve_lp`` calls on a HiGHS instance, ending in a chosen model
+    status and, when that is optimal, a chosen point: x, objective, row
+    activities and row duals, reached in 7 simplex iterations."""
+
+    def __init__(self, status, x=None, objective=None, activity=None, duals=None):
+        self.status = status
+        self.solution = SimpleNamespace(col_value=x, row_value=activity, row_dual=duals)
+        self.info = SimpleNamespace(objective_function_value=objective,
+                                    simplex_iteration_count=7)
+
+    def run(self):
+        return HighsStatus.kOk
+
+    def changeColsCost(self, *args):
+        return HighsStatus.kOk
+
+    def getModelStatus(self):
+        return self.status
+
+    def getSolution(self):
+        return self.solution
+
+    def getInfo(self):
+        return self.info
 
 
 class TestSolveBasics:
@@ -63,7 +90,7 @@ class TestSolveBasics:
         lp = make_lp([1], [[1]], [LEQ], [1], [0], [1])
         for status in (HighsModelStatus.kSolveError, HighsModelStatus.kPostsolveError,
                        HighsModelStatus.kUnboundedOrInfeasible):
-            monkeypatch.setattr("sccopt.lp._run_highs", lambda *a, s=status: (s, None))
+            monkeypatch.setattr("sccopt.lp._new_highs", lambda options, lp, s=status: FakeHighs(s))
             assert solve_lp(lp).status == NUMERICAL
 
     def test_crossed_bounds_rejected(self):
@@ -149,14 +176,14 @@ class TestPostSolveCheck:
         ([0.5, 0.5], [1.0, 1e-3], 1.0, NUMERICAL),       # EQ row, from above
     ])
     def test_violating_point_is_numerical(self, monkeypatch, x, activity, objective, status):
-        result = (np.array(x), objective, np.array(activity), np.array([0.0, 2.0]))
-        monkeypatch.setattr("sccopt.lp._run_highs",
-                            lambda *a: (HighsModelStatus.kOptimal, result))
+        highs = FakeHighs(HighsModelStatus.kOptimal, x, objective, activity, [0.0, 2.0])
+        monkeypatch.setattr("sccopt.lp._new_highs", lambda options, lp: highs)
         sol = solve_lp(self.LP)
         assert sol.status == status
         if status == OPTIMAL:
             # duals come back as HiGHS gives them, in the LP's row order
             assert np.array_equal(sol.duals, [0.0, 2.0])
+            assert sol.simplex_iterations == 7
 
 
 def assert_matches_linprog(lp):
@@ -363,11 +390,11 @@ class TestHotSession:
         assert solve_lp(copy).objective == pytest.approx(-2.0)
         assert lp.session.cold_retries == 0
 
-    def test_failed_hot_solve_is_retried_cold(self, monkeypatch):
+    def test_failed_hot_solve_is_retried_cold(self):
         lp = make_lp([-1, -1], [[1, 1]], [LEQ], [1], [0, 0], [1, 1]).hot_started()
         assert solve_lp(lp).status == OPTIMAL
-        monkeypatch.setattr(HotSession, "run",
-                            lambda self, lp: (HighsModelStatus.kSolveError, None))
+        # the kept instance stops with a numerical status on the next solve
+        lp.session.highs = FakeHighs(HighsModelStatus.kSolveError)
         sol = solve_lp(lp.with_objective([1, -1]))
         assert sol.status == OPTIMAL and sol.objective == pytest.approx(-1.0)
         assert lp.session.cold_retries == 1

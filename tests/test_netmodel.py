@@ -229,6 +229,32 @@ class TestParser:
             with pytest.raises(ParseError, match="disconnected"):
                 parse_inp(text, timestep_indices=[0])
 
+    # the sample's second pipe row; EPANET's 7th and 8th fields, minor loss
+    # and status, follow the roughness
+    P2 = " p2   j1    j2  800     250   120"
+
+    def test_closed_pipes_dropped_with_one_warning(self, sample_inp_text):
+        # p2 and p3 run beside the valve v1, which keeps j2 connected
+        text = sample_inp_text.replace(
+            self.P2, f"{self.P2}  0  CLOSED\n p3   j1    j2  700  250  120  0  closed")
+        with pytest.warns(ParserWarning) as record:
+            net = parse_inp(text, timestep_indices=[0])
+        assert [str(w.message) for w in record] == ["2 closed pipe(s) ignored"]
+        assert [lk.id for lk in net.links] == ["p1", "v1"]
+
+    def test_open_status_keeps_the_pipe(self, sample_inp_text):
+        text = sample_inp_text.replace(self.P2, f"{self.P2}  0  Open")
+        assert (parse_inp(text, timestep_indices=[0])
+                == parse_inp(sample_inp_text, timestep_indices=[0]))
+
+    def test_network_needing_closed_pipe_rejected(self, sample_inp_text):
+        # j3 is only reachable through the dropped pipe -> disconnected
+        text = sample_inp_text.replace(" j2   12.0  5.0", " j2   12.0  5.0\n j3   8.0  1.0")
+        text = text.replace(self.P2, f"{self.P2}\n p3   j2    j3  500  200  120  0  CLOSED")
+        with pytest.warns(ParserWarning, match="1 closed pipe"):
+            with pytest.raises(ParseError, match="disconnected"):
+                parse_inp(text, timestep_indices=[0])
+
     @pytest.mark.parametrize("old, new, dup", [
         (" j2   12.0  5.0", " j2   12.0  5.0\n j1   9.0   1.0", "j1"),
         (" r1   80.0", " r1   80.0\n j2   70.0", "j2"),
@@ -261,11 +287,14 @@ class TestParser:
          "valve needs id, nodes, diameter, type, setting", " v1 "),
         ("UNITS     LPS", "UNITS     FURLONGS", [0], "unknown flow unit FURLONGS", None),
         ("TCV", "GPV", [0], "unsupported valve type GPV", " v1 "),
+        (" p2   j1    j2  800     250   120", " p2   j1    j2  800     250   120  0  CV", [0],
+         "unsupported pipe status CV", " p2 "),
         ("[END]", "[END]", [4], "timestep index 4 outside pattern length 4", None),
         ("[OPTIONS]", "[DEMANDS]\n ghost  1.0\n\n[OPTIONS]", [0],
          "demand for unknown junction 'ghost'", " ghost "),
     ], ids=["content_before_header", "short_pipe_row", "short_valve_row", "unknown_units",
-            "unsupported_valve_type", "timestep_outside_pattern", "demand_unknown_junction"])
+            "unsupported_valve_type", "check_valve_pipe", "timestep_outside_pattern",
+            "demand_unknown_junction"])
     def test_malformed_input_rejected(self, sample_inp_text, old, new, steps, message,
                                       marker):
         assert old in sample_inp_text

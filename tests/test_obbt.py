@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from scipy.optimize._highspy._core import HighsModelStatus
-
 import sccopt.lp as lp_mod
 from sccopt import obbt
 from sccopt.errors import InconsistentBounds
 from sccopt.hydraulics import headloss_params, simulate
-from sccopt.lp import _HOT_OPTIONS, OPTIMAL, HotSession, LpSolution, solve_lp
+from sccopt.lp import _HOT_OPTIONS, NUMERICAL, OPTIMAL, HotSession, LpSolution, solve_lp
 from sccopt.netgen import line_network, random_network
 from sccopt.netmodel import forest_core
 from sccopt.obbt import _OBBT_PAD, flow_polytope, tighten, tighten_forest
@@ -137,8 +135,8 @@ _EXACT_OPTIONS.dual_feasibility_tolerance = 1e-10
 
 def exact_solve(lp):
     """A cold solve at _EXACT_OPTIONS: (status, objective or None)."""
-    status, result, *_ = lp_mod._run(lp_mod._new_highs(_EXACT_OPTIONS, lp))
-    return status, None if result is None else result[1]
+    sol = lp_mod._run(lp_mod._new_highs(_EXACT_OPTIONS, lp), lp)
+    return sol.status, sol.objective
 
 
 class TestFlowPolytope:
@@ -217,8 +215,7 @@ class TestHotStart:
         args = pipeline_setup(loop4)
         run = HotSession.run
         # every hot solve failing gives a fully cold pass
-        monkeypatch.setattr(HotSession, "run",
-                            lambda self, lp: (HighsModelStatus.kSolveError, None))
+        monkeypatch.setattr(HotSession, "run", lambda self, lp: LpSolution(NUMERICAL))
         cold, cold_report = tighten(*args)
         assert cold_report.cold_retries == cold_report.lp_solves
         lower_calls, built, new_highs = [], [], lp_mod._new_highs
@@ -229,7 +226,7 @@ class TestHotStart:
             if lp.c.max() > 0:
                 lower_calls.append(lp)
                 if len(lower_calls) == 3:
-                    return HighsModelStatus.kSolveError, None
+                    return LpSolution(NUMERICAL)
             return run(self, lp)
 
         def spy(options, lp):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sccopt import sfscp
 from sccopt.errors import AllStartsInfeasible, NonConvergence, SingularSystem
-from sccopt.hydraulics import headloss_params, phi, phi_prime, simulate, solve_steady
+from sccopt.hydraulics import head_loss, headloss_params, phi, simulate, solve_steady
 from sccopt.lp import OPTIMAL, solve_lp
 from sccopt.netgen import line_network, loop_network, random_network
 from sccopt.netmodel import Link, NetworkModel, VALVE
@@ -40,12 +40,6 @@ def prv_loop_net():
     return net
 
 
-def timestep_zero_start(net, design, signs, **kw):
-    """sfscp_timestep on timestep 0 from all controls at zero."""
-    sub = Subproblem(default_problem(net, RunConfig()), design, 0, signs)
-    return sfscp_timestep(sub, np.zeros(len(sub.lo)), **kw)
-
-
 class TestSinglePipeAfv:
     def test_hand_derived_velocity_target(self):
         net = single_pipe_net()
@@ -71,26 +65,25 @@ class TestSinglePipeAfv:
 
 
 class TestIterationBehaviour:
-    def test_objective_sequence_monotone(self):
-        trace = []
-        res = timestep_zero_start(prv_loop_net(), ValveDesign(prv_links=(2,)), (),
-                                  trace=trace)
+    def test_objective_sequence_monotone(self, traced_timestep):
+        problem = default_problem(prv_loop_net(), RunConfig())
+        sub = Subproblem(problem, ValveDesign(prv_links=(2,)), 0, ())
+        res, fs = traced_timestep(sub, np.zeros(len(sub.lo)))
         assert res is not None
-        fs = [row[1] for row in trace]
         assert len(fs) >= 1
         assert all(b >= a - 1e-12 for a, b in zip(fs, fs[1:]))
-        assert res[4] == pytest.approx(fs[-1])
+        assert res[4] == fs[-1]
 
     @pytest.mark.parametrize("make_net, design", [
         (single_pipe_net, ValveDesign(afv_nodes=(0,))),
         (prv_loop_net, ValveDesign(prv_links=(2,))),
     ], ids=["single_pipe_afv", "prv_loop"])
-    def test_iterations_count_accepted_iterates(self, make_net, design):
-        # the trace holds the start point plus one row per accepted iterate;
-        # a rejected last step or an infeasible step LP is not an iteration
-        trace = []
-        res = timestep_zero_start(make_net(), design, (), trace=trace)
-        assert res[5] == len(trace) - 1
+    def test_iterations_count_accepted_iterates(self, make_net, design, traced_timestep):
+        # the objectives are the start's plus one per accepted iterate; a
+        # rejected last step or an infeasible step LP is not an iteration
+        sub = Subproblem(default_problem(make_net(), RunConfig()), design, 0, ())
+        res, fs = traced_timestep(sub, np.zeros(len(sub.lo)))
+        assert res[5] == len(fs) - 1
 
     def test_final_iterate_resimulates_feasibly(self):
         net = prv_loop_net()
@@ -166,7 +159,7 @@ class TestStepLp:
         eta, alpha = sub.unstack(x)
         assert np.max(np.abs(net.A12.T @ q - alpha - d)) <= 1e-12
         energy = (net.A12 @ h + net.A10 @ h0 + phi(q_k, params)
-                  + phi_prime(q_k, params) * (q - q_k) + eta)
+                  + head_loss(q_k, params)[1] * (q - q_k) + eta)
         assert np.max(np.abs(energy)) <= 1e-7
         tol = 1e-9
         assert np.all(np.abs(q - q_k) <= tf * (bounds.q_hi[0] - bounds.q_lo[0]) + tol)
@@ -367,6 +360,17 @@ class TestControlBox:
             assert same_bits(back[idx], full[idx])
             rest = np.delete(back, idx)
             assert np.all(rest == 0.0) and not np.any(np.signbit(rest))
+
+    @given(ends=st.lists(st.tuples(*[st.floats(-1e9, 1e9)] * 3),
+                         min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_trust_box_around_a_clipped_centre_never_inverts(self, ends):
+        # _step_lp passes this box to its LP unswapped: every control box has
+        # lo <= hi, and the iterate is clipped into it first
+        a, b, c = map(np.array, zip(*ends))
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        x_lo, x_hi = sfscp._trust_box(lo, hi, np.clip(c, lo, hi))
+        assert np.all(lo <= x_lo) and np.all(x_lo <= x_hi) and np.all(x_hi <= hi)
 
 
 class TestSubproblem:
