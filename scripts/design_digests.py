@@ -5,11 +5,12 @@ For each workload fixture in bench/workloads.py and each ``RunConfig``
 seed, runs ``run_cms`` once and prints one line: the final control digest
 (the first 16 hex digits of the SHA-256 of eta, alpha, q and h, in that
 order), the winning design (DBV links and AFV nodes by index) and start,
-``scc_smooth``, ``scc_exact`` and the candidate-score digest (the first 16
+``scc_smooth``, ``scc_exact``, the candidate-score digest (the first 16
 hex digits of the SHA-256 of every candidate's ``scc_smooth``, in candidate
-order, None for a candidate without a feasible control), as
-space-separated ``key=value`` fields.  Two checkouts that print the same
-digests found bit-identical controls and scored every candidate alike.
+order, None for a candidate without a feasible control) and the
+relaxation's ``lp_bound``, as space-separated ``key=value`` fields.  Two
+checkouts that print the same lines found bit-identical controls, scored
+every candidate alike and bounded the relaxation alike.
 
 Usage:
     PYTHONPATH=src python3 scripts/design_digests.py --seeds 0 1 2 3 4 5
@@ -46,15 +47,15 @@ def scores_digest(solution) -> str:
 
 
 def describe(name: str, net, config) -> str:
-    """One line: the run's digest, winning design and start, its scores and
-    the candidates' score digest."""
+    """One line: the run's digest, winning design and start, its scores, the
+    candidates' score digest and the relaxation bound."""
     sol = run_cms(net, config)
     dbv, afv = (",".join(map(str, ids)) for ids in (sol.design.dbv_links,
                                                      sol.design.afv_nodes))
     return (f"{name} seed={config.seed} digest={control_digest(sol)} "
             f"dbv={dbv} afv={afv} start={sol.control.start_index} "
             f"scc_smooth={sol.scc_smooth!r} scc_exact={sol.scc_exact!r} "
-            f"scores={scores_digest(sol)}")
+            f"scores={scores_digest(sol)} lp_bound={sol.lp_upper_bound!r}")
 
 
 def main(argv=None):

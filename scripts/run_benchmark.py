@@ -5,11 +5,11 @@ Runs the full design pipeline under several configurations on a batch of
 generated networks, writes the raw objective table and a performance profile
 (minimization convention, cost = 1 - objective so lower is better).
 
-Both configurations ask for n_starts=4, which is below the five
-deterministic starts run_cms always runs with n_v, n_f >= 1 (n_starts is a
-floor, not a cap), so ``obbt_ms4`` and ``no_obbt_ms4`` both run five starts
-and differ only in OBBT.  The names stay as they are because they head the
-columns of scores.csv.
+Both configurations ask for n_starts=4, which is below the count of
+deterministic starts ``sfscp.multi_start`` always runs (its docstring lists
+them; n_starts is a floor, not a cap), so ``obbt_ms4`` and ``no_obbt_ms4``
+run the same starts and differ only in OBBT.  The names stay as they are
+because they head the columns of scores.csv.
 
 Usage:
     python3 scripts/run_benchmark.py --out results/ --n-problems 8 --seed 0

@@ -143,7 +143,7 @@ def cmd_obbt(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "obbt_report.json").write_text(json.dumps(report.to_dict(), indent=2))
+        (out / "obbt_report.json").write_text(json.dumps(dataclasses.asdict(report), indent=2))
     return EXIT_OK
 
 

@@ -118,11 +118,6 @@ def head_loss(q, params: HeadLossParams) -> tuple[np.ndarray, np.ndarray]:
     return loss, slope
 
 
-def phi(q, params: HeadLossParams) -> np.ndarray:
-    """Head loss in m for flow q (vectorized over links)."""
-    return head_loss(q, params)[0]
-
-
 def _times_a12(net: NetworkModel, x: np.ndarray) -> np.ndarray:
     """A12 x by the CSR kernel ``@`` ends in, so with the sparse product's bits."""
     y = np.zeros(net.n_p)

@@ -14,15 +14,16 @@ The rest of the pipeline sees only ``solve_lp``, so a different engine can
 be swapped in behind it.
 
 An LP from ``LinearProgram.hot_started()`` instead shares one HiGHS
-instance with its ``with_objective`` copies, as the LPs of one bound
-direction of an OBBT pass do (Gleixner et al., 2017, *Three enhancements for
-optimization-based bound tightening*).  A session is used by one thread at a
-time; separate sessions over the same LP may run in separate threads, since
-HiGHS releases the GIL while it solves and ``solve_lp`` only reads the LP's
-arrays.  Each later objective is re-solved by primal simplex, without
-presolve, from the basis the previous solve left: a new objective keeps
-that basis primal feasible.  The values agree with a fresh solve only to
-HiGHS's feasibility tolerance, and one that fails hot is solved fresh.
+instance with its copies that ``dataclasses.replace`` gives a new
+objective, as the LPs of one bound direction of an OBBT pass do (Gleixner
+et al., 2017, *Three enhancements for optimization-based bound
+tightening*).  A session is used by one thread at a time; separate sessions
+over the same LP may run in separate threads, since HiGHS releases the GIL
+while it solves and ``solve_lp`` only reads the LP's arrays.  Each later
+objective is re-solved by primal simplex, without presolve, from the basis
+the previous solve left: a new objective keeps that basis primal feasible.
+The values agree with a fresh solve only to HiGHS's feasibility tolerance,
+and one that fails hot is solved fresh at tight tolerances.
 
 ``solve_lp`` also works in a process forked after HiGHS has run, as the
 candidate workers of ``pipeline.run_cms`` are.
@@ -111,13 +112,10 @@ class LinearProgram:
                 raise InconsistentBounds(
                     f"{kind} {idx}: lower bound {lo[idx]} > upper bound {hi[idx]}")
 
-    def with_objective(self, c: np.ndarray) -> "LinearProgram":
-        """Same constraints and session, new objective (OBBT re-solves use this)."""
-        return replace(self, c=c)
-
     def hot_started(self) -> "LinearProgram":
-        """This LP with a new ``HotSession``, shared by its ``with_objective``
-        copies, so ``solve_lp`` re-solves them in one HiGHS instance."""
+        """This LP with a new ``HotSession``, shared by its copies (as
+        ``dataclasses.replace`` makes them), so ``solve_lp`` re-solves them
+        in one HiGHS instance."""
         return replace(self, session=HotSession())
 
 
@@ -152,6 +150,15 @@ _OPTIONS = _options("on", _STRATEGY.kSimplexStrategyDual)
 # as cold ones
 _HOT_OPTIONS = _options("off", _STRATEGY.kSimplexStrategyPrimal)
 _HOT_OPTIONS.dual_feasibility_tolerance = 1e-10
+# a failed hot solve's cold retry: linprog's options at the tightest primal
+# and dual tolerances HiGHS accepts, as exact as a hot solve.  With every
+# bound LP of random_network(60, 20, seed=1) retried cold, OBBT's box lies
+# up to 1.6e-7 from the hot box at HiGHS's default tolerances and 1.4e-8 at
+# these (1.2e-8 at the tight dual tolerance alone, 2.2e-7 at the tight
+# primal one alone), against obbt._OBBT_PAD's 1e-6
+_RETRY_OPTIONS = _options("on", _STRATEGY.kSimplexStrategyDual)
+_RETRY_OPTIONS.primal_feasibility_tolerance = 1e-10
+_RETRY_OPTIONS.dual_feasibility_tolerance = 1e-10
 
 
 def _new_highs(options, lp: LinearProgram):
@@ -203,7 +210,7 @@ class HotSession:
     objectives, each from the basis the previous solve left.
 
     The instance holds the constraints of the LP it was built from, so every
-    LP solved through it must share them, as ``with_objective`` copies do.
+    LP solved through it must share them, as copies with a new objective do.
     ``cold_retries`` counts the solves that failed hot and were solved cold
     instead.
     """
@@ -214,15 +221,22 @@ class HotSession:
         self.cold_retries = 0
 
     def run(self, lp: LinearProgram) -> LpSolution:
-        """Solve for ``lp``'s objective from the kept basis."""
-        if self.highs is None:
+        """Solve for ``lp``'s objective from the kept basis.  If that is not
+        OPTIMAL, the instance is dropped, so the next LP starts a fresh one,
+        and ``lp`` is solved cold with _RETRY_OPTIONS."""
+        highs = self.highs
+        if highs is None:
             highs = _new_highs(_HOT_OPTIONS, lp)
-            if isinstance(highs, _MS):
-                return _run(highs, lp)
-            self.highs, self.cols = highs, np.arange(lp.n_cols, dtype=np.int32)
-        elif self.highs.changeColsCost(lp.n_cols, self.cols, lp.c) == _highs.HighsStatus.kError:
-            return _run(_MS.kModelError, lp)
-        return _run(self.highs, lp)
+            if not isinstance(highs, _MS):
+                self.highs, self.cols = highs, np.arange(lp.n_cols, dtype=np.int32)
+        elif highs.changeColsCost(lp.n_cols, self.cols, lp.c) == _highs.HighsStatus.kError:
+            highs = _MS.kModelError
+        sol = _run(highs, lp)
+        if sol.status != OPTIMAL:
+            self.highs = None
+            self.cold_retries += 1
+            sol = _run(_new_highs(_RETRY_OPTIONS, lp), lp)
+        return sol
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -230,15 +244,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     An optimal point that fails linprog's feasibility check is NUMERICAL.
     An LP carrying a ``HotSession`` (see ``LinearProgram.hot_started``) is
-    re-solved in it; if that is not OPTIMAL, the session's instance is
-    dropped, so the next LP starts a fresh one, and this LP is solved cold.
+    solved by ``HotSession.run``; any other is solved cold.
     """
     lp.validate()
-    session = lp.session
-    if session is not None:
-        sol = session.run(lp)
-        if sol.status == OPTIMAL:
-            return sol
-        session.highs = None
-        session.cold_retries += 1
+    if lp.session is not None:
+        return lp.session.run(lp)
     return _run(_new_highs(_OPTIONS, lp), lp)

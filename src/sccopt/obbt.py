@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,7 +43,9 @@ _BOUND_PAD = 1e-9
 # must exceed both to keep every bound valid.  Without the sigma block, cold
 # solves move by up to 4.6e-7 against cold solves with it, tolerance noise on
 # either side: at HiGHS's tightest tolerances (1e-10) the two optima agree to
-# 1e-11, and the hot values lie within 1.4e-8 of them (1.3e-8 with the block)
+# 1e-11, and the hot values lie within 1.4e-8 of them (1.3e-8 with the block).
+# A failed hot solve is retried cold at those tolerances, so a retried bound
+# keeps the hot bounds' margin
 _OBBT_PAD = 1e-6
 # stopping rule of tighten
 _EPS_TOL = 0.90
@@ -60,9 +62,6 @@ class ObbtReport:
     simplex_iterations: int = 0
     wall_time: float = 0.0
     diam_history: list[float] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _flow_diameter(bounds: BoundSet, core_links: list[int]) -> float:
@@ -95,7 +94,7 @@ def _bound_session(lp: LinearProgram, cols: list[int], sign: float):
     for col in cols:
         c[:] = 0.0
         c[col] = sign
-        sol = solve_lp(lp.with_objective(c))
+        sol = solve_lp(replace(lp, c=c))
         results.append((sol.status, sol.objective, sol.simplex_iterations))
         if sol.status != OPTIMAL:
             break
@@ -115,10 +114,10 @@ def tighten(problem: Problem, n_v: int, n_f: int) -> tuple[Problem, ObbtReport]:
     hot-started HiGHS session: the lower bounds (min q) on the calling
     thread, the upper bounds (max q) concurrently on one worker thread,
     which is joined before ``tighten`` returns or raises.  A target whose
-    hot solve fails is solved cold.  The bounds are applied to a working
-    copy of the box in (timestep, link, min then max) order, so the first
-    bound LP in that order that is not optimal is the one named in the
-    ``InconsistentBounds`` raised.
+    hot solve fails is solved cold at tight tolerances (``HotSession.run``).
+    The bounds are applied to a working copy of the box in (timestep, link,
+    min then max) order, so the first bound LP in that order that is not
+    optimal is the one named in the ``InconsistentBounds`` raised.
     """
     report = ObbtReport()
     start = time.perf_counter()

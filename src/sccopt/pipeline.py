@@ -8,7 +8,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +23,6 @@ from .sampler import blend_uniform, sample_designs, write_candidates_csv
 from .scc import SccParams, azp, scc_indicator, velocity_cdf, write_velocity_cdf_csv
 from .sfscp import ControlSolution, ValveDesign, multi_start
 
-# the weight of the uniform distribution in each placement's sampling
-# distribution; the relaxation's fractional values get the rest
-_EXPLORE = 0.5
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -36,9 +32,9 @@ class RunConfig:
     the valves a design adds and must be non-negative, ``n_samples`` and
     ``n_starts`` at least 1, ``seed`` None or non-negative, ``u_min``,
     ``rho`` and ``u_max`` positive, and ``p_min`` and ``alpha_max``
-    non-negative; NaN fails every check.  ``n_starts`` is a floor, not a cap: the
-    deterministic control starts always run (five with n_v, n_f >= 1 in
-    ``run_cms``), so a value below their count changes nothing."""
+    non-negative; NaN fails every check.  ``n_starts`` is a floor, not a cap:
+    ``sfscp.multi_start``'s deterministic starts always run, so a value
+    below their count changes nothing."""
 
     n_v: int = 0
     n_f: int = 0
@@ -145,17 +141,14 @@ def uncontrolled_state(net: NetworkModel) -> HydraulicState:
 
 
 def run_control_only(net: NetworkModel, config: RunConfig) -> CmsSolution:
-    """Optimize settings of the existing valves only (no new hardware).
-
-    The all-open control is always among the starts, so the result never
-    scores below the uncontrolled network.  It solves over its own
+    """Optimize settings of the existing valves only (no new hardware),
+    from ``sfscp.multi_start``'s starts.  It solves over its own
     ``default_problem``, whose memo no other call sees.
     """
     start = time.perf_counter()
     problem = default_problem(net, config)
     design = ValveDesign.from_network(net)
-    control = multi_start(problem, design, config.n_starts, config.seed,
-                          extra_seeds=[np.zeros((net.n_t, net.n_p))])
+    control = multi_start(problem, design, config.n_starts, config.seed)
     return _finish(problem, design, control, start)
 
 
@@ -215,16 +208,17 @@ def run_cms(net: NetworkModel, config: RunConfig,
 
     Tightens bounds, solves the relaxation for an upper bound and fractional
     placements, samples candidate placements, optimizes controls for each
-    candidate, and returns the best.  The all-open control and (when given)
-    the settings-only solution are injected as extra starts, so the result
-    never scores below either.  The candidates are solved in worker
-    processes forked from this one, one per usable CPU and at most one per
-    candidate, or in this process when that count is 1; every worker is
-    joined before this returns or raises.  Every candidate's control solve
-    runs on the one tightened Problem, so the candidates one worker solves
-    share its memo; no other call does.  The winner is the first candidate
-    with the highest score.  Raises AllStartsInfeasible when the relaxation
-    is not solved to optimality or no candidate admits a feasible control.
+    candidate from ``sfscp.multi_start``'s starts and the relaxation seed,
+    and returns the best.  The settings-only solution, when given, is
+    injected as an extra start, so the result never scores below it.  The
+    candidates are solved in worker processes forked from this one, one per
+    usable CPU and at most one per candidate, or in this process when that
+    count is 1; every worker is joined before this returns or raises.
+    Every candidate's control solve runs on the one tightened Problem, so
+    the candidates one worker solves share its memo; no other call does.
+    The winner is the first candidate with the highest score.  Raises
+    AllStartsInfeasible when the relaxation is not solved to optimality or
+    no candidate admits a feasible control.
     """
     start = time.perf_counter()
     problem, report = tightened_bounds(net, config)
@@ -235,17 +229,10 @@ def run_cms(net: NetworkModel, config: RunConfig,
     y_frac, z_frac, eta_seed = extract_fractional(sol, vmap, net)
     upper = lp_bound(sol)
 
-    if config.n_v == 0 and config.n_f == 0:
-        candidates = [((), ())]
-    else:
-        z_mix = blend_uniform(z_frac, net.free_links, _EXPLORE)
-        y_mix = blend_uniform(y_frac, range(net.n_n), _EXPLORE)
-        candidates = sample_designs(y_mix, z_mix, config.n_v, config.n_f,
-                                    config.n_samples, seed=config.seed)
-
-    extra = [np.zeros((net.n_t, net.n_p))]
-    if warm_control is not None:
-        extra.append(warm_control.control.eta)
+    candidates = sample_designs(blend_uniform(y_frac, range(net.n_n)),
+                                blend_uniform(z_frac, net.free_links),
+                                config.n_v, config.n_f, config.n_samples, seed=config.seed)
+    extra = [] if warm_control is None else [warm_control.control.eta]
 
     designs = [ValveDesign.from_network(net, dbv, afv) for dbv, afv in candidates]
     controls = _solve_candidates(problem, designs, config, eta_seed, extra)
@@ -259,7 +246,7 @@ def run_cms(net: NetworkModel, config: RunConfig,
 
     return _finish(problem, best[1], best[2], start,
                    lp_upper_bound=upper,
-                   obbt_report=None if report is None else report.to_dict(),
+                   obbt_report=None if report is None else asdict(report),
                    candidates=candidates, candidate_scores=scores)
 
 

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from . import envelopes
 from .errors import InconsistentBounds
-from .hydraulics import HeadLossParams, phi
+from .hydraulics import HeadLossParams, head_loss
 from .lp import LinearProgram, LpSolution, OPTIMAL
 from .netmodel import NetworkModel
 from .scc import SccParams
@@ -88,11 +88,11 @@ class BoundSet:
 
     @property
     def theta_lo(self) -> np.ndarray:
-        return phi(self.q_lo, self.params)
+        return head_loss(self.q_lo, self.params)[0]
 
     @property
     def theta_hi(self) -> np.ndarray:
-        return phi(self.q_hi, self.params)
+        return head_loss(self.q_hi, self.params)[0]
 
     def copy(self) -> "BoundSet":
         return BoundSet(self.q_lo.copy(), self.q_hi.copy(), self.h_lo.copy(),

@@ -12,6 +12,10 @@ import numpy as np
 
 from .errors import ZeroSupport
 
+# the weight of the uniform distribution in each placement's sampling
+# distribution; the relaxation's fractional values get the rest
+_EXPLORE = 0.5
+
 
 def _support(frac: np.ndarray, count: int, what: str) -> tuple[np.ndarray, np.ndarray]:
     frac = np.clip(np.asarray(frac, dtype=float), 0.0, None)
@@ -24,8 +28,9 @@ def _support(frac: np.ndarray, count: int, what: str) -> tuple[np.ndarray, np.nd
     return idx, p / p.sum()
 
 
-def blend_uniform(frac: np.ndarray, eligible, weight: float) -> np.ndarray:
-    """Mix fractional weights with a uniform distribution over eligible sites.
+def blend_uniform(frac: np.ndarray, eligible) -> np.ndarray:
+    """Mix fractional weights with a uniform distribution over eligible
+    sites; the uniform part gets weight _EXPLORE.
 
     A loose relaxation can concentrate all fractional mass on a few sites;
     blending keeps every eligible site reachable by the sampler.
@@ -34,10 +39,10 @@ def blend_uniform(frac: np.ndarray, eligible, weight: float) -> np.ndarray:
     eligible = list(eligible)
     total = frac.sum()
     p = frac / total if total > 0 else np.zeros_like(frac)
-    if weight > 0.0 and eligible:
+    if eligible:
         u = np.zeros_like(p)
         u[eligible] = 1.0 / len(eligible)
-        p = (1.0 - weight) * p + weight * u
+        p = (1.0 - _EXPLORE) * p + _EXPLORE * u
     return p
 
 

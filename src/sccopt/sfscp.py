@@ -315,14 +315,19 @@ def multi_start(
     """Run the per-timestep solver on ``problem`` from several starts; keep
     the best.
 
-    The start list is: the relaxation eta seed (when given), the caller's
-    eta seeds in ``extra_seeds`` (each starts with no flushing), the
-    deterministic flushing and throttle starts, then uniform random draws to
-    fill up to n_starts (a floor, not a cap: every deterministic start runs),
-    drawn from ``seed``.  Each start is an (n_t, n_x) array of stacked
-    controls.  The subproblems solve through ``problem.memo``, so calls on
-    one Problem share their solves.  Raises AllStartsInfeasible when no
-    start yields a feasible horizon.
+    The start list is: the relaxation eta seed (when given, with flushing at
+    the cap), the open control x = 0, the caller's eta seeds in
+    ``extra_seeds`` (each with no flushing), flushing at the cap with no
+    throttling (when the design has AFVs), throttling at the eta bound and
+    at half of it with flushing at the cap (when it has valves), then
+    uniform random draws from ``seed`` to fill up to n_starts.  n_starts is
+    a floor, not a cap: every deterministic start runs, so with valves and
+    AFVs a call runs at least four starts, five with a relaxation seed.  The
+    open start makes the result score no lower than the uncontrolled
+    network whenever that network is feasible.  Each start is an (n_t, n_x)
+    array of stacked controls.  The subproblems solve through
+    ``problem.memo``, so calls on one Problem share their solves.  Raises
+    AllStartsInfeasible when no start yields a feasible horizon.
     """
     net, bounds = problem.net, problem.bounds
     ctrl, afv = design.controllable_links, design.flushing_nodes
@@ -342,6 +347,7 @@ def multi_start(
         # rewards high velocity, so the bound is the natural first guess
         starts.append(start(np.atleast_2d(np.asarray(eta_seed, dtype=float))[:, ctrl],
                             alpha_cap))
+    starts.append(start(no_eta, no_alpha))
     for s in extra_seeds:
         starts.append(start(np.atleast_2d(np.asarray(s, dtype=float))[:, ctrl], no_alpha))
     if len(afv):
@@ -352,8 +358,8 @@ def multi_start(
     if len(ctrl):
         for frac in (1.0, 0.5):
             starts.append(start(frac * bounds.eta_hi[:, ctrl], alpha_cap))
-    n_random = max(n_starts - len(starts), 0 if starts else 1)
-    child_seqs = np.random.SeedSequence(seed).spawn(max(n_random, 1))
+    n_random = max(n_starts - len(starts), 0)
+    child_seqs = np.random.SeedSequence(seed).spawn(n_random)
     e_lo = np.minimum(bounds.eta_lo[:, ctrl], 0.0)
     e_hi = np.maximum(bounds.eta_hi[:, ctrl], 0.0)
     for k in range(n_random):

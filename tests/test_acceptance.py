@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sccopt.envelopes import hw, hw_envelope, sigmoid_envelope
-from sccopt.hydraulics import head_loss, headloss_params, phi, simulate, solve_steady
+from sccopt.hydraulics import head_loss, headloss_params, simulate, solve_steady
 from sccopt.netgen import grid_network, line_network, loop_network, random_network
 from sccopt.netmodel import count_variables, forest_core
 from sccopt.obbt import tighten
@@ -40,7 +40,7 @@ def test_steady_solver_on_50_random_networks():
         dt = time.perf_counter() - t0
         mass = np.max(np.abs(net.A12.T @ q - net.demands[0]))
         energy = np.max(np.abs(net.A12 @ h + net.A10 @ net.source_heads[0]
-                               + phi(q, params)))
+                               + head_loss(q, params)[0]))
         assert mass <= 1e-8, f"net {k}: mass residual {mass:.3g}"
         assert energy <= 1e-6, f"net {k}: energy residual {energy:.3g}"
         assert dt < 1.0, f"net {k}: solve took {dt:.2f}s"
@@ -81,8 +81,8 @@ def test_gradients_match_finite_differences():
     # power law is exact and central differences are well conditioned
     qs = rng.uniform(3 * params.q_eps, 0.2, size=500) * rng.choice([-1.0, 1.0], 500)
     eps_q = 1e-7
-    fd = (phi(qs + eps_q, _scalarize(params, qs)) -
-          phi(qs - eps_q, _scalarize(params, qs))) / (2 * eps_q)
+    fd = (head_loss(qs + eps_q, _scalarize(params, qs))[0] -
+          head_loss(qs - eps_q, _scalarize(params, qs))[0]) / (2 * eps_q)
     an = head_loss(qs, _scalarize(params, qs))[1]
     rel = np.abs(an - fd) / np.maximum(np.abs(fd), 1e-12)
     assert np.max(rel) <= 1e-5

@@ -4,13 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hydraulics_reference as reference
 from sccopt import hydraulics
 from sccopt.errors import NonConvergence, SingularSystem
 from sccopt.hydraulics import (DENSE_SCHUR_MAX_NODES, GRAVITY, HeadLossParams, head_loss,
-                               headloss_params, jacobian_solve, kkt_solve, phi, simulate,
+                               headloss_params, jacobian_solve, kkt_solve, simulate,
                                solve_steady)
 from sccopt.netgen import line_network, random_network
 from sccopt.netmodel import PIPE, DemandNode, Link, NetworkModel, VALVE
@@ -44,7 +44,7 @@ class TestHeadLoss:
         # phi(0.05) = r * 0.05^1.852, evaluated by hand
         params = headloss_params(line3)
         expected = R_ORACLE * 0.05**1.852
-        assert phi(np.array([0.05]), params)[0] == pytest.approx(expected, rel=1e-12)
+        assert head_loss(np.array([0.05]), params)[0][0] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(1.78, rel=5e-3)
 
     def test_valve_resistance(self):
@@ -59,13 +59,13 @@ class TestHeadLoss:
     def test_odd_symmetry(self, line3):
         params = headloss_params(line3)
         q = np.array([0.04, 0.04, 0.04])
-        assert phi(-q, params) == pytest.approx(-phi(q, params))
+        assert head_loss(-q, params)[0] == pytest.approx(-head_loss(q, params)[0])
 
     def test_smoothing_continuity_at_band_edge(self, line3):
         params = headloss_params(line3)
         qe = params.q_eps
-        inside = phi(np.full(3, qe * (1 - 1e-12)), params)
-        outside = phi(np.full(3, qe * (1 + 1e-12)), params)
+        inside = head_loss(np.full(3, qe * (1 - 1e-12)), params)[0]
+        outside = head_loss(np.full(3, qe * (1 + 1e-12)), params)[0]
         assert inside == pytest.approx(outside, rel=1e-6)
         din = head_loss(np.full(3, qe * (1 - 1e-12)), params)[1]
         dout = head_loss(np.full(3, qe * (1 + 1e-12)), params)[1]
@@ -84,7 +84,8 @@ class TestHeadLoss:
         eps = 1e-4 * abs(q)
         if abs(q) < 2 * params.q_eps + 10 * eps:
             return  # inside / straddling the smoothing band, checked separately
-        fd = (phi(np.array([q + eps]), params) - phi(np.array([q - eps]), params)) / (2 * eps)
+        fd = (head_loss(np.array([q + eps]), params)[0]
+              - head_loss(np.array([q - eps]), params)[0]) / (2 * eps)
         assert head_loss(np.array([q]), params)[1][0] == pytest.approx(fd[0], rel=1e-5)
 
     def test_phi_prime_inside_band_is_cubic_derivative(self):
@@ -109,7 +110,7 @@ class TestNewtonSolver:
         params = headloss_params(loop4)
         q, h = solve_steady(loop4, params, loop4.demands[0], loop4.source_heads[0])
         mass = loop4.A12.T @ q - loop4.demands[0]
-        energy = loop4.A12 @ h + loop4.A10 @ loop4.source_heads[0] + phi(q, params)
+        energy = loop4.A12 @ h + loop4.A10 @ loop4.source_heads[0] + head_loss(q, params)[0]
         assert np.max(np.abs(mass)) <= 1e-8
         assert np.max(np.abs(energy)) <= 1e-6
 
@@ -167,7 +168,7 @@ class TestNewtonSolver:
         q, h = solve_steady(net, params, net.demands[0], net.source_heads[0])
         assert time.perf_counter() - t0 < 1.0
         mass = net.A12.T @ q - net.demands[0]
-        energy = net.A12 @ h + net.A10 @ net.source_heads[0] + phi(q, params)
+        energy = net.A12 @ h + net.A10 @ net.source_heads[0] + head_loss(q, params)[0]
         assert np.max(np.abs(mass)) <= 1e-8
         assert np.max(np.abs(energy)) <= 1e-6
 
@@ -217,11 +218,13 @@ def assert_solves(net, g, r_q, r_h, x, K):
     """x = (x_q, x_h) matches the dense solve of K (x_q, x_h) = (r_q, r_h) to
     1e-9, x_h relative to its largest entry and x_q in the units of r_q, as
     g x_q: the Schur elimination forms x_q = (r_q - A12 x_h) / g, so x_q
-    itself carries an error of about eps / min(g)."""
+    itself carries an error of about eps / min(g).  Each row of A12 holds at
+    most two +-1 entries, so the error x_h may have passes to g x_q at most
+    twice over, and the flow check allows that much too."""
     ref = np.linalg.solve(K.toarray(), np.concatenate([r_q, r_h]))
     (x_q, x_h), ref_q, ref_h = x, ref[:net.n_p], ref[net.n_p:]
     assert np.abs(x_h - ref_h).max() <= 1e-9 * np.abs(ref_h).max()
-    scale = max(np.abs(r_q).max(), np.abs(g * ref_q).max())
+    scale = max(np.abs(r_q).max(), np.abs(g * ref_q).max(), 2.0 * np.abs(ref_h).max())
     assert np.abs(g * (x_q - ref_q)).max() <= 1e-9 * scale
 
 
@@ -292,6 +295,9 @@ class TestKktAssembly:
     @given(seed=st.integers(0, 10_000), n_nodes=st.one_of(SMALL_SIZES, LARGE_SIZES),
            extra=st.integers(0, 8), parallel=st.booleans(), low=st.floats(-12.0, 4.0))
     @settings(max_examples=80, deadline=None)
+    # a SuperLU-side draw whose flow error, 8.1e-3, is within what its head
+    # error allows but above the 7.9e-3 that r_q and g x_q alone would
+    @example(seed=218, n_nodes=218, extra=0, parallel=False, low=0.0)
     def test_kkt_solve_matches_dense_solve(self, seed, n_nodes, extra, parallel, low):
         # slopes span six decades from 10^low, so between them they reach
         # from 1e-12 to 1e10; below 1e-8 the floor binds, and those below

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,7 +17,8 @@ from linprog_reference import linprog_solve_lp
 from oracle_simplex import simplex_solve
 from sccopt.errors import InconsistentBounds
 from sccopt.hydraulics import solve_steady
-from sccopt.lp import INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
+from sccopt.lp import (_RETRY_OPTIONS, INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED,
+                       LinearProgram, _new_highs, _run, solve_lp)
 from sccopt.pipeline import RunConfig, default_problem, run_cms
 from sccopt.relax import build_lp
 from sccopt.sfscp import Subproblem, ValveDesign, _step_lp
@@ -142,9 +144,9 @@ class TestSolveBasics:
         # binding equality row carries the nonzero dual
         assert abs(sol.duals[1]) > 0
 
-    def test_with_objective_reuses_constraints(self):
+    def test_replaced_objective_reuses_constraints(self):
         lp = make_lp([1, 0], [[1, 1]], [LEQ], [2], [0, 0], [5, 5])
-        lp2 = lp.with_objective([-1, -1])
+        lp2 = replace(lp, c=[-1, -1])
         assert solve_lp(lp).objective == pytest.approx(0.0)
         assert solve_lp(lp2).objective == pytest.approx(-2.0)
 
@@ -152,8 +154,8 @@ class TestSolveBasics:
         # array fields have no single truth value, so an LP equals only itself
         lp = make_lp([1, 0], [[1, 1]], [LEQ], [2], [0, 0], [5, 5])
         assert lp == lp
-        assert (lp == lp.with_objective(lp.c)) is False
-        assert (lp == lp.with_objective([0, 1])) is False
+        assert (lp == replace(lp, c=lp.c)) is False
+        assert (lp == replace(lp, c=[0, 1])) is False
 
 
 class TestPostSolveCheck:
@@ -279,7 +281,7 @@ class TestMatchesLinprog:
         # OBBT re-solves the relaxation's rows with other objectives
         rng = np.random.default_rng(0)
         for _ in range(3):
-            assert_matches_linprog(relax.with_objective(rng.normal(size=relax.n_cols)))
+            assert_matches_linprog(replace(relax, c=rng.normal(size=relax.n_cols)))
 
 
 def test_every_step_lp_is_over_the_controls(loop4, monkeypatch):
@@ -356,8 +358,13 @@ def assert_passes_check(lp, x, tol=np.sqrt(1e-9) * 10):
     assert np.all(lp.rhs - activity >= -tol) and np.all(activity - lp.lhs >= -tol)
 
 
+def tight_cold_solve(lp):
+    """A cold solve at the options a failed hot solve is retried with."""
+    return _run(_new_highs(_RETRY_OPTIONS, lp), lp)
+
+
 class TestHotSession:
-    """An LP from hot_started() re-solves its with_objective copies in one
+    """An LP from hot_started() re-solves its copies with new objectives in one
     HiGHS instance, agreeing with cold solves to HiGHS's tolerance."""
 
     @settings(max_examples=200, deadline=None)
@@ -366,25 +373,40 @@ class TestHotSession:
         hot = lp.hot_started()
         for _ in range(3):
             c = data.draw(arrays(float, lp.n_cols, elements=st.floats(-3, 3)))
-            ours, cold = solve_lp(hot.with_objective(c)), solve_lp(lp.with_objective(c))
-            assert ours.status == cold.status
-            if cold.status == OPTIMAL:
+            ours, cold = solve_lp(replace(hot, c=c)), solve_lp(replace(lp, c=c))
+            if ours.status != cold.status:
+                # a session solves at a 1e-10 dual tolerance, where a cost
+                # below the cold solve's default 1e-7 can leave the LP
+                # unbounded; a cold solve at its tolerances must agree
+                assert (ours.status, cold.status) == (UNBOUNDED, OPTIMAL)
+                assert tight_cold_solve(replace(lp, c=c)).status == UNBOUNDED
+            elif cold.status == OPTIMAL:
                 assert abs(ours.objective - cold.objective) <= 1e-7 * (1 + abs(cold.objective))
                 assert_passes_check(lp, ours.x)
         event(f"cold retries: {hot.session.cold_retries}")
+
+    def test_retry_sees_costs_below_the_default_tolerance(self):
+        # min 1e-8 x over a free x is unbounded; at the default 1e-7 dual
+        # tolerance a cold solve calls x = 0 optimal, but the session's hot
+        # solve and its cold retry both run at 1e-10
+        lp = make_lp([1e-8], np.zeros((0, 1)), [], [], [-np.inf], [np.inf])
+        assert solve_lp(lp).status == OPTIMAL
+        hot = lp.hot_started()
+        assert solve_lp(hot).status == UNBOUNDED
+        assert hot.session.cold_retries == 1
 
     def test_costs_near_the_default_tolerance_are_not_ignored(self):
         # every reduced cost of the slack basis is below HiGHS's default 1e-7
         # dual tolerance; the hot solve must still move all three to -1
         lp = make_lp([0, 0, 0], [[1, 0, 0], [0, 0, 0]], [EQ, EQ], [0, 0], [-1] * 3, [0] * 3)
         c = np.full(3, 5.96046448e-08)
-        ours, cold = solve_lp(lp.hot_started().with_objective(c)), solve_lp(lp.with_objective(c))
+        ours, cold = solve_lp(replace(lp.hot_started(), c=c)), solve_lp(replace(lp, c=c))
         assert ours.objective == pytest.approx(cold.objective, rel=1e-12)
         assert np.array_equal(ours.x, [0.0, -1.0, -1.0])
 
     def test_copies_share_one_session(self):
         lp = make_lp([1, 0], [[1, 1]], [LEQ], [2], [0, 0], [5, 5]).hot_started()
-        copy = lp.with_objective([-1, -1])
+        copy = replace(lp, c=[-1, -1])
         assert copy.session is lp.session
         assert solve_lp(lp).objective == pytest.approx(0.0)
         assert solve_lp(copy).objective == pytest.approx(-2.0)
@@ -395,11 +417,16 @@ class TestHotSession:
         assert solve_lp(lp).status == OPTIMAL
         # the kept instance stops with a numerical status on the next solve
         lp.session.highs = FakeHighs(HighsModelStatus.kSolveError)
-        sol = solve_lp(lp.with_objective([1, -1]))
+        sol = solve_lp(replace(lp, c=[1, -1]))
         assert sol.status == OPTIMAL and sol.objective == pytest.approx(-1.0)
         assert lp.session.cold_retries == 1
         # the next solve starts a new instance
         assert lp.session.highs is None
+        # the session owns the retry, so a direct call retries and counts too
+        lp.session.highs = FakeHighs(HighsModelStatus.kSolveError)
+        sol = lp.session.run(replace(lp, c=[-1, 1]))
+        assert sol.status == OPTIMAL and sol.objective == pytest.approx(-1.0)
+        assert lp.session.cold_retries == 2 and lp.session.highs is None
 
     def test_cold_solve_ignores_other_sessions(self):
         lp = make_lp([1, 1], [[1, -1], [1, 1]], [EQ, LEQ], [0, 1], [0, 0], [1, 1])

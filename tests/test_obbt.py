@@ -1,6 +1,7 @@
 import threading
 import time
 from concurrent.futures import Future
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import sccopt.lp as lp_mod
 from sccopt import obbt
 from sccopt.errors import InconsistentBounds
 from sccopt.hydraulics import headloss_params, simulate
-from sccopt.lp import _HOT_OPTIONS, NUMERICAL, OPTIMAL, HotSession, LpSolution, solve_lp
+from sccopt.lp import _HOT_OPTIONS, NUMERICAL, OPTIMAL, LpSolution, solve_lp
 from sccopt.netgen import line_network, random_network
 from sccopt.netmodel import forest_core
 from sccopt.obbt import _OBBT_PAD, flow_polytope, tighten, tighten_forest
@@ -72,7 +73,7 @@ class TestCoreTightening:
     def test_report_serializes(self, loop4):
         problem = default_problem(loop4, RunConfig())
         _, report = tighten(problem, 0, 0)
-        d = report.to_dict()
+        d = asdict(report)
         assert set(d) == {"iterations", "lp_solves", "cold_retries", "simplex_iterations",
                           "wall_time", "diam_history"}
 
@@ -125,18 +126,26 @@ def bound_targets(net, vmap, signs=(1.0, -1.0)):
                 yield c
 
 
-# HiGHS's tightest feasibility tolerances.  At its default 1e-7, cold solves
-# of the full and the reduced first-pass LPs of rand60 differ by up to
-# 4.6e-7, either side off; at 1e-10 both agree to 1e-11
-_EXACT_OPTIONS = lp_mod._options("on", lp_mod._STRATEGY.kSimplexStrategyDual)
-_EXACT_OPTIONS.primal_feasibility_tolerance = 1e-10
-_EXACT_OPTIONS.dual_feasibility_tolerance = 1e-10
-
-
 def exact_solve(lp):
-    """A cold solve at _EXACT_OPTIONS: (status, objective or None)."""
-    sol = lp_mod._run(lp_mod._new_highs(_EXACT_OPTIONS, lp), lp)
+    """A cold solve at HiGHS's tightest feasibility tolerances, as a failed
+    hot solve is retried: (status, objective or None).  At the default 1e-7,
+    cold solves of the full and the reduced first-pass LPs of rand60 differ
+    by up to 4.6e-7, either side off; at 1e-10 both agree to 1e-11."""
+    sol = lp_mod._run(lp_mod._new_highs(lp_mod._RETRY_OPTIONS, lp), lp)
     return sol.status, sol.objective
+
+
+def all_cold_tighten(args, monkeypatch):
+    """``tighten(*args)`` with no hot instance built, so each bound LP is
+    solved by its session's cold retry."""
+    new_highs = lp_mod._new_highs
+
+    def no_hot(options, lp):
+        return lp_mod._MS.kSolveError if options is _HOT_OPTIONS else new_highs(options, lp)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_mod, "_new_highs", no_hot)
+        return tighten(*args)
 
 
 class TestFlowPolytope:
@@ -148,7 +157,7 @@ class TestFlowPolytope:
         assert reduced.n_cols == lp.n_cols and reduced.n_rows < lp.n_rows
         for c in bound_targets(problem.net, vmap):
             (full_status, full), (ours_status, ours) = (
-                exact_solve(lp.with_objective(c)), exact_solve(reduced.with_objective(c)))
+                exact_solve(replace(lp, c=c)), exact_solve(replace(reduced, c=c)))
             assert ours_status == full_status
             if full is not None:
                 assert abs(ours - full) <= 1e-8
@@ -206,35 +215,36 @@ class TestHotStart:
         for sign in (1.0, -1.0):
             hot = lp.hot_started()
             for c in bound_targets(net, vmap, signs=(sign,)):
-                ours, cold = solve_lp(hot.with_objective(c)), solve_lp(lp.with_objective(c))
+                ours, cold = solve_lp(replace(hot, c=c)), solve_lp(replace(lp, c=c))
                 assert ours.status == cold.status == OPTIMAL
                 assert abs(ours.objective - cold.objective) <= _OBBT_PAD
             assert hot.session.cold_retries == 0
 
     def test_one_hot_failure_is_retried_cold(self, loop4, monkeypatch):
         args = pipeline_setup(loop4)
-        run = HotSession.run
-        # every hot solve failing gives a fully cold pass
-        monkeypatch.setattr(HotSession, "run", lambda self, lp: LpSolution(NUMERICAL))
-        cold, cold_report = tighten(*args)
+        cold, cold_report = all_cold_tighten(args, monkeypatch)
         assert cold_report.cold_retries == cold_report.lp_solves
-        lower_calls, built, new_highs = [], [], lp_mod._new_highs
+        lower_calls, built, hot_instances = [], [], []
+        new_highs, run = lp_mod._new_highs, lp_mod._run
 
-        def fail_third_lower(self, lp):
+        def spy(options, lp):
+            highs = new_highs(options, lp)
+            built.append(options is _HOT_OPTIONS)
+            if options is _HOT_OPTIONS:
+                hot_instances.append(highs)
+            return highs
+
+        def fail_third_lower(highs, lp):
             # only the calling thread's session solves min LPs, so counting
             # them races with nothing
-            if lp.c.max() > 0:
+            if any(highs is h for h in hot_instances) and lp.c.max() > 0:
                 lower_calls.append(lp)
                 if len(lower_calls) == 3:
                     return LpSolution(NUMERICAL)
-            return run(self, lp)
+            return run(highs, lp)
 
-        def spy(options, lp):
-            built.append(options is _HOT_OPTIONS)
-            return new_highs(options, lp)
-
-        monkeypatch.setattr(HotSession, "run", fail_third_lower)
         monkeypatch.setattr(lp_mod, "_new_highs", spy)
+        monkeypatch.setattr(lp_mod, "_run", fail_third_lower)
         hot, report = tighten(*args)
         assert report.cold_retries == 1
         assert report.lp_solves == cold_report.lp_solves
@@ -242,6 +252,18 @@ class TestHotStart:
         assert built.count(True) == 2 * report.iterations + 1 and built.count(False) == 1
         assert np.allclose(hot.bounds.q_lo, cold.bounds.q_lo, rtol=0.0, atol=_OBBT_PAD)
         assert np.allclose(hot.bounds.q_hi, cold.bounds.q_hi, rtol=0.0, atol=_OBBT_PAD)
+
+    def test_all_cold_box_matches_hot_box(self, rand60, monkeypatch):
+        # a failed hot solve is retried at tight tolerances, so a run whose
+        # every bound LP is retried cold keeps the hot box to a tenth of
+        # _OBBT_PAD; at HiGHS's default 1e-7 tolerances it moved by 1.6e-7
+        args = pipeline_setup(rand60)
+        hot, report = tighten(*args)
+        cold, cold_report = all_cold_tighten(args, monkeypatch)
+        assert report.cold_retries == 0
+        assert cold_report.cold_retries == cold_report.lp_solves == report.lp_solves
+        assert np.max(np.abs(cold.bounds.q_lo - hot.bounds.q_lo)) <= 1e-7
+        assert np.max(np.abs(cold.bounds.q_hi - hot.bounds.q_hi)) <= 1e-7
 
 
 class SynchronousExecutor:
@@ -272,7 +294,7 @@ def tighten_outcome(args):
         tightened, report = tighten(*args)
     except InconsistentBounds as exc:
         return str(exc)
-    d = report.to_dict()
+    d = asdict(report)
     del d["wall_time"]
     return tightened.bounds.q_lo, tightened.bounds.q_hi, d
 

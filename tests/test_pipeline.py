@@ -187,6 +187,7 @@ class TestRunCms:
         # the relaxation pins an existing PRV's flow direction; a control
         # that throttles its reversed flow would pump head and beat the bound
         sol = run_cms(prv_net, RunConfig(n_samples=1, n_starts=1, seed=0))
+        assert sol.candidates == [((), ())]
         assert sol.scc_smooth <= sol.lp_upper_bound + 1e-6
         assert not np.any((sol.control.eta[:, 4] > 0.0) & (sol.control.state.q[:, 4] < 0.0))
 
@@ -205,6 +206,7 @@ class TestRunCms:
 
         monkeypatch.setattr(sfscp, "restore_feasibility", recorded_restore)
         sol = run_cms(prv_net, RunConfig(n_samples=1, n_starts=1, seed=0))
+        assert sol.candidates == [((), ())]
         assert len(restored) == 2
         assert all(r is not None and np.array_equal(r[0], [0.0]) for r in restored)
         assert sol.scc_smooth == 0.37312253441489335
@@ -282,19 +284,23 @@ class TestRunCmsFailures:
 
     def test_no_valves_evaluates_only_the_empty_placement(self, loopnet, monkeypatch):
         solve, designs = pipeline.multi_start, []
+        sample, samples = pipeline.sample_designs, []
 
         def spy(problem, design, *args, **kwargs):
             designs.append(design)
             return solve(problem, design, *args, **kwargs)
 
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("sampled with no valves to place")
+        def recorded_sample(*args, **kwargs):
+            samples.append(sample(*args, **kwargs))
+            return samples[-1]
 
         # the one candidate is solved in this process, whatever the CPU count
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(pipeline, "multi_start", spy)
-        monkeypatch.setattr(pipeline, "sample_designs", no_sampling)
+        monkeypatch.setattr(pipeline, "sample_designs", recorded_sample)
         sol = run_cms(loopnet, RunConfig(n_samples=3, n_starts=1, seed=0, use_obbt=False))
+        # with no valves to place the sampler draws the one empty placement
+        assert samples == [[((), ())]]
         assert sol.candidates == [((), ())]
         assert designs == [ValveDesign()] and sol.design == ValveDesign()
         assert sol.candidate_scores == [sol.scc_smooth]

@@ -3,7 +3,7 @@ import pytest
 
 from sccopt import envelopes
 from sccopt.errors import InconsistentBounds
-from sccopt.hydraulics import headloss_params, phi, simulate
+from sccopt.hydraulics import head_loss, headloss_params, simulate
 from sccopt.lp import OPTIMAL, solve_lp
 from sccopt.netgen import random_network
 from sccopt.pipeline import RunConfig, default_problem
@@ -36,8 +36,7 @@ class TestBounds:
     def test_theta_bounds_follow_flow_bounds(self, line3):
         params = headloss_params(line3)
         bounds = default_bounds(line3, params)
-        from sccopt.hydraulics import phi
-        assert bounds.theta_hi[0] == pytest.approx(phi(bounds.q_hi[0], params))
+        assert bounds.theta_hi[0] == pytest.approx(head_loss(bounds.q_hi[0], params)[0])
 
     def test_theta_box_follows_in_place_flow_edits(self, line3):
         params = headloss_params(line3)
@@ -45,7 +44,7 @@ class TestBounds:
         before = bounds.theta_hi.copy()
         bounds.q_hi[0, 1] *= 0.5
         assert bounds.theta_hi[0, 1] < before[0, 1]
-        assert np.array_equal(bounds.theta_hi, phi(bounds.q_hi, params))
+        assert np.array_equal(bounds.theta_hi, head_loss(bounds.q_hi, params)[0])
 
     def test_eta_bounds_bracket_zero(self, line3):
         params = headloss_params(line3)

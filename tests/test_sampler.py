@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sccopt.errors import ZeroSupport
-from sccopt.sampler import sample_designs, write_candidates_csv
+from sccopt.sampler import blend_uniform, sample_designs, write_candidates_csv
 
 
 class TestSampling:
@@ -82,6 +82,17 @@ class TestSampling:
             counts[dbv[0]] += 1
         freq = counts / n
         assert freq == pytest.approx(z, abs=0.03)
+
+
+class TestBlend:
+    def test_half_fractional_half_uniform_over_eligible_sites(self):
+        # fractional (2, 0, 2, 0) normalizes to (0.5, 0, 0.5, 0); uniform over
+        # sites 1 and 2 is (0, 0.5, 0.5, 0); site 3 is never eligible
+        p = blend_uniform(np.array([2.0, 0.0, 2.0, -1.0]), [1, 2])
+        assert np.array_equal(p, [0.25, 0.25, 0.5, 0.0])
+
+    def test_no_mass_and_no_eligible_site_stays_zero(self):
+        assert np.array_equal(blend_uniform(np.zeros(3), []), np.zeros(3))
 
 
 class TestCsv:

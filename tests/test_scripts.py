@@ -60,6 +60,7 @@ def test_design_digests_describes_a_run(loop4):
     assert fields["afv"] == ",".join(map(str, sol.design.afv_nodes))
     assert fields["scores"] == design_digests.scores_digest(sol)
     assert len(fields["scores"]) == 16
+    assert float(fields["lp_bound"]) == sol.lp_upper_bound
 
 
 def test_scores_digest_covers_every_candidate():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sccopt import sfscp
 from sccopt.errors import AllStartsInfeasible, NonConvergence, SingularSystem
-from sccopt.hydraulics import head_loss, headloss_params, phi, simulate, solve_steady
+from sccopt.hydraulics import head_loss, headloss_params, simulate, solve_steady
 from sccopt.lp import OPTIMAL, solve_lp
 from sccopt.netgen import line_network, loop_network, random_network
 from sccopt.netmodel import Link, NetworkModel, VALVE
@@ -95,7 +95,7 @@ class TestIterationBehaviour:
             q, h = sol.state.q[t], sol.state.h[t]
             mass = net.A12.T @ q - net.demands[t] - sol.alpha[t]
             energy = (net.A12 @ h + net.A10 @ net.source_heads[t]
-                      + phi(q, params) + sol.eta[t])
+                      + head_loss(q, params)[0] + sol.eta[t])
             assert np.max(np.abs(mass)) <= 1e-8
             assert np.max(np.abs(energy)) <= 1e-6
             assert np.all(h >= bounds.h_lo[t] - 1e-6)
@@ -111,8 +111,7 @@ class TestIterationBehaviour:
         net = prv_loop_net()
         problem = default_problem(net, RunConfig())
         design = ValveDesign(prv_links=(2,))
-        sol = multi_start(problem, design, n_starts=3, seed=1,
-                          extra_seeds=[np.zeros((net.n_t, net.n_p))])
+        sol = multi_start(problem, design, n_starts=3, seed=1)
         state = simulate(net, problem.params)
         assert sol.objective >= scc_smooth(state, net, problem.scc_params) - 1e-9
 
@@ -158,7 +157,7 @@ class TestStepLp:
         q, h, x = _step_lp(sub, q_k, h_k, np.array([2.0, 0.01]))
         eta, alpha = sub.unstack(x)
         assert np.max(np.abs(net.A12.T @ q - alpha - d)) <= 1e-12
-        energy = (net.A12 @ h + net.A10 @ h0 + phi(q_k, params)
+        energy = (net.A12 @ h + net.A10 @ h0 + head_loss(q_k, params)[0]
                   + head_loss(q_k, params)[1] * (q - q_k) + eta)
         assert np.max(np.abs(energy)) <= 1e-7
         tol = 1e-9
@@ -542,8 +541,7 @@ class TestGridSearchOracle:
             if np.any(state.h[0] < bounds.h_lo[0] - 1e-6):
                 continue
             best = max(best, scc_smooth(state, net, scc_params))
-        sol = multi_start(problem, design, n_starts=5, seed=0,
-                          extra_seeds=[np.zeros((net.n_t, net.n_p))])
+        sol = multi_start(problem, design, n_starts=5, seed=0)
         assert sol.objective >= best - 0.01 * max(abs(best), 1e-9)
 
 
