@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .errors import (AllStartsInfeasible, InconsistentBounds, NonConvergence,
                      ParseError, SccoptError, SingularSystem, ZeroSupport)
 from .netmodel import (Link, DemandNode, SourceNode, NetworkModel, parse_inp,
-                       forest_core, problem_stats, count_variables)
+                       problem_stats, count_variables)
 from .hydraulics import HeadLossParams, HydraulicState, headloss_params, simulate, solve_steady
 from .scc import SccParams, azp, scc_indicator, scc_smooth, velocity_cdf
 from .relax import BoundSet, Problem, build_lp, default_bounds, lp_bound

@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import InconsistentBounds
 from .lp import OPTIMAL, LinearProgram, solve_lp
-from .netmodel import forest_core
 from .relax import BoundSet, Problem, VariableMap, build_lp
 
 # slack added to each forest bound so later LPs stay strictly feasible; the
@@ -64,7 +63,7 @@ class ObbtReport:
     diam_history: list[float] = field(default_factory=list)
 
 
-def _flow_diameter(bounds: BoundSet, core_links: list[int]) -> float:
+def _flow_diameter(bounds: BoundSet, core_links: tuple[int, ...]) -> float:
     return float(np.sum(bounds.q_hi[:, core_links] - bounds.q_lo[:, core_links]))
 
 
@@ -122,7 +121,7 @@ def tighten(problem: Problem, n_v: int, n_f: int) -> tuple[Problem, ObbtReport]:
     report = ObbtReport()
     start = time.perf_counter()
     net, scc_params = problem.net, problem.scc_params
-    core = sorted(forest_core(net).core_links)
+    core = net.core_links
     bounds = problem.bounds.copy()
     if not core:
         report.wall_time = time.perf_counter() - start
@@ -175,15 +174,14 @@ def tighten_forest(problem: Problem, n_f: int) -> Problem:
     the ``n_f`` AFVs that could land downstream.
     """
     net = problem.net
-    decomp = forest_core(net)
     bounds = problem.bounds.copy()
-    for j in decomp.forest_links:
-        down = list(decomp.forest_downstream[j])
+    for j in net.forest_links:
+        down = list(net.forest_downstream[j])
         slots = min(len(down), n_f)
         # one np.sum per timestep, so each total rounds as a 1-D sum does
         demand = np.array([np.sum(d[down]) for d in net.demands])
         most = demand + slots * bounds.alpha_hi
-        new_lo, new_hi = (demand, most) if decomp.forest_sign[j] > 0 else (-most, -demand)
+        new_lo, new_hi = (demand, most) if net.forest_sign[j] > 0 else (-most, -demand)
         bounds.q_lo[:, j] = np.maximum(bounds.q_lo[:, j], new_lo - _BOUND_PAD)
         bounds.q_hi[:, j] = np.minimum(bounds.q_hi[:, j], new_hi + _BOUND_PAD)
         crossed = np.flatnonzero(bounds.q_lo[:, j] > bounds.q_hi[:, j])

@@ -292,7 +292,8 @@ def write_profile_csv(taus, rho, solver_names, fileobj):
 
 def save_results(solution: CmsSolution, net: NetworkModel, out_dir) -> None:
     """Write solution.json, candidates.csv, velocity_cdf.csv and, when the
-    run tightened bounds, obbt_report.json."""
+    run tightened bounds, obbt_report.json; when it did not, remove an
+    obbt_report.json an earlier run left in ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "solution.json", "w") as f:
@@ -301,6 +302,8 @@ def save_results(solution: CmsSolution, net: NetworkModel, out_dir) -> None:
         write_candidates_csv(solution.candidates, f, solution.candidate_scores)
     with open(out / "velocity_cdf.csv", "w") as f:
         write_velocity_cdf_csv(velocity_cdf(solution.control.state, net), f)
-    if solution.obbt_report is not None:
+    if solution.obbt_report is None:
+        (out / "obbt_report.json").unlink(missing_ok=True)
+    else:
         with open(out / "obbt_report.json", "w") as f:
             json.dump(solution.obbt_report, f, indent=2)

@@ -12,7 +12,7 @@ import pytest
 from sccopt.envelopes import hw, hw_envelope, sigmoid_envelope
 from sccopt.hydraulics import head_loss, headloss_params, simulate, solve_steady
 from sccopt.netgen import grid_network, line_network, loop_network, random_network
-from sccopt.netmodel import count_variables, forest_core
+from sccopt.netmodel import count_variables
 from sccopt.obbt import tighten
 from sccopt.pipeline import (RunConfig, default_problem, performance_profile, run_cms,
                              run_control_only, uncontrolled_state)
@@ -192,7 +192,7 @@ def test_obbt_tightens_with_exact_solve_count():
     net = loop_network(6, demand=0.01, diameter=0.2, source_head=60.0)
     problem = default_problem(net, RunConfig())
     before = problem.bounds
-    core = forest_core(net).core_links
+    core = net.core_links
     t0 = time.perf_counter()
     tightened, report = tighten(problem, 1, 1)
     after = tightened.bounds

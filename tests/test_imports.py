@@ -4,8 +4,11 @@ HiGHS, only ``hydraulics.py`` imports SciPy's private SuperLU and
 sparsetools modules or anything else under ``scipy.sparse.linalg``, only
 ``scc.py`` imports ``scipy.special``, and only ``obbt.py`` imports a thread
 or process module, apart from the process pool ``pipeline.py`` forks its
-candidate workers with."""
+candidate workers with.  The package and the scripts import nothing beyond
+the standard library, NumPy, SciPy and the package itself, and the scripts
+also the benchmark's workload fixtures."""
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ import sccopt
 PACKAGE = sorted(Path(sccopt.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
+SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -207,3 +211,46 @@ def test_only_obbt_starts_threads(path):
     # thread of its own
     names = [name.rsplit(" (line ", 1)[0] for name in thread_imports(path.read_text())]
     assert names == (PIPELINE_POOL if path.name == "pipeline.py" else [])
+
+
+# the declared dependencies; networkx and pytest-benchmark may be installed,
+# but nothing may start depending on them
+DEPENDENCIES = {"numpy", "scipy", "sccopt"}
+# the benchmark's workload fixtures, which scripts/design_digests.py and
+# scripts/placement_study.py run
+WORKLOADS = "workloads"
+
+
+def foreign_imports(source: str, allowed: set[str]) -> list[str]:
+    """Absolute imports whose top-level module is neither in the standard
+    library nor in ``allowed``."""
+    tree = ast.parse(source)
+    modules = [(a.name, node.lineno) for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names]
+    modules += [(node.module, node.lineno) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 0]
+    return sorted(f"{name} (line {line})" for name, line in modules
+                  if name.split(".")[0] not in sys.stdlib_module_names | allowed)
+
+
+def test_detects_a_foreign_import():
+    source = ("from __future__ import annotations\n"
+              "import os.path, networkx as nx\n"
+              "from scipy.sparse import csr_matrix\n"
+              "from .lp import solve_lp\n"
+              "from pytest_benchmark import plugin\n"
+              "import numpyro\n")
+    assert foreign_imports(source, DEPENDENCIES) == [
+        "networkx (line 2)", "numpyro (line 6)", "pytest_benchmark (line 5)"]
+    assert foreign_imports("from workloads import WORKLOADS\n", DEPENDENCIES) == [
+        "workloads (line 1)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_imports_only_declared_dependencies(path):
+    assert foreign_imports(path.read_text(), DEPENDENCIES) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_imports_only_declared_dependencies(path):
+    assert foreign_imports(path.read_text(), DEPENDENCIES | {WORKLOADS}) == []

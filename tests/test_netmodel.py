@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from sccopt.errors import ParseError
 from sccopt.hydraulics import headloss_params
 from sccopt.netmodel import (Link, DemandNode, SourceNode, NetworkModel,
-                             ParserWarning, count_variables, forest_core,
-                             parse_inp, PIPE, VALVE)
+                             ParserWarning, count_variables, parse_inp, PIPE,
+                             VALVE)
 from sccopt.netgen import random_network
 from sccopt.relax import default_bounds
 from sccopt.scc import azp_weights
@@ -426,22 +426,76 @@ class TestCompiledEnds:
                          np.zeros((1, 1)), np.full((1, 1), 50.0))
 
 
+@st.composite
+def branched_networks(draw):
+    """Connected networks with one or two sources: a random tree of demand
+    nodes with chords, one link doubled by a parallel link, and a ring
+    hanging behind a bridge with leaves on it, each link pointing either
+    way and the demand nodes in a drawn order."""
+    n_tree, n_ring = draw(st.integers(1, 7)), draw(st.integers(3, 4))
+    tree = [f"n{i}" for i in range(n_tree)]
+    ring = [f"r{i}" for i in range(n_ring)]
+    leaves = [f"l{k}" for k in range(draw(st.integers(0, 2)))]
+    sources = [f"s{k}" for k in range(draw(st.integers(1, 2)))]
+    ends = [(tree[draw(st.integers(0, i - 1))], tree[i]) for i in range(1, n_tree)]
+    ends += [(s, draw(st.sampled_from(tree))) for s in sources]
+    if n_tree >= 2:
+        for _ in range(draw(st.integers(0, 2))):
+            ends.append(tuple(draw(st.lists(st.sampled_from(tree), min_size=2,
+                                            max_size=2, unique=True))))
+    ends.append(draw(st.sampled_from(ends)))
+    ends.append((draw(st.sampled_from(tree)), ring[0]))
+    ends += [(ring[i], ring[(i + 1) % n_ring]) for i in range(n_ring)]
+    ends += [(draw(st.sampled_from(ring)), leaf) for leaf in leaves]
+    links = [Link(f"p{j}", *(ab[::-1] if draw(st.booleans()) else ab), PIPE,
+                  100.0, 0.2, 130.0) for j, ab in enumerate(ends)]
+    nodes = [DemandNode(i, 0.0) for i in draw(st.permutations(tree + ring + leaves))]
+    net = NetworkModel(links, nodes, [SourceNode(s) for s in sources],
+                       np.full((1, len(nodes)), 0.01), np.full((1, len(sources)), 50.0))
+    net.validate()
+    return net
+
+
+def forest_core_oracle(net):
+    """Each link's (sign, downstream nodes) from the definition of a forest
+    link: deleting it leaves a source-free component whose links form a
+    tree.  The sign is +1 when the link's to-node lies in that component;
+    a core link gets (0, ())."""
+    pos = {n.id: i for i, n in enumerate(net.nodes)}
+    sources = {s.id for s in net.sources}
+    split = []
+    for j, lk in enumerate(net.links):
+        rest = [(o.from_node, o.to_node) for k, o in enumerate(net.links) if k != j]
+        result = (0, ())
+        for end, sign in ((lk.to_node, 1), (lk.from_node, -1)):
+            part, stack = {end}, [end]
+            while stack:
+                a = stack.pop()
+                for b in [y for x, y in rest if x == a] + [x for x, y in rest if y == a]:
+                    if b not in part:
+                        part.add(b)
+                        stack.append(b)
+            n_links = sum(a in part for a, _ in rest)
+            if part.isdisjoint(sources) and n_links == len(part) - 1:
+                result = (sign, tuple(sorted(pos[i] for i in part)))
+        split.append(result)
+    return split
+
+
 class TestForestCore:
     def test_tree_is_all_forest(self, line3):
-        dec = forest_core(line3)
-        assert dec.core_links == ()
-        assert set(dec.forest_links) == {0, 1, 2}
+        assert line3.core_links == ()
+        assert set(line3.forest_links) == {0, 1, 2}
         # last link feeds only the end node; first link feeds everything
-        assert dec.forest_downstream[2] == (2,)
-        assert dec.forest_downstream[0] == (0, 1, 2)
-        assert all(s == 1 for s in dec.forest_sign.values())
+        assert line3.forest_downstream[2] == (2,)
+        assert line3.forest_downstream[0] == (0, 1, 2)
+        assert all(line3.forest_sign[j] == 1 for j in line3.forest_links)
 
     def test_loop_is_all_core_except_feed(self, loop4):
-        dec = forest_core(loop4)
         # the source feed pipe is a bridge but keeps the loop alive below it:
         # only degree-1 pruning applies, and no demand node has degree 1
-        assert set(dec.core_links) == set(range(loop4.n_p))
-        assert dec.forest_links == ()
+        assert set(loop4.core_links) == set(range(loop4.n_p))
+        assert loop4.forest_links == ()
 
     def test_reversed_branch_sign(self):
         # branch link written end-node -> interior: sign must flip
@@ -450,14 +504,23 @@ class TestForestCore:
                  Link("p2", "b", "a", PIPE, 100, 0.2, 130)]
         net = NetworkModel(links, nodes, [SourceNode("src")],
                            np.array([[0.01, 0.01]]), np.array([[50.0]]))
-        dec = forest_core(net)
-        assert dec.forest_sign[1] == -1
-        assert dec.forest_downstream[1] == (1,)
+        assert net.forest_sign[1] == -1
+        assert net.forest_downstream[1] == (1,)
 
     def test_grid_core_rank(self, grid25):
         # chord count of the grid graph: links - nodes (spanning tree uses n_n)
-        dec = forest_core(grid25)
-        assert len(dec.core_links) + len(dec.forest_links) == grid25.n_p
+        assert len(grid25.core_links) + len(grid25.forest_links) == grid25.n_p
+
+    @given(net=branched_networks())
+    @settings(max_examples=200, deadline=None)
+    def test_split_matches_its_definition(self, net):
+        split = forest_core_oracle(net)
+        assert net.forest_sign.tolist() == [sign for sign, _ in split]
+        assert net.forest_downstream == tuple(down for _, down in split)
+        assert net.forest_links == tuple(j for j, (sign, _) in enumerate(split) if sign)
+        assert net.core_links == tuple(j for j, (sign, _) in enumerate(split) if not sign)
+        with pytest.raises(ValueError):
+            net.forest_sign[0] = 1
 
 
 class TestProblemStats:

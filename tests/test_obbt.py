@@ -13,7 +13,6 @@ from sccopt.errors import InconsistentBounds
 from sccopt.hydraulics import headloss_params, simulate
 from sccopt.lp import _HOT_OPTIONS, NUMERICAL, OPTIMAL, LpSolution, solve_lp
 from sccopt.netgen import line_network, random_network
-from sccopt.netmodel import forest_core
 from sccopt.obbt import _OBBT_PAD, flow_polytope, tighten, tighten_forest
 from sccopt.pipeline import RunConfig, default_problem
 from sccopt.relax import Problem, build_lp, default_bounds
@@ -39,7 +38,7 @@ class TestCoreTightening:
     def test_solve_count_per_iteration(self, loop4):
         problem = default_problem(loop4, RunConfig())
         tightened, report = tighten(problem, 1, 1)
-        n_core = len(forest_core(loop4).core_links)
+        n_core = len(loop4.core_links)
         assert report.lp_solves == report.iterations * 2 * loop4.n_t * n_core
 
     def test_bounds_monotone_nonincreasing(self, loop4):
@@ -65,7 +64,7 @@ class TestCoreTightening:
     def test_failed_bound_lp_names_link_and_timestep(self, loop4, monkeypatch):
         problem = default_problem(loop4, RunConfig())
         monkeypatch.setattr(obbt, "solve_lp", lambda lp: LpSolution("infeasible"))
-        first = loop4.links[min(forest_core(loop4).core_links)].id
+        first = loop4.links[min(loop4.core_links)].id
         with pytest.raises(InconsistentBounds,
                            match=f"^bound LP for link {first}, timestep 0 returned infeasible$"):
             tighten(problem, 1, 1)
@@ -119,7 +118,7 @@ def bound_targets(net, vmap, signs=(1.0, -1.0)):
     """Each OBBT target's objective in tighten's order: +-1 (``signs``) on
     one core link's flow column."""
     for t in range(net.n_t):
-        for j in sorted(forest_core(net).core_links):
+        for j in net.core_links:
             for sign in signs:
                 c = np.zeros(vmap.total)
                 c[vmap.q(t)[j]] = sign
@@ -330,7 +329,7 @@ class TestConcurrentSessions:
         problem = default_problem(loop4, RunConfig())
         monkeypatch.setattr(obbt, "solve_lp", lambda lp: (
             LpSolution("infeasible") if lp.c.min() < 0 else solve_lp(lp)))
-        first = loop4.links[min(forest_core(loop4).core_links)].id
+        first = loop4.links[min(loop4.core_links)].id
         before = threading.active_count()
         with pytest.raises(InconsistentBounds,
                            match=f"^bound LP for link {first}, timestep 0 returned infeasible$"):
@@ -345,7 +344,7 @@ class TestConcurrentSessions:
         # session reached it
         problem = default_problem(loop4, RunConfig())
         _, vmap = build_lp(problem, 1, 1)
-        core = sorted(forest_core(loop4).core_links)
+        core = loop4.core_links
         order = {int(vmap.q(0)[j]): k for k, j in enumerate(core)}
 
         def failing(lp):

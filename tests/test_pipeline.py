@@ -444,6 +444,16 @@ class TestPersistence:
         assert (tmp_path / "velocity_cdf.csv").exists()
         assert (tmp_path / "obbt_report.json").exists()
 
+    def test_run_without_obbt_removes_an_earlier_report(self, tmp_path, loopnet,
+                                                        cms_solution):
+        save_results(cms_solution, loopnet, tmp_path)
+        sol = run_cms(loopnet, RunConfig(n_v=1, n_f=1, n_samples=2, n_starts=1,
+                                         seed=11, use_obbt=False))
+        save_results(sol, loopnet, tmp_path)
+        assert not (tmp_path / "obbt_report.json").exists()
+        payload = json.loads((tmp_path / "solution.json").read_text())
+        assert payload["scc_smooth"] == sol.scc_smooth
+
     def test_solution_names_winning_start_and_directions(self, tmp_path, loopnet,
                                                             cms_solution):
         save_results(cms_solution, loopnet, tmp_path)

@@ -63,6 +63,33 @@ def test_design_digests_describes_a_run(loop4):
     assert float(fields["lp_bound"]) == sol.lp_upper_bound
 
 
+def test_placement_study_scores_each_sampled_placement_as_run_cms(loop4, capsys,
+                                                                 monkeypatch):
+    from types import SimpleNamespace
+
+    from sccopt.pipeline import RunConfig, run_cms
+
+    placement_study = load_script("placement_study")
+    config = RunConfig(n_v=1, n_f=1, n_samples=4, n_starts=1, seed=0)
+    scores = placement_study.study(loop4, config)
+    # one DBV on each of the 5 links, one AFV on each of the 4 nodes
+    assert len(scores) == len(loop4.free_links) * loop4.n_n == 20
+    sol = run_cms(loop4, config)
+    assert [scores[c] for c in sol.candidates] == sol.candidate_scores
+
+    workload = SimpleNamespace(run_config=lambda: config, network=lambda seed: loop4)
+    monkeypatch.setitem(placement_study.WORKLOADS, "loop4", workload)
+    placement_study.main(["--workload", "loop4"])
+    header, _, *rows = capsys.readouterr().out.splitlines()
+    feasible = sum(s is not None for s in scores.values())
+    assert header == f"loop4 seed=0: 20 placements, {feasible} with a feasible control"
+    assert len(rows) == min(placement_study.TOP, feasible) + 1
+    best = max(s for s in scores.values() if s is not None)
+    assert rows[0].split()[1] == f"{best:.8f}"
+    rank = 1 + sum(s > sol.scc_smooth for s in scores.values() if s is not None)
+    assert rows[-1].endswith(f"rank {rank} of {feasible}")
+
+
 def test_scores_digest_covers_every_candidate():
     from types import SimpleNamespace
 
