@@ -8,9 +8,12 @@ order), the winning design (DBV links and AFV nodes by index) and start,
 ``scc_smooth``, ``scc_exact``, the candidate-score digest (the first 16
 hex digits of the SHA-256 of every candidate's ``scc_smooth``, in candidate
 order, None for a candidate without a feasible control) and the
-relaxation's ``lp_bound``, as space-separated ``key=value`` fields.  Two
-checkouts that print the same lines found bit-identical controls, scored
-every candidate alike and bounded the relaxation alike.
+relaxation's ``lp_bound`` and LP digest (the first 16 hex digits of the
+SHA-256 of the relaxation's c, CSC indptr, indices and data, lhs, rhs, lb
+and ub, built by ``build_lp`` over ``tightened_bounds``' box), as
+space-separated ``key=value`` fields.  Two checkouts that print the same
+lines found bit-identical controls, scored every candidate alike, and built
+and bounded the relaxation alike.
 
 Usage:
     PYTHONPATH=src python3 scripts/design_digests.py --seeds 0 1 2 3 4 5
@@ -26,7 +29,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 
-from sccopt.pipeline import run_cms  # noqa: E402
+from sccopt.pipeline import run_cms, tightened_bounds  # noqa: E402
+from sccopt.relax import build_lp  # noqa: E402
 
 
 def control_digest(solution) -> str:
@@ -46,16 +50,29 @@ def scores_digest(solution) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def lp_digest(net, config) -> str:
+    """First 16 hex digits of the SHA-256 of the final relaxation's c, CSC
+    indptr, indices and data, lhs, rhs, lb and ub."""
+    problem, _ = tightened_bounds(net, config)
+    lp, _ = build_lp(problem, config.n_v, config.n_f)
+    A = lp.A.tocsc()
+    digest = hashlib.sha256()
+    for a in (lp.c, A.indptr, A.indices, A.data, lp.lhs, lp.rhs, lp.lb, lp.ub):
+        digest.update(a.tobytes())
+    return digest.hexdigest()[:16]
+
+
 def describe(name: str, net, config) -> str:
     """One line: the run's digest, winning design and start, its scores, the
-    candidates' score digest and the relaxation bound."""
+    candidates' score digest, the relaxation bound and the LP digest."""
     sol = run_cms(net, config)
     dbv, afv = (",".join(map(str, ids)) for ids in (sol.design.dbv_links,
                                                      sol.design.afv_nodes))
     return (f"{name} seed={config.seed} digest={control_digest(sol)} "
             f"dbv={dbv} afv={afv} start={sol.control.start_index} "
             f"scc_smooth={sol.scc_smooth!r} scc_exact={sol.scc_exact!r} "
-            f"scores={scores_digest(sol)} lp_bound={sol.lp_upper_bound!r}")
+            f"scores={scores_digest(sol)} lp_bound={sol.lp_upper_bound!r} "
+            f"lp={lp_digest(net, config)}")
 
 
 def main(argv=None):

@@ -151,10 +151,16 @@ def cmd_profile(args) -> int:
     with open(args.scores) as f:
         reader = csv.reader(f)
         header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{args.scores}: empty score table")
-        rows = [[float(v) if v not in ("", "nan") else np.nan for v in row[1:]]
-                for row in reader]
+        rows = []
+        for row in reader:
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+                rows.append([float(v) if v not in ("", "nan") else np.nan for v in row[1:]])
+            except ValueError as exc:
+                raise ParseError(f"{args.scores}: {exc}", reader.line_num) from exc
+        if not rows:
+            raise ParseError(f"{args.scores}: no score rows")
     scores = np.array(rows)
     taus = np.linspace(1.0, args.tau_max, args.n_tau)
     rho = performance_profile(scores, taus)

@@ -203,27 +203,22 @@ class NetworkModel:
 
     def _build_schur_pattern(self):
         # S = A12^T diag(w) A12, the Newton step's reduced matrix, has a
-        # pattern that depends only on the network.  Each pair (a, b) of A12
-        # entries on one link adds sign_a * sign_b * w[link] to
-        # S[node_a, node_b].  The pairs are listed in ascending link order,
-        # the order in which SciPy's sparse product sums them, so the sums
-        # round the same way.
-        A12 = self.A12
-        per_link = np.diff(A12.indptr)
-        entry_link = np.repeat(np.arange(self.n_p), per_link)
-        n_pairs = per_link[entry_link]  # entry e pairs with each entry on its link
-        a = np.repeat(np.arange(A12.nnz), n_pairs)
-        first = np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
-        b = A12.indptr[entry_link[a]] + np.arange(a.size) - first
-        # CSC order: by column node_b, then row node_a
-        keys, pos = np.unique(A12.indices[b] * self.n_n + A12.indices[a],
-                              return_inverse=True)
+        # pattern that depends only on the network.  Each pair (a, b) of a
+        # link's ends that are both demand nodes adds w[link] to S[a, b] on
+        # the diagonal and -w[link] off it.  The pairs are listed in
+        # ascending link order, the order in which SciPy's sparse product
+        # sums them, so the sums round the same way.
+        ends = np.column_stack([self.link_to, self.link_from])
+        rows, cols = np.repeat(ends, 2, axis=1), np.tile(ends, 2)
+        pair = (rows < self.n_n) & (cols < self.n_n)
+        # CSC order: by column, then row
+        keys, pos = np.unique(cols[pair] * self.n_n + rows[pair], return_inverse=True)
         self.schur_indices = (keys % self.n_n).astype(np.int32)
         self.schur_indptr = np.searchsorted(
             keys, np.arange(self.n_n + 1) * self.n_n).astype(np.int32)
         self.schur_pos = pos
-        self.schur_link = entry_link[a]
-        self.schur_sign = A12.data[a] * A12.data[b]
+        self.schur_link = np.nonzero(pair)[0]
+        self.schur_sign = np.where(rows == cols, 1.0, -1.0)[pair]
         # each entry's index in the row-major n_n x n_n array, where small
         # networks factor S densely
         self.schur_dense_pos = keys % self.n_n * self.n_n + keys // self.n_n

@@ -72,8 +72,7 @@ def flow_polytope(lp: LinearProgram, vmap: VariableMap) -> LinearProgram:
     column fixed at 0; the columns keep their indices, so ``vmap`` still maps
     them.  Exact for flow objectives: those rows are the psi cuts, which
     sigma = 0 satisfies on the flow box (see the module docstring)."""
-    sigma = np.concatenate([np.r_[vmap.sigma_pos(t), vmap.sigma_neg(t)]
-                            for t in range(vmap.n_t)])
+    sigma = np.r_[vmap.sigma_pos.ravel(), vmap.sigma_neg.ravel()]
     keep = np.ones(lp.n_rows, dtype=bool)
     keep[lp.A.tocsc()[:, sigma].indices] = False
     ub = lp.ub.copy()
@@ -81,7 +80,7 @@ def flow_polytope(lp: LinearProgram, vmap: VariableMap) -> LinearProgram:
     return replace(lp, A=lp.A[keep], lhs=lp.lhs[keep], rhs=lp.rhs[keep], ub=ub)
 
 
-def _bound_session(lp: LinearProgram, cols: list[int], sign: float):
+def _bound_session(lp: LinearProgram, cols: np.ndarray, sign: float):
     """Minimize ``sign`` times each column of ``cols`` over ``lp`` in one
     hot-started HiGHS session, in order, stopping after the first LP that is
     not optimal.  Returns (status, objective, simplex iterations) per LP
@@ -133,7 +132,7 @@ def tighten(problem: Problem, n_v: int, n_f: int) -> tuple[Problem, ObbtReport]:
     for _ in range(_K_MAX):
         lp, vmap = build_lp(Problem(net, scc_params, bounds.copy()), n_v, n_f)
         lp = flow_polytope(lp, vmap)
-        cols = [int(vmap.q(t)[j]) for t, j in targets]
+        cols = vmap.q[:, core].ravel()  # in the order of targets
         with ThreadPoolExecutor(1) as pool:
             upper_session = pool.submit(_bound_session, lp, cols, -1.0)
             lower, lower_retries = _bound_session(lp, cols, 1.0)

@@ -20,53 +20,32 @@ from .scc import SccParams
 
 @dataclass(frozen=True)
 class VariableMap:
-    """Column index ranges of the assembled LP."""
+    """Column indices of the assembled LP.
+
+    Each timestep owns one block of columns: the families q, h, eta, theta,
+    alpha, sigma_pos, sigma_neg, v_pos and v_neg, in that order.  Each family
+    is a read-only (n_t, n_n) index array for h and alpha and (n_t, n_p) for
+    the others, so ``q[t]`` holds timestep t's flow columns.  The placement
+    columns ``z`` (n_p) and ``y`` (n_n) follow the last block; ``total``
+    counts every column.
+    """
 
     n_p: int
     n_n: int
     n_t: int
 
-    def _block(self, t: int) -> int:
-        return t * (3 * self.n_p + 2 * self.n_n + 4 * self.n_p)
-
-    def q(self, t):
-        return self._block(t) + np.arange(self.n_p)
-
-    def h(self, t):
-        return self._block(t) + self.n_p + np.arange(self.n_n)
-
-    def eta(self, t):
-        return self._block(t) + self.n_p + self.n_n + np.arange(self.n_p)
-
-    def theta(self, t):
-        return self._block(t) + 2 * self.n_p + self.n_n + np.arange(self.n_p)
-
-    def alpha(self, t):
-        return self._block(t) + 3 * self.n_p + self.n_n + np.arange(self.n_n)
-
-    def sigma_pos(self, t):
-        return self._block(t) + 3 * self.n_p + 2 * self.n_n + np.arange(self.n_p)
-
-    def sigma_neg(self, t):
-        return self._block(t) + 4 * self.n_p + 2 * self.n_n + np.arange(self.n_p)
-
-    def v_pos(self, t):
-        return self._block(t) + 5 * self.n_p + 2 * self.n_n + np.arange(self.n_p)
-
-    def v_neg(self, t):
-        return self._block(t) + 6 * self.n_p + 2 * self.n_n + np.arange(self.n_p)
-
-    @property
-    def z(self):
-        return self._block(self.n_t) + np.arange(self.n_p)
-
-    @property
-    def y(self):
-        return self._block(self.n_t) + self.n_p + np.arange(self.n_n)
-
-    @property
-    def total(self) -> int:
-        return self._block(self.n_t) + self.n_p + self.n_n
+    def __post_init__(self):
+        n_p, n_n = self.n_p, self.n_n
+        sizes = {"q": n_p, "h": n_n, "eta": n_p, "theta": n_p, "alpha": n_n,
+                 "sigma_pos": n_p, "sigma_neg": n_p, "v_pos": n_p, "v_neg": n_p}
+        blocks = np.arange(self.n_t * sum(sizes.values())).reshape(self.n_t, -1)
+        placements = np.arange(blocks.size, blocks.size + n_p + n_n)
+        parts = (np.split(blocks, np.cumsum(list(sizes.values()))[:-1], axis=1)
+                 + np.split(placements, [n_p]))
+        for name, part in zip([*sizes, "z", "y"], parts):
+            part.flags.writeable = False
+            object.__setattr__(self, name, part)
+        object.__setattr__(self, "total", blocks.size + n_p + n_n)
 
 
 @dataclass
@@ -171,19 +150,40 @@ def build_lp(problem: Problem, n_v: int, n_f: int) -> tuple[LinearProgram, Varia
     on links without a valve, ``n_f`` AFVs on any demand nodes, and the
     network's existing PRVs and DBVs stay in place.
 
-    The ``<=`` rows come first: per timestep, each link's table, then one
-    AFV row per node.  The equality rows follow: per timestep, mass and
-    energy balance, then the two valve-count rows.  The envelope cuts of a
-    timestep's link tables are built for all links at once.
+    Each column family's bounds and costs are set for all timesteps at once,
+    and the envelope cuts of every link and timestep are built together
+    (``_link_tables``).  The ``<=`` rows come first: per timestep, each
+    link's table, then one AFV row per node.  The equality rows follow: per
+    timestep, mass and energy balance, then the two valve-count rows.
     """
     net, bounds = problem.net, problem.bounds
     vmap = VariableMap(net.n_p, net.n_n, net.n_t)
     n = vmap.total
     I_p, I_n = sp.identity(net.n_p), sp.identity(net.n_n)
-    z_idx, y_idx = vmap.z, vmap.y
     prv, fixed = list(net.prv_links), list(net.prv_links + net.dbv_links)
-    # a column's bounds are [0, 0] unless set below
-    c, lb, ub = np.zeros(n), np.zeros(n), np.zeros(n)
+    # a column's bounds are [0, 1], those of the relaxed binaries sigma, v, z
+    # and y, unless set below
+    c, lb, ub = np.zeros(n), np.zeros(n), np.ones(n)
+    lb[vmap.q], ub[vmap.q] = bounds.q_lo, bounds.q_hi
+    lb[vmap.h], ub[vmap.h] = bounds.h_lo, bounds.h_hi
+    lb[vmap.eta], ub[vmap.eta] = bounds.eta_lo, bounds.eta_hi
+    lb[vmap.theta], ub[vmap.theta] = bounds.theta_lo, bounds.theta_hi
+    ub[vmap.alpha] = bounds.alpha_hi
+    # existing PRVs are unidirectional; their direction is pinned
+    lb[vmap.v_pos[:, prv]] = 1.0
+    ub[vmap.v_neg[:, prv]] = 0.0
+    # objective: maximize the mean weighted sigma mass
+    c[vmap.sigma_pos] = c[vmap.sigma_neg] = -problem.scc_params.weights / net.n_t
+    # the existing valves stay
+    lb[vmap.z[fixed]] = 1.0
+
+    # mass: A12^T q - alpha = d;  energy: A12 h + theta + eta = -A10 h0;
+    # flushing only where an AFV is placed
+    mass, energy = sp.hstack([net.A12T, -I_n]), sp.hstack([net.A12, I_p, I_p])
+    flushing = sp.hstack([I_n, -bounds.alpha_hi * I_n])
+    table, keep = _link_tables(problem)
+    link_cols = np.stack([vmap.q, vmap.sigma_pos, vmap.sigma_neg, vmap.theta, vmap.eta, vmap.v_pos,
+                          vmap.v_neg, np.broadcast_to(vmap.z, vmap.q.shape)], axis=-1)
     # (blocks, right-hand sides) of the <= rows and of the equality rows
     leq, eq = ([], []), ([], [])
 
@@ -192,44 +192,16 @@ def build_lp(problem: Problem, n_v: int, n_f: int) -> tuple[LinearProgram, Varia
         group[1].append(b)
 
     for t in range(net.n_t):
-        q_idx, h_idx = vmap.q(t), vmap.h(t)
-        eta_idx, th_idx = vmap.eta(t), vmap.theta(t)
-        a_idx = vmap.alpha(t)
-        sp_idx, sm_idx = vmap.sigma_pos(t), vmap.sigma_neg(t)
-        vp_idx, vm_idx = vmap.v_pos(t), vmap.v_neg(t)
-
-        # mass: A12^T q - alpha = d;  energy: A12 h + theta + eta = -A10 h0
-        add(eq, sp.hstack([net.A12T, -I_n]), np.r_[q_idx, a_idx], net.demands[t])
-        add(eq, sp.hstack([net.A12, I_p, I_p]), np.r_[h_idx, th_idx, eta_idx],
+        add(eq, mass, np.r_[vmap.q[t], vmap.alpha[t]], net.demands[t])
+        add(eq, energy, np.r_[vmap.h[t], vmap.theta[t], vmap.eta[t]],
             -(net.A10 @ net.source_heads[t]))
+        rows = table[t][keep[t]]
+        add(leq, rows[:, :8], link_cols[t][np.nonzero(keep[t])[0]], rows[:, 8])
+        add(leq, flushing, np.r_[vmap.alpha[t], vmap.y], np.zeros(net.n_n))
 
-        table, keep = _link_tables(problem, t)
-        cols = np.column_stack([q_idx, sp_idx, sm_idx, th_idx, eta_idx,
-                                vp_idx, vm_idx, z_idx])
-        rows = table[keep]
-        add(leq, rows[:, :8], cols[np.nonzero(keep)[0]], rows[:, 8])
-
-        # flushing only where an AFV is placed
-        add(leq, sp.hstack([I_n, -bounds.alpha_hi * I_n]), np.r_[a_idx, y_idx],
-            np.zeros(net.n_n))
-
-        lb[q_idx], ub[q_idx] = bounds.q_lo[t], bounds.q_hi[t]
-        lb[h_idx], ub[h_idx] = bounds.h_lo[t], bounds.h_hi[t]
-        lb[eta_idx], ub[eta_idx] = bounds.eta_lo[t], bounds.eta_hi[t]
-        lb[th_idx], ub[th_idx] = bounds.theta_lo[t], bounds.theta_hi[t]
-        ub[a_idx] = bounds.alpha_hi
-        ub[np.r_[sp_idx, sm_idx, vp_idx, vm_idx]] = 1.0
-        # existing PRVs are unidirectional; their direction is pinned
-        lb[vp_idx[prv]] = 1.0
-        ub[vm_idx[prv]] = 0.0
-        # objective: maximize the mean weighted sigma mass
-        c[sp_idx] = c[sm_idx] = -problem.scc_params.weights / net.n_t
-
-    # placement variables and count constraints; the existing valves stay
-    ub[z_idx] = ub[y_idx] = 1.0
-    lb[z_idx[fixed]] = 1.0
-    add(eq, np.ones((1, net.n_p)), z_idx, [n_v + len(fixed)])
-    add(eq, np.ones((1, net.n_n)), y_idx, [n_f])
+    # valve-count constraints
+    add(eq, np.ones((1, net.n_p)), vmap.z, [n_v + len(fixed)])
+    add(eq, np.ones((1, net.n_n)), vmap.y, [n_f])
 
     A = sp.vstack(leq[0] + eq[0], format="csr")
     A.eliminate_zeros()  # no block may store a zero coefficient
@@ -247,22 +219,26 @@ def _at_columns(block, cols, n_cols):
     return sp.csr_matrix((b.data, (b.row, cols)), shape=(b.shape[0], n_cols))
 
 
-def _link_tables(problem: Problem, t: int):
-    """Rows ``[coefficients | rhs]`` of every link at timestep t, a ``<=`` row
-    each over the link's columns (q, sigma+, sigma-, theta, eta, v+, v-, z),
-    as an (n_p, 15, 9) slot table and the (n_p, 15) mask of the slots in use.
+def _link_tables(problem: Problem):
+    """Rows ``[coefficients | rhs]`` of every link at every timestep, a ``<=``
+    row each over the link's columns (q, sigma+, sigma-, theta, eta, v+, v-,
+    z), as an (n_t, n_p, 15, 9) slot table and the (n_t, n_p, 15) mask of
+    the slots in use.
 
     Per link: two slots each for the psi+, psi-, lower and upper head-loss
     envelope cuts, then big-M valve activation and one control direction.
+    The cuts of all (timestep, link) intervals come from one call of each
+    envelope builder; a cut does not depend on the intervals built with it.
     """
-    bounds, scc_params, areas = problem.bounds, problem.scc_params, problem.net.areas
-    q_lo, q_hi = bounds.q_lo[t], bounds.q_hi[t]
-    th_lo, th_hi = bounds.theta_lo[t], bounds.theta_hi[t]
-    e_lo, e_hi = bounds.eta_lo[t], bounds.eta_hi[t]
+    bounds, scc_params, params = problem.bounds, problem.scc_params, problem.params
+    # one interval per (timestep, link), timestep-major
+    areas, u_min, r, n_exp, q_lo, q_hi, th_lo, th_hi, e_lo, e_hi = (
+        a.ravel() for a in np.broadcast_arrays(problem.net.areas, scc_params.u_min, params.r,
+            params.n_exp, bounds.q_lo, bounds.q_hi, bounds.theta_lo, bounds.theta_hi,
+            bounds.eta_lo, bounds.eta_hi))
     # the sigmoid envelopes are built in velocity space
-    cuts = envelopes.sigmoid_envelope(scc_params.rho, scc_params.u_min,
-                                      q_lo / areas, q_hi / areas)
-    cuts += envelopes.hw_envelope(problem.params.r, problem.params.n_exp, q_lo, q_hi)
+    cuts = envelopes.sigmoid_envelope(scc_params.rho, u_min, q_lo / areas, q_hi / areas)
+    cuts += envelopes.hw_envelope(r, n_exp, q_lo, q_hi)
     to_flow = (1.0 / areas)[:, None]
     o, z = np.ones(len(areas)), np.zeros(len(areas))
     table = np.zeros((len(areas), 15, 9))
@@ -281,7 +257,7 @@ def _link_tables(problem: Problem, t: int):
                              [z, z, z, -o, z, -th_lo, z, z, -th_lo],
                              [z, z, z, o, z, z, th_hi, z, th_hi],
                              [z, z, z, z, z, o, o, -o, z]]).transpose(2, 0, 1)
-    return table, keep
+    return table.reshape(bounds.q_lo.shape + (15, 9)), keep.reshape(bounds.q_lo.shape + (15,))
 
 
 def extract_fractional(sol: LpSolution, vmap: VariableMap, net: NetworkModel):
@@ -292,8 +268,7 @@ def extract_fractional(sol: LpSolution, vmap: VariableMap, net: NetworkModel):
     z = np.clip(sol.x[vmap.z], 0.0, None)
     y = np.clip(sol.x[vmap.y], 0.0, None)
     z[list(net.prv_links + net.dbv_links)] = 0.0
-    eta0 = np.vstack([sol.x[vmap.eta(t)] for t in range(vmap.n_t)])
-    return y, z, eta0
+    return y, z, sol.x[vmap.eta]
 
 
 def lp_bound(sol: LpSolution) -> float:

@@ -303,3 +303,16 @@ class TestProfileVerb:
         scores.write_text("")
         assert main(["profile", str(scores), "--out", str(tmp_path / "p.csv")]) == EXIT_INPUT
         assert "empty.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("problem,a,b\n", "{}: no score rows"),
+        ("problem,a,b\np1,10,12\np2,8\n", "line 3: {}: 2 fields, the header has 3"),
+        ("problem,a,b\np1,10,x\n", "line 2: {}: could not convert string to float: 'x'")],
+        ids=["header_only", "ragged_row", "non_numeric_cell"])
+    def test_malformed_score_table_named_by_file_and_line(self, tmp_path, capsys,
+                                                          text, message):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(text)
+        assert main(["profile", str(scores), "--out", str(tmp_path / "p.csv")]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message.format(scores)}\n"
+        assert not (tmp_path / "p.csv").exists()

@@ -121,7 +121,7 @@ def bound_targets(net, vmap, signs=(1.0, -1.0)):
         for j in net.core_links:
             for sign in signs:
                 c = np.zeros(vmap.total)
-                c[vmap.q(t)[j]] = sign
+                c[vmap.q[t, j]] = sign
                 yield c
 
 
@@ -185,9 +185,8 @@ class TestFlowPolytope:
         # is 3e-13 m^3/s of flow, far inside HiGHS's 1e-7 tolerance
         problem = tighten(*pipeline_setup(request.getfixturevalue(name)))[0]
         lp, vmap = build_lp(problem, 1, 1)
-        sigma = np.concatenate([np.r_[vmap.sigma_pos(t), vmap.sigma_neg(t)]
-                                for t in range(vmap.n_t)])
-        q = np.concatenate([vmap.q(t) for t in range(vmap.n_t)])
+        sigma = np.r_[vmap.sigma_pos.ravel(), vmap.sigma_neg.ravel()]
+        q = vmap.q.ravel()
         A = lp.A.tocsr()
         dropped = np.flatnonzero(np.diff(A[:, sigma].indptr))
         assert len(dropped) == lp.n_rows - flow_polytope(lp, vmap).n_rows > 0
@@ -345,7 +344,7 @@ class TestConcurrentSessions:
         problem = default_problem(loop4, RunConfig())
         _, vmap = build_lp(problem, 1, 1)
         core = loop4.core_links
-        order = {int(vmap.q(0)[j]): k for k, j in enumerate(core)}
+        order = {int(vmap.q[0, j]): k for k, j in enumerate(core)}
 
         def failing(lp):
             col = int(np.flatnonzero(lp.c)[0])

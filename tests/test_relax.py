@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+import relax_reference
 from sccopt import envelopes
 from sccopt.errors import InconsistentBounds
 from sccopt.hydraulics import head_loss, headloss_params, simulate
 from sccopt.lp import OPTIMAL, solve_lp
 from sccopt.netgen import random_network
-from sccopt.pipeline import RunConfig, default_problem
-from sccopt.relax import (Problem, RunMemo, _link_tables, build_lp, default_bounds,
-                          extract_fractional, lp_bound)
+from sccopt.netmodel import Link, NetworkModel
+from sccopt.obbt import flow_polytope
+from sccopt.pipeline import RunConfig, default_problem, tightened_bounds
+from sccopt.relax import (Problem, RunMemo, VariableMap, _link_tables, build_lp,
+                          default_bounds, extract_fractional, lp_bound)
 from sccopt.scc import SccParams, scc_smooth
 
 
@@ -126,15 +129,15 @@ class TestRelaxation:
         problem = default_problem(loop4, RunConfig())
         lp, vmap = build_lp(problem, 0, 0)
         sol = solve_lp(lp)
-        alpha = np.concatenate([sol.x[vmap.alpha(t)] for t in range(loop4.n_t)])
+        alpha = sol.x[vmap.alpha]
         assert np.max(np.abs(alpha)) <= 1e-8
 
     def test_flow_consistency_rows_hold(self, loop4):
         problem = default_problem(loop4, RunConfig())
         lp, vmap = build_lp(problem, 1, 1)
         sol = solve_lp(lp)
-        q = sol.x[vmap.q(0)]
-        alpha = sol.x[vmap.alpha(0)]
+        q = sol.x[vmap.q[0]]
+        alpha = sol.x[vmap.alpha[0]]
         mass = loop4.A12.T @ q - loop4.demands[0] - alpha
         assert np.max(np.abs(mass)) <= 1e-7
 
@@ -174,7 +177,8 @@ class TestRelaxation:
         # at u; the sigma coefficient and the rhs are unchanged
         problem = default_problem(loop4, RunConfig())
         scc_params, bounds = problem.scc_params, problem.bounds
-        table, keep = _link_tables(problem, 0)
+        tables, keeps = _link_tables(problem)
+        table, keep = tables[0], keeps[0]
         families = envelopes.sigmoid_envelope(
             scc_params.rho, scc_params.u_min, bounds.q_lo[0] / loop4.areas,
             bounds.q_hi[0] / loop4.areas)
@@ -186,3 +190,94 @@ class TestRelaxation:
                                        coeff * u, rtol=1e-12)
             assert np.all(rows[..., 1 + k] == 1.0)
             assert np.array_equal(rows[..., 8], rhs)
+
+
+def assert_same_lp(ours, ref):
+    """The two LPs' c, CSC arrays, lhs, rhs, lb and ub are equal bit for bit."""
+    for name in ("c", "lhs", "rhs", "lb", "ub"):
+        assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
+    A, A_ref = ours.A.tocsc(), ref.A.tocsc()
+    assert A.shape == A_ref.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, name), getattr(A_ref, name)), name
+
+
+def with_existing_valves(net, prv, dbv):
+    """``net`` with link ``prv`` an existing PRV and link ``dbv`` an existing DBV."""
+    links = list(net.links)
+    for j, kind in ((prv, "is_existing_prv"), (dbv, "is_existing_dbv")):
+        lk = links[j]
+        links[j] = Link(lk.id, lk.from_node, lk.to_node, lk.kind, lk.length, lk.diameter,
+                        lk.hw_coefficient, lk.valve_loss, **{kind: True})
+    return NetworkModel(links, net.nodes, net.sources, net.demands, net.source_heads)
+
+
+class TestMatchesReference:
+    """``build_lp`` returns exactly the LP that ``relax_reference`` assembles
+    one timestep at a time, on the default box, where every envelope slot is
+    in use, and on the tightened box of a design run, where the narrow
+    forest-link intervals leave slots unused."""
+
+    def assert_matches(self, net, config):
+        default = default_problem(net, config)
+        tightened, _ = tightened_bounds(net, config)
+        assert not _link_tables(tightened)[1].all()
+        for problem in (default, tightened):
+            assert_same_lp(build_lp(problem, config.n_v, config.n_f)[0],
+                           relax_reference.build_lp(problem, config.n_v, config.n_f)[0])
+
+    @pytest.mark.parametrize("n_t", [1, 2, 3, 4])
+    @pytest.mark.parametrize("counts", [(1, 1), (2, 2), (0, 0)])
+    def test_random_networks(self, n_t, counts):
+        net = random_network(15, 5, seed=n_t, n_t=n_t, demand_scale=0.002)
+        self.assert_matches(net, RunConfig(n_v=counts[0], n_f=counts[1]))
+
+    @pytest.mark.parametrize("n_t", [1, 3])
+    def test_existing_prv_and_dbv(self, n_t):
+        net = with_existing_valves(random_network(20, 6, seed=3, n_t=n_t), prv=4, dbv=7)
+        assert net.prv_links == (4,) and net.dbv_links == (7,)
+        self.assert_matches(net, RunConfig(n_v=1, n_f=1))
+
+    def test_no_flushing_allowance(self):
+        net = random_network(15, 5, seed=2, n_t=2, demand_scale=0.002)
+        self.assert_matches(net, RunConfig(n_v=1, n_f=1, alpha_max=0.0))
+
+    def test_tightened_flow_polytope(self):
+        net = random_network(15, 5, seed=4, n_t=2, demand_scale=0.002)
+        problem, report = tightened_bounds(net, RunConfig(n_v=1, n_f=1))
+        assert report.iterations >= 1
+        lp, vmap = build_lp(problem, 1, 1)
+        ref, ref_vmap = relax_reference.build_lp(problem, 1, 1)
+        assert_same_lp(lp, ref)
+        assert_same_lp(flow_polytope(lp, vmap), relax_reference.flow_polytope(ref, ref_vmap))
+
+    def test_one_call_of_each_envelope_builder(self, monkeypatch):
+        net = random_network(15, 5, seed=1, n_t=3, demand_scale=0.002)
+        problem = default_problem(net, RunConfig())
+        calls = []
+        for name in ("sigmoid_envelope", "hw_envelope"):
+            def counted(*args, _name=name, _build=getattr(envelopes, name)):
+                calls.append((_name, len(args[-1])))
+                return _build(*args)
+            monkeypatch.setattr(envelopes, name, counted)
+        build_lp(problem, 1, 1)
+        # one call each, over every (timestep, link) interval
+        assert calls == [("sigmoid_envelope", 3 * net.n_p), ("hw_envelope", 3 * net.n_p)]
+
+
+class TestVariableMap:
+    def test_families_partition_the_columns(self):
+        n_p, n_n, n_t = 5, 3, 4
+        vmap = VariableMap(n_p, n_n, n_t)
+        shapes = {"q": (n_t, n_p), "h": (n_t, n_n), "eta": (n_t, n_p),
+                  "theta": (n_t, n_p), "alpha": (n_t, n_n), "sigma_pos": (n_t, n_p),
+                  "sigma_neg": (n_t, n_p), "v_pos": (n_t, n_p), "v_neg": (n_t, n_p),
+                  "z": (n_p,), "y": (n_n,)}
+        for name, shape in shapes.items():
+            cols = getattr(vmap, name)
+            assert cols.shape == shape, name
+            with pytest.raises(ValueError):
+                cols[(0,) * cols.ndim] = 0
+        every = np.concatenate([getattr(vmap, name).ravel() for name in shapes])
+        assert np.array_equal(np.sort(every), np.arange(vmap.total))
+        assert vmap.total == n_t * (7 * n_p + 2 * n_n) + n_p + n_n

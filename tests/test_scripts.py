@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,10 @@ def test_design_digests_describes_a_run(loop4):
     assert fields["scores"] == design_digests.scores_digest(sol)
     assert len(fields["scores"]) == 16
     assert float(fields["lp_bound"]) == sol.lp_upper_bound
+    assert fields["lp"] == design_digests.lp_digest(loop4, config)
+    assert len(fields["lp"]) == 16
+    # one more AFV moves the count row's right-hand side
+    assert design_digests.lp_digest(loop4, replace(config, n_f=2)) != fields["lp"]
 
 
 def test_placement_study_scores_each_sampled_placement_as_run_cms(loop4, capsys,
