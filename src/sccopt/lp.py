@@ -6,8 +6,10 @@ Hall, 2018, *Parallelizing the dual revised simplex method*) with no
 translation: a CSC matrix in canonical format goes in uncopied, and the rows
 and duals keep the LP's order.  HiGHS is driven through the bindings SciPy
 bundles as the private module ``scipy.optimize._highspy._core`` (first
-shipped in SciPy 1.15, hence ``scipy>=1.15``), with the options
-``scipy.optimize.linprog(method="highs")`` uses and linprog's post-solve
+shipped in SciPy 1.15, hence ``scipy>=1.15``): presolve on, dual simplex,
+HiGHS's default tolerances and max-value scaling (``simplex_scale_strategy
+= 4``; Elble and Sahinidis, 2012, *Scaling linear optimization problems
+prior to application of the simplex method*), with linprog's post-solve
 feasibility check, but without linprog's per-call input cleaning and option
 checking, which cost more than the solve itself on the small SCP step LPs.
 The rest of the pipeline sees only ``solve_lp``, so a different engine can
@@ -139,23 +141,35 @@ def _options(presolve: str, strategy) -> _highs.HighsOptions:
 
 
 _STRATEGY = _highs.simplex_constants.SimplexStrategy
-# linprog's HiGHS options; passOptions copies them, so one set serves every solve
+# a cold solve's options; passOptions copies them, so one set serves every
+# solve.  The relaxation's coefficients run from about 2e-9 to 1e4, and under
+# HiGHS's default equilibration scaling (strategy 2) dual simplex takes 1.5
+# to 2.2 times as long on the relaxations scripts/lp_scaling.py times, and
+# does not solve that of random_network(300, 90, seed=5, n_t=4) within 150 s,
+# where max-value scaling takes 12 s.  Of the benchmark runs' SCP step LPs,
+# every one of grid25 and rand100x4 returns the same x under both scalings;
+# 3 of rand60's 110 return another optimal vertex, at the same objective
 _OPTIONS = _options("on", _STRATEGY.kSimplexStrategyDual)
-# a hot session's options: linprog's, but primal simplex without presolve, so
-# a new objective restarts from the kept basis, which stays primal feasible.
-# At HiGHS's default 1e-7 dual feasibility tolerance primal simplex stops at
-# a vertex whose objective may exceed the cold (presolved) optimum by more
-# than 1e-7, e.g. when every cost is about 1e-7 and it keeps the slack
-# basis; the tightest tolerance HiGHS accepts makes hot re-solves as exact
-# as cold ones
+_OPTIONS.simplex_scale_strategy = 4
+# a hot session's options: HiGHS's defaults, with primal simplex and no
+# presolve, so a new objective restarts from the kept basis, which stays
+# primal feasible.  Hot sessions keep the default equilibration scaling:
+# under max-value scaling rand60's OBBT sessions took 58,076 simplex
+# iterations, not 29,893.  At HiGHS's default 1e-7 dual feasibility tolerance
+# primal simplex stops at a vertex whose objective may exceed the cold
+# (presolved) optimum by more than 1e-7, e.g. when every cost is about 1e-7
+# and it keeps the slack basis; the tightest tolerance HiGHS accepts makes
+# hot re-solves as exact as cold ones
 _HOT_OPTIONS = _options("off", _STRATEGY.kSimplexStrategyPrimal)
 _HOT_OPTIONS.dual_feasibility_tolerance = 1e-10
-# a failed hot solve's cold retry: linprog's options at the tightest primal
-# and dual tolerances HiGHS accepts, as exact as a hot solve.  With every
-# bound LP of random_network(60, 20, seed=1) retried cold, OBBT's box lies
-# up to 1.6e-7 from the hot box at HiGHS's default tolerances and 1.4e-8 at
-# these (1.2e-8 at the tight dual tolerance alone, 2.2e-7 at the tight
-# primal one alone), against obbt._OBBT_PAD's 1e-6
+# a failed hot solve's cold retry: HiGHS's defaults (presolve, dual simplex,
+# equilibration scaling) at the tightest primal and dual tolerances HiGHS
+# accepts, as exact as a hot solve.  With every bound LP of
+# random_network(60, 20, seed=1) retried cold, OBBT's box lies up to 1.6e-7
+# from the hot box at HiGHS's default tolerances and 1.4e-8 at these (1.2e-8
+# at the tight dual tolerance alone, 2.2e-7 at the tight primal one alone),
+# against obbt._OBBT_PAD's 1e-6.  Under max-value scaling the retried box
+# lies 1.4e-8 from the hot box as well
 _RETRY_OPTIONS = _options("on", _STRATEGY.kSimplexStrategyDual)
 _RETRY_OPTIONS.primal_feasibility_tolerance = 1e-10
 _RETRY_OPTIONS.dual_feasibility_tolerance = 1e-10

@@ -197,7 +197,9 @@ class TestRunCms:
         # step LPs of this run are degenerate, so the pinned scc_smooth also
         # pins the optimal vertex HiGHS picks among equal objectives.  The
         # dense Cholesky of the Newton step moved it by 2.4e-15 from
-        # SuperLU's 0.3731225344148909, on the same vertex
+        # SuperLU's 0.3731225344148909, on the same vertex.  The relaxation's
+        # max-value scaling moved the pinned bound by 4.4e-16 from
+        # 0.4008545561249951
         restore, restored = sfscp.restore_feasibility, []
 
         def recorded_restore(*args):
@@ -210,7 +212,7 @@ class TestRunCms:
         assert len(restored) == 2
         assert all(r is not None and np.array_equal(r[0], [0.0]) for r in restored)
         assert sol.scc_smooth == 0.37312253441489335
-        assert sol.lp_upper_bound == 0.4008545561249951
+        assert sol.lp_upper_bound == 0.40085455612499554
 
     def test_obbt_report_attached(self, cms_solution):
         assert cms_solution.obbt_report is not None

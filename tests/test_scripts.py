@@ -132,3 +132,29 @@ def test_schur_crossover_times_both_factorizations(capsys, monkeypatch):
     # the timing is restored
     assert paths == {(n, dense) for n in (10, 20) for dense in (True, False)}
     assert hydraulics.DENSE_SCHUR_MAX_NODES == cutoff
+
+
+def test_lp_scaling_solves_under_both_strategies(capsys, monkeypatch):
+    from sccopt import lp as lp_mod
+
+    lp_scaling = load_script("lp_scaling")
+    options, solve, strategies = lp_mod._OPTIONS, lp_mod.solve_lp, []
+
+    def recorded(lp):
+        strategies.append(options.simplex_scale_strategy)
+        return solve(lp)
+
+    monkeypatch.setattr(lp_mod, "solve_lp", recorded)
+    lp_scaling.main(["--networks", "20:6:3:1", "30:9:1:2", "--repeat", "1"])
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["network", "rows", "cols", "it_2", "s_2", "it_4", "s_4"]
+    assert [row.split()[0] for row in rows] == ["20:6:3:1", "30:9:1:2"]
+    for row in rows:
+        _, n_rows, n_cols, it_2, s_2, it_4, s_4 = row.split()
+        assert int(n_rows) > 0 and int(n_cols) > 0
+        assert int(it_2) > 0 and int(it_4) > 0
+        assert float(s_2) >= 0.0 and float(s_4) >= 0.0
+    # each network was solved under both strategies, and the options the
+    # timing changed are restored
+    assert strategies == [2, 4, 2, 4]
+    assert options.simplex_scale_strategy == 4 and options.time_limit == float("inf")
