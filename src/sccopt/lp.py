@@ -15,17 +15,18 @@ checking, which cost more than the solve itself on the small SCP step LPs.
 The rest of the pipeline sees only ``solve_lp``, so a different engine can
 be swapped in behind it.
 
-An LP from ``LinearProgram.hot_started()`` instead shares one HiGHS
-instance with its copies that ``dataclasses.replace`` gives a new
-objective, as the LPs of one bound direction of an OBBT pass do (Gleixner
-et al., 2017, *Three enhancements for optimization-based bound
-tightening*).  A session is used by one thread at a time; separate sessions
-over the same LP may run in separate threads, since HiGHS releases the GIL
-while it solves and ``solve_lp`` only reads the LP's arrays.  Each later
-objective is re-solved by primal simplex, without presolve, from the basis
-the previous solve left: a new objective keeps that basis primal feasible.
-The values agree with a fresh solve only to HiGHS's feasibility tolerance,
-and one that fails hot is solved fresh at tight tolerances.
+A ``LinearProgram`` is plain data and holds no solver state.  Passing
+``solve_lp`` a ``HotSession`` instead re-solves LPs that share their
+constraints and differ in the objective, as the LPs of one bound direction
+of an OBBT pass do (Gleixner et al., 2017, *Three enhancements for
+optimization-based bound tightening*), in the one HiGHS instance the
+session keeps.  A session is used by one thread at a time; separate
+sessions over the same LP may run in separate threads, since HiGHS releases
+the GIL while it solves and ``solve_lp`` only reads the LP's arrays.  Each
+later objective is re-solved by primal simplex, without presolve, from the
+basis the previous solve left: a new objective keeps that basis primal
+feasible.  The values agree with a fresh solve only to HiGHS's feasibility
+tolerance, and one that fails hot is solved fresh at tight tolerances.
 
 ``solve_lp`` also works in a process forked after HiGHS has run, as the
 candidate workers of ``pipeline.run_cms`` are.
@@ -33,7 +34,7 @@ candidate workers of ``pipeline.run_cms`` are.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,7 +80,6 @@ class LinearProgram:
     rhs: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    session: "HotSession | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in ("c", "lhs", "rhs", "lb", "ub"):
@@ -113,12 +113,6 @@ class LinearProgram:
                 idx = int(np.argmax(bad))
                 raise InconsistentBounds(
                     f"{kind} {idx}: lower bound {lo[idx]} > upper bound {hi[idx]}")
-
-    def hot_started(self) -> "LinearProgram":
-        """This LP with a new ``HotSession``, shared by its copies (as
-        ``dataclasses.replace`` makes them), so ``solve_lp`` re-solves them
-        in one HiGHS instance."""
-        return replace(self, session=HotSession())
 
 
 @dataclass
@@ -162,15 +156,15 @@ _OPTIONS.simplex_scale_strategy = 4
 # hot re-solves as exact as cold ones
 _HOT_OPTIONS = _options("off", _STRATEGY.kSimplexStrategyPrimal)
 _HOT_OPTIONS.dual_feasibility_tolerance = 1e-10
-# a failed hot solve's cold retry: HiGHS's defaults (presolve, dual simplex,
-# equilibration scaling) at the tightest primal and dual tolerances HiGHS
-# accepts, as exact as a hot solve.  With every bound LP of
-# random_network(60, 20, seed=1) retried cold, OBBT's box lies up to 1.6e-7
-# from the hot box at HiGHS's default tolerances and 1.4e-8 at these (1.2e-8
-# at the tight dual tolerance alone, 2.2e-7 at the tight primal one alone),
-# against obbt._OBBT_PAD's 1e-6.  Under max-value scaling the retried box
-# lies 1.4e-8 from the hot box as well
+# a failed hot solve's cold retry: the cold options at the tightest primal
+# and dual tolerances HiGHS accepts, as exact as a hot solve.  With every
+# bound LP of random_network(60, 20, seed=1) retried cold, OBBT's box lies up
+# to 1.6e-7 from the hot box at HiGHS's default tolerances and 1.4e-8 at
+# these (1.2e-8 at the tight dual tolerance alone, 2.2e-7 at the tight
+# primal one alone), against obbt._OBBT_PAD's 1e-6; under max-value scaling
+# and equilibration scaling alike
 _RETRY_OPTIONS = _options("on", _STRATEGY.kSimplexStrategyDual)
+_RETRY_OPTIONS.simplex_scale_strategy = _OPTIONS.simplex_scale_strategy
 _RETRY_OPTIONS.primal_feasibility_tolerance = 1e-10
 _RETRY_OPTIONS.dual_feasibility_tolerance = 1e-10
 
@@ -203,13 +197,16 @@ def _run(highs, lp: LinearProgram) -> LpSolution:
     ``_new_highs`` stopped with, and apply linprog's post-solve check: an
     optimal point whose bounds or row sides miss by more than _FEAS_TOL, or
     with a NaN, is NUMERICAL.  On a row with lhs == rhs the two sides test
-    |rhs - activity| <= _FEAS_TOL, as linprog's equality check does."""
+    |rhs - activity| <= _FEAS_TOL, as linprog's equality check does.  The
+    activities are ``lp.A @ x``, not HiGHS's row values, which leave out the
+    matrix entries of magnitude up to 1e-9 that HiGHS drops."""
     if isinstance(highs, _MS):
         return LpSolution(_STATUS.get(highs, NUMERICAL))
     if highs.run() == _highs.HighsStatus.kError or highs.getModelStatus() != _MS.kOptimal:
         return LpSolution(_STATUS.get(highs.getModelStatus(), NUMERICAL))
     sol, info = highs.getSolution(), highs.getInfo()
-    x, activity = np.array(sol.col_value), np.array(sol.row_value)
+    x = np.array(sol.col_value)
+    activity = lp.A @ x
     objective, tol = info.objective_function_value, _FEAS_TOL
     if not (np.all(x >= lp.lb - tol) and np.all(x <= lp.ub + tol)
             and np.all(lp.rhs - activity >= -tol)
@@ -253,14 +250,14 @@ class HotSession:
         return sol
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
+def solve_lp(lp: LinearProgram, session: HotSession | None = None) -> LpSolution:
     """Solve with HiGHS; the duals are in the LP's row order.
 
     An optimal point that fails linprog's feasibility check is NUMERICAL.
-    An LP carrying a ``HotSession`` (see ``LinearProgram.hot_started``) is
-    solved by ``HotSession.run``; any other is solved cold.
+    Given a ``session``, the LP is solved by ``session.run``; otherwise it
+    is solved cold.
     """
     lp.validate()
-    if lp.session is not None:
-        return lp.session.run(lp)
+    if session is not None:
+        return session.run(lp)
     return _run(_new_highs(_OPTIONS, lp), lp)

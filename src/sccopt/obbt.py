@@ -4,21 +4,22 @@ Each pass solves a min and a max LP per (core link, timestep) over the
 current relaxation's feasible set, shrinks the flow box, and rebuilds the
 relaxation with the tighter box.  Every LP of a pass is solved over the same
 snapshot of the box, so they are independent: the min LPs run as one
-hot-started HiGHS session on the calling thread while the max LPs run as
-another on one worker thread (HiGHS releases the GIL while it solves), and
-the bounds are then applied in (timestep, link, min then max) order.  The
-split is fixed, so the result does not depend on thread scheduling or the
-core count.  The two sessions overlap on two cores, and on the benchmark
-networks they also take fewer simplex iterations than one session for both
-directions.  The bound LPs leave out the relaxation's sigma block, which
-only the SCC objective uses: every row holding a sigma column is a concave
+hot-started HiGHS session (an ``lp.HotSession`` that ``solve_lp`` is
+handed) on the calling thread while the max LPs run as another on one
+worker thread (HiGHS releases the GIL while it solves), and the bounds are
+then applied in (timestep, link, min then max) order.  The split is fixed,
+so the result does not depend on thread scheduling or the core count.
+The two sessions overlap on two cores, and on the benchmark networks they
+also take fewer simplex iterations than one session for both directions.
+The bound LPs leave out the relaxation's sigma block, which only the SCC
+objective uses: every row holding a sigma column is a concave
 over-estimator cut sigma <= cut(u) of the sigmoid, and cut >= psi > 0 on
-the flow box, so sigma = 0 satisfies each of them.
-Dropping those rows and fixing sigma at 0 leaves the projection onto every
-other column, and so every min and max flow, unchanged, up to rounding: a
-cut whose tangent point is bisected can dip to -2e-12 where psi is about 0,
-3e-13 m^3/s of flow.  Forest (tree-appendage) links are handled separately
-by demand aggregation, which is exact up to the flushing allowance.
+the flow box, so sigma = 0 satisfies each of them.  Dropping those rows
+and fixing sigma at 0 leaves the projection onto every other column, and
+so every min and max flow, unchanged, up to rounding: a cut whose tangent
+point is bisected can dip to -2e-12 where psi is about 0, 3e-13 m^3/s of
+flow.  Forest (tree-appendage) links are handled separately by demand
+aggregation, which is exact up to the flushing allowance.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InconsistentBounds
-from .lp import OPTIMAL, LinearProgram, solve_lp
+from .lp import OPTIMAL, HotSession, LinearProgram, solve_lp
 from .relax import BoundSet, Problem, VariableMap, build_lp
 
 # slack added to each forest bound so later LPs stay strictly feasible; the
@@ -86,17 +87,17 @@ def _bound_session(lp: LinearProgram, cols: np.ndarray, sign: float):
     not optimal.  Returns (status, objective, simplex iterations) per LP
     solved, and the session's cold retries; the points and duals are not
     kept."""
-    lp = lp.hot_started()
+    session = HotSession()
     c = np.zeros(lp.n_cols)
     results = []
     for col in cols:
         c[:] = 0.0
         c[col] = sign
-        sol = solve_lp(replace(lp, c=c))
+        sol = solve_lp(replace(lp, c=c), session)
         results.append((sol.status, sol.objective, sol.simplex_iterations))
         if sol.status != OPTIMAL:
             break
-    return results, lp.session.cold_retries
+    return results, session.cold_retries
 
 
 def tighten(problem: Problem, n_v: int, n_f: int) -> tuple[Problem, ObbtReport]:

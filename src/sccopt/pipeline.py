@@ -143,7 +143,7 @@ def uncontrolled_state(net: NetworkModel) -> HydraulicState:
 def run_control_only(net: NetworkModel, config: RunConfig) -> CmsSolution:
     """Optimize settings of the existing valves only (no new hardware),
     from ``sfscp.multi_start``'s starts.  It solves over its own
-    ``default_problem``, whose memo no other call sees.
+    ``default_problem``, whose cached states no other call sees.
     """
     start = time.perf_counter()
     problem = default_problem(net, config)
@@ -188,10 +188,11 @@ def _solve_candidates(problem: Problem, designs: list[ValveDesign], config: RunC
 
     The designs are solved by min(len(designs), usable CPUs) worker
     processes forked from this one, which inherit the inputs unpickled, so
-    each worker keeps one memo over the designs it solves.  Every memo entry
-    is a pure function of its key, so the results do not depend on which
-    worker solves which design.  With one worker this process solves them
-    itself.  The workers are joined before this returns or raises.
+    each worker keeps one copy of the Problem's cached states over the
+    designs it solves.  Every cache entry is a pure function of its key, so
+    the results do not depend on which worker solves which design.  With
+    one worker this process solves them itself.  The workers are joined
+    before this returns or raises.
     """
     run = (problem, designs, config, eta_seed, extra)
     workers = min(len(designs), _usable_cpus())
@@ -215,8 +216,8 @@ def run_cms(net: NetworkModel, config: RunConfig,
     usable CPU and at most one per candidate, or in this process when that
     count is 1; every worker is joined before this returns or raises.
     Every candidate's control solve runs on the one tightened Problem, so
-    the candidates one worker solves share its memo; no other call does.
-    The winner is the first candidate with the highest score.  Raises
+    the candidates one worker solves share its cached states; no other call
+    does.  The winner is the first candidate with the highest score.  Raises
     AllStartsInfeasible when the relaxation is not solved to optimality or
     no candidate admits a feasible control.
     """

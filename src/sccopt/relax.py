@@ -79,34 +79,23 @@ class BoundSet:
                         self.alpha_hi, self.params)
 
 
-@dataclass
-class RunMemo:
-    """The hydraulic states and step-LP points solved over one ``Problem``.
-
-    ``states`` maps (t, eta bytes + alpha bytes), on the full arrays, to the
-    read-only (q, h), or to None when Newton failed.  ``steps`` maps (t,
-    design, signs, q_k bytes + h_k bytes + x_k bytes) to the read-only step
-    point (q, h, x), x the step LP's controls, or to None when there is none.
-    """
-
-    states: dict = field(default_factory=dict)
-    steps: dict = field(default_factory=dict)
-
-
 @dataclass(frozen=True, eq=False)
 class Problem:
     """The model one run solves: the network, the SCC objective's parameters
     and the variable box, whose head-loss law is ``bounds.params``.
 
     Building it makes the six bound arrays read-only, so a tightened box is
-    a new Problem.  Each Problem owns a fresh ``memo``, which therefore never
-    outlives or crosses the box its entries were solved under.
+    a new Problem.  ``states`` caches the hydraulic states solved over it:
+    it maps (t, eta bytes + alpha bytes), on the full arrays, to the
+    read-only (q, h), or to None when Newton failed.  Each Problem owns a
+    fresh one, which therefore never outlives or crosses the box its entries
+    were solved under.
     """
 
     net: NetworkModel
     scc_params: SccParams
     bounds: BoundSet
-    memo: RunMemo = field(default_factory=RunMemo, init=False, repr=False)
+    states: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("q_lo", "q_hi", "h_lo", "h_hi", "eta_lo", "eta_hi"):

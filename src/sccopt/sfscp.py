@@ -12,12 +12,14 @@ work on its stacked controls x = (eta on the controllable links, alpha at the
 flushing nodes) inside its control box.
 
 Starts, candidates and valve directions reach the same points again and
-again, so the hydraulic solves and step LPs go through the ``Problem``'s
-memo, keyed on the exact bytes of their inputs: each distinct call is made
-once per memo, failures included, and a repeat returns the stored
-read-only arrays.  A state's key holds no design, so hits cross the
-candidates solved on one memo: all of a ``pipeline.run_cms`` call's in one
-process, or those of one worker when it forks several.
+again, so the hydraulic solves and step LPs are cached, keyed on the exact
+bytes of their inputs: each distinct call is made once per cache, failures
+included, and a repeat returns the stored read-only arrays.  A state's key
+holds no design, so the states live on the ``Problem`` and hits cross the
+candidates solved on it: all of a ``pipeline.run_cms`` call's in one
+process, or those of one worker when it forks several.  A step LP depends
+on its subproblem's design and directions, so each ``Subproblem`` keeps its
+own.
 """
 from __future__ import annotations
 
@@ -113,15 +115,19 @@ class Subproblem:
     sign in the step LP (``pin_pos``, ``pin_neg``); a PRV's flow is free
     there, but ``feasible`` rejects a PRV throttling a reversed flow.
     ``control_rhs`` holds the Jacobian right-hand side of each entry of x:
-    -1 on an eta's energy row, +1 on an alpha's mass row.  Solves and step
-    LPs go through the Problem's memo.
+    -1 on an eta's energy row, +1 on an alpha's mass row.  Hydraulic solves
+    are cached in the Problem's ``states``, shared with every subproblem on
+    it; step LPs in this subproblem's own ``steps``, which maps q_k bytes +
+    h_k bytes + x_k bytes to the read-only step point (q, h, x), or to None
+    when there is none.
     """
 
     def __init__(self, problem: Problem, design: ValveDesign, t: int,
                  signs: tuple[int, ...]):
         net, bounds = problem.net, problem.bounds
         self.net, self.params, self.scc_params = net, problem.params, problem.scc_params
-        self.design, self.t, self.signs, self.memo = design, t, tuple(signs), problem.memo
+        self.design, self.t, self.signs = design, t, tuple(signs)
+        self.states, self.steps = problem.states, {}
         self.ctrl, self.afv = ctrl, afv = design.controllable_links, design.flushing_nodes
         is_prv = np.isin(ctrl, design.prv_links)
         self.prv_x, self.prv = np.flatnonzero(is_prv), ctrl[is_prv]  # in x; as links
@@ -159,17 +165,16 @@ class Subproblem:
 
     def solve(self, x: np.ndarray):
         """Steady state (q, h) at the controls x, read-only, or None when
-        Newton fails; solved once per distinct (t, eta, alpha) in the memo."""
+        Newton fails; solved once per distinct (t, eta, alpha) on the Problem."""
         eta, alpha = self.unstack(x)
-        states = self.memo.states
         key = (self.t, eta.tobytes() + alpha.tobytes())
-        if key not in states:
+        if key not in self.states:
             try:
-                states[key] = _read_only(solve_steady(self.net, self.params, self.d,
-                                                      self.h0, eta, alpha))
+                self.states[key] = _read_only(solve_steady(self.net, self.params, self.d,
+                                                           self.h0, eta, alpha))
             except (NonConvergence, SingularSystem):
-                states[key] = None
-        return states[key]
+                self.states[key] = None
+        return self.states[key]
 
     def feasible(self, x: np.ndarray, q: np.ndarray, h: np.ndarray) -> bool:
         """Whether the state (q, h) at the controls x meets the head floor
@@ -207,7 +212,7 @@ def _step_lp(sub: Subproblem, q_k: np.ndarray, h_k: np.ndarray, x_k: np.ndarray)
     """Linearized step LP around the iterate (q_k, h_k, x_k); returns the LP
     point (q, h, x), read-only, or None when the Jacobian is singular or the
     LP is not solved to optimality, and at once when there are no controls.
-    Each distinct (t, design, signs, iterate) is solved once per memo.
+    Each distinct iterate is solved once per subproblem.
 
     The step eliminates the flows and heads (Nocedal and Wright, *Numerical
     Optimization*, 2nd ed., section 18.4): one ``jacobian_solve`` of the
@@ -218,16 +223,15 @@ def _step_lp(sub: Subproblem, q_k: np.ndarray, h_k: np.ndarray, x_k: np.ndarray)
     """
     if not sub.lo.size:
         return None
-    steps = sub.memo.steps
-    key = (sub.t, sub.design, sub.signs, q_k.tobytes() + h_k.tobytes() + x_k.tobytes())
-    if key in steps:
-        return steps[key]
+    key = q_k.tobytes() + h_k.tobytes() + x_k.tobytes()
+    if key in sub.steps:
+        return sub.steps[key]
     n_q = sub.net.n_p
     # not kkt_solve's 1e-8 floor: that would change the LP on zero-loss valves
     loss, slope = head_loss(q_k, sub.params)
     g = np.maximum(slope, 1e-12)
     base = np.concatenate([sub.energy_rhs - loss + g * q_k, sub.d])
-    steps[key] = None
+    sub.steps[key] = None
     try:
         sens = jacobian_solve(sub.net, g, np.column_stack([base, sub.control_rhs]))
     except SingularSystem:
@@ -242,8 +246,8 @@ def _step_lp(sub: Subproblem, q_k: np.ndarray, h_k: np.ndarray, x_k: np.ndarray)
                                  *_trust_box(sub.lo, sub.hi, np.clip(x_k, sub.lo, sub.hi))))
     if sol.status == OPTIMAL:
         qh = p + S @ sol.x
-        steps[key] = _read_only([qh[:n_q], qh[n_q:], sol.x])
-    return steps[key]
+        sub.steps[key] = _read_only([qh[:n_q], qh[n_q:], sol.x])
+    return sub.steps[key]
 
 
 def sfscp_timestep(sub: Subproblem, x0: np.ndarray):
@@ -325,8 +329,8 @@ def multi_start(
     AFVs a call runs at least four starts, five with a relaxation seed.  The
     open start makes the result score no lower than the uncontrolled
     network whenever that network is feasible.  Each start is an (n_t, n_x)
-    array of stacked controls.  The subproblems solve through
-    ``problem.memo``, so calls on one Problem share their solves.  Raises
+    array of stacked controls.  The subproblems cache their hydraulic
+    solves in ``problem.states``, so calls on one Problem share them.  Raises
     AllStartsInfeasible when no start yields a feasible horizon.
     """
     net, bounds = problem.net, problem.bounds
@@ -364,9 +368,8 @@ def multi_start(
     e_hi = np.maximum(bounds.eta_hi[:, ctrl], 0.0)
     for k in range(n_random):
         rng = np.random.default_rng(child_seqs[k])
-        draw = np.zeros((net.n_t, len(ctrl)))
-        for i in range(len(ctrl)):
-            draw[:, i] = rng.uniform(e_lo[:, i], e_hi[:, i])
+        # one link's timesteps after another
+        draw = rng.uniform(e_lo.T, e_hi.T).T
         starts.append(start(draw, rng.uniform(0.0, bounds.alpha_hi,
                                               size=(net.n_t, len(afv)))))
 

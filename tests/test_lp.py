@@ -18,7 +18,8 @@ from oracle_simplex import simplex_solve
 from sccopt.errors import InconsistentBounds
 from sccopt.hydraulics import solve_steady
 from sccopt.lp import (_RETRY_OPTIONS, _STRATEGY, INFEASIBLE, NUMERICAL, OPTIMAL,
-                       UNBOUNDED, LinearProgram, _new_highs, _options, _run, solve_lp)
+                       UNBOUNDED, HotSession, LinearProgram, _new_highs, _options, _run,
+                       solve_lp)
 from sccopt.pipeline import RunConfig, default_problem, run_cms
 from sccopt.relax import build_lp
 from sccopt.sfscp import Subproblem, ValveDesign, _step_lp
@@ -40,12 +41,13 @@ def make_lp(c, A, senses, b, lb, ub):
 
 class FakeHighs:
     """What ``solve_lp`` calls on a HiGHS instance, ending in a chosen model
-    status and, when that is optimal, a chosen point: x, objective, row
-    activities and row duals, reached in 7 simplex iterations."""
+    status and, when that is optimal, a chosen point: x, objective and row
+    duals, reached in 7 simplex iterations.  It has no row values: the check
+    computes each row's activity from x."""
 
-    def __init__(self, status, x=None, objective=None, activity=None, duals=None):
+    def __init__(self, status, x=None, objective=None, duals=None):
         self.status = status
-        self.solution = SimpleNamespace(col_value=x, row_value=activity, row_dual=duals)
+        self.solution = SimpleNamespace(col_value=x, row_dual=duals)
         self.info = SimpleNamespace(objective_function_value=objective,
                                     simplex_iteration_count=7)
 
@@ -160,25 +162,28 @@ class TestSolveBasics:
 
 class TestPostSolveCheck:
     """An "optimal" point from HiGHS passes linprog's feasibility check (bounds,
-    LEQ slacks and EQ residuals within sqrt(1e-9) * 10) or reads NUMERICAL."""
+    LEQ slacks and EQ residuals within sqrt(1e-9) * 10) or reads NUMERICAL.
+    Each row's activity is A @ x on the LP's own matrix."""
 
-    # rows: x0 + x1 <= 1 (LEQ), x0 - x1 = 0 (EQ)
-    LP = make_lp([1, 1], [[1, 1], [1, -1]], [LEQ, EQ], [1, 0], [0, 0], [1, 1])
+    # rows: x0 + x1 <= 1 (LEQ), x1 - x2 = 0 (EQ), over the box [-1, 1]^3
+    LP = make_lp([1, 1, 1], [[1, 1, 0], [0, 1, -1]], [LEQ, EQ], [1, 0], [-1] * 3, [1] * 3)
 
+    # activity is the A @ x that the check computes
     @pytest.mark.parametrize("x, activity, objective, status", [
-        ([0.5, 0.5], [1.0, 0.0], 1.0, OPTIMAL),
-        ([-1e-4, 0.5], [1.0, 1e-4], 1.0, OPTIMAL),       # all within the tolerance
-        ([-1e-3, 0.5], [0.5, 0.0], 1.0, NUMERICAL),      # lower bound
-        ([0.5, 1.001], [1.0, 0.0], 1.0, NUMERICAL),      # upper bound
-        ([0.5, 0.5], [1.001, 0.0], 1.0, NUMERICAL),      # LEQ row
-        ([0.5, 0.5], [1.0, -1e-3], 1.0, NUMERICAL),      # EQ row
-        ([np.nan, 0.5], [1.0, 0.0], 1.0, NUMERICAL),
-        ([0.5, 0.5], [1.0, np.nan], 1.0, NUMERICAL),
-        ([0.5, 0.5], [1.0, 0.0], np.nan, NUMERICAL),
-        ([0.5, 0.5], [1.0, 1e-3], 1.0, NUMERICAL),       # EQ row, from above
+        ([0.5, 0.5, 0.5], [1.0, 0.0], 1.0, OPTIMAL),
+        ([1 + 1e-4, 0.0, -1e-4], [1 + 1e-4, 1e-4], 1.0, OPTIMAL),  # all within the tolerance
+        ([-1.001, 0.5, 0.5], [-0.501, 0.0], 1.0, NUMERICAL),       # lower bound
+        ([1.001, -0.5, -0.5], [0.501, 0.0], 1.0, NUMERICAL),       # upper bound
+        ([0.5, 0.501, 0.501], [1.001, 0.0], 1.0, NUMERICAL),       # LEQ row
+        ([0.5, 0.5, 0.501], [1.0, -1e-3], 1.0, NUMERICAL),         # EQ row
+        ([np.nan, 0.5, 0.5], [np.nan, 0.0], 1.0, NUMERICAL),
+        ([0.5, 0.5, np.nan], [1.0, np.nan], 1.0, NUMERICAL),
+        ([0.5, 0.5, 0.5], [1.0, 0.0], np.nan, NUMERICAL),
+        ([0.5, 0.5, 0.499], [1.0, 1e-3], 1.0, NUMERICAL),          # EQ row, from above
     ])
     def test_violating_point_is_numerical(self, monkeypatch, x, activity, objective, status):
-        highs = FakeHighs(HighsModelStatus.kOptimal, x, objective, activity, [0.0, 2.0])
+        np.testing.assert_allclose(self.LP.A @ np.array(x), activity)
+        highs = FakeHighs(HighsModelStatus.kOptimal, x, objective, [0.0, 2.0])
         monkeypatch.setattr("sccopt.lp._new_highs", lambda options, lp: highs)
         sol = solve_lp(self.LP)
         assert sol.status == status
@@ -394,14 +399,6 @@ def passes_check(lp, x, tol=np.sqrt(1e-9) * 10):
                 and np.all(lp.rhs - activity >= -tol) and np.all(activity - lp.lhs >= -tol))
 
 
-def as_highs_holds_it(lp):
-    """``lp`` without the matrix entries of magnitude up to HiGHS's
-    small_matrix_value, 1e-9, which HiGHS drops when the model is passed."""
-    A = sp.csr_matrix(lp.A, copy=True)
-    A.data[np.abs(A.data) <= 1e-9] = 0.0
-    return replace(lp, A=A)
-
-
 def tight_cold_solve(lp):
     """A cold solve at the options a failed hot solve is retried with."""
     return _run(_new_highs(_RETRY_OPTIONS, lp), lp)
@@ -416,8 +413,9 @@ def unpresolved_tight_cold_solve(lp):
 
 
 class TestHotSession:
-    """An LP from hot_started() re-solves its copies with new objectives in one
-    HiGHS instance, agreeing with cold solves to HiGHS's tolerance."""
+    """A HotSession handed to solve_lp re-solves an LP's copies with new
+    objectives in one HiGHS instance, agreeing with cold solves to HiGHS's
+    tolerance."""
 
     @settings(max_examples=200, deadline=None)
     @given(lps_with_objectives())
@@ -434,29 +432,26 @@ class TestHotSession:
                       [-np.inf], [np.inf]),
               [np.zeros(1)] * 3))
     # rows 1e-10 x2 = 0 and 2^-23 x2 = 1 over a free x: HiGHS drops the
-    # 1e-10 entry, so hot and cold solves return x2 = 2^23, which misses the
-    # first row by 8.4e-4
+    # 1e-10 entry and returns x2 = 2^23, which misses the first row by
+    # 8.4e-4, so the hot solve and its cold retry both fail the check
     @example((make_lp([0, 0, 0], [[0, 0, 1e-10], [0, 0, 2.0**-23]], [EQ, EQ], [0, 1],
                       [-np.inf] * 3, [np.inf] * 3),
               [np.zeros(3)] * 3))
     def test_random_objectives_match_cold(self, lp_and_objectives):
         lp, objectives = lp_and_objectives
-        hot = lp.hot_started()
+        session = HotSession()
         for c in objectives:
-            retries = hot.session.cold_retries
-            ours = solve_lp(replace(hot, c=c))
+            retries = session.cold_retries
+            ours = solve_lp(replace(lp, c=c), session)
             cold, tight = solve_lp(replace(lp, c=c)), tight_cold_solve(replace(lp, c=c))
             # as HotSession.run says, the session returns an optimal hot
             # point or, when the hot solve fails, the cold retry's answer
-            if hot.session.cold_retries > retries:
+            if session.cold_retries > retries:
                 assert ours.status == tight.status
             else:
                 assert ours.status == OPTIMAL
-                # HiGHS checks the point on the rows it holds; only the
-                # entries it dropped may make the LP's own rows miss it
-                if not passes_check(lp, ours.x):
-                    assert passes_check(as_highs_holds_it(lp), ours.x)
-                    event("optimal point that misses rows through dropped entries")
+            if ours.status == OPTIMAL:
+                assert passes_check(lp, ours.x)
             # both run at the tightest dual tolerance HiGHS accepts, where a
             # default cold solve, at 1e-7, may keep a vertex that a cost below
             # that tolerance would leave, or call a row missed by less than it
@@ -470,7 +465,7 @@ class TestHotSession:
                 event("optimal hot point on rows presolve calls infeasible")
             if ours.status == tight.status == OPTIMAL:
                 assert abs(ours.objective - tight.objective) <= 1e-7 * (1 + abs(tight.objective))
-        event(f"cold retries: {hot.session.cold_retries}")
+        event(f"cold retries: {session.cold_retries}")
 
     def test_retry_sees_costs_below_the_default_tolerance(self):
         # min 1e-8 x over a free x is unbounded; at the default 1e-7 dual
@@ -478,47 +473,63 @@ class TestHotSession:
         # solve and its cold retry both run at 1e-10
         lp = make_lp([1e-8], np.zeros((0, 1)), [], [], [-np.inf], [np.inf])
         assert solve_lp(lp).status == OPTIMAL
-        hot = lp.hot_started()
-        assert solve_lp(hot).status == UNBOUNDED
-        assert hot.session.cold_retries == 1
+        session = HotSession()
+        assert solve_lp(lp, session).status == UNBOUNDED
+        assert session.cold_retries == 1
 
     def test_costs_near_the_default_tolerance_are_not_ignored(self):
         # every reduced cost of the slack basis is below HiGHS's default 1e-7
         # dual tolerance; the hot solve must still move all three to -1
         lp = make_lp([0, 0, 0], [[1, 0, 0], [0, 0, 0]], [EQ, EQ], [0, 0], [-1] * 3, [0] * 3)
         c = np.full(3, 5.96046448e-08)
-        ours, cold = solve_lp(replace(lp.hot_started(), c=c)), solve_lp(replace(lp, c=c))
+        ours, cold = solve_lp(replace(lp, c=c), HotSession()), solve_lp(replace(lp, c=c))
         assert ours.objective == pytest.approx(cold.objective, rel=1e-12)
         assert np.array_equal(ours.x, [0.0, -1.0, -1.0])
 
-    def test_copies_share_one_session(self):
-        lp = make_lp([1, 0], [[1, 1]], [LEQ], [2], [0, 0], [5, 5]).hot_started()
+    def test_replaced_lp_carries_no_solver_state(self):
+        # a session lives outside the LPs it solves: a copy with a new
+        # objective, as OBBT makes, holds only the LP's data
+        lp = make_lp([1, 0], [[1, 1]], [LEQ], [2], [0, 0], [5, 5])
+        session = HotSession()
+        assert solve_lp(lp, session).objective == pytest.approx(0.0)
         copy = replace(lp, c=[-1, -1])
-        assert copy.session is lp.session
-        assert solve_lp(lp).objective == pytest.approx(0.0)
-        assert solve_lp(copy).objective == pytest.approx(-2.0)
-        assert lp.session.cold_retries == 0
+        assert set(vars(copy)) == {"c", "A", "lhs", "rhs", "lb", "ub"}
+        assert solve_lp(copy, session).objective == pytest.approx(-2.0)
+        assert session.cold_retries == 0
 
     def test_failed_hot_solve_is_retried_cold(self):
-        lp = make_lp([-1, -1], [[1, 1]], [LEQ], [1], [0, 0], [1, 1]).hot_started()
-        assert solve_lp(lp).status == OPTIMAL
+        lp = make_lp([-1, -1], [[1, 1]], [LEQ], [1], [0, 0], [1, 1])
+        session = HotSession()
+        assert solve_lp(lp, session).status == OPTIMAL
         # the kept instance stops with a numerical status on the next solve
-        lp.session.highs = FakeHighs(HighsModelStatus.kSolveError)
-        sol = solve_lp(replace(lp, c=[1, -1]))
+        session.highs = FakeHighs(HighsModelStatus.kSolveError)
+        sol = solve_lp(replace(lp, c=[1, -1]), session)
         assert sol.status == OPTIMAL and sol.objective == pytest.approx(-1.0)
-        assert lp.session.cold_retries == 1
+        assert session.cold_retries == 1
         # the next solve starts a new instance
-        assert lp.session.highs is None
+        assert session.highs is None
         # the session owns the retry, so a direct call retries and counts too
-        lp.session.highs = FakeHighs(HighsModelStatus.kSolveError)
-        sol = lp.session.run(replace(lp, c=[-1, 1]))
+        session.highs = FakeHighs(HighsModelStatus.kSolveError)
+        sol = session.run(replace(lp, c=[-1, 1]))
         assert sol.status == OPTIMAL and sol.objective == pytest.approx(-1.0)
-        assert lp.session.cold_retries == 2 and lp.session.highs is None
+        assert session.cold_retries == 2 and session.highs is None
 
     def test_cold_solve_ignores_other_sessions(self):
         lp = make_lp([1, 1], [[1, -1], [1, 1]], [EQ, LEQ], [0, 1], [0, 0], [1, 1])
-        solve_lp(lp.hot_started())
+        solve_lp(lp, HotSession())
         assert_matches_linprog(lp)
+
+    def test_rows_are_checked_on_the_lps_own_matrix(self):
+        # HiGHS drops the 1e-10 entry and returns x2 = 2^23, which misses
+        # the row 1e-10 x2 = 0 by 8.4e-4: neither a hot solve nor its cold
+        # retry may call that point optimal
+        lp = make_lp([0, 0, 0], [[0, 0, 1e-10], [0, 0, 2.0**-23]], [EQ, EQ], [0, 1],
+                     [-np.inf] * 3, [np.inf] * 3)
+        session = HotSession()
+        ours = solve_lp(lp, session)
+        assert ours.status != OPTIMAL and session.cold_retries == 1
+        assert ours.status == tight_cold_solve(lp).status
+        assert solve_lp(lp).status != OPTIMAL
 
 
 class TestAgainstOracle:

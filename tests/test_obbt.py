@@ -11,7 +11,7 @@ import sccopt.lp as lp_mod
 from sccopt import obbt
 from sccopt.errors import InconsistentBounds
 from sccopt.hydraulics import headloss_params, simulate
-from sccopt.lp import _HOT_OPTIONS, NUMERICAL, OPTIMAL, LpSolution, solve_lp
+from sccopt.lp import _HOT_OPTIONS, NUMERICAL, OPTIMAL, HotSession, LpSolution, solve_lp
 from sccopt.netgen import line_network, random_network
 from sccopt.obbt import _OBBT_PAD, flow_polytope, tighten, tighten_forest
 from sccopt.pipeline import RunConfig, default_problem
@@ -26,7 +26,7 @@ class TestCoreTightening:
         assert report.iterations == 0
         assert np.array_equal(tightened.bounds.q_lo, problem.bounds.q_lo)
         assert np.array_equal(tightened.bounds.q_hi, problem.bounds.q_hi)
-        assert tightened is not problem and tightened.memo is not problem.memo
+        assert tightened is not problem and tightened.states is not problem.states
 
     def test_loop_fixture_under_five_seconds(self, loop4):
         problem = default_problem(loop4, RunConfig())
@@ -63,7 +63,7 @@ class TestCoreTightening:
 
     def test_failed_bound_lp_names_link_and_timestep(self, loop4, monkeypatch):
         problem = default_problem(loop4, RunConfig())
-        monkeypatch.setattr(obbt, "solve_lp", lambda lp: LpSolution("infeasible"))
+        monkeypatch.setattr(obbt, "solve_lp", lambda lp, session: LpSolution("infeasible"))
         first = loop4.links[min(loop4.core_links)].id
         with pytest.raises(InconsistentBounds,
                            match=f"^bound LP for link {first}, timestep 0 returned infeasible$"):
@@ -80,8 +80,8 @@ class TestCoreTightening:
         problem = default_problem(loop4, RunConfig())
         counts = []
 
-        def counted(lp):
-            sol = solve_lp(lp)
+        def counted(lp, session):
+            sol = solve_lp(lp, session)
             counts.append(sol.simplex_iterations)
             return sol
 
@@ -102,11 +102,10 @@ class TestReturnedProblem:
         lambda problem: tighten_forest(problem, 1)], ids=["tighten", "tighten_forest"])
     def test_a_new_problem_with_an_empty_memo(self, loop4, tightener):
         problem = default_problem(loop4, RunConfig())
-        problem.memo.states["seen"] = None
+        problem.states["seen"] = None
         tightened = tightener(problem)
         assert tightened.net is problem.net and tightened.scc_params is problem.scc_params
-        assert tightened.memo is not problem.memo
-        assert tightened.memo.states == {} and tightened.memo.steps == {}
+        assert tightened.states is not problem.states and tightened.states == {}
         # the input's box is left as it was, and the new box is read-only
         untouched = default_problem(loop4, RunConfig()).bounds
         assert np.array_equal(problem.bounds.q_lo, untouched.q_lo)
@@ -211,12 +210,12 @@ class TestHotStart:
         lp, vmap = build_lp(problem, *counts)
         lp = flow_polytope(lp, vmap)
         for sign in (1.0, -1.0):
-            hot = lp.hot_started()
+            session = HotSession()
             for c in bound_targets(net, vmap, signs=(sign,)):
-                ours, cold = solve_lp(replace(hot, c=c)), solve_lp(replace(lp, c=c))
+                ours, cold = solve_lp(replace(lp, c=c), session), solve_lp(replace(lp, c=c))
                 assert ours.status == cold.status == OPTIMAL
                 assert abs(ours.objective - cold.objective) <= _OBBT_PAD
-            assert hot.session.cold_retries == 0
+            assert session.cold_retries == 0
 
     def test_one_hot_failure_is_retried_cold(self, loop4, monkeypatch):
         args = pipeline_setup(loop4)
@@ -326,8 +325,8 @@ class TestConcurrentSessions:
 
     def test_failed_upper_session_joins_its_thread(self, loop4, monkeypatch):
         problem = default_problem(loop4, RunConfig())
-        monkeypatch.setattr(obbt, "solve_lp", lambda lp: (
-            LpSolution("infeasible") if lp.c.min() < 0 else solve_lp(lp)))
+        monkeypatch.setattr(obbt, "solve_lp", lambda lp, session: (
+            LpSolution("infeasible") if lp.c.min() < 0 else solve_lp(lp, session)))
         first = loop4.links[min(loop4.core_links)].id
         before = threading.active_count()
         with pytest.raises(InconsistentBounds,
@@ -346,10 +345,10 @@ class TestConcurrentSessions:
         core = loop4.core_links
         order = {int(vmap.q[0, j]): k for k, j in enumerate(core)}
 
-        def failing(lp):
+        def failing(lp, session):
             col = int(np.flatnonzero(lp.c)[0])
             first = lower_from if lp.c[col] > 0 else upper_from
-            return LpSolution("infeasible") if order[col] >= first else solve_lp(lp)
+            return LpSolution("infeasible") if order[col] >= first else solve_lp(lp, session)
 
         monkeypatch.setattr(obbt, "solve_lp", failing)
         named = loop4.links[core[min(lower_from, upper_from)]].id

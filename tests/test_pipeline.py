@@ -91,9 +91,11 @@ class TestControlOnly:
 
 class TestRunCms:
     def test_matches_a_linprog_run(self, loopnet, cms_solution, monkeypatch):
-        # every LP solved by linprog(method="highs") instead gives the same design
+        # every LP solved by linprog(method="highs") instead gives the same
+        # design; OBBT's bound LPs are solved cold, without their session
         for module in ("sfscp", "obbt", "pipeline"):
-            monkeypatch.setattr(f"sccopt.{module}.solve_lp", linprog_solve_lp)
+            monkeypatch.setattr(f"sccopt.{module}.solve_lp",
+                                lambda lp, session=None: linprog_solve_lp(lp))
         ref = run_cms(loopnet, RunConfig(n_v=1, n_f=1, n_samples=5, n_starts=2, seed=11))
         assert ref.scc_smooth == cms_solution.scc_smooth
         assert np.array_equal(ref.control.eta, cms_solution.control.eta)
@@ -160,7 +162,7 @@ class TestRunCms:
         solve, memos = pipeline.multi_start, []
 
         def spy(problem, design, *args, **kwargs):
-            memos.append(problem.memo)
+            memos.append(problem.states)
             return solve(problem, design, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "multi_start", spy)
@@ -168,7 +170,7 @@ class TestRunCms:
         assert len(memos) == 1
         run_cms(loopnet, RunConfig(n_v=1, n_f=1, n_samples=3, n_starts=1, seed=0,
                                    use_obbt=False), warm_control=ctrl)
-        # the candidates of one run_cms call share one memo, and no other
+        # the candidates of one run_cms call share one cache, and no other
         assert len(memos) == 4 and all(m is memos[1] for m in memos[2:])
         assert memos[1] is not memos[0]
 
@@ -177,8 +179,7 @@ class TestRunCms:
             cfg = RunConfig(n_v=1, n_f=1, use_obbt=use_obbt)
             a, _ = tightened_bounds(loopnet, cfg)
             b, _ = tightened_bounds(loopnet, cfg)
-            assert a.memo is not b.memo
-            assert a.memo.states == {} and a.memo.steps == {}
+            assert a.states is not b.states and a.states == {}
             assert np.array_equal(a.bounds.q_lo, b.bounds.q_lo)
             with pytest.raises(ValueError):
                 a.bounds.q_lo[0, 0] = 0.0

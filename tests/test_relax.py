@@ -10,7 +10,7 @@ from sccopt.netgen import random_network
 from sccopt.netmodel import Link, NetworkModel
 from sccopt.obbt import flow_polytope
 from sccopt.pipeline import RunConfig, default_problem, tightened_bounds
-from sccopt.relax import (Problem, RunMemo, VariableMap, _link_tables, build_lp,
+from sccopt.relax import (Problem, VariableMap, _link_tables, build_lp,
                           default_bounds, extract_fractional, lp_bound)
 from sccopt.scc import SccParams, scc_smooth
 
@@ -77,10 +77,9 @@ class TestProblem:
     def test_each_problem_owns_a_fresh_memo(self, loop4):
         a = default_problem(loop4, RunConfig())
         b = Problem(a.net, a.scc_params, a.bounds)
-        assert isinstance(a.memo, RunMemo) and a.memo is not b.memo
-        assert a.memo.states == {} and a.memo.steps == {}
+        assert a.states == {} and a.states is not b.states
         with pytest.raises(AttributeError):
-            a.memo = RunMemo()
+            a.states = {}
 
 
 class TestRelaxation:

@@ -392,7 +392,7 @@ class TestSubproblem:
         with pytest.raises(ValueError):
             problem.bounds.h_lo[0] += 1.0
         assert np.array_equal(sub.h_lo, h_lo)
-        assert sub.signs == (-1,) and sub.memo is problem.memo
+        assert sub.signs == (-1,) and sub.states is problem.states and sub.steps == {}
         assert list(sub.prv_x) == [0] and list(sub.prv) == [2]
         assert list(np.flatnonzero(sub.pin_neg)) == [4] and not sub.pin_pos.any()
 
@@ -410,7 +410,7 @@ class TestSubproblem:
         sol = multi_start(problem, ValveDesign(dbv_links=(1,), afv_nodes=(2,)),
                           n_starts=6, seed=0)
         # one per (timestep, direction), however many starts run, all on
-        # the one Problem and so on its one memo
+        # the one Problem and so on its one states cache
         assert [b[2:] for b in built] == [(0, (1,)), (0, (-1,)),
                                           (1, (1,)), (1, (-1,))]
         assert all(b[0] is problem for b in built)
@@ -505,12 +505,13 @@ class TestRunMemo:
         problem = default_problem(net, RunConfig())
         state = simulate(net, headloss_params(net))
         x = np.array([0.01])
+        subs = []
         for t in (0, 1):
-            sub = self.subproblem(ValveDesign(afv_nodes=(2,)), t, problem=problem)
-            sub.solve(x)
-            _step_lp(sub, state.q[t], state.h[t], x)
-        memo = problem.memo
-        assert len(calls) == 2 and len(memo.states) == 2 and len(memo.steps) == 2
+            subs.append(self.subproblem(ValveDesign(afv_nodes=(2,)), t, problem=problem))
+            subs[-1].solve(x)
+            _step_lp(subs[-1], state.q[t], state.h[t], x)
+        assert len(calls) == 2 and len(problem.states) == 2
+        assert [len(sub.steps) for sub in subs] == [1, 1]
 
     def test_repeated_step_lp_is_one_lp(self, monkeypatch):
         calls = counting(monkeypatch, "solve_lp")
@@ -521,6 +522,22 @@ class TestRunMemo:
         again = _step_lp(sub, q.copy(), h.copy(), x.copy())
         assert len(calls) == 1
         assert all(same_bits(a, b) for a, b in zip(first, again))
+
+    def test_subproblems_share_states_but_not_steps(self, monkeypatch):
+        # two compilations of one (t, design, signs) on one Problem: a state
+        # solved by one is a hit for the other, a step LP is not
+        newton, lps = counting(monkeypatch, "solve_steady"), counting(monkeypatch, "solve_lp")
+        problem = default_problem(prv_loop_net(), RunConfig())
+        a, b = (self.subproblem(problem=problem) for _ in range(2))
+        assert a.states is b.states is problem.states
+        assert a.steps is not b.steps
+        x = np.array([2.0, 0.01])
+        q, h = a.solve(x)
+        assert b.solve(x)[0] is q and len(newton) == 1
+        first = _step_lp(a, q, h, x)
+        again = _step_lp(b, q, h, x)
+        assert len(lps) == 2 and len(a.steps) == len(b.steps) == 1
+        assert all(same_bits(u, v) for u, v in zip(first, again))
 
 
 class TestGridSearchOracle:
@@ -609,3 +626,42 @@ class TestDeterminism:
         assert a.objective == b.objective
         assert np.array_equal(a.eta, b.eta)
         assert np.array_equal(a.alpha, b.alpha)
+
+
+class TestRandomStarts:
+    @pytest.mark.parametrize("design, n_fixed", [
+        (ValveDesign(prv_links=(0,), dbv_links=(1, 3), afv_nodes=(2,)), 4),
+        (ValveDesign(afv_nodes=(2,)), 2)], ids=["valves", "afv_only"])
+    def test_draws_match_a_per_link_loop(self, monkeypatch, design, n_fixed):
+        # each random start draws one link's timesteps after another, then
+        # the flushing; link 3's eta range is a single point
+        net = loop_network(4, demand=0.012, diameter=0.2, source_head=60.0, n_t=2)
+        base = default_problem(net, RunConfig())
+        bounds = base.bounds.copy()
+        bounds.eta_lo[:, 3] = bounds.eta_hi[:, 3] = 0.0
+        problem = Problem(net, base.scc_params, bounds)
+        starts, enumerate_ = [], sfscp.enumerate_dbv_directions
+
+        def record(subs, x0):
+            if subs[0].t == 0:
+                starts.append([])
+            starts[-1].append(x0)
+            # from the open control, so every start reaches every timestep
+            return enumerate_(subs, np.zeros_like(x0))
+
+        monkeypatch.setattr(sfscp, "enumerate_dbv_directions", record)
+        n_random, seed = 3, 7
+        multi_start(problem, design, n_starts=n_fixed + n_random, seed=seed)
+        assert len(starts) == n_fixed + n_random
+
+        ctrl, afv = design.controllable_links, design.flushing_nodes
+        e_lo = np.minimum(bounds.eta_lo[:, ctrl], 0.0)
+        e_hi = np.maximum(bounds.eta_hi[:, ctrl], 0.0)
+        for k, seq in enumerate(np.random.SeedSequence(seed).spawn(n_random)):
+            rng = np.random.default_rng(seq)
+            draw = np.zeros((net.n_t, len(ctrl)))
+            for i in range(len(ctrl)):
+                draw[:, i] = rng.uniform(e_lo[:, i], e_hi[:, i])
+            alpha = rng.uniform(0.0, bounds.alpha_hi, size=(net.n_t, len(afv)))
+            expected = np.concatenate([draw, alpha], axis=1)
+            assert same_bits(np.array(starts[n_fixed + k]), expected)
