@@ -27,10 +27,14 @@ and A12^T call the ``csr_matvec``/``csc_matvec`` kernels that ``@`` ends
 in; the SCP step's ``jacobian_solve`` factors the Jacobian itself by
 SuperLU at every size.  ``head_loss`` returns phi and phi' from one power
 |q|^(n-1), so each iterate takes that power once.  ``gstrf``
-(``scipy.sparse.linalg._dsolve._superlu``) and ``_sparsetools`` are private
-SciPy modules, present with these signatures in SciPy 1.15 to 1.17, the
-releases the ``scipy>=1.15,<1.18`` pin admits; only this module imports
-them or anything under ``scipy.sparse.linalg``.
+(``scipy.sparse.linalg._dsolve._superlu``), LAPACK's bindings
+(``scipy.linalg._flapack``, whose ``dpotrf`` and ``dpotrs`` are the objects
+``scipy.linalg.lapack`` exports) and ``_sparsetools`` are private SciPy
+modules, present with these signatures in SciPy 1.15 to 1.17, the releases
+the ``scipy>=1.15,<1.18`` pin admits; only this module imports them or
+anything under ``scipy.sparse.linalg`` or ``scipy.linalg``.  The first two
+are loaded by ``scipy_ext.load_extension``, without running the
+``scipy.sparse.linalg`` and ``scipy.linalg`` packages around them.
 """
 from __future__ import annotations
 
@@ -39,12 +43,14 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.sparse import _sparsetools
-from scipy.sparse.linalg._dsolve import _superlu
 
 from .errors import NonConvergence, SingularSystem
 from .netmodel import NetworkModel, PIPE
+from .scipy_ext import load_extension
+
+_superlu = load_extension("scipy.sparse.linalg._dsolve._superlu")
+_flapack = load_extension("scipy.linalg._flapack")
 
 GRAVITY = 9.81
 HW_EXPONENT = 1.852
@@ -155,11 +161,11 @@ def _schur_solve(net: NetworkModel, w: np.ndarray, rhs: np.ndarray, dense: bool)
     S.ravel()[net.schur_dense_pos] = net.schur(w)
     # S is symmetric, so its transpose is the Fortran-ordered array LAPACK
     # factors in place; only the upper triangle is read
-    c, info = dpotrf(S.T, lower=0, clean=0, overwrite_a=1)
+    c, info = _flapack.dpotrf(S.T, lower=0, clean=0, overwrite_a=1)
     if info > 0:
         raise SingularSystem(f"{info}-th leading minor of the Schur matrix "
                              "is not positive definite")
-    return dpotrs(c, rhs, lower=0, overwrite_b=1)[0]
+    return _flapack.dpotrs(c, rhs, lower=0, overwrite_b=1)[0]
 
 
 def kkt_solve(net: NetworkModel, slope: np.ndarray, r_q: np.ndarray, r_h: np.ndarray):

@@ -12,6 +12,8 @@ HiGHS's default tolerances and max-value scaling (``simplex_scale_strategy
 prior to application of the simplex method*), with linprog's post-solve
 feasibility check, but without linprog's per-call input cleaning and option
 checking, which cost more than the solve itself on the small SCP step LPs.
+``scipy_ext.load_extension`` loads that one module without running
+``scipy.optimize``'s ``__init__``, whose 90 other modules sccopt never calls.
 The rest of the pipeline sees only ``solve_lp``, so a different engine can
 be swapped in behind it.
 
@@ -38,9 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.optimize._highspy._core as _highs
 
 from .errors import InconsistentBounds
+from .scipy_ext import load_extension
+
+_highs = load_extension("scipy.optimize._highspy._core")
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"

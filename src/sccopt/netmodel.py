@@ -14,7 +14,6 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ParseError
 
@@ -277,10 +276,21 @@ class NetworkModel:
         """True when every demand node is reachable from some source."""
         if self.n_0 == 0:
             return False
+        # a depth-first search from all the sources at once, over links in
+        # either direction
         n = self.n_n + self.n_0
-        graph = sp.coo_matrix((np.ones(self.n_p), (self.link_from, self.link_to)), shape=(n, n))
-        _, label = connected_components(graph, directed=False)
-        return bool(np.all(np.isin(label[:self.n_n], label[self.n_n:])))
+        neighbours = [[] for _ in range(n)]
+        for a, b in zip(self.link_to.tolist(), self.link_from.tolist()):
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+        reached = set(range(self.n_n, n))
+        stack = list(reached)
+        while stack:
+            for b in neighbours[stack.pop()]:
+                if b not in reached:
+                    reached.add(b)
+                    stack.append(b)
+        return len(reached) == n
 
     # -- serialization -------------------------------------------------------
     def to_json(self) -> str:

@@ -1,13 +1,18 @@
 """Every name a package or test module imports is used in that module, no
 package module imports a private name from another, only ``lp.py`` imports
 HiGHS, only ``hydraulics.py`` imports SciPy's private SuperLU and
-sparsetools modules or anything else under ``scipy.sparse.linalg``, only
-``scc.py`` imports ``scipy.special``, and only ``obbt.py`` imports a thread
-or process module, apart from the process pool ``pipeline.py`` forks its
-candidate workers with.  The package and the scripts import nothing beyond
-the standard library, NumPy, SciPy and the package itself, and the scripts
-also the benchmark's workload fixtures."""
+sparsetools modules, LAPACK or anything else under ``scipy.sparse.linalg``
+or ``scipy.linalg``, only ``scc.py`` imports ``scipy.special``, and only
+``obbt.py`` imports a thread or process module, apart from the process pool
+``pipeline.py`` forks its candidate workers with.  A module loaded by
+``scipy_ext.load_extension`` counts as imported.  Importing the package
+loads none of SciPy's ``optimize``, ``linalg``, ``sparse.linalg`` and
+``sparse.csgraph`` packages.  The package and the scripts import nothing
+beyond the standard library, NumPy, SciPy and the package itself, and the
+scripts also the benchmark's workload fixtures."""
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -68,15 +73,46 @@ def test_module_imports_no_private_sibling_name(path):
     assert private_sibling_imports(path.read_text()) == []
 
 
+# the extension loader, whose calls count as imports of the names they pass
+LOADER = "load_extension"
+
+
+def loader_calls(tree: ast.AST) -> list[ast.Call]:
+    """Calls of ``scipy_ext.load_extension``, by name or as an attribute."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == LOADER]
+
+
 def imports_of(source: str, package: str) -> list[str]:
-    """Imports of ``package`` or of anything inside it."""
+    """Imports of ``package`` or of anything inside it, by an import
+    statement or by the dotted name passed to the extension loader."""
     tree = ast.parse(source)
     modules = [(a.name, node.lineno) for node in ast.walk(tree)
                if isinstance(node, ast.Import) for a in node.names]
     modules += [(f"{node.module}.{a.name}", node.lineno) for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module for a in node.names]
+    modules += [(node.args[0].value, node.lineno) for node in loader_calls(tree)
+                if node.args and isinstance(node.args[0], ast.Constant)]
     return sorted(f"{name} (line {line})" for name, line in modules
                   if f"{name}.".startswith(f"{package}."))
+
+
+def test_detects_a_loaded_extension():
+    source = ("from .scipy_ext import load_extension\n"
+              "from . import scipy_ext\n"
+              "_highs = load_extension('scipy.optimize._highspy._core')\n"
+              "_lapack = scipy_ext.load_extension('scipy.linalg._flapack')\n"
+              "load('scipy.linalg._fblas')\n")
+    assert imports_of(source, "scipy") == ["scipy.linalg._flapack (line 4)",
+                                           "scipy.optimize._highspy._core (line 3)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_loader_is_called_with_literal_names(path):
+    # the guards below read the names the loader is called with, so each
+    # must be written out
+    for call in loader_calls(ast.parse(path.read_text())):
+        assert len(call.args) == 1 and isinstance(call.args[0], ast.Constant), call.lineno
 
 
 # SciPy's HiGHS bindings
@@ -86,6 +122,9 @@ SUPERLU, SPARSETOOLS = "scipy.sparse.linalg._dsolve", "scipy.sparse._sparsetools
 # SciPy's sparse solvers, public and private: the hydraulic Jacobian is
 # factored in hydraulics.py alone
 SPARSE_LINALG = "scipy.sparse.linalg"
+# SciPy's dense linear algebra, LAPACK's bindings among it: the Newton step's
+# dense Schur matrix is factored in hydraulics.py alone
+LINALG = "scipy.linalg"
 
 
 def test_detects_a_highs_import():
@@ -143,10 +182,48 @@ def test_only_hydraulics_imports_sparse_linalg(path):
     assert imports_of(path.read_text(), SPARSE_LINALG) == []
 
 
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "hydraulics.py"],
+                         ids=lambda p: p.name)
+def test_only_hydraulics_imports_lapack(path):
+    assert imports_of(path.read_text(), LINALG) == []
+
+
 def test_hydraulics_imports_superlu_and_sparsetools():
-    # the guard above names the modules the kernel really imports
+    # the guards above name the modules the kernel really imports
     source = Path(sccopt.__file__).with_name("hydraulics.py").read_text()
     assert imports_of(source, SUPERLU) and imports_of(source, SPARSETOOLS)
+    assert imports_of(source, LINALG)
+
+
+def test_lp_imports_highs():
+    # the guard above names the module lp.py really imports
+    assert imports_of(Path(sccopt.__file__).with_name("lp.py").read_text(), HIGHS)
+
+
+# SciPy packages whose __init__s load over 200 modules the solver never calls:
+# the loader reaches their extension modules without them, and is_connected
+# does its own search instead of calling csgraph, which imports
+# scipy.sparse.linalg
+UNLOADED = ["scipy.linalg", "scipy.optimize", "scipy.sparse.csgraph", "scipy.sparse.linalg"]
+
+IMPORT_AND_BUILD = """
+import sys
+import sccopt
+from sccopt.netgen import grid_network
+grid_network(5, 5, demand=0.003, length=500.0, diameter=0.2, hw=130.0,
+             source_head=70.0, seed=7)
+print(*sorted(m for m in sys.modules if m in {unloaded!r}))
+"""
+
+
+def test_import_and_network_build_leave_unused_scipy_packages_unloaded():
+    # in a fresh interpreter, since this one has imported them for other tests
+    src = str(Path(sccopt.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", IMPORT_AND_BUILD.format(unloaded=UNLOADED)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 # SciPy's special functions: the sigmoid psi is written once, in scc.py, so

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from sccopt.errors import ParseError
 from sccopt.hydraulics import headloss_params
@@ -121,6 +122,44 @@ def connected_oracle(net):
             seen.add(u)
             stack.extend(adj.get(u, ()))
     return all(n.id in seen for n in net.nodes)
+
+
+@st.composite
+def parted_networks(draw):
+    """Networks whose nodes fall into up to four parts with no link between
+    them, each part with or without sources, so demand nodes may be cut off
+    or isolated; links may run in parallel, either way round."""
+    n_n = draw(st.integers(0, 25))
+    n_0 = draw(st.integers(0, 4))
+    ids = [f"n{i}" for i in range(n_n)] + [f"s{k}" for k in range(n_0)]
+    n_parts = draw(st.integers(1, 4))
+    part = draw(st.lists(st.integers(0, n_parts - 1), min_size=len(ids), max_size=len(ids)))
+    pairs = []
+    for _ in range(draw(st.integers(0, 3 * len(ids)))):
+        a = draw(st.integers(0, len(ids) - 1))
+        ends = [b for b in range(len(ids)) if b != a and part[b] == part[a]]
+        if ends:
+            pairs.append((a, draw(st.sampled_from(ends))))
+    if pairs:
+        pairs += [(b, a) if flip else (a, b) for (a, b), flip in
+                  draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()),
+                                max_size=10))]
+    links = [Link(f"p{j}", ids[a], ids[b], PIPE, 100.0, 0.2, 120.0)
+             for j, (a, b) in enumerate(pairs)]
+    return NetworkModel(links, [DemandNode(i, 0.0) for i in ids[:n_n]],
+                        [SourceNode(i) for i in ids[n_n:]],
+                        np.zeros((1, n_n)), np.full((1, n_0), 50.0))
+
+
+def csgraph_connected(net):
+    """Whether each demand node shares a connected component with a source,
+    by SciPy's connected_components on the undirected link graph."""
+    if net.n_0 == 0:
+        return False
+    n = net.n_n + net.n_0
+    graph = sp.coo_matrix((np.ones(net.n_p), (net.link_from, net.link_to)), shape=(n, n))
+    _, label = connected_components(graph, directed=False)
+    return bool(np.all(np.isin(label[:net.n_n], label[net.n_n:])))
 
 
 def two_source_net(valve_between_sources=True, cut=False):
@@ -390,6 +429,11 @@ class TestCompiledEnds:
     @settings(max_examples=300, deadline=None)
     def test_is_connected_matches_bfs_oracle(self, net):
         assert net.is_connected() is connected_oracle(net)
+
+    @given(net=parted_networks())
+    @settings(max_examples=300, deadline=None)
+    def test_is_connected_matches_connected_components(self, net):
+        assert net.is_connected() is csgraph_connected(net)
 
     @pytest.mark.parametrize("valve, cut, connected", [
         (True, False, True), (False, False, True), (True, True, False)])

@@ -158,3 +158,13 @@ def test_lp_scaling_solves_under_both_strategies(capsys, monkeypatch):
     # timing changed are restored
     assert strategies == [2, 4, 2, 4]
     assert options.simplex_scale_strategy == 4 and options.time_limit == float("inf")
+
+
+def test_import_footprint_prints_medians(capsys):
+    import_footprint = load_script("import_footprint")
+    import_footprint.main(["--runs", "2", "--workload", "grid25_design"])
+    name, *fields = capsys.readouterr().out.split()
+    values = {k: float(v) for k, v in (f.split("=", 1) for f in fields)}
+    assert name == "grid25_design" and values["runs"] == 2
+    assert 0 < values["wall_s"] < 60 and values["peak_rss_mb"] > 0
+    assert 0 < values["scipy_modules"] < values["modules"]
