@@ -11,7 +11,8 @@ order, None for a candidate without a feasible control) and the
 relaxation's ``lp_bound`` and LP digest (the first 16 hex digits of the
 SHA-256 of the relaxation's c, CSC indptr, indices and data, lhs, rhs, lb
 and ub, built by ``build_lp`` over ``tightened_bounds``' box), as
-space-separated ``key=value`` fields.  Two checkouts that print the same
+space-separated ``key=value`` fields; ``start`` lists the winning start of
+each timestep, comma-separated.  Two checkouts that print the same
 lines found bit-identical controls, scored every candidate alike, and built
 and bounded the relaxation alike.
 
@@ -66,10 +67,10 @@ def describe(name: str, net, config) -> str:
     """One line: the run's digest, winning design and start, its scores, the
     candidates' score digest, the relaxation bound and the LP digest."""
     sol = run_cms(net, config)
-    dbv, afv = (",".join(map(str, ids)) for ids in (sol.design.dbv_links,
-                                                     sol.design.afv_nodes))
+    dbv, afv, start = (",".join(map(str, ids)) for ids in (
+        sol.design.dbv_links, sol.design.afv_nodes, sol.control.starts))
     return (f"{name} seed={config.seed} digest={control_digest(sol)} "
-            f"dbv={dbv} afv={afv} start={sol.control.start_index} "
+            f"dbv={dbv} afv={afv} start={start} "
             f"scc_smooth={sol.scc_smooth!r} scc_exact={sol.scc_exact!r} "
             f"scores={scores_digest(sol)} lp_bound={sol.lp_upper_bound!r} "
             f"lp={lp_digest(net, config)}")

@@ -32,5 +32,6 @@ class ZeroSupport(SccoptError):
 
 
 class AllStartsInfeasible(SccoptError):
-    """No feasible control: every start failed restoration, no sampled placement
-    admits one, or the relaxation was not solved to optimality."""
+    """No feasible control: every start is infeasible at some timestep, no
+    sampled placement admits one, or the relaxation was not solved to
+    optimality."""

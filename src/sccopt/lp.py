@@ -140,11 +140,16 @@ def _options(presolve: str, strategy) -> _highs.HighsOptions:
 
 _STRATEGY = _highs.simplex_constants.SimplexStrategy
 # a cold solve's options; passOptions copies them, so one set serves every
-# solve.  The relaxation's coefficients run from about 2e-9 to 1e4, and under
-# HiGHS's default equilibration scaling (strategy 2) dual simplex takes 1.5
-# to 2.2 times as long on the relaxations scripts/lp_scaling.py times, and
-# does not solve that of random_network(300, 90, seed=5, n_t=4) within 150 s,
-# where max-value scaling takes 12 s.  Of the benchmark runs' SCP step LPs,
+# solve.  The relaxation's coefficients run up to about 1e4.  At the bottom, a
+# few flow coefficients of sigmoid-envelope cut rows lie at or below HiGHS's
+# small_matrix_value of 1e-9, which HiGHS drops (at the benchmark fixtures'
+# seed 0: 1, 12 and 15 entries on grid25, rand60 and rand100x4, the smallest
+# 2.2e-55, 2.9e-36 and 6.7e-13); _run checks the point on lp.A @ x, which
+# keeps them.  Under HiGHS's default equilibration scaling (strategy 2) dual
+# simplex takes 1.5 to 2.2 times as long on the relaxations
+# scripts/lp_scaling.py times, and does not solve that of
+# random_network(300, 90, seed=5, n_t=4) within 150 s, where max-value
+# scaling takes 12 s.  Of the benchmark runs' SCP step LPs,
 # every one of grid25 and rand100x4 returns the same x under both scalings;
 # 3 of rand60's 110 return another optimal vertex, at the same objective
 _OPTIONS = _options("on", _STRATEGY.kSimplexStrategyDual)

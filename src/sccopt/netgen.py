@@ -6,6 +6,15 @@ import numpy as np
 from .netmodel import DemandNode, Link, NetworkModel, PIPE, SourceNode
 
 
+def _fed_from_one_source(links, nodes, demands, source_head) -> NetworkModel:
+    """The validated network of ``links`` and ``nodes`` fed by one source,
+    "src", held at ``source_head`` in each timestep (row) of ``demands``."""
+    net = NetworkModel(links, nodes, [SourceNode("src")], demands,
+                       np.full((len(demands), 1), source_head))
+    net.validate()
+    return net
+
+
 def random_network(
     n_nodes: int = 20,
     extra_edges: int = 5,
@@ -41,10 +50,7 @@ def random_network(
         links.append(make_link(len(links), ids[a], ids[b]))
 
     demands = demand_scale * rng.uniform(0.2, 1.5, size=(n_t, n_nodes))
-    heads = np.full((n_t, 1), source_head)
-    net = NetworkModel(links, nodes, [SourceNode("src")], demands, heads)
-    net.validate()
-    return net
+    return _fed_from_one_source(links, nodes, demands, source_head)
 
 
 def line_network(
@@ -64,11 +70,8 @@ def line_network(
     for i in range(1, n_nodes):
         links.append(Link(f"p{i+1}", f"n{i}", f"n{i+1}", PIPE, length, diameter, hw))
     factors = np.ones(n_t) if demand_factors is None else np.asarray(demand_factors, dtype=float)
-    demands = np.outer(factors, np.full(n_nodes, demand))
-    heads = np.full((len(factors), 1), source_head)
-    net = NetworkModel(links, nodes, [SourceNode("src")], demands, heads)
-    net.validate()
-    return net
+    return _fed_from_one_source(links, nodes, np.outer(factors, np.full(n_nodes, demand)),
+                                source_head)
 
 
 def loop_network(
@@ -86,11 +89,7 @@ def loop_network(
     for i in range(n_nodes):
         a, b = f"n{i+1}", f"n{(i + 1) % n_nodes + 1}"
         links.append(Link(f"p{i+1}", a, b, PIPE, length, diameter, hw))
-    demands = np.full((n_t, n_nodes), demand)
-    heads = np.full((n_t, 1), source_head)
-    net = NetworkModel(links, nodes, [SourceNode("src")], demands, heads)
-    net.validate()
-    return net
+    return _fed_from_one_source(links, nodes, np.full((n_t, n_nodes), demand), source_head)
 
 
 def grid_network(
@@ -130,8 +129,4 @@ def grid_network(
     else:
         base = demand * np.random.default_rng(seed).uniform(0.5, 1.5, size=n_n)
     factors = np.ones(n_t) if demand_factors is None else np.asarray(demand_factors, dtype=float)
-    demands = np.outer(factors, base)
-    heads = np.full((len(factors), 1), source_head)
-    net = NetworkModel(links, nodes, [SourceNode("src")], demands, heads)
-    net.validate()
-    return net
+    return _fed_from_one_source(links, nodes, np.outer(factors, base), source_head)

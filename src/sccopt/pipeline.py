@@ -87,7 +87,7 @@ class CmsSolution:
             "scc_exact": self.scc_exact,
             "azp": self.azp,
             "lp_upper_bound": self.lp_upper_bound,
-            "start_index": self.control.start_index,
+            "starts": list(self.control.starts),
             "directions": [list(signs) for signs in self.control.directions],
             "eta": self.control.eta.tolist(),
             "alpha": self.control.alpha.tolist(),

@@ -1,15 +1,17 @@
 """Control optimization for a fixed valve placement.
 
-For each timestep (timesteps are hydraulically independent) the solver
-alternates linearize / LP-step / line-search on the smoothed SCC objective,
-with a trust box around the iterate.  Valve directions for bidirectional
-boundary valves are enumerated per timestep; multiple starting points guard
-against the nonconvexity of the objective.
+Timesteps are hydraulically independent, so the control of each is chosen
+on its own: the solver alternates linearize / LP-step / line-search on the
+smoothed SCC objective, with a trust box around the iterate.  Valve
+directions for bidirectional boundary valves are enumerated per timestep;
+multiple starting points guard against the nonconvexity of the objective,
+and each timestep keeps the best of them.
 
 ``multi_start`` compiles each (timestep, direction assignment) pair once into
-a read-only ``Subproblem``.  Restoration, the step LP and the line search
-work on its stacked controls x = (eta on the controllable links, alpha at the
-flushing nodes) inside its control box.
+a read-only ``Subproblem``.  The step LP and the line search work on its
+stacked controls x = (eta on the controllable links, alpha at the flushing
+nodes) inside its control box; a start whose clipped point is infeasible is
+given up, since the open control x = 0 runs as a start of its own.
 
 Starts, candidates and valve directions reach the same points again and
 again, so the hydraulic solves and step LPs are cached, keyed on the exact
@@ -100,7 +102,8 @@ class ControlSolution:
     objective: float
     state: HydraulicState
     iterations: int = 0
-    start_index: int = 0
+    # per timestep: the index of the start that won it, and the DBV signs
+    starts: tuple = ()
     directions: tuple = ()
 
 
@@ -200,7 +203,8 @@ def _trust_box(lo, hi, center):
 def restore_feasibility(sub: Subproblem):
     """Restore an infeasible start to the open control x = 0 (valves wide
     open, no flushing), which lies in every control box: (x, q, h) when its
-    state is ``sub.feasible``, else None."""
+    state is ``sub.feasible``, else None.  No solver path calls it; it is
+    kept only for the benchmark harness's tracer, which wraps it by name."""
     x = np.zeros(len(sub.lo))
     sol = sub.solve(x)
     if sol is None or not sub.feasible(x, *sol):
@@ -253,18 +257,15 @@ def _step_lp(sub: Subproblem, q_k: np.ndarray, h_k: np.ndarray, x_k: np.ndarray)
 def sfscp_timestep(sub: Subproblem, x0: np.ndarray):
     """One timestep, one direction assignment, one start x0.
 
-    Returns (eta, alpha, q, h, objective, iterations) or None when the start
-    cannot be made feasible; iterations counts the accepted iterates.
+    Returns (eta, alpha, q, h, objective, iterations), or None when the start
+    clipped to the control box is not ``sub.feasible``; iterations counts the
+    accepted iterates.
     """
     x = np.clip(x0, sub.lo, sub.hi)
     sol = sub.solve(x)
     if sol is None or not sub.feasible(x, *sol):
-        restored = restore_feasibility(sub)
-        if restored is None:
-            return None
-        x, q, h = restored
-    else:
-        q, h = sol
+        return None
+    q, h = sol
 
     f = scc_smooth_flows(q[None, :], sub.net, sub.scc_params)
     iters = 0
@@ -317,7 +318,7 @@ def multi_start(
     extra_seeds=(),
 ) -> ControlSolution:
     """Run the per-timestep solver on ``problem`` from several starts; keep
-    the best.
+    each timestep's best.
 
     The start list is: the relaxation eta seed (when given, with flushing at
     the cap), the open control x = 0, the caller's eta seeds in
@@ -329,15 +330,20 @@ def multi_start(
     AFVs a call runs at least four starts, five with a relaxation seed.  The
     open start makes the result score no lower than the uncontrolled
     network whenever that network is feasible.  Each start is an (n_t, n_x)
-    array of stacked controls.  The subproblems cache their hydraulic
-    solves in ``problem.states``, so calls on one Problem share them.  Raises
-    AllStartsInfeasible when no start yields a feasible horizon.
+    array of stacked controls.
+
+    Timesteps are hydraulically independent, so each is solved on its own:
+    every start runs on the timestep's direction subproblems, and the
+    timestep keeps the best ``enumerate_dbv_directions`` result, the first
+    start on a tie.  The horizon stacks these picks, its objective is
+    ``scc_smooth_flows`` over the stacked flows, and ``starts`` names each
+    timestep's winning start.  The subproblems cache their hydraulic solves
+    in ``problem.states``, so calls on one Problem share them.  Raises
+    AllStartsInfeasible, naming the timestep, when no start is feasible at
+    some timestep.
     """
     net, bounds = problem.net, problem.bounds
     ctrl, afv = design.controllable_links, design.flushing_nodes
-    subs = [[Subproblem(problem, design, t, signs)
-             for signs in itertools.product((1, -1), repeat=len(design.dbv_links))]
-            for t in range(net.n_t)]
 
     def start(eta, alpha):
         return np.concatenate([eta, alpha], axis=1)
@@ -373,22 +379,21 @@ def multi_start(
         starts.append(start(draw, rng.uniform(0.0, bounds.alpha_hi,
                                               size=(net.n_t, len(afv)))))
 
-    best: ControlSolution | None = None
-    for s_idx, x0 in enumerate(starts):
-        results = []
-        for t in range(net.n_t):
-            res = enumerate_dbv_directions(subs[t], x0[t])
-            if res is None:
-                break
-            results.append(res)
-        else:
-            eta, alpha, q, h, _, iters = map(np.array, zip(*(r for r, _ in results)))
-            state = HydraulicState(q, h, eta, alpha)
-            objective = scc_smooth_flows(q, net, problem.scc_params)
-            if best is None or objective > best.objective:
-                best = ControlSolution(eta, alpha, objective, state, int(iters.sum()),
-                                       s_idx, tuple(signs for _, signs in results))
-    if best is None:
-        raise AllStartsInfeasible(
-            f"no feasible control found across {len(starts)} starts")
-    return best
+    picks = []  # per timestep: (result, signs, start index)
+    for t in range(net.n_t):
+        subs = [Subproblem(problem, design, t, signs)
+                for signs in itertools.product((1, -1), repeat=len(design.dbv_links))]
+        pick = None
+        for s_idx, x0 in enumerate(starts):
+            res = enumerate_dbv_directions(subs, x0[t])
+            if res is not None and (pick is None or res[0][4] > pick[0][4]):
+                pick = (*res, s_idx)
+        if pick is None:
+            raise AllStartsInfeasible(
+                f"no feasible control at timestep {t} across {len(starts)} starts")
+        picks.append(pick)
+    results, signs, start_idx = zip(*picks)
+    eta, alpha, q, h, _, iters = map(np.array, zip(*results))
+    return ControlSolution(eta, alpha, scc_smooth_flows(q, net, problem.scc_params),
+                           HydraulicState(q, h, eta, alpha), int(iters.sum()),
+                           start_idx, signs)

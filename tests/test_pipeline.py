@@ -193,25 +193,20 @@ class TestRunCms:
         assert not np.any((sol.control.eta[:, 4] > 0.0) & (sol.control.state.q[:, 4] < 0.0))
 
     def test_restoration_stops_when_no_head_gap_is_left(self, prv_net, monkeypatch):
-        # both restorations start with every head above its floor and the
-        # PRV throttling a reversed flow; each returns the open control.  The
+        # the run's infeasible starts, with every head above its floor and
+        # the PRV throttling a reversed flow, are given up without a
+        # restoration: the open control runs as a start of its own.  The
         # step LPs of this run are degenerate, so the pinned scc_smooth also
         # pins the optimal vertex HiGHS picks among equal objectives.  The
         # dense Cholesky of the Newton step moved it by 2.4e-15 from
         # SuperLU's 0.3731225344148909, on the same vertex.  The relaxation's
         # max-value scaling moved the pinned bound by 4.4e-16 from
         # 0.4008545561249951
-        restore, restored = sfscp.restore_feasibility, []
-
-        def recorded_restore(*args):
-            restored.append(restore(*args))
-            return restored[-1]
-
-        monkeypatch.setattr(sfscp, "restore_feasibility", recorded_restore)
+        restored = []
+        monkeypatch.setattr(sfscp, "restore_feasibility", restored.append)
         sol = run_cms(prv_net, RunConfig(n_samples=1, n_starts=1, seed=0))
         assert sol.candidates == [((), ())]
-        assert len(restored) == 2
-        assert all(r is not None and np.array_equal(r[0], [0.0]) for r in restored)
+        assert restored == []
         assert sol.scc_smooth == 0.37312253441489335
         assert sol.lp_upper_bound == 0.40085455612499554
 
@@ -338,7 +333,7 @@ for cpus in (1, 2):
     for a in (sol.control.eta, sol.control.alpha, sol.control.state.q, sol.control.state.h):
         digest.update(a.tobytes())
     runs.append([digest.hexdigest(), [repr(s) for s in sol.candidate_scores],
-                 repr(sol.design), sol.control.start_index])
+                 repr(sol.design), list(sol.control.starts)])
 print(json.dumps(runs))
 """
 
@@ -375,7 +370,7 @@ class TestCandidateWorkers:
         assert pooled.candidates == alone.candidates
         assert pooled.candidate_scores == alone.candidate_scores
         assert pooled.design == alone.design
-        assert pooled.control.start_index == alone.control.start_index
+        assert pooled.control.starts == alone.control.starts
         assert pooled.control.directions == alone.control.directions
         assert len(set(pooled.candidate_scores)) > 1
 
@@ -462,10 +457,10 @@ class TestPersistence:
         save_results(cms_solution, loopnet, tmp_path)
         payload = json.loads((tmp_path / "solution.json").read_text())
         control = cms_solution.control
-        assert payload["start_index"] == control.start_index
+        assert payload["starts"] == list(control.starts)
         assert payload["directions"] == [list(signs) for signs in control.directions]
-        # one sign per DBV at each timestep
-        assert len(payload["directions"]) == loopnet.n_t
+        # one start and one sign per DBV at each timestep
+        assert len(payload["starts"]) == len(payload["directions"]) == loopnet.n_t
         for signs in payload["directions"]:
             assert len(signs) == len(cms_solution.design.dbv_links)
             assert set(signs) <= {1, -1}

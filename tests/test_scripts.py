@@ -56,7 +56,7 @@ def test_design_digests_describes_a_run(loop4):
     assert len(fields["digest"]) == 16
     assert float(fields["scc_smooth"]) == sol.scc_smooth
     assert float(fields["scc_exact"]) == sol.scc_exact
-    assert fields["start"] == str(sol.control.start_index)
+    assert fields["start"] == ",".join(map(str, sol.control.starts))
     assert fields["dbv"] == ",".join(map(str, sol.design.dbv_links))
     assert fields["afv"] == ",".join(map(str, sol.design.afv_nodes))
     assert fields["scores"] == design_digests.scores_digest(sol)

@@ -186,8 +186,10 @@ class TestStepLp:
         lps = counting(monkeypatch, "solve_lp")
         sub = Subproblem(default_problem(prv_loop_net(), RunConfig()),
                          ValveDesign(prv_links=(2,), afv_nodes=(1,)), 0, ())
-        x = np.array([2.0, 0.01])
+        # a feasible start, so that the timestep solve reaches the step LP
+        x = np.array([1.0, 0.01])
         q, h = sub.solve(x)
+        assert sub.feasible(x, q, h)
         assert _step_lp(sub, q, h, x) is None and _step_lp(sub, q, h, x) is None
         assert len(calls) == 1 and lps == []
         assert sfscp_timestep(sub, x)[5] == 0
@@ -580,7 +582,8 @@ class TestDirectionEnumeration:
 class TestRestoration:
     def test_restores_pressure_with_prv_start_too_high(self):
         # a huge eta start violates the 15 m floor; restoration returns the
-        # open control, which meets it
+        # open control, which meets it, but the timestep solve gives the
+        # start up: multi_start runs the open control as a start of its own
         problem = default_problem(prv_loop_net(), RunConfig())
         bounds = problem.bounds
         design = ValveDesign(prv_links=(2,))
@@ -592,7 +595,7 @@ class TestRestoration:
         x, _, h = out
         assert np.array_equal(x, [0.0])
         assert np.all(h >= bounds.h_lo[0] - 1e-6)
-        assert sfscp_timestep(sub, start) is not None
+        assert sfscp_timestep(sub, start) is None
 
     def test_all_starts_infeasible_raises(self):
         # pressure floor above what the source can deliver anywhere
@@ -601,7 +604,8 @@ class TestRestoration:
         bounds.h_lo[:] = 85.0  # above the 80 m source head
         problem = Problem(net, SccParams.from_network(net), bounds)
         design = ValveDesign(afv_nodes=(0,))
-        with pytest.raises(AllStartsInfeasible):
+        with pytest.raises(AllStartsInfeasible,
+                           match="^no feasible control at timestep 0 across 2 starts$"):
             multi_start(problem, design, n_starts=2, seed=0)
 
     def test_hopeless_restoration_returns_none(self):
@@ -614,6 +618,54 @@ class TestRestoration:
                          ValveDesign(afv_nodes=(0,)), 0, ())
         assert restore_feasibility(sub) is None
         assert sfscp_timestep(sub, np.array([0.01])) is None
+
+
+class TestTimestepPicks:
+    """multi_start keeps each timestep's best start, so it scores at least
+    every start that is feasible over the whole horizon."""
+
+    def test_fixed_case_beats_every_whole_horizon_start(self):
+        # ranking whole-horizon starts scored 0.4589925960393185 here
+        net = random_network(12, 3, seed=5, n_t=2, demand_scale=0.004)
+        sol = multi_start(default_problem(net, RunConfig()),
+                          ValveDesign.from_network(net, (0,), ()), 5, 0)
+        assert sol.objective == 0.5003915384332094
+
+    @given(n_nodes=st.integers(4, 12), extra=st.integers(0, 4),
+           net_seed=st.integers(0, 10_000), n_t=st.integers(2, 3),
+           link=st.integers(0, 100), node=st.integers(0, 100),
+           n_starts=st.integers(1, 7), seed=st.integers(0, 100))
+    @settings(max_examples=30, deadline=None)
+    def test_no_lower_than_the_best_whole_horizon_start(self, n_nodes, extra, net_seed,
+                                                        n_t, link, node, n_starts, seed):
+        net = random_network(n_nodes, extra, seed=net_seed, n_t=n_t, demand_scale=0.004)
+        problem = default_problem(net, RunConfig())
+        design = ValveDesign.from_network(net, (link % net.n_p,), (node % net.n_n,))
+        results, enumerate_ = {}, sfscp.enumerate_dbv_directions
+
+        def record(subs, x0):
+            res = enumerate_(subs, x0)
+            results.setdefault(subs[0].t, []).append(res)
+            return res
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sfscp, "enumerate_dbv_directions", record)
+            try:
+                sol = multi_start(problem, design, n_starts, seed)
+            except AllStartsInfeasible:
+                # then no start is feasible at some timestep
+                assert any(all(r is None for r in rows) for rows in results.values())
+                return
+        assert len(sol.starts) == len(sol.directions) == n_t
+        for t, rows in results.items():
+            assert rows[sol.starts[t]][1] == sol.directions[t]
+            assert same_bits(rows[sol.starts[t]][0][2], sol.state.q[t])
+        # the picks are ranked on one-row scores, the objective on the
+        # stacked rows, which may round lower
+        whole = [scc_smooth_flows(np.array([r[0][2] for r in column]), net,
+                                  problem.scc_params)
+                 for column in zip(*results.values()) if None not in column]
+        assert sol.objective >= max(whole, default=-np.inf) - 1e-15
 
 
 class TestDeterminism:
@@ -640,19 +692,22 @@ class TestRandomStarts:
         bounds = base.bounds.copy()
         bounds.eta_lo[:, 3] = bounds.eta_hi[:, 3] = 0.0
         problem = Problem(net, base.scc_params, bounds)
-        starts, enumerate_ = [], sfscp.enumerate_dbv_directions
+        by_t, enumerate_ = {}, sfscp.enumerate_dbv_directions
 
         def record(subs, x0):
-            if subs[0].t == 0:
-                starts.append([])
-            starts[-1].append(x0)
-            # from the open control, so every start reaches every timestep
+            by_t.setdefault(subs[0].t, []).append(x0)
+            # from the open control, so that every timestep has a pick
             return enumerate_(subs, np.zeros_like(x0))
 
         monkeypatch.setattr(sfscp, "enumerate_dbv_directions", record)
         n_random, seed = 3, 7
         multi_start(problem, design, n_starts=n_fixed + n_random, seed=seed)
+        # each timestep runs the starts in order: the k-th call of each is
+        # start k's row of that timestep
+        assert list(by_t) == list(range(net.n_t))
+        starts = [list(rows) for rows in zip(*by_t.values())]
         assert len(starts) == n_fixed + n_random
+        assert all(len(rows) == len(starts) for rows in by_t.values())
 
         ctrl, afv = design.controllable_links, design.flushing_nodes
         e_lo = np.minimum(bounds.eta_lo[:, ctrl], 0.0)
