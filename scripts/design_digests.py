@@ -56,9 +56,8 @@ def lp_digest(net, config) -> str:
     indptr, indices and data, lhs, rhs, lb and ub."""
     problem, _ = tightened_bounds(net, config)
     lp, _ = build_lp(problem, config.n_v, config.n_f)
-    A = lp.A.tocsc()
     digest = hashlib.sha256()
-    for a in (lp.c, A.indptr, A.indices, A.data, lp.lhs, lp.rhs, lp.lb, lp.ub):
+    for a in (lp.c, lp.A.indptr, lp.A.indices, lp.A.data, lp.lhs, lp.rhs, lp.lb, lp.ub):
         digest.update(a.tobytes())
     return digest.hexdigest()[:16]
 

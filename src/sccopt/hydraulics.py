@@ -22,19 +22,20 @@ by SuperLU's ``gstrf`` with the options ``splu`` passes.  SuperLU's fixed
 per-call setup costs more than the dense factorization on small networks,
 and the dense factorization's n^3 work and n x n array cost more on large
 ones (scripts/schur_crossover.py times whole Newton solves both ways, from
-which the cutoff is set).  The products with A12
-and A12^T call the ``csr_matvec``/``csc_matvec`` kernels that ``@`` ends
-in; the SCP step's ``jacobian_solve`` factors the Jacobian itself by
-SuperLU at every size.  ``head_loss`` returns phi and phi' from one power
+which the cutoff is set).  A12, A12^T and A10 are
+``CscMatrix``es, whose ``@`` calls SciPy's own ``csc_matvec`` kernel; the
+SCP step's ``jacobian_solve`` factors the Jacobian itself by SuperLU at
+every size.  ``head_loss`` returns phi and phi' from one power
 |q|^(n-1), so each iterate takes that power once.  ``gstrf``
-(``scipy.sparse.linalg._dsolve._superlu``), LAPACK's bindings
+(``scipy.sparse.linalg._dsolve._superlu``) and LAPACK's bindings
 (``scipy.linalg._flapack``, whose ``dpotrf`` and ``dpotrs`` are the objects
-``scipy.linalg.lapack`` exports) and ``_sparsetools`` are private SciPy
-modules, present with these signatures in SciPy 1.15 to 1.17, the releases
-the ``scipy>=1.15,<1.18`` pin admits; only this module imports them or
-anything under ``scipy.sparse.linalg`` or ``scipy.linalg``.  The first two
-are loaded by ``scipy_ext.load_extension``, without running the
-``scipy.sparse.linalg`` and ``scipy.linalg`` packages around them.
+``scipy.linalg.lapack`` exports) are private SciPy modules, present with
+these signatures in SciPy 1.15 to 1.17, the releases the
+``scipy>=1.15,<1.18`` pin admits; only this module imports them or anything
+else under ``scipy.sparse.linalg`` or ``scipy.linalg``.  Both are loaded by
+``scipy_ext.load_extension``, without running the ``scipy.sparse.linalg``
+and ``scipy.linalg`` packages around them, and SuperLU builds its L and U
+factors, when asked for them, as ``CscMatrix``es.
 """
 from __future__ import annotations
 
@@ -42,9 +43,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
+from .csc import CscMatrix
 from .errors import NonConvergence, SingularSystem
 from .netmodel import NetworkModel, PIPE
 from .scipy_ext import load_extension
@@ -124,28 +124,12 @@ def head_loss(q, params: HeadLossParams) -> tuple[np.ndarray, np.ndarray]:
     return loss, slope
 
 
-def _times_a12(net: NetworkModel, x: np.ndarray) -> np.ndarray:
-    """A12 x by the CSR kernel ``@`` ends in, so with the sparse product's bits."""
-    y = np.zeros(net.n_p)
-    _sparsetools.csr_matvec(net.n_p, net.n_n, net.A12.indptr, net.A12.indices,
-                            net.A12.data, x, y)
-    return y
-
-
-def _times_a12t(net: NetworkModel, x: np.ndarray) -> np.ndarray:
-    """A12^T x by the CSC kernel ``@`` ends in on A12's transpose view."""
-    y = np.zeros(net.n_n)
-    _sparsetools.csc_matvec(net.n_n, net.n_p, net.A12T.indptr, net.A12T.indices,
-                            net.A12T.data, x, y)
-    return y
-
-
 def _factor(n: int, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
     """SuperLU's LU of the n x n CSC matrix (data, indices, indptr), as
     ``splu`` computes it; an exactly singular matrix raises SingularSystem."""
     try:
         return _superlu.gstrf(n, data.size, data, indices, indptr,
-                              csc_construct_func=sp.csc_array, ilu=False,
+                              csc_construct_func=CscMatrix, ilu=False,
                               options=_SPLU_OPTIONS)
     except RuntimeError as exc:
         raise SingularSystem(str(exc)) from exc
@@ -177,11 +161,11 @@ def kkt_solve(net: NetworkModel, slope: np.ndarray, r_q: np.ndarray, r_h: np.nda
     singular, indefinite or non-finite solve raises SingularSystem.
     """
     w = 1.0 / np.maximum(slope, 1e-8)
-    x_h = _schur_solve(net, w, _times_a12t(net, w * r_q) - r_h,
+    x_h = _schur_solve(net, w, net.A12T @ (w * r_q) - r_h,
                        dense=net.n_n <= DENSE_SCHUR_MAX_NODES)
     if not np.isfinite(x_h).all():
         raise SingularSystem("reduced system produced non-finite step")
-    return w * (r_q - _times_a12(net, x_h)), x_h
+    return w * (r_q - net.A12 @ x_h), x_h
 
 
 def jacobian_solve(net: NetworkModel, g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -249,8 +233,8 @@ def solve_steady(
         """Energy and mass residuals at (q, h), phi'(q), and the residual
         score: at most 1 once both are within tolerance."""
         loss, slope = head_loss(q, params)
-        fe = _times_a12(net, h) + rhs_fixed + loss
-        fm = _times_a12t(net, q) - d - alpha
+        fe = net.A12 @ h + rhs_fixed + loss
+        fm = net.A12T @ q - d - alpha
         return fe, fm, slope, max(np.abs(fm).max() / TOL_MASS, np.abs(fe).max() / TOL_ENERGY)
 
     fe, fm, slope, s = residuals(q, h)

@@ -3,7 +3,8 @@
 A ``LinearProgram`` is stored in HiGHS's own form, lhs <= A x <= rhs with
 bounds on x, and ``solve_lp`` hands it to HiGHS's dual simplex (Huangfu and
 Hall, 2018, *Parallelizing the dual revised simplex method*) with no
-translation: a CSC matrix in canonical format goes in uncopied, and the rows
+translation: A is a ``CscMatrix``, whose canonical arrays go in as they
+are, with no conversion, copy or summing of repeated entries, and the rows
 and duals keep the LP's order.  HiGHS is driven through the bindings SciPy
 bundles as the private module ``scipy.optimize._highspy._core`` (first
 shipped in SciPy 1.15, hence ``scipy>=1.15``): presolve on, dual simplex,
@@ -17,7 +18,11 @@ checking, which cost more than the solve itself on the small SCP step LPs.
 The rest of the pipeline sees only ``solve_lp``, so a different engine can
 be swapped in behind it.
 
-A ``LinearProgram`` is plain data and holds no solver state.  Passing
+A ``LinearProgram`` is plain data and holds no solver state.  A cold solve
+passes it to its thread's one HiGHS instance, which each cold solve in
+that thread re-uses: ``passModel`` replaces the previous model and drops
+its basis and solution, so every LP is solved from scratch, with the
+bits a fresh instance gives on every benchmark design.  Passing
 ``solve_lp`` a ``HotSession`` instead re-solves LPs that share their
 constraints and differ in the objective, as the LPs of one bound direction
 of an OBBT pass do (Gleixner et al., 2017, *Three enhancements for
@@ -37,10 +42,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from threading import local
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csc import CscMatrix
 from .errors import InconsistentBounds
 from .scipy_ext import load_extension
 
@@ -57,12 +63,6 @@ _MS = _highs.HighsModelStatus
 _STATUS = {_MS.kOptimal: OPTIMAL, _MS.kTimeLimit: ITERATION_LIMIT,
            _MS.kIterationLimit: ITERATION_LIMIT, _MS.kInfeasible: INFEASIBLE,
            _MS.kModelError: INFEASIBLE, _MS.kUnbounded: UNBOUNDED}
-# A forked child inherits HiGHS's task scheduler but none of its worker
-# threads, and a parallel solve there would wait on them forever; the child
-# drops the scheduler, so its first solve starts one of its own.  The reset
-# does not block: a blocking one waits for the dead workers to let go of the
-# scheduler, and crashes the child when the parent's scheduler had workers
-os.register_at_fork(after_in_child=lambda: _highs._Highs.resetGlobalScheduler(False))
 # linprog's post-solve tolerance, sqrt(tol) * 10 at its default tol of 1e-9
 _FEAS_TOL = np.sqrt(1e-9) * 10
 
@@ -73,19 +73,23 @@ class LinearProgram:
 
     This is HiGHS's own model, which ``solve_lp`` passes on as it is: a row
     with lhs = -inf is an inequality A x <= rhs, and a row with lhs == rhs
-    is an equality.  A may be any SciPy sparse matrix or array; a CSC one in
-    canonical format reaches HiGHS uncopied.  The vectors are stored as
-    float arrays.  Two LPs compare equal only when they are the same object.
+    is an equality.  A is a ``CscMatrix``, whose canonical arrays HiGHS
+    takes as they are; anything else raises TypeError.  The vectors are
+    stored as float arrays.  Two LPs compare equal only when they are the
+    same object.
     """
 
     c: np.ndarray
-    A: sp.spmatrix | sp.sparray
+    A: CscMatrix
     lhs: np.ndarray
     rhs: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.A, CscMatrix):
+            raise TypeError(f"LP constraint matrix is a {type(self.A).__name__}, "
+                            "not a CscMatrix")
         for name in ("c", "lhs", "rhs", "lb", "ub"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
 
@@ -178,24 +182,45 @@ _RETRY_OPTIONS.primal_feasibility_tolerance = 1e-10
 _RETRY_OPTIONS.dual_feasibility_tolerance = 1e-10
 
 
+# each thread's HiGHS instance for the cold solves under _OPTIONS, which
+# passModel re-uses: it replaces the instance's model and drops its basis and
+# solution.  HotSession's instances and the cold retries get fresh ones
+_cold = local()
+
+
+def _after_fork_in_child():
+    # A forked child inherits HiGHS's task scheduler but none of its worker
+    # threads, and a parallel solve there would wait on them forever; the
+    # child drops the scheduler, so its first solve starts one of its own.
+    # The reset does not block: a blocking one waits for the dead workers to
+    # let go of the scheduler, and crashes the child when the parent's
+    # scheduler had workers.  The child also builds its own cold instance
+    _highs._Highs.resetGlobalScheduler(False)
+    vars(_cold).clear()
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
 def _new_highs(options, lp: LinearProgram):
-    """A HiGHS instance holding ``lp``, or the model status it stopped with."""
-    A = lp.A.tocsc()
-    if not A.has_canonical_format:
-        A = A.copy()
-        A.sum_duplicates()
+    """A HiGHS instance holding ``lp``, or the model status it stopped with:
+    under _OPTIONS the calling thread's cold instance, otherwise a new one."""
     model = _highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = lp.n_cols
     model.num_row_ = model.a_matrix_.num_row_ = lp.n_rows
     model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    model.a_matrix_.start_ = A.indptr
-    model.a_matrix_.index_ = A.indices
-    model.a_matrix_.value_ = A.data
+    model.a_matrix_.start_ = lp.A.indptr
+    model.a_matrix_.index_ = lp.A.indices
+    model.a_matrix_.value_ = lp.A.data
     model.col_cost_, model.col_lower_, model.col_upper_ = lp.c, lp.lb, lp.ub
     model.row_lower_, model.row_upper_ = lp.lhs, lp.rhs
-    highs = _highs._Highs()
-    if highs.passOptions(options) == _highs.HighsStatus.kError:
-        return highs.getModelStatus()
+    highs = getattr(_cold, "highs", None) if options is _OPTIONS else None
+    if highs is None:
+        highs = _highs._Highs()
+        if highs.passOptions(options) == _highs.HighsStatus.kError:
+            return highs.getModelStatus()
+        if options is _OPTIONS:
+            _cold.highs = highs
     if highs.passModel(model) == _highs.HighsStatus.kError:
         return _MS.kModelError
     return highs

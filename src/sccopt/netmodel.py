@@ -13,8 +13,8 @@ import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csc import CscMatrix
 from .errors import ParseError
 
 PIPE = "pipe"
@@ -153,10 +153,10 @@ class NetworkModel:
         row, col = np.repeat(np.arange(self.n_p), 2), ends.ravel()
         sign = np.tile([1.0, -1.0], self.n_p)
         dem = col < self.n_n
-        self.A12 = sp.csr_matrix((sign[dem], (row[dem], col[dem])), shape=(self.n_p, self.n_n))
-        self.A10 = sp.csr_matrix((sign[~dem], (row[~dem], col[~dem] - self.n_n)),
-                                 shape=(self.n_p, self.n_0))
-        # the CSC view .T returns, kept so hot loops do not transpose again
+        self.A12 = CscMatrix.from_triplets(row[dem], col[dem], sign[dem], (self.n_p, self.n_n))
+        self.A10 = CscMatrix.from_triplets(row[~dem], col[~dem] - self.n_n, sign[~dem],
+                                           (self.n_p, self.n_0))
+        # kept so hot loops do not transpose again
         self.A12T = self.A12.T
         self._build_forest_core()
         self._build_schur_pattern()
@@ -237,11 +237,13 @@ class NetworkModel:
         # equations (Todini and Pilati, 1988), has a pattern and off-diagonal
         # values that depend only on the network.  Rows are sorted and row
         # j < n_p, so g[j] is the first entry of q column j.
-        K = sp.bmat([[sp.identity(self.n_p), self.A12], [self.A12T, None]],
-                    format="csc")
+        link, node, sign = self.A12.triplets()
+        links = np.arange(self.n_p)
+        K = CscMatrix.from_triplets(np.r_[links, link, self.n_p + node],
+                                    np.r_[links, self.n_p + node, link],
+                                    np.r_[np.ones(self.n_p), sign, sign],
+                                    (self.n_p + self.n_n, self.n_p + self.n_n))
         self.kkt_indptr, self.kkt_indices, self.kkt_template = K.indptr, K.indices, K.data
-        for arr in (self.kkt_indptr, self.kkt_indices, self.kkt_template):
-            arr.setflags(write=False)
 
     def kkt(self, g: np.ndarray) -> np.ndarray:
         """The values of K(g) on the compiled CSC pattern (``kkt_indices``,

@@ -74,11 +74,14 @@ def flow_polytope(lp: LinearProgram, vmap: VariableMap) -> LinearProgram:
     them.  Exact for flow objectives: those rows are the psi cuts, which
     sigma = 0 satisfies on the flow box (see the module docstring)."""
     sigma = np.r_[vmap.sigma_pos.ravel(), vmap.sigma_neg.ravel()]
+    on_sigma = np.zeros(lp.n_cols, dtype=bool)
+    on_sigma[sigma] = True
+    rows, cols, _ = lp.A.triplets()
     keep = np.ones(lp.n_rows, dtype=bool)
-    keep[lp.A.tocsc()[:, sigma].indices] = False
+    keep[rows[on_sigma[cols]]] = False
     ub = lp.ub.copy()
     ub[sigma] = 0.0
-    return replace(lp, A=lp.A[keep], lhs=lp.lhs[keep], rhs=lp.rhs[keep], ub=ub)
+    return replace(lp, A=lp.A.select_rows(keep), lhs=lp.lhs[keep], rhs=lp.rhs[keep], ub=ub)
 
 
 def _bound_session(lp: LinearProgram, cols: np.ndarray, sign: float):

@@ -8,9 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import envelopes
+from .csc import CscMatrix
 from .errors import InconsistentBounds
 from .hydraulics import HeadLossParams, head_loss
 from .lp import LinearProgram, LpSolution, OPTIMAL
@@ -143,12 +143,13 @@ def build_lp(problem: Problem, n_v: int, n_f: int) -> tuple[LinearProgram, Varia
     and the envelope cuts of every link and timestep are built together
     (``_link_tables``).  The ``<=`` rows come first: per timestep, each
     link's table, then one AFV row per node.  The equality rows follow: per
-    timestep, mass and energy balance, then the two valve-count rows.
+    timestep, mass and energy balance, then the two valve-count rows.  The
+    matrix is one ``CscMatrix.from_triplets`` of every block's nonzero
+    entries.
     """
     net, bounds = problem.net, problem.bounds
     vmap = VariableMap(net.n_p, net.n_n, net.n_t)
     n = vmap.total
-    I_p, I_n = sp.identity(net.n_p), sp.identity(net.n_n)
     prv, fixed = list(net.prv_links), list(net.prv_links + net.dbv_links)
     # a column's bounds are [0, 1], those of the relaxed binaries sigma, v, z
     # and y, unless set below
@@ -167,45 +168,45 @@ def build_lp(problem: Problem, n_v: int, n_f: int) -> tuple[LinearProgram, Varia
     lb[vmap.z[fixed]] = 1.0
 
     # mass: A12^T q - alpha = d;  energy: A12 h + theta + eta = -A10 h0;
-    # flushing only where an AFV is placed
-    mass, energy = sp.hstack([net.A12T, -I_n]), sp.hstack([net.A12, I_p, I_p])
-    flushing = sp.hstack([I_n, -bounds.alpha_hi * I_n])
+    # flushing only where an AFV is placed.  Each block of rows is its
+    # right-hand sides and its entries' (row, column, value) triplets, the
+    # rows counted from the block's first
     table, keep = _link_tables(problem)
     link_cols = np.stack([vmap.q, vmap.sigma_pos, vmap.sigma_neg, vmap.theta, vmap.eta, vmap.v_pos,
                           vmap.v_neg, np.broadcast_to(vmap.z, vmap.q.shape)], axis=-1)
-    # (blocks, right-hand sides) of the <= rows and of the equality rows
-    leq, eq = ([], []), ([], [])
-
-    def add(group, block, cols, b):
-        group[0].append(_at_columns(block, cols, n))
-        group[1].append(b)
-
+    # A12's entries: +-1 at (link, node)
+    a_link, a_node, a_sign = net.A12.triplets()
+    links, nodes = np.arange(net.n_p), np.arange(net.n_n)
+    ones_p, ones_n = np.ones(net.n_p), np.ones(net.n_n)
+    leq, eq = [], []
     for t in range(net.n_t):
-        add(eq, mass, np.r_[vmap.q[t], vmap.alpha[t]], net.demands[t])
-        add(eq, energy, np.r_[vmap.h[t], vmap.theta[t], vmap.eta[t]],
-            -(net.A10 @ net.source_heads[t]))
-        rows = table[t][keep[t]]
-        add(leq, rows[:, :8], link_cols[t][np.nonzero(keep[t])[0]], rows[:, 8])
-        add(leq, flushing, np.r_[vmap.alpha[t], vmap.y], np.zeros(net.n_n))
+        eq.append((net.demands[t], np.r_[a_node, nodes],
+                   np.r_[vmap.q[t][a_link], vmap.alpha[t]], np.r_[a_sign, -ones_n]))
+        eq.append((-(net.A10 @ net.source_heads[t]), np.r_[a_link, links, links],
+                   np.r_[vmap.h[t][a_node], vmap.theta[t], vmap.eta[t]],
+                   np.r_[a_sign, ones_p, ones_p]))
+        cuts = table[t][keep[t]]
+        leq.append((cuts[:, 8], np.repeat(np.arange(len(cuts)), 8),
+                    link_cols[t][np.nonzero(keep[t])[0]].ravel(), cuts[:, :8].ravel()))
+        leq.append((np.zeros(net.n_n), np.r_[nodes, nodes], np.r_[vmap.alpha[t], vmap.y],
+                    np.r_[ones_n, np.full(net.n_n, -bounds.alpha_hi)]))
 
     # valve-count constraints
-    add(eq, np.ones((1, net.n_p)), vmap.z, [n_v + len(fixed)])
-    add(eq, np.ones((1, net.n_n)), vmap.y, [n_f])
+    eq.append(([n_v + len(fixed)], np.zeros(net.n_p, dtype=int), vmap.z, ones_p))
+    eq.append(([n_f], np.zeros(net.n_n, dtype=int), vmap.y, ones_n))
 
-    A = sp.vstack(leq[0] + eq[0], format="csr")
-    A.eliminate_zeros()  # no block may store a zero coefficient
-    lhs = np.concatenate([np.full(len(b), -np.inf) for b in leq[1]] + eq[1], dtype=float)
-    lp = LinearProgram(c, A.tocsc(), lhs, np.concatenate(leq[1] + eq[1], dtype=float), lb, ub)
+    blocks = leq + eq
+    rhs = [np.asarray(b, dtype=float) for b, *_ in blocks]
+    first = np.cumsum([0] + [len(b) for b in rhs])
+    rows = np.concatenate([r + f for (_, r, _, _), f in zip(blocks, first)])
+    cols = np.concatenate([c for _, _, c, _ in blocks])
+    vals = np.concatenate([v for *_, v in blocks])
+    stored = vals != 0  # no coefficient is stored as a zero
+    A = CscMatrix.from_triplets(rows[stored], cols[stored], vals[stored], (first[-1], n))
+    lhs = np.concatenate([np.full(len(b), -np.inf) for b in rhs[:len(leq)]] + rhs[len(leq):])
+    lp = LinearProgram(c, A, lhs, np.concatenate(rhs), lb, ub)
     lp.validate()
     return lp, vmap
-
-
-def _at_columns(block, cols, n_cols):
-    """``block`` as rows of an n_cols-wide matrix: entry (r, k) goes to column
-    cols[k], or to cols[r, k] when cols holds one column map per row."""
-    b = sp.coo_matrix(block)
-    cols = np.broadcast_to(cols, b.shape)[b.row, b.col]
-    return sp.csr_matrix((b.data, (b.row, cols)), shape=(b.shape[0], n_cols))
 
 
 def _link_tables(problem: Problem):

@@ -4,9 +4,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .netmodel import NetworkModel
+from .scipy_ext import load_extension
+
+# the ufunc scipy.special exports as expit, the same object, loaded without
+# running scipy.special's __init__
+expit = load_extension("scipy.special._special_ufuncs", attrs=("expit",)).expit
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csc import CscMatrix
 from .errors import AllStartsInfeasible, NonConvergence, SingularSystem
 from .hydraulics import HydraulicState, head_loss, jacobian_solve, solve_steady
 from .lp import OPTIMAL, LinearProgram, solve_lp
@@ -245,7 +245,7 @@ def _step_lp(sub: Subproblem, q_k: np.ndarray, h_k: np.ndarray, x_k: np.ndarray)
     c = -scc_smooth_grad_flows(q_k[None, :], sub.net, sub.scc_params)[0] @ S[:n_q]
     # a pinned direction or an iterate outside its flow box can invert a row
     # box; the x box cannot invert, as its centre lies in [sub.lo, sub.hi]
-    sol = solve_lp(LinearProgram(c, sp.csc_matrix(S), np.minimum(lo, hi) - p,
+    sol = solve_lp(LinearProgram(c, CscMatrix.from_dense(S), np.minimum(lo, hi) - p,
                                  np.maximum(lo, hi) - p,
                                  *_trust_box(sub.lo, sub.hi, np.clip(x_k, sub.lo, sub.hi))))
     if sol.status == OPTIMAL:

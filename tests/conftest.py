@@ -3,13 +3,31 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from sccopt import sfscp
+from sccopt.csc import CscMatrix
 from sccopt.netgen import grid_network, line_network, loop_network, random_network
 from sccopt.hydraulics import headloss_params
 from sccopt.scc import SccParams, scc_smooth_flows
+
+
+def as_csc(matrix) -> CscMatrix:
+    """``matrix``, a SciPy sparse matrix or array or a dense array, as a
+    CscMatrix: SciPy's ``csc_matrix`` of it (a dense array's zeros dropped,
+    a sparse matrix's stored zeros kept), its repeated entries summed by the
+    CscMatrix constructor as SciPy's ``sum_duplicates`` sums them.  Tests
+    build every LinearProgram's matrix through this."""
+    A = sp.csc_matrix(matrix)
+    return CscMatrix((A.data, A.indices, A.indptr), A.shape)
+
+
+def to_scipy(A: CscMatrix) -> sp.csc_matrix:
+    """A CscMatrix as the SciPy ``csc_matrix`` over copies of its arrays, in
+    canonical format, for oracles written against SciPy's public API."""
+    return sp.csc_matrix((A.data.copy(), A.indices.copy(), A.indptr.copy()), shape=A.shape)
 
 
 @pytest.fixture

@@ -5,8 +5,9 @@ compiled arrays (the Schur matrix scattered into a dense array and factored
 by LAPACK's ``dpotrf``/``dpotrs`` up to ``DENSE_SCHUR_MAX_NODES`` demand
 nodes, SuperLU's ``gstrf`` called directly above, the sparsetools products,
 one power |q|^(n-1) for phi and phi' in ``head_loss``) and must return, and
-log, exactly the bits this reference does.  Here every product is a sparse
-``@``, phi and phi' are evaluated separately, each with its own power, and
+log, exactly the bits this reference does.  Here every product is a SciPy
+sparse ``@``, on the CSR incidence matrices SciPy builds from the network's
+``CscMatrix``es (``conftest.to_scipy``), phi and phi' are evaluated separately, each with its own power, and
 the Schur matrix is a ``csc_matrix``, factored by ``cho_factor`` and
 ``cho_solve`` on its ``toarray()`` up to that size and by ``splu`` with its
 default options above.
@@ -18,6 +19,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from conftest import to_scipy
 from sccopt.errors import NonConvergence, SingularSystem
 from sccopt.hydraulics import DENSE_SCHUR_MAX_NODES, TOL_ENERGY, TOL_MASS
 
@@ -65,7 +67,8 @@ def solve_steady(net, params, d, h0, eta=None, alpha=None, residual_log=None,
     """``sccopt.hydraulics.solve_steady``'s contract, the same iterates."""
     eta = np.zeros(net.n_p) if eta is None else np.asarray(eta, dtype=float)
     alpha = np.zeros(net.n_n) if alpha is None else np.asarray(alpha, dtype=float)
-    A12, A12T = net.A12, net.A12T
+    A12, A10 = to_scipy(net.A12).tocsr(), to_scipy(net.A10).tocsr()
+    A12T = A12.T
 
     if q0 is not None:
         q = np.array(q0, dtype=float)
@@ -75,7 +78,7 @@ def solve_steady(net, params, d, h0, eta=None, alpha=None, residual_log=None,
         h = np.array(h0_guess, dtype=float)
     else:
         h = np.full(net.n_n, float(np.max(h0)))
-    rhs_fixed = net.A10 @ h0 + eta
+    rhs_fixed = A10 @ h0 + eta
 
     def residuals(q, h):
         fe = A12 @ h + rhs_fixed + phi(q, params)

@@ -18,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import _linprog_highs, linprog
 
+from conftest import to_scipy
 from sccopt.lp import (INFEASIBLE, ITERATION_LIMIT, NUMERICAL, OPTIMAL, UNBOUNDED,
                        LpSolution)
 
@@ -36,7 +37,7 @@ def linprog_solve_lp(lp):
     is_eq = lp.lhs == lp.rhs
     upper = np.flatnonzero(~is_eq & (lp.rhs < np.inf))
     lower = np.flatnonzero(~is_eq & (lp.lhs > -np.inf))
-    A = sp.csr_matrix(lp.A)
+    A = to_scipy(lp.A).tocsr()
     A_eq = A[is_eq] if is_eq.any() else None
     b_eq = lp.rhs[is_eq] if is_eq.any() else None
     ub_rows = np.concatenate([upper, lower])

@@ -5,9 +5,11 @@ and builds each column family and the envelope cuts for all timesteps at
 once, and must return, array for array, exactly the LP this per-timestep
 reference returns.  Here each block's columns are an offset method that sums
 the sizes of the blocks before it, every column bound and cost is set once
-per timestep, and both envelope builders run once per timestep.
+per timestep, and both envelope builders run once per timestep.  The
+matrix is assembled from SciPy sparse blocks, stacked by ``sp.vstack``, and
+only the result becomes a ``CscMatrix`` (``conftest.as_csc``).
 ``flow_polytope`` is OBBT's cut of the LP to its flow polytope, collecting
-the sigma columns timestep by timestep.
+the sigma columns timestep by timestep, on SciPy's column and row indexing.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
+from conftest import as_csc, to_scipy
 from sccopt import envelopes
 from sccopt.lp import LinearProgram
 
@@ -80,6 +83,7 @@ def build_lp(problem, n_v: int, n_f: int) -> tuple[LinearProgram, VariableMap]:
     vmap = VariableMap(net.n_p, net.n_n, net.n_t)
     n = vmap.total
     I_p, I_n = sp.identity(net.n_p), sp.identity(net.n_n)
+    A12, A10 = to_scipy(net.A12), to_scipy(net.A10)
     z_idx, y_idx = vmap.z, vmap.y
     prv, fixed = list(net.prv_links), list(net.prv_links + net.dbv_links)
     c, lb, ub = np.zeros(n), np.zeros(n), np.zeros(n)
@@ -96,9 +100,9 @@ def build_lp(problem, n_v: int, n_f: int) -> tuple[LinearProgram, VariableMap]:
         sp_idx, sm_idx = vmap.sigma_pos(t), vmap.sigma_neg(t)
         vp_idx, vm_idx = vmap.v_pos(t), vmap.v_neg(t)
 
-        add(eq, sp.hstack([net.A12T, -I_n]), np.r_[q_idx, a_idx], net.demands[t])
-        add(eq, sp.hstack([net.A12, I_p, I_p]), np.r_[h_idx, th_idx, eta_idx],
-            -(net.A10 @ net.source_heads[t]))
+        add(eq, sp.hstack([A12.T, -I_n]), np.r_[q_idx, a_idx], net.demands[t])
+        add(eq, sp.hstack([A12, I_p, I_p]), np.r_[h_idx, th_idx, eta_idx],
+            -(A10 @ net.source_heads[t]))
 
         table, keep = link_tables(problem, t)
         cols = np.column_stack([q_idx, sp_idx, sm_idx, th_idx, eta_idx,
@@ -127,7 +131,7 @@ def build_lp(problem, n_v: int, n_f: int) -> tuple[LinearProgram, VariableMap]:
     A = sp.vstack(leq[0] + eq[0], format="csr")
     A.eliminate_zeros()
     lhs = np.concatenate([np.full(len(b), -np.inf) for b in leq[1]] + eq[1], dtype=float)
-    lp = LinearProgram(c, A.tocsc(), lhs, np.concatenate(leq[1] + eq[1], dtype=float), lb, ub)
+    lp = LinearProgram(c, as_csc(A), lhs, np.concatenate(leq[1] + eq[1], dtype=float), lb, ub)
     lp.validate()
     return lp, vmap
 
@@ -175,8 +179,9 @@ def flow_polytope(lp: LinearProgram, vmap: VariableMap) -> LinearProgram:
     column fixed at 0."""
     sigma = np.concatenate([np.r_[vmap.sigma_pos(t), vmap.sigma_neg(t)]
                             for t in range(vmap.n_t)])
+    A = to_scipy(lp.A)
     keep = np.ones(lp.n_rows, dtype=bool)
-    keep[lp.A.tocsc()[:, sigma].indices] = False
+    keep[A[:, sigma].indices] = False
     ub = lp.ub.copy()
     ub[sigma] = 0.0
-    return replace(lp, A=lp.A[keep], lhs=lp.lhs[keep], rhs=lp.rhs[keep], ub=ub)
+    return replace(lp, A=as_csc(A[keep]), lhs=lp.lhs[keep], rhs=lp.rhs[keep], ub=ub)

@@ -24,6 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+from conftest import as_csc, to_scipy
 from sccopt.hydraulics import head_loss
 from sccopt.lp import LinearProgram
 from sccopt.scc import scc_smooth_grad_flows
@@ -36,20 +37,21 @@ def full_step_lp(sub, q_k, h_k, x_k) -> LinearProgram:
     g = np.maximum(slope, 1e-12)
     E = sp.coo_matrix((np.ones(n_c), (sub.ctrl, np.arange(n_c))), shape=(net.n_p, n_c))
     F = sp.coo_matrix((np.ones(n_a), (sub.afv, np.arange(n_a))), shape=(net.n_n, n_a))
-    A = sp.bmat([[sp.diags(g), net.A12, E, None], [net.A12T, None, None, -F]], format="csc")
-    b = np.concatenate([-(net.A10 @ sub.h0) - loss + g * q_k, sub.d])
+    A12 = to_scipy(net.A12)
+    A = sp.bmat([[sp.diags(g), A12, E, None], [A12.T, None, None, -F]], format="csc")
+    b = np.concatenate([-(to_scipy(net.A10) @ sub.h0) - loss + g * q_k, sub.d])
     lo, hi = map(np.concatenate, zip(
         sub.flow_box(q_k), _trust_box(sub.h_lo, sub.h_hi, h_k),
         _trust_box(sub.lo, sub.hi, np.clip(x_k, sub.lo, sub.hi))))
     c = np.zeros(A.shape[1])
     c[:net.n_p] = -scc_smooth_grad_flows(q_k[None, :], net, sub.scc_params)[0]
-    return LinearProgram(c, A, b, b, np.minimum(lo, hi), np.maximum(lo, hi))
+    return LinearProgram(c, as_csc(A), b, b, np.minimum(lo, hi), np.maximum(lo, hi))
 
 
 def tight_optimum(lp: LinearProgram) -> float | None:
     """The optimal value of the all-equality LP ``lp`` at 1e-10 feasibility
     tolerances, or None when linprog does not report it optimal."""
-    res = linprog(lp.c, A_eq=lp.A, b_eq=lp.rhs, bounds=np.column_stack([lp.lb, lp.ub]),
+    res = linprog(lp.c, A_eq=to_scipy(lp.A), b_eq=lp.rhs, bounds=np.column_stack([lp.lb, lp.ub]),
                   method="highs", options=dict(primal_feasibility_tolerance=1e-10,
                                                dual_feasibility_tolerance=1e-10))
     return float(res.fun) if res.status == 0 else None

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 import hydraulics_reference as reference
+from conftest import to_scipy
 from sccopt import hydraulics
 from sccopt.errors import NonConvergence, SingularSystem
 from sccopt.hydraulics import (DENSE_SCHUR_MAX_NODES, GRAVITY, HeadLossParams, head_loss,
@@ -186,12 +187,19 @@ def net(request):
     return request.getfixturevalue(request.param)
 
 
+def incidence(net):
+    """SciPy's CSR A12 and its CSC transpose view, for product oracles."""
+    A12 = to_scipy(net.A12).tocsr()
+    return A12, A12.T
+
+
 class TestSchurAssembly:
     def test_matches_sparse_product_bit_for_bit(self, net):
         rng = np.random.default_rng(0)
+        A12, A12T = incidence(net)
         for _ in range(20):
             w = 10.0 ** rng.uniform(-10.0, 10.0, net.n_p)
-            ref = (net.A12T @ sp.diags(w) @ net.A12).tocsc()
+            ref = (A12T @ sp.diags(w) @ A12).tocsc()
             ref.sort_indices()
             assert ref.shape == (net.n_n, net.n_n)
             assert np.array_equal(net.schur_indptr, ref.indptr)
@@ -200,11 +208,12 @@ class TestSchurAssembly:
 
     def test_dense_positions_match_toarray(self, net):
         rng = np.random.default_rng(3)
+        A12, A12T = incidence(net)
         for _ in range(5):
             w = 10.0 ** rng.uniform(-10.0, 10.0, net.n_p)
             dense = np.zeros(net.n_n * net.n_n)
             dense[net.schur_dense_pos] = net.schur(w)
-            ref = (net.A12T @ sp.diags(w) @ net.A12).toarray()
+            ref = (A12T @ sp.diags(w) @ A12).toarray()
             assert np.array_equal(dense.reshape(net.n_n, net.n_n), ref)
 
     def test_compiled_arrays_are_read_only(self, net):
@@ -231,9 +240,10 @@ def assert_solves(net, g, r_q, r_h, x, K):
 class TestKktAssembly:
     def test_matches_bmat_bit_for_bit(self, net):
         rng = np.random.default_rng(0)
+        A12, A12T = incidence(net)
         for _ in range(20):
             g = 10.0 ** rng.uniform(-12.0, 10.0, net.n_p)
-            ref = sp.bmat([[sp.diags(g, format="coo"), net.A12], [net.A12T, None]]).tocsc()
+            ref = sp.bmat([[sp.diags(g, format="coo"), A12], [A12T, None]]).tocsc()
             assert np.array_equal(net.kkt_indptr, ref.indptr)
             assert np.array_equal(net.kkt_indices, ref.indices)
             assert np.array_equal(net.kkt(g), ref.data)
@@ -249,9 +259,10 @@ class TestKktAssembly:
         # column of a 2-D right-hand side
         rng = np.random.default_rng(1)
         n = net.n_p + net.n_n
+        A12, A12T = incidence(net)
         for _ in range(10):
             g = 10.0 ** rng.uniform(-4.0, 2.0, net.n_p)
-            K = sp.bmat([[sp.diags(g), net.A12], [net.A12T, None]])
+            K = sp.bmat([[sp.diags(g), A12], [A12T, None]])
             rhs = rng.standard_normal((n, 3))
             X = jacobian_solve(net, g, rhs)
             assert X.shape == (n, 3)
@@ -266,10 +277,11 @@ class TestKktAssembly:
         # still leaves a residual at round-off
         rng = np.random.default_rng(2)
         n = net.n_p + net.n_n
+        A12, A12T = incidence(net)
         for j in range(min(net.n_p, 5)):
             g = 10.0 ** rng.uniform(-4.0, 2.0, net.n_p)
             g[j] = 1e-12
-            K = sp.bmat([[sp.diags(g), net.A12], [net.A12T, None]]).tocsc()
+            K = sp.bmat([[sp.diags(g), A12], [A12T, None]]).tocsc()
             rhs = rng.standard_normal((n, 2))
             X = jacobian_solve(net, g, rhs)
             assert np.abs(K @ X - rhs).max() <= 1e-12 * (1.0 + np.abs(X).max())
@@ -314,7 +326,8 @@ class TestKktAssembly:
         slope[slope < 1e-10] = 0.0
         r_q, r_h = rng.standard_normal(net.n_p), rng.standard_normal(net.n_n)
         g = np.maximum(slope, 1e-8)
-        K = sp.bmat([[sp.diags(g), net.A12], [net.A12T, None]])
+        A12, A12T = incidence(net)
+        K = sp.bmat([[sp.diags(g), A12], [A12T, None]])
         assert_solves(net, g, r_q, r_h, kkt_solve(net, slope, r_q, r_h), K)
 
 

@@ -1,15 +1,18 @@
 """Every name a package or test module imports is used in that module, no
 package module imports a private name from another, only ``lp.py`` imports
-HiGHS, only ``hydraulics.py`` imports SciPy's private SuperLU and
-sparsetools modules, LAPACK or anything else under ``scipy.sparse.linalg``
-or ``scipy.linalg``, only ``scc.py`` imports ``scipy.special``, and only
-``obbt.py`` imports a thread or process module, apart from the process pool
-``pipeline.py`` forks its candidate workers with.  A module loaded by
-``scipy_ext.load_extension`` counts as imported.  Importing the package
-loads none of SciPy's ``optimize``, ``linalg``, ``sparse.linalg`` and
-``sparse.csgraph`` packages.  The package and the scripts import nothing
-beyond the standard library, NumPy, SciPy and the package itself, and the
-scripts also the benchmark's workload fixtures."""
+HiGHS, only ``hydraulics.py`` imports SciPy's private SuperLU module,
+LAPACK or anything else under ``scipy.sparse.linalg`` or ``scipy.linalg``,
+only ``csc.py`` imports SciPy's sparsetools kernels, only ``scc.py``
+imports ``scipy.special``, and only ``obbt.py`` imports a thread or process
+module, apart from the process pool ``pipeline.py`` forks its candidate
+workers with and the thread-local store ``lp.py`` keeps its cold HiGHS
+instances in.  A module loaded by ``scipy_ext.load_extension`` counts as
+imported, and the package imports SciPy's modules through it alone.
+Importing the package, designing a network in forked workers and saving
+the results load none of SciPy's ``optimize``, ``linalg``, ``sparse``,
+``special`` and ``_lib._array_api`` packages.  The package and the scripts
+import nothing beyond the standard library, NumPy, SciPy and the package
+itself, and the scripts also the benchmark's workload fixtures."""
 import ast
 import os
 import subprocess
@@ -83,16 +86,17 @@ def loader_calls(tree: ast.AST) -> list[ast.Call]:
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == LOADER]
 
 
-def imports_of(source: str, package: str) -> list[str]:
+def imports_of(source: str, package: str, loader: bool = True) -> list[str]:
     """Imports of ``package`` or of anything inside it, by an import
-    statement or by the dotted name passed to the extension loader."""
+    statement or, unless ``loader`` is False, by the dotted name passed to
+    the extension loader."""
     tree = ast.parse(source)
     modules = [(a.name, node.lineno) for node in ast.walk(tree)
                if isinstance(node, ast.Import) for a in node.names]
     modules += [(f"{node.module}.{a.name}", node.lineno) for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module for a in node.names]
     modules += [(node.args[0].value, node.lineno) for node in loader_calls(tree)
-                if node.args and isinstance(node.args[0], ast.Constant)]
+                if loader and node.args and isinstance(node.args[0], ast.Constant)]
     return sorted(f"{name} (line {line})" for name, line in modules
                   if f"{name}.".startswith(f"{package}."))
 
@@ -168,10 +172,18 @@ def test_only_lp_imports_highs(path):
 @pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "hydraulics.py"],
                          ids=lambda p: p.name)
 def test_only_hydraulics_imports_superlu_and_sparsetools(path):
-    # the private SciPy modules the Newton kernel calls stay in one place,
-    # as hydraulics.py's docstring promises
-    source = path.read_text()
-    assert imports_of(source, SUPERLU) + imports_of(source, SPARSETOOLS) == []
+    # SuperLU's bindings stay in hydraulics.py, as its docstring promises;
+    # the sparsetools kernels stay in csc.py alone, which the guard below
+    # checks of every other module, hydraulics.py included
+    assert imports_of(path.read_text(), SUPERLU) == []
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "csc.py"],
+                         ids=lambda p: p.name)
+def test_only_csc_imports_sparsetools(path):
+    # every sparse array the kernels see was checked by a CscMatrix
+    # constructor, as csc.py's docstring promises
+    assert imports_of(path.read_text(), SPARSETOOLS) == []
 
 
 @pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "hydraulics.py"],
@@ -188,11 +200,32 @@ def test_only_hydraulics_imports_lapack(path):
     assert imports_of(path.read_text(), LINALG) == []
 
 
-def test_hydraulics_imports_superlu_and_sparsetools():
+def test_hydraulics_imports_superlu_and_lapack():
     # the guards above name the modules the kernel really imports
     source = Path(sccopt.__file__).with_name("hydraulics.py").read_text()
-    assert imports_of(source, SUPERLU) and imports_of(source, SPARSETOOLS)
-    assert imports_of(source, LINALG)
+    assert imports_of(source, SUPERLU) and imports_of(source, LINALG)
+
+
+def test_csc_imports_sparsetools():
+    assert imports_of(Path(sccopt.__file__).with_name("csc.py").read_text(), SPARSETOOLS)
+
+
+def test_detects_a_scipy_import_statement():
+    source = ("import scipy\n"
+              "from scipy.sparse import csc_array\n"
+              "_k = load_extension('scipy.sparse._sparsetools')\n")
+    assert imports_of(source, "scipy", loader=False) == ["scipy (line 1)",
+                                                         "scipy.sparse.csc_array (line 2)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_imports_scipy_only_through_the_loader(path):
+    # so no package's __init__ beyond scipy's own runs; scipy_ext.py imports
+    # scipy to find its directory
+    allowed = ["scipy"] if path.name == "scipy_ext.py" else []
+    names = [name.rsplit(" (line ", 1)[0]
+             for name in imports_of(path.read_text(), "scipy", loader=False)]
+    assert names == allowed
 
 
 def test_lp_imports_highs():
@@ -200,27 +233,51 @@ def test_lp_imports_highs():
     assert imports_of(Path(sccopt.__file__).with_name("lp.py").read_text(), HIGHS)
 
 
-# SciPy packages whose __init__s load over 200 modules the solver never calls:
+# SciPy packages whose __init__s load over 300 modules the solver never calls:
 # the loader reaches their extension modules without them, and is_connected
 # does its own search instead of calling csgraph, which imports
-# scipy.sparse.linalg
-UNLOADED = ["scipy.linalg", "scipy.optimize", "scipy.sparse.csgraph", "scipy.sparse.linalg"]
+# scipy.sparse.linalg.  scipy._lib._array_api, which scipy.sparse and
+# scipy.special import, clones NumPy's namespace, numpy.f2py included
+UNLOADED = ["scipy._lib._array_api", "scipy.linalg", "scipy.optimize", "scipy.sparse",
+            "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.special"]
 
-IMPORT_AND_BUILD = """
+# Designs grid25 as the benchmark's grid25_design workload does, in two
+# forked candidate workers, each of which fails its candidate once it holds
+# one of the packages, and saves the results
+IMPORT_DESIGN_AND_SAVE = """
 import sys
+import tempfile
 import sccopt
+from sccopt import pipeline
 from sccopt.netgen import grid_network
-grid_network(5, 5, demand=0.003, length=500.0, diameter=0.2, hw=130.0,
-             source_head=70.0, seed=7)
-print(*sorted(m for m in sys.modules if m in {unloaded!r}))
+
+def loaded():
+    return sorted(m for m in sys.modules if m in {unloaded!r})
+
+def checked(i, run=None, solve=pipeline._solve_candidate):
+    result = solve(i, run)
+    if loaded():
+        raise RuntimeError(f"a candidate worker loaded {{loaded()}}")
+    return result
+
+pipeline._solve_candidate = checked
+pipeline._usable_cpus = lambda: 2
+net = grid_network(5, 5, demand=0.003, length=500.0, diameter=0.2, hw=130.0,
+                   source_head=70.0, seed=7)
+sol = pipeline.run_cms(net, pipeline.RunConfig(n_v=1, n_f=1, n_samples=40, n_starts=4,
+                                               seed=0))
+with tempfile.TemporaryDirectory() as out:
+    pipeline.save_results(sol, net, out)
+print(*loaded())
 """
 
 
 def test_import_and_network_build_leave_unused_scipy_packages_unloaded():
     # in a fresh interpreter, since this one has imported them for other tests
     src = str(Path(sccopt.__file__).resolve().parent.parent)
-    done = subprocess.run([sys.executable, "-c", IMPORT_AND_BUILD.format(unloaded=UNLOADED)],
-                          capture_output=True, text=True, timeout=60,
+    done = subprocess.run([sys.executable, "-c",
+                           IMPORT_DESIGN_AND_SAVE.format(unloaded=UNLOADED)],
+                          capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
@@ -261,6 +318,9 @@ THREADS = ("threading", "concurrent.futures", "multiprocessing")
 # what pipeline.py may import of them: run_cms joins the worker processes it
 # forks before it returns or raises, as its docstring promises
 PIPELINE_POOL = ["concurrent.futures.ProcessPoolExecutor", "multiprocessing"]
+# what lp.py may import of them: the thread-local store of each thread's
+# cold HiGHS instance, which starts no thread
+LP_LOCAL = ["threading.local"]
 
 
 def thread_imports(source: str) -> list[str]:
@@ -285,9 +345,9 @@ def test_detects_a_thread_import():
 def test_only_obbt_starts_threads(path):
     # obbt.tighten joins the one worker thread it starts before it returns,
     # as its docstring promises; pipeline.py forks processes and starts no
-    # thread of its own
+    # thread of its own, and lp.py only keeps per-thread data
     names = [name.rsplit(" (line ", 1)[0] for name in thread_imports(path.read_text())]
-    assert names == (PIPELINE_POOL if path.name == "pipeline.py" else [])
+    assert names == {"pipeline.py": PIPELINE_POOL, "lp.py": LP_LOCAL}.get(path.name, [])
 
 
 # the declared dependencies; networkx and pytest-benchmark may be installed,

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,8 +14,10 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus
 
 import sccopt
+from conftest import as_csc
 from linprog_reference import linprog_solve_lp
 from oracle_simplex import simplex_solve
+from sccopt.csc import CscMatrix
 from sccopt.errors import InconsistentBounds
 from sccopt.hydraulics import solve_steady
 from sccopt.lp import (_RETRY_OPTIONS, _STRATEGY, INFEASIBLE, NUMERICAL, OPTIMAL,
@@ -36,7 +39,7 @@ def row_bounds(senses, b):
 
 
 def make_lp(c, A, senses, b, lb, ub):
-    return LinearProgram(c, sp.csr_matrix(np.asarray(A, float)), *row_bounds(senses, b), lb, ub)
+    return LinearProgram(c, as_csc(np.asarray(A, float)), *row_bounds(senses, b), lb, ub)
 
 
 class FakeHighs:
@@ -120,16 +123,16 @@ class TestSolveBasics:
         ([np.nan], [1.0]), ([0.0], [np.nan]), ([np.inf], [np.inf]), ([-np.inf], [-np.inf])])
     def test_bad_row_bound_rejected(self, lhs, rhs):
         with pytest.raises(ValueError):
-            solve_lp(LinearProgram([1.0], sp.csr_matrix([[1.0]]), lhs, rhs, [0.0], [1.0]))
+            solve_lp(LinearProgram([1.0], as_csc([[1.0]]), lhs, rhs, [0.0], [1.0]))
 
     def test_crossed_row_bounds_rejected_naming_the_row(self):
-        lp = LinearProgram([1.0, 1.0], sp.csr_matrix(np.eye(2)), [0.0, 2.0], [1.0, 1.0],
+        lp = LinearProgram([1.0, 1.0], as_csc(np.eye(2)), [0.0, 2.0], [1.0, 1.0],
                            [0.0, 0.0], [5.0, 5.0])
         with pytest.raises(InconsistentBounds, match="^row 1: lower bound 2.0 > upper bound 1.0"):
             solve_lp(lp)
 
     def test_no_columns_rejected(self):
-        lp = LinearProgram(np.zeros(0), sp.csr_matrix((1, 0)), [-np.inf], [1.0], [], [])
+        lp = LinearProgram(np.zeros(0), as_csc(np.zeros((1, 0))), [-np.inf], [1.0], [], [])
         with pytest.raises(ValueError):
             solve_lp(lp)
 
@@ -222,8 +225,7 @@ def mixed_lps(draw):
                       dtype=object)
     lb = draw(arrays(float, n, elements=st.one_of(st.just(-np.inf), st.floats(-5, 0))))
     ub = draw(arrays(float, n, elements=st.one_of(st.just(np.inf), st.floats(0, 5))))
-    fmt = draw(st.sampled_from([sp.csr_matrix, sp.csc_matrix]))
-    return LinearProgram(draw(arrays(float, n, elements=st.floats(-3, 3))), fmt(A),
+    return LinearProgram(draw(arrays(float, n, elements=st.floats(-3, 3))), as_csc(A),
                          *row_bounds(senses, draw(arrays(float, m, elements=st.floats(-5, 5)))),
                          lb, ub)
 
@@ -274,9 +276,11 @@ class TestMatchesLinprog:
         assert assert_matches_linprog(make_lp(c, A, senses, b, lb, ub)) == status
 
     def test_duplicate_and_unsorted_entries(self):
-        # row 0 stores x1 before x0 and x0 twice; HiGHS gets them summed
-        A = sp.csr_matrix((np.array([1.0, 0.5, 0.5, 1.0]), np.array([1, 0, 0, 1]),
-                           np.array([0, 3, 4])), shape=(2, 2))
+        # row 0 stores x1 before x0 and x0 twice; the CscMatrix sums them,
+        # so HiGHS gets each entry once
+        A = as_csc(sp.csr_matrix((np.array([1.0, 0.5, 0.5, 1.0]), np.array([1, 0, 0, 1]),
+                                  np.array([0, 3, 4])), shape=(2, 2)))
+        assert A.nnz == 3
         for senses in ([LEQ, EQ], [EQ, EQ]):
             lp = LinearProgram(np.array([-1.0, -1.0]), A, *row_bounds(senses, [2.0, 0.5]),
                                np.zeros(2), np.full(2, 5.0))
@@ -287,7 +291,7 @@ class TestMatchesLinprog:
     def test_step_and_relaxation_lps(self, name, request, monkeypatch):
         net = request.getfixturevalue(name)
         relax, step = step_and_relaxation_lps(net, monkeypatch)
-        assert isinstance(step.A, sp.csc_matrix)
+        assert isinstance(step.A, CscMatrix)
         assert step.A.shape == (net.n_p + net.n_n, 4) and np.all(step.lhs < step.rhs)
         assert assert_matches_linprog(step) == OPTIMAL
         assert assert_matches_linprog(relax) == OPTIMAL
@@ -295,6 +299,67 @@ class TestMatchesLinprog:
         rng = np.random.default_rng(0)
         for _ in range(3):
             assert_matches_linprog(replace(relax, c=rng.normal(size=relax.n_cols)))
+
+
+def fresh_cold_solve(lp):
+    """A cold solve in a new HiGHS instance, under options equal to the cold
+    ones but not the same object, so no thread's cold instance is re-used."""
+    options = _options("on", _STRATEGY.kSimplexStrategyDual)
+    options.simplex_scale_strategy = 4
+    return _run(_new_highs(options, lp), lp)
+
+
+def same_bits(a, b):
+    return a.status == b.status and all(
+        (u is None and v is None) or np.asarray(u).tobytes() == np.asarray(v).tobytes()
+        for u, v in ((a.x, b.x), (a.objective, b.objective), (a.duals, b.duals)))
+
+
+class TestColdInstance:
+    """Cold solves re-use their thread's one HiGHS instance and return what a
+    new instance returns, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(mixed_lps(), min_size=2, max_size=4))
+    def test_reused_instance_solves_like_a_new_one(self, lps):
+        for lp in lps:
+            assert same_bits(solve_lp(lp), fresh_cold_solve(lp))
+
+    def test_one_instance_per_thread(self):
+        lp = make_lp([1, 1], [[1, 1]], [EQ], [1], [0, 0], [1, 1])
+        solve_lp(lp)
+        mine = sccopt.lp._cold.highs
+        solve_lp(lp)
+        assert sccopt.lp._cold.highs is mine
+
+        def theirs():
+            solve_lp(lp)
+            return sccopt.lp._cold.highs
+
+        with ThreadPoolExecutor(1) as pool:
+            assert pool.submit(theirs).result(timeout=30) is not mine
+
+    def test_threads_solve_alike(self):
+        # more threads than cores, each solving the LPs in its own order, with
+        # thread switches forced often; each result must equal a lone solve
+        rng = np.random.default_rng(4)
+        lps = [make_lp(rng.uniform(-1, 1, 6), rng.uniform(-1, 1, (4, 6)), [LEQ] * 4,
+                       rng.uniform(0, 1, 4), np.zeros(6), np.ones(6)) for _ in range(6)]
+        expected = [fresh_cold_solve(lp) for lp in lps]
+
+        def solve_all(order):
+            return [(i, solve_lp(lps[i])) for i in order for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(6) as pool:
+                futures = [pool.submit(solve_all, rng.permutation(len(lps))) for _ in range(6)]
+                results = [r for f in futures for r in f.result(timeout=60)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 6 * 6 * 5
+        assert all(same_bits(sol, expected[i]) for i, sol in results)
 
 
 def test_every_step_lp_is_over_the_controls(loop4, monkeypatch):
@@ -323,11 +388,12 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import scipy.sparse as sp
 
+from sccopt.csc import CscMatrix
 from sccopt.lp import _STRATEGY, LinearProgram, _new_highs, _options, solve_lp
 
 rng = np.random.default_rng(0)
-lp = LinearProgram(rng.uniform(-1, 1, 80), sp.random(60, 80, density=0.2, random_state=1,
-                                                     format="csc"),
+A = sp.random(60, 80, density=0.2, random_state=1, format="csc")
+lp = LinearProgram(rng.uniform(-1, 1, 80), CscMatrix((A.data, A.indices, A.indptr), A.shape),
                    np.full(60, -np.inf), np.ones(60), np.zeros(80), np.ones(80))
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import sccopt.lp as lp_mod
+from conftest import to_scipy
 from sccopt import obbt
 from sccopt.errors import InconsistentBounds
 from sccopt.hydraulics import headloss_params, simulate
@@ -186,7 +187,7 @@ class TestFlowPolytope:
         lp, vmap = build_lp(problem, 1, 1)
         sigma = np.r_[vmap.sigma_pos.ravel(), vmap.sigma_neg.ravel()]
         q = vmap.q.ravel()
-        A = lp.A.tocsr()
+        A = to_scipy(lp.A).tocsr()
         dropped = np.flatnonzero(np.diff(A[:, sigma].indptr))
         assert len(dropped) == lp.n_rows - flow_polytope(lp, vmap).n_rows > 0
         for r in dropped:

@@ -192,13 +192,14 @@ class TestRelaxation:
 
 
 def assert_same_lp(ours, ref):
-    """The two LPs' c, CSC arrays, lhs, rhs, lb and ub are equal bit for bit."""
+    """The two LPs' c, CSC arrays, lhs, rhs, lb and ub are equal bit for bit,
+    dtypes included."""
     for name in ("c", "lhs", "rhs", "lb", "ub"):
         assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
-    A, A_ref = ours.A.tocsc(), ref.A.tocsc()
-    assert A.shape == A_ref.shape
+    assert ours.A.shape == ref.A.shape
     for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(A, name), getattr(A_ref, name)), name
+        a, a_ref = getattr(ours.A, name), getattr(ref.A, name)
+        assert a.dtype == a_ref.dtype and np.array_equal(a, a_ref), name
 
 
 def with_existing_valves(net, prv, dbv):

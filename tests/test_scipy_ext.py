@@ -14,22 +14,25 @@ from sccopt.scipy_ext import SCIPY_PIN, load_extension
 
 SRC = str(Path(sccopt.__file__).resolve().parent.parent)
 EXTENSIONS = ["scipy.optimize._highspy._core", "scipy.sparse.linalg._dsolve._superlu",
-              "scipy.linalg._flapack"]
+              "scipy.linalg._flapack", "scipy.sparse._sparsetools",
+              "scipy.special._special_ufuncs"]
 
 # Imports SciPy's packages and their extension modules the usual way, then
 # sccopt, and solves an LP and a steady state with it
 SCIPY_FIRST = """
 import scipy.optimize._highspy._core as highs
+import scipy.special
 from scipy.linalg import _flapack
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg._dsolve import _superlu
 
 import numpy as np
-import scipy.sparse as sp
-from sccopt import hydraulics, lp
+from sccopt import csc, hydraulics, lp, scc
 from sccopt.netgen import loop_network
 
-print(lp._highs is highs, hydraulics._superlu is _superlu, hydraulics._flapack is _flapack)
-sol = lp.solve_lp(lp.LinearProgram(np.ones(2), sp.csc_matrix(np.ones((1, 2))), np.ones(1),
+print(lp._highs is highs, hydraulics._superlu is _superlu, hydraulics._flapack is _flapack,
+      csc._sparsetools is _sparsetools, scc.expit is scipy.special.expit)
+sol = lp.solve_lp(lp.LinearProgram(np.ones(2), csc.CscMatrix.from_dense(np.ones((1, 2))), np.ones(1),
                                    np.full(1, np.inf), np.zeros(2), np.full(2, 5.0)))
 print(sol.status, sol.objective)
 net = loop_network(4)
@@ -89,7 +92,7 @@ def run_script(code: str) -> list[str]:
 
 def test_scipy_first_shares_its_modules_with_sccopt():
     shared, lp_result, balanced = run_script(SCIPY_FIRST)
-    assert shared == "True True True"
+    assert shared == "True True True True True"
     assert lp_result == "optimal 1.0"
     assert balanced == "True True"
 
@@ -101,6 +104,24 @@ def test_sccopt_first_leaves_scipy_working():
     assert solves == "True True"
     same, n_candidates = workers.split()
     assert same == "True" and int(n_candidates) >= 2
+
+
+# Loads the ufunc module alone, as sccopt does, then imports scipy.special
+# the usual way
+SPECIAL_AFTER = """
+import sys
+from sccopt.scipy_ext import load_extension
+_special_ufuncs = load_extension("scipy.special._special_ufuncs", attrs=("expit",))
+print("scipy.special" in sys.modules)
+import scipy.special
+print(_special_ufuncs.expit is scipy.special.expit)
+"""
+
+
+def test_loaded_expit_is_scipy_special_expit():
+    # so the sigmoid keeps the bits of scipy.special.expit, though the
+    # loader runs no code of the scipy.special package
+    assert run_script(SPECIAL_AFTER) == ["False", "True"]
 
 
 @pytest.mark.parametrize("name", EXTENSIONS)
@@ -116,3 +137,12 @@ def test_missing_module_raises_import_error():
         load_extension(name)
     assert raised.value.name == name
     assert name not in sys.modules
+
+
+def test_missing_attribute_raises_import_error():
+    # as on a SciPy release whose ufunc module lacks expit
+    name = "scipy.special._special_ufuncs"
+    message = f"{re.escape(name)} has no no_such_ufunc.*{re.escape(SCIPY_PIN)}"
+    with pytest.raises(ImportError, match=message) as raised:
+        load_extension(name, attrs=("expit", "no_such_ufunc"))
+    assert raised.value.name == name
